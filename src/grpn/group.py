@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import factorial
 from typing import Iterator, Sequence
@@ -54,9 +55,10 @@ class OneDimValue:
     """A value +-z^k of a one-dimensional representation, z a primitive
     r-th root of unity.
 
-    Equality canonicalizes: when r is even, (-1, k) and (+1, k + r/2)
-    denote the same complex number.  The stored form is whatever was
-    computed; only comparisons collapse it.
+    Equality compares the value as one integer (``code``): when r is even,
+    (-1, k) and (+1, k + r/2) denote the same complex number and share a
+    code.  The stored form is whatever was computed; only comparisons
+    collapse it.
     """
 
     sign: int
@@ -74,13 +76,22 @@ class OneDimValue:
             return (1, (self.exponent + self.modulus // 2) % self.modulus, self.modulus)
         return (self.sign, self.exponent, self.modulus)
 
+    @property
+    def code(self) -> int:
+        """The integer c in [0, 2r) with +-z^k = exp(pi i c / r), namely
+        (2k + r * [sign = -1]) mod 2r, for r the modulus."""
+        r = self.modulus
+        return (2 * self.exponent + (r if self.sign < 0 else 0)) % (2 * r)
+
     def __eq__(self, other):
+        """Same modulus and same ``code``.  The code is the exponent of one
+        primitive 2r-th root of unity, so this is exact for odd and even r."""
         if not isinstance(other, OneDimValue):
             return NotImplemented
-        return self.canonical() == other.canonical()
+        return self.modulus == other.modulus and self.code == other.code
 
     def __hash__(self):
-        return hash(self.canonical())
+        return hash((self.code, self.modulus))
 
     def __mul__(self, other: "OneDimValue") -> "OneDimValue":
         if self.modulus != other.modulus:
@@ -101,10 +112,21 @@ class OneDimValue:
         return {"sign": sign, "exponent": exp}
 
 
-def inversions(perm: Sequence[int]) -> int:
-    """Number of inversions of a permutation given in one-line notation."""
-    n = len(perm)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+def inversions(keys: Sequence) -> int:
+    """Number of pairs a < b with keys[a] > keys[b]; equal keys do not count.
+
+    Works on any sequence of mutually comparable keys (a permutation in
+    one-line notation, the row of each label of a tableau) with
+    O(n log n) comparisons: each key counts the keys before it that are
+    larger, by bisecting a sorted list of those keys.
+    """
+    seen: list = []
+    total = 0
+    for k, x in enumerate(keys):
+        pos = bisect_right(seen, x)
+        total += k - pos
+        seen.insert(pos, x)
+    return total
 
 
 @dataclass(frozen=True)

@@ -56,25 +56,20 @@ def rs_map(w: GroupElement) -> RSPair:
     r = w.params.r
     p_rows: list[list[list[int]]] = [[] for _ in range(r)]
     q_rows: list[list[list[int]]] = [[] for _ in range(r)]
-    for i, (value, k) in enumerate(zip(w.perm, w.colors), start=1):
+    for i, (cur, k) in enumerate(zip(w.perm, w.colors), start=1):
         rows = p_rows[k]
-        cur = value
-        placed = None
         for t, row in enumerate(rows):
             pos = bisect_right(row, cur)
             if pos == len(row):
                 row.append(cur)
-                placed = t
+                q_rows[k][t].append(i)
                 break
             cur, row[pos] = row[pos], cur
-        if placed is None:
+        else:
             rows.append([cur])
-            placed = len(rows) - 1
-        if placed == len(q_rows[k]):
-            q_rows[k].append([])
-        q_rows[k][placed].append(i)
-    P = Multitableau(tuple(StandardTableau(tuple(map(tuple, rs))) for rs in p_rows))
-    Q = Multitableau(tuple(StandardTableau(tuple(map(tuple, rs))) for rs in q_rows))
+            q_rows[k].append([i])
+    P = Multitableau(tuple(StandardTableau(rs) for rs in p_rows))
+    Q = Multitableau(tuple(StandardTableau(rs) for rs in q_rows))
     return RSPair(P, Q)
 
 
@@ -147,6 +142,42 @@ def right_admissible(w: GroupElement, i: int) -> GroupElement:
     return w * generator(w.params, i)
 
 
+def _ascend(w: GroupElement) -> tuple[list[tuple[str, int]], GroupElement]:
+    """The moves of ``ascending_moves`` and the element they lead to.
+
+    Runs the moves on plain lists and builds one group element at the end.
+    A move is made only where the two colors it swaps are strictly out of
+    order, so every move is admissible: ``apply_moves`` replays them with
+    ``left_admissible`` / ``right_admissible`` to the same element.
+    """
+    n = w.params.n
+    perm, colors = list(w.perm), list(w.colors)
+    moves: list[tuple[str, int]] = []
+    changed = True
+    while changed:
+        changed = False
+        for j in range(1, n):
+            if colors[j - 1] > colors[j]:
+                perm[j - 1], perm[j] = perm[j], perm[j - 1]
+                colors[j - 1], colors[j] = colors[j], colors[j - 1]
+                moves.append(("R", j))
+                changed = True
+    position = [0] * (n + 1)  # position[v]: 0-based position holding value v
+    for p, v in enumerate(perm):
+        position[v] = p
+    changed = True
+    while changed:
+        changed = False
+        for v in range(1, n):
+            p, q = position[v], position[v + 1]
+            if colors[p] > colors[q]:
+                perm[p], perm[q] = v + 1, v
+                position[v], position[v + 1] = q, p
+                moves.append(("L", v))
+                changed = True
+    return moves, GroupElement(w.params, tuple(perm), tuple(colors))
+
+
 def ascending_moves(w: GroupElement) -> list[tuple[str, int]]:
     """A sequence of admissible moves ("L"|"R", i) taking w to its canonical
     ascending representative.
@@ -155,30 +186,7 @@ def ascending_moves(w: GroupElement) -> list[tuple[str, int]]:
     left moves then stably renumber values so each color class occupies a
     contiguous block, preserving within-class order on both sides.
     """
-    moves: list[tuple[str, int]] = []
-    cur = w
-    changed = True
-    while changed:
-        changed = False
-        for j in range(1, cur.params.n):
-            if cur.colors[j - 1] > cur.colors[j]:
-                cur = right_admissible(cur, j)
-                moves.append(("R", j))
-                changed = True
-    color_of_value = {v: k for v, k in zip(cur.perm, cur.colors)}
-    changed = True
-    while changed:
-        changed = False
-        for v in range(1, cur.params.n):
-            if color_of_value[v] > color_of_value[v + 1]:
-                cur = left_admissible(cur, v)
-                moves.append(("L", v))
-                color_of_value[v], color_of_value[v + 1] = (
-                    color_of_value[v + 1],
-                    color_of_value[v],
-                )
-                changed = True
-    return moves
+    return _ascend(w)[0]
 
 
 def apply_moves(w: GroupElement, moves: list[tuple[str, int]]) -> GroupElement:
@@ -189,4 +197,5 @@ def apply_moves(w: GroupElement, moves: list[tuple[str, int]]) -> GroupElement:
 
 
 def ascending_representative(w: GroupElement) -> GroupElement:
-    return apply_moves(w, ascending_moves(w))
+    """The ascending element ``apply_moves(w, ascending_moves(w))``."""
+    return _ascend(w)[1]

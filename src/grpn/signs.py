@@ -96,18 +96,30 @@ def verify_theorem(
     r = params.r
     report = VerificationReport(params, "theorem")
     start = time.perf_counter()
+    two_r = 2 * r
     for w in enumerate_group(params, cap=cap):
         inv_sigma, color_sum, e_p, inv_p, inv_q, ts_p, ts_q = kernel(w.perm, w.colors, r)
-        group_sign = (-1) ** inv_sigma
-        tab_sign = (-1) ** (e_p + inv_p + inv_q)
         spin_sum = (ts_p + ts_q) // 2
         report.elements_checked += 1
+        report.i_values_checked += r
+        # OneDimValue.code of both values for every i, without building them
+        group_half = r * (inv_sigma & 1)
+        tab_half = r * ((e_p + inv_p + inv_q) & 1)
+        expected = [(2 * i * color_sum + group_half) % two_r for i in range(r)]
+        got = [(2 * i * spin_sum + tab_half) % two_r for i in range(r)]
+        if expected == got:
+            continue
+        group_sign, tab_sign = (-1) ** inv_sigma, (-1) ** (e_p + inv_p + inv_q)
         for i in range(r):
-            expected = OneDimValue(group_sign, (i * color_sum) % r, r)
-            got = OneDimValue(tab_sign, (i * spin_sum) % r, r)
-            report.i_values_checked += 1
-            if expected != got and len(report.counterexamples) < max_counterexamples:
-                report.counterexamples.append((w, i, expected, got))
+            if expected[i] != got[i] and len(report.counterexamples) < max_counterexamples:
+                report.counterexamples.append(
+                    (
+                        w,
+                        i,
+                        OneDimValue(group_sign, (i * color_sum) % r, r),
+                        OneDimValue(tab_sign, (i * spin_sum) % r, r),
+                    )
+                )
     report.elapsed = time.perf_counter() - start
     return report
 
@@ -201,10 +213,11 @@ def verify_admissible(
         rep = ascending_representative(w)
         if not is_ascending_element(rep):
             record(w, 0, "ascending representative", "not ascending")
+        rep_pair = rs_map(rep)
         for i in range(r):
             report.i_values_checked += 1
-            agrees_w = pi(w, i) == w.one_dim(i, 1)
-            agrees_rep = pi(rep, i) == rep.one_dim(i, 1)
+            agrees_w = pi_from_tableaux(pair.P, pair.Q, i, r) == w.one_dim(i, 1)
+            agrees_rep = pi_from_tableaux(rep_pair.P, rep_pair.Q, i, r) == rep.one_dim(i, 1)
             if agrees_w != agrees_rep:
                 record(w, i, agrees_w, agrees_rep)
     report.elapsed = time.perf_counter() - start

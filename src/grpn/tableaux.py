@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial
+from operator import lt
 from typing import Iterator, Sequence
 
 from .errors import CapExceeded, InvalidTableau, OverlappingLabels
+from .group import inversions
 
 Partition = tuple[int, ...]
 MultiPartition = tuple[Partition, ...]
@@ -61,30 +64,32 @@ class StandardTableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        lens = [len(row) for row in self.rows]
-        if any(l == 0 for l in lens):
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
+        if not rows:  # every check below holds vacuously
+            return
+        lens = list(map(len, rows))
+        if 0 in lens:
             raise InvalidTableau("empty row")
-        if any(lens[i] < lens[i + 1] for i in range(len(lens) - 1)):
+        if any(map(lt, lens, lens[1:])):
             raise InvalidTableau(f"row lengths must weakly decrease: {lens}")
-        labels = [x for row in self.rows for x in row]
-        if len(set(labels)) != len(labels) or any(x < 1 for x in labels):
+        labels = list(chain.from_iterable(rows))
+        if len(set(labels)) != len(labels) or min(labels) < 1:
             raise InvalidTableau("labels must be distinct positive integers")
-        for row in self.rows:
-            if any(row[j] >= row[j + 1] for j in range(len(row) - 1)):
+        for row in rows:
+            if not all(map(lt, row, row[1:])):
                 raise InvalidTableau(f"row not increasing: {row}")
-        for i in range(len(self.rows) - 1):
-            upper, lower = self.rows[i], self.rows[i + 1]
-            if any(upper[j] >= lower[j] for j in range(len(lower))):
+        for i in range(len(rows) - 1):
+            if not all(map(lt, rows[i], rows[i + 1])):
                 raise InvalidTableau(f"column not increasing between rows {i + 1} and {i + 2}")
 
     @property
     def shape(self) -> Partition:
-        return tuple(len(row) for row in self.rows)
+        return tuple(map(len, self.rows))
 
     @property
     def size(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return sum(map(len, self.rows))
 
     def labels(self) -> set[int]:
         return {x for row in self.rows for x in row}
@@ -94,19 +99,14 @@ class StandardTableau:
         return {x: i + 1 for i, row in enumerate(self.rows) for x in row}
 
     def inversions(self) -> int:
-        """Pairs (i, j), j > i, with the box of i in a strictly lower row."""
-        rows_of = self.row_index()
-        labels = sorted(rows_of)
-        return sum(
-            1
-            for a, i in enumerate(labels)
-            for j in labels[a + 1 :]
-            if rows_of[i] > rows_of[j]
-        )
+        """Pairs (i, j), j > i, with the box of i in a strictly lower row:
+        the inversions of the row numbers read in label order."""
+        boxes = sorted((x, t) for t, row in enumerate(self.rows) for x in row)
+        return inversions([t for _, t in boxes])
 
     def even_row_boxes(self) -> int:
         """Boxes in rows 2, 4, 6, ... (rows are 1-indexed)."""
-        return sum(len(row) for row in self.rows[1::2])
+        return sum(map(len, self.rows[1::2]))
 
     def __str__(self):
         return "/".join(",".join(map(str, row)) for row in self.rows) or "-"
@@ -127,9 +127,9 @@ class Multitableau:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        labels = [x for t in self.components for x in t.labels()]
-        if sorted(labels) != list(range(1, len(labels) + 1)):
-            raise InvalidTableau(f"labels must be exactly 1..n, got {sorted(labels)}")
+        labels = sorted(chain.from_iterable(chain.from_iterable(t.rows for t in self.components)))
+        if labels != list(range(1, len(labels) + 1)):
+            raise InvalidTableau(f"labels must be exactly 1..n, got {labels}")
 
     @property
     def r(self) -> int:
@@ -141,16 +141,23 @@ class Multitableau:
 
     @property
     def shape(self) -> MultiPartition:
-        return tuple(t.shape for t in self.components)
+        return tuple([t.shape for t in self.components])
 
     def inversions(self) -> int:
-        within = sum(t.inversions() for t in self.components)
-        cross = sum(
-            cross_inversions(self.components[k], self.components[l])
-            for k in range(self.r)
-            for l in range(k + 1, self.r)
-        )
-        return within + cross
+        """Pairs (i, j) of labels, i < j, where i sits in a later component
+        than j, or in the same component and a strictly lower row.
+
+        This is the sum of the component inversions plus ``cross_inversions``
+        over every pair of components, counted in one pass as the
+        inversions of the (component, row) keys read in label order.
+        """
+        rows = list(chain.from_iterable(t.rows for t in self.components))
+        # a row's place in this list orders it by (component, row)
+        keys = [0] * sum(map(len, rows))
+        for row_no, row in enumerate(rows):
+            for x in row:
+                keys[x - 1] = row_no
+        return inversions(keys)
 
     def sign(self) -> int:
         return (-1) ** self.inversions()

@@ -1,0 +1,154 @@
+"""The fast statistics against their direct definitions.
+
+Each oracle here is the straightforward pairwise or object-level
+definition that the library computes by a faster route: the O(n^2)
+inversion count, the within-plus-cross multitableau count, OneDimValue
+canonical forms, and move-by-move replay of the ascending moves.
+"""
+
+import random
+
+import pytest
+
+from grpn import signs
+from grpn.group import (
+    GroupElement,
+    GroupParams,
+    OneDimValue,
+    enumerate_group,
+    inversions,
+)
+from grpn.rs import apply_moves, ascending_moves, ascending_representative, rs_map
+from grpn.tableaux import cross_inversions, multipartitions, standard_multitableaux
+
+
+def pairwise_inversions(keys):
+    n = len(keys)
+    return sum(1 for a in range(n) for b in range(a + 1, n) if keys[a] > keys[b])
+
+
+def within_plus_cross(T):
+    comps = T.components
+    within = sum(pairwise_inversions(row_numbers(t)) for t in comps)
+    cross = sum(
+        cross_inversions(comps[k], comps[l])
+        for k in range(len(comps))
+        for l in range(k + 1, len(comps))
+    )
+    return within + cross
+
+
+def row_numbers(t):
+    rows_of = t.row_index()
+    return [rows_of[x] for x in sorted(rows_of)]
+
+
+def random_element(rng, n, r):
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    return GroupElement(GroupParams(r, 1, n), tuple(perm), tuple(rng.randrange(r) for _ in range(n)))
+
+
+def test_inversions_match_pairwise_definition_with_repeated_keys():
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = rng.randint(0, 40)
+        keys = [rng.randint(0, rng.choice((1, 3, 10, 100))) for _ in range(n)]
+        assert inversions(keys) == pairwise_inversions(keys), keys
+    assert inversions([2, 2, 2]) == 0
+    assert inversions([(1, 0), (0, 2), (0, 2)]) == 2
+
+
+def test_tableau_inversions_match_pairwise_definition():
+    for r, n in ((1, 6), (2, 5), (3, 4)):
+        for shape in multipartitions(n, r):
+            for T in standard_multitableaux(shape):
+                for t in T.components:
+                    assert t.inversions() == pairwise_inversions(row_numbers(t))
+
+
+@pytest.mark.parametrize("r,n", [(1, 6), (2, 5), (3, 4), (4, 3)])
+def test_multitableau_inversions_over_all_small_shapes(r, n):
+    for shape in multipartitions(n, r):
+        for T in standard_multitableaux(shape):
+            assert T.inversions() == within_plus_cross(T), T
+
+
+def test_multitableau_inversions_on_rs_images_up_to_rank_64():
+    rng = random.Random(11)
+    for _ in range(150):
+        w = random_element(rng, rng.randint(1, 64), rng.randint(1, 8))
+        pair = rs_map(w)
+        assert pair.P.inversions() == within_plus_cross(pair.P), w
+        assert pair.Q.inversions() == within_plus_cross(pair.Q), w
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_code_equality_matches_canonical_forms(r):
+    values = [OneDimValue(sign, k, r) for sign in (1, -1) for k in range(r)]
+    for u in values:
+        assert 0 <= u.code < 2 * r
+        for v in values:
+            assert (u.code == v.code) == (u.canonical() == v.canonical()), (u, v)
+            assert (u == v) == (u.canonical() == v.canonical())
+            if u == v:
+                assert hash(u) == hash(v)
+
+
+def test_values_of_different_moduli_differ():
+    assert OneDimValue(1, 0, 2) != OneDimValue(1, 0, 4)
+    assert OneDimValue(-1, 0, 2) != OneDimValue(1, 2, 4)
+
+
+def test_ascending_representative_replays_its_moves():
+    rng = random.Random(5)
+    for _ in range(200):
+        w = random_element(rng, rng.randint(1, 64), rng.randint(1, 8))
+        assert ascending_representative(w) == apply_moves(w, ascending_moves(w)), w
+
+
+def test_sweep_reports_a_broken_kernel(monkeypatch):
+    """A kernel with the wrong sign of the permutation must fail the sweep
+    at every i, with the counterexamples still given as values."""
+    kernel = signs.get_kernel("python")
+
+    def flipped(perm, colors, r):
+        inv_sigma, *rest = kernel(perm, colors, r)
+        return (inv_sigma + 1, *rest)
+
+    monkeypatch.setattr(signs, "get_kernel", lambda backend=None: flipped)
+    params = GroupParams(3, 1, 3)
+    report = signs.verify_theorem(params, max_counterexamples=10)
+    assert not report.passed
+    assert report.elements_checked == params.order
+    assert report.i_values_checked == params.order * params.r
+    assert len(report.counterexamples) == 10
+    first = next(enumerate_group(params))
+    assert [c[:2] for c in report.counterexamples[:3]] == [(first, 0), (first, 1), (first, 2)]
+    for w, i, expected, got in report.counterexamples:
+        assert isinstance(expected, OneDimValue) and isinstance(got, OneDimValue)
+        assert got == w.one_dim(i, 1)
+        assert expected == OneDimValue(-got.sign, got.exponent, params.r)
+    data = report.to_json()
+    assert [f["i"] for f in data["failures"]] == [i for _, i, _, _ in report.counterexamples]
+    assert data["failures"][0]["expected"] == {"sign": -1, "exponent": 0}
+    assert data["failures"][0]["got"] == {"sign": 1, "exponent": 0}
+
+
+def test_sweep_reports_only_the_failing_i(monkeypatch):
+    """Color sums off by r/2 disagree at odd i only."""
+    kernel = signs.get_kernel("python")
+
+    def shifted(perm, colors, r):
+        inv_sigma, color_sum, *rest = kernel(perm, colors, r)
+        return (inv_sigma, color_sum + r // 2, *rest)
+
+    monkeypatch.setattr(signs, "get_kernel", lambda backend=None: shifted)
+    params = GroupParams(4, 2, 3)
+    report = signs.verify_theorem(params, max_counterexamples=1000)
+    assert report.i_values_checked == params.order * params.r
+    assert len(report.counterexamples) == params.order * 2
+    assert {i for _, i, _, _ in report.counterexamples} == {1, 3}
+    for w, i, expected, got in report.counterexamples:
+        assert got == w.one_dim(i, 1) != expected
+    assert len(report.to_json()["failures"]) == len(report.counterexamples)
