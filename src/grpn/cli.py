@@ -8,6 +8,7 @@ color 0); multitableaux use the nested JSON list layout, e.g.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -108,27 +109,29 @@ def cmd_stats(args):
 
 def cmd_sgn(args):
     w = _element(args)
-    values = {
-        f"tau_{i}^{eps}": str(w.one_dim(i, eps))
-        for eps in (0, 1)
-        for i in range(args.r)
-    }
+    values = {eps: [str(w.one_dim(i, eps)) for i in range(args.r)] for eps in (0, 1)}
     _emit(
         args,
         [f"w = {w}"]
-        + [f"sigma_{i}(w) = {w.one_dim(i, 0)}" for i in range(args.r)]
-        + [f"sgn_{i}(w) = {w.one_dim(i, 1)}" for i in range(args.r)],
-        {"element": str(w), "values": values},
+        + [f"sigma_{i}(w) = {v}" for i, v in enumerate(values[0])]
+        + [f"sgn_{i}(w) = {v}" for i, v in enumerate(values[1])],
+        {
+            "element": str(w),
+            "values": {
+                f"tau_{i}^{eps}": v for eps in (0, 1) for i, v in enumerate(values[eps])
+            },
+        },
     )
     return 0
 
 
 def cmd_pi(args):
     w = _element(args)
+    values = [str(pi(w, i)) for i in range(args.r)]
     _emit(
         args,
-        [f"w = {w}"] + [f"pi_{i}(w) = {pi(w, i)}" for i in range(args.r)],
-        {"element": str(w), "values": {str(i): str(pi(w, i)) for i in range(args.r)}},
+        [f"w = {w}"] + [f"pi_{i}(w) = {v}" for i, v in enumerate(values)],
+        {"element": str(w), "values": {str(i): v for i, v in enumerate(values)}},
     )
     return 0
 
@@ -161,7 +164,10 @@ def cmd_verify(args):
     return 0 if report.passed else VERIFY_FAILURE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` never
+    changes it and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(prog="grpn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -30,19 +30,45 @@ from .rs import (
 from .tableaux import Multitableau, multipartitions, standard_multitableaux
 
 
+def _tableaux_data(P: Multitableau, Q: Multitableau) -> tuple[int, int]:
+    """(sign, spin_sum) of a same-shape pair: the only tableaux statistics
+    the sign formula reads; just the exponent i * spin_sum depends on i."""
+    sign = (-1) ** (P.even_row_boxes() + P.inversions() + Q.inversions())
+    return sign, (P.twice_spin() + Q.twice_spin()) // 2
+
+
 def pi_from_tableaux(P: Multitableau, Q: Multitableau, i: int, r: int) -> OneDimValue:
     if P.shape != Q.shape:
         raise ShapeMismatch(f"{P.shape} != {Q.shape}")
     if not 0 <= i < r:
         raise IndexOutOfRange(f"i={i} not in [0, {r})")
-    sign = (-1) ** (P.even_row_boxes() + P.inversions() + Q.inversions())
-    spin_sum = (P.twice_spin() + Q.twice_spin()) // 2
+    sign, spin_sum = _tableaux_data(P, Q)
     return OneDimValue(sign, (i * spin_sum) % r, r)
 
 
+# (element, (sign, spin_sum)) of the last element ``pi`` saw.  Keyed by
+# identity and holding the element, so a key is never reused; swapped in one
+# assignment, so a thread race can only cause a miss.
+_last_pi: tuple[GroupElement | None, tuple[int, int]] = (None, (1, 0))
+
+
 def pi(w: GroupElement, i: int) -> OneDimValue:
-    pair = rs_map(w)
-    return pi_from_tableaux(pair.P, pair.Q, i, w.params.r)
+    """The tableaux-side value pi_i(w), read off w's Robinson-Schensted image.
+
+    The image is computed once per element object: calling ``pi(w, i)`` for
+    every i in turn costs one ``rs_map``.
+    """
+    global _last_pi
+    r = w.params.r
+    if not 0 <= i < r:
+        raise IndexOutOfRange(f"i={i} not in [0, {r})")
+    last, data = _last_pi
+    if last is not w:
+        pair = rs_map(w)
+        data = _tableaux_data(pair.P, pair.Q)
+        _last_pi = (w, data)
+    sign, spin_sum = data
+    return OneDimValue(sign, (i * spin_sum) % r, r)
 
 
 @dataclass
@@ -182,16 +208,19 @@ def verify_admissible(
     for w in enumerate_group(full, cap=cap):
         pair = rs_map(w)
         report.elements_checked += 1
+        inv_p, inv_q = pair.P.inversions(), pair.Q.inversions()
+        comp_inv_p = [c.inversions() for c in pair.P.components]
+        comp_inv_q = [c.inversions() for c in pair.Q.components]
         for i in range(1, n):
             if w.colors[i - 1] != w.colors[i]:
                 moved = rs_map(right_admissible(w, i))
                 report.i_values_checked += 1
                 ok = (
                     moved.P == pair.P
-                    and abs(moved.Q.inversions() - pair.Q.inversions()) == 1
+                    and abs(moved.Q.inversions() - inv_q) == 1
                     and all(
-                        a.inversions() == b.inversions()
-                        for a, b in zip(moved.Q.components, pair.Q.components)
+                        a.inversions() == b
+                        for a, b in zip(moved.Q.components, comp_inv_q)
                     )
                 )
                 if not ok:
@@ -202,10 +231,10 @@ def verify_admissible(
                 report.i_values_checked += 1
                 ok = (
                     moved.Q == pair.Q
-                    and abs(moved.P.inversions() - pair.P.inversions()) == 1
+                    and abs(moved.P.inversions() - inv_p) == 1
                     and all(
-                        a.inversions() == b.inversions()
-                        for a, b in zip(moved.P.components, pair.P.components)
+                        a.inversions() == b
+                        for a, b in zip(moved.P.components, comp_inv_p)
                     )
                 )
                 if not ok:
@@ -214,10 +243,12 @@ def verify_admissible(
         if not is_ascending_element(rep):
             record(w, 0, "ascending representative", "not ascending")
         rep_pair = rs_map(rep)
+        sign_w, spin_w = _tableaux_data(pair.P, pair.Q)
+        sign_rep, spin_rep = _tableaux_data(rep_pair.P, rep_pair.Q)
         for i in range(r):
             report.i_values_checked += 1
-            agrees_w = pi_from_tableaux(pair.P, pair.Q, i, r) == w.one_dim(i, 1)
-            agrees_rep = pi_from_tableaux(rep_pair.P, rep_pair.Q, i, r) == rep.one_dim(i, 1)
+            agrees_w = OneDimValue(sign_w, (i * spin_w) % r, r) == w.one_dim(i, 1)
+            agrees_rep = OneDimValue(sign_rep, (i * spin_rep) % r, r) == rep.one_dim(i, 1)
             if agrees_w != agrees_rep:
                 record(w, i, agrees_w, agrees_rep)
     report.elapsed = time.perf_counter() - start

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
-import pytest
-
-from grpn.cli import main
+import grpn
+from grpn.cli import build_parser, main
 from grpn.group import parse_element
 
 RUNNING = "[z1*5,1,z2*3,6,z2*7,z1*4,2,8]"
+SRC = os.path.dirname(os.path.dirname(grpn.__file__))
 
 
 def run(capsys, *argv):
@@ -101,3 +104,34 @@ def test_parse_error_exit_two(capsys):
 def test_element_round_trip_through_str():
     w = parse_element(RUNNING, 4)
     assert parse_element(str(w), 4) == w
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def _fresh_process(argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "grpn.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys):
+    # one shared parser must not carry anything from one call to the next
+    calls = [
+        ["pi", "--r", "8", "--format", "json", "[z3*5,1,z7*3,6,z2*7,z1*4,2,8]"],
+        ["rs", "--r", "2", "[2,2]"],
+        ["pi"],
+        ["sgn", "--r", "3", "[z2*2,1,3]"],
+        ["stats", "--r", "4", "--format", "json", RUNNING],
+        ["pi", "--r", "4", RUNNING],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors exit directly
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == _fresh_process(argv), argv

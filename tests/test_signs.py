@@ -1,9 +1,15 @@
 import json
+import random
+import sys
+import threading
 
 import pytest
 
+from grpn import signs
+from grpn.cli import main
 from grpn.errors import IndexOutOfRange, NotAscending, ShapeMismatch
 from grpn.group import (
+    GroupElement,
     GroupParams,
     OneDimValue,
     enumerate_group,
@@ -81,6 +87,109 @@ class TestPi:
                 assert pi(w, i).exponent == (i * w.color_sum()) % 4
 
 
+def _element(rng, r, n):
+    perm = list(range(1, n + 1))
+    rng.shuffle(perm)
+    colors = [rng.randrange(r) for _ in range(n)]
+    return GroupElement(GroupParams(r, 1, n), tuple(perm), tuple(colors))
+
+
+def _count_rs_map(monkeypatch):
+    calls = []
+
+    def counting(w):
+        calls.append(w)
+        return rs_map(w)
+
+    monkeypatch.setattr(signs, "rs_map", counting)
+    return calls
+
+
+class TestPiMemo:
+    """``pi`` reuses one element's RS image across i; it must never serve
+    another element's values."""
+
+    def _expected(self, w, i):
+        pair = rs_map(w)
+        return pi_from_tableaux(pair.P, pair.Q, i, w.params.r)
+
+    def test_interleaved_calls_match_tableaux(self):
+        rng = random.Random(3)
+        pool = []
+        for _ in range(12):
+            r, n = rng.choice((2, 3, 4, 8)), rng.randrange(1, 65)
+            w = _element(rng, r, n)
+            pool.append(w)
+            # same permutation, other colors
+            pool.append(GroupElement(w.params, w.perm, tuple((a + 1) % r for a in w.colors)))
+            # the same data under another r
+            pool.append(GroupElement(GroupParams(r + 1, 1, n), w.perm, w.colors))
+            # an equal but distinct object
+            twin = GroupElement(w.params, w.perm, w.colors)
+            assert twin == w and twin is not w
+            pool.append(twin)
+        expected = {id(w): [self._expected(w, i) for i in range(w.params.r)] for w in pool}
+        for _ in range(400):
+            w = rng.choice(pool)
+            i = rng.randrange(w.params.r)
+            assert pi(w, i) == expected[id(w)][i], (str(w), w.params.r, i)
+
+    def test_one_rs_map_for_all_i(self, monkeypatch):
+        w = _element(random.Random(5), 8, 40)
+        calls = _count_rs_map(monkeypatch)
+        values = [pi(w, i) for i in range(8)]
+        assert len(calls) == 1
+        assert values == [w.one_dim(i, 1) for i in range(8)]
+
+    def test_new_element_refreshes(self, monkeypatch):
+        rng = random.Random(6)
+        a, b = _element(rng, 4, 10), _element(rng, 4, 10)
+        calls = _count_rs_map(monkeypatch)
+        for w in (a, b, a):
+            for i in range(4):
+                assert pi(w, i) == w.one_dim(i, 1)
+        assert calls == [a, b, a]
+
+    def test_cli_pi_runs_rs_map_once(self, monkeypatch, capsys):
+        calls = _count_rs_map(monkeypatch)
+        assert main(["pi", "--r", "8", "[z3*5,1,z7*3,6,z2*7,z1*4,2,8]"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.count("pi_") == 8
+
+    def test_threads_never_see_another_elements_values(self):
+        rng = random.Random(8)
+        elements = [_element(rng, 8, rng.randrange(8, 20)) for _ in range(4)]
+        expected = [[w.one_dim(i, 1) for i in range(8)] for w in elements]
+        wrong = []
+
+        def worker(k):
+            w = elements[k]
+            for step in range(300):
+                i = step % 8
+                if pi(w, i) != expected[k][i]:
+                    wrong.append((k, i))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(elements))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("i", [-1, 4, 5])
+    def test_index_checked_before_rs_map(self, monkeypatch, running_example, i):
+        calls = _count_rs_map(monkeypatch)
+        with pytest.raises(IndexOutOfRange, match=rf"^i={i} not in \[0, 4\)$"):
+            pi(running_example, i)
+        assert calls == []
+
+
 class TestVerifyTheorem:
     @pytest.mark.parametrize("r,p,n", [(1, 1, 4), (2, 1, 3), (2, 2, 3), (4, 1, 3)])
     def test_passes(self, r, p, n):
@@ -126,6 +235,16 @@ class TestVerifyAdmissible:
         report = verify_admissible(GroupParams(r, p, n))
         assert report.passed
         assert report.elements_checked == GroupParams(r, 1, n).order
+
+    @pytest.mark.parametrize(
+        "move,violation",
+        [("right_admissible", "R-move invariants"), ("left_admissible", "L-move invariants")],
+    )
+    def test_catches_a_move_that_does_nothing(self, monkeypatch, move, violation):
+        monkeypatch.setattr(signs, move, lambda w, i: w)
+        report = verify_admissible(GroupParams(2, 1, 3))
+        assert not report.passed
+        assert {expected for _, _, expected, _ in report.counterexamples} == {violation}
 
 
 class TestDecomposeAscending:
