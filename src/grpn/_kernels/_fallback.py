@@ -1,7 +1,11 @@
 """Pure-Python kernel: per-element statistics for the verification sweep.
 
-Composes the public group / rs / tableaux operations; the compiled kernel
-in _speedups.pyx reimplements the same contract on C arrays.
+Composes the public group / rs / tableaux operations: the validated
+``rs_map`` pair and the ``Multitableau`` statistics, not the row-list pass
+that ``signs.pi`` uses.  So ``verify_theorem`` checks the formula on the
+objects users get, and a fault in the tableau classes shows up in the
+sweep.  The compiled kernel in _speedups.pyx reimplements the same contract
+on C arrays.
 """
 
 from __future__ import annotations

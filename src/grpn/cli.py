@@ -15,13 +15,7 @@ import sys
 from .errors import GrpnError
 from .group import DEFAULT_CAP, GroupParams, parse_element
 from .rs import RSPair, ascending_moves, apply_moves, rs_inverse, rs_map
-from .signs import (
-    pi,
-    pi_from_tableaux,
-    verify_admissible,
-    verify_membership,
-    verify_theorem,
-)
+from .signs import pi, verify_admissible, verify_membership, verify_theorem
 from .tableaux import Multitableau
 
 USAGE_ERROR = 2
@@ -67,9 +61,10 @@ def cmd_inverse_rs(args):
 
 
 def _tableau_stats(T: Multitableau) -> dict:
+    inv = T.inversions()
     return {
-        "inv": T.inversions(),
-        "sign": T.sign(),
+        "inv": inv,
+        "sign": (-1) ** inv,
         "e": T.even_row_boxes(),
         "twice_spin": T.twice_spin(),
         "ascending": T.is_ascending(),

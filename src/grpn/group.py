@@ -9,6 +9,7 @@ stored as (sign, exponent mod r).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from bisect import bisect_right
@@ -202,8 +203,15 @@ class GroupElement:
             raise IndexOutOfRange(f"i={i} not in [0, {r})")
         if epsilon not in (0, 1):
             raise ValueError(f"epsilon must be 0 or 1, got {epsilon}")
-        sign = 1 if epsilon == 0 else (-1) ** inversions(self.perm)
+        sign = 1 if epsilon == 0 else self.perm_sign
         return OneDimValue(sign, (i * self.color_sum()) % r, r)
+
+    @functools.cached_property
+    def perm_sign(self) -> int:
+        """(-1)^inv of the permutation, counted once per element object.
+        Kept in the instance ``__dict__``, outside the fields, so ``==``,
+        ``hash`` and ``repr`` do not see it."""
+        return (-1) ** inversions(self.perm)
 
     def word(self) -> list[int]:
         """A word in the generators s_0..s_{n-1} whose product is this element.

@@ -52,7 +52,9 @@ def row_insert(tableau: StandardTableau, x: int) -> tuple[StandardTableau, tuple
     return StandardTableau(tuple(map(tuple, rows))), (len(rows), 1)
 
 
-def rs_map(w: GroupElement) -> RSPair:
+def _rs_rows(w: GroupElement) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
+    """Per-component row lists of P and Q, the insertion pass of ``rs_map``
+    without the tableau objects."""
     r = w.params.r
     p_rows: list[list[list[int]]] = [[] for _ in range(r)]
     q_rows: list[list[list[int]]] = [[] for _ in range(r)]
@@ -68,6 +70,11 @@ def rs_map(w: GroupElement) -> RSPair:
         else:
             rows.append([cur])
             q_rows[k].append([i])
+    return p_rows, q_rows
+
+
+def rs_map(w: GroupElement) -> RSPair:
+    p_rows, q_rows = _rs_rows(w)
     P = Multitableau(tuple(StandardTableau(rs) for rs in p_rows))
     Q = Multitableau(tuple(StandardTableau(rs) for rs in q_rows))
     return RSPair(P, Q)

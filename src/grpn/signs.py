@@ -7,7 +7,9 @@ its Robinson-Schensted image alone:
 
 The group route (``GroupElement.one_dim``) evaluates it from the inversion
 count and color sum.  The sweeps check the two routes against each other
-over entire groups.
+over entire groups.  Only e(P), inv(P) + inv(Q) and spin(P) + spin(Q)
+enter, so ``pi`` and the structural sweeps read them off the insertion
+pass's row lists where no tableau object is needed.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .errors import IndexOutOfRange, NotAscending, ShapeMismatch
 from .group import DEFAULT_CAP, GroupElement, GroupParams, OneDimValue, enumerate_group
 from .rs import (
     RSPair,
+    _rs_rows,
     ascending_representative,
     is_ascending_element,
     left_admissible,
@@ -27,14 +30,30 @@ from .rs import (
     rs_inverse,
     rs_map,
 )
-from .tableaux import Multitableau, multipartitions, standard_multitableaux
+from .tableaux import (
+    ComponentRows,
+    Multitableau,
+    multipartitions,
+    rows_even_row_boxes,
+    rows_inversions,
+    rows_twice_spin,
+    standard_multitableaux,
+)
 
 
-def _tableaux_data(P: Multitableau, Q: Multitableau) -> tuple[int, int]:
-    """(sign, spin_sum) of a same-shape pair: the only tableaux statistics
-    the sign formula reads; just the exponent i * spin_sum depends on i."""
-    sign = (-1) ** (P.even_row_boxes() + P.inversions() + Q.inversions())
-    return sign, (P.twice_spin() + Q.twice_spin()) // 2
+def _sign_data(e_p: int, inv_sum: int, twice_spin_sum: int) -> tuple[int, int]:
+    """(sign, spin_sum) from e(P), inv(P) + inv(Q) and 2 (spin(P) + spin(Q)):
+    all the sign formula reads; just the exponent i * spin_sum depends on i."""
+    return (-1 if (e_p + inv_sum) & 1 else 1), twice_spin_sum // 2
+
+
+def _rows_data(p_rows: ComponentRows, q_rows: ComponentRows) -> tuple[int, int]:
+    """``_sign_data`` of a same-shape pair given as per-component row lists."""
+    return _sign_data(
+        rows_even_row_boxes(p_rows),
+        rows_inversions(p_rows) + rows_inversions(q_rows),
+        rows_twice_spin(p_rows) + rows_twice_spin(q_rows),
+    )
 
 
 def pi_from_tableaux(P: Multitableau, Q: Multitableau, i: int, r: int) -> OneDimValue:
@@ -42,7 +61,7 @@ def pi_from_tableaux(P: Multitableau, Q: Multitableau, i: int, r: int) -> OneDim
         raise ShapeMismatch(f"{P.shape} != {Q.shape}")
     if not 0 <= i < r:
         raise IndexOutOfRange(f"i={i} not in [0, {r})")
-    sign, spin_sum = _tableaux_data(P, Q)
+    sign, spin_sum = _rows_data([t.rows for t in P.components], [t.rows for t in Q.components])
     return OneDimValue(sign, (i * spin_sum) % r, r)
 
 
@@ -55,8 +74,9 @@ _last_pi: tuple[GroupElement | None, tuple[int, int]] = (None, (1, 0))
 def pi(w: GroupElement, i: int) -> OneDimValue:
     """The tableaux-side value pi_i(w), read off w's Robinson-Schensted image.
 
-    The image is computed once per element object: calling ``pi(w, i)`` for
-    every i in turn costs one ``rs_map``.
+    The image's row lists are computed once per element object, by one
+    insertion pass without tableau objects: calling ``pi(w, i)`` for every
+    i in turn costs one pass.
     """
     global _last_pi
     r = w.params.r
@@ -64,8 +84,7 @@ def pi(w: GroupElement, i: int) -> OneDimValue:
         raise IndexOutOfRange(f"i={i} not in [0, {r})")
     last, data = _last_pi
     if last is not w:
-        pair = rs_map(w)
-        data = _tableaux_data(pair.P, pair.Q)
+        data = _rows_data(*_rs_rows(w))
         _last_pi = (w, data)
     sign, spin_sum = data
     return OneDimValue(sign, (i * spin_sum) % r, r)
@@ -165,7 +184,7 @@ def verify_membership(
     start = time.perf_counter()
     for w in enumerate_group(full, cap=cap):
         member = w.is_member(p)
-        ts = rs_map(w).P.twice_spin()
+        ts = rows_twice_spin(_rs_rows(w)[0])
         report.elements_checked += 1
         report.i_values_checked += 1
         if member != (ts % p == 0) and len(report.counterexamples) < max_counterexamples:
@@ -242,9 +261,10 @@ def verify_admissible(
         rep = ascending_representative(w)
         if not is_ascending_element(rep):
             record(w, 0, "ascending representative", "not ascending")
-        rep_pair = rs_map(rep)
-        sign_w, spin_w = _tableaux_data(pair.P, pair.Q)
-        sign_rep, spin_rep = _tableaux_data(rep_pair.P, rep_pair.Q)
+        sign_w, spin_w = _sign_data(
+            pair.P.even_row_boxes(), inv_p + inv_q, pair.P.twice_spin() + pair.Q.twice_spin()
+        )
+        sign_rep, spin_rep = _rows_data(*_rs_rows(rep))
         for i in range(r):
             report.i_values_checked += 1
             agrees_w = OneDimValue(sign_w, (i * spin_w) % r, r) == w.one_dim(i, 1)

@@ -121,6 +121,34 @@ def cross_inversions(t_earlier: StandardTableau, t_later: StandardTableau) -> in
     return sum(1 for j in a for i in b if j > i)
 
 
+# Multitableau statistics as functions of per-component row lists
+# (``[t.rows for t in T.components]``), so the insertion pass can read them
+# without building tableaux; the ``Multitableau`` methods call them.
+ComponentRows = Sequence[Sequence[Sequence[int]]]
+
+
+def rows_inversions(components: ComponentRows) -> int:
+    """Multitableau inversions: the inversions of the (component, row) keys
+    read in label order, counted in one pass."""
+    rows = list(chain.from_iterable(components))
+    # a row's place in this list orders it by (component, row)
+    keys = [0] * sum(map(len, rows))
+    for row_no, row in enumerate(rows):
+        for x in row:
+            keys[x - 1] = row_no
+    return inversions(keys)
+
+
+def rows_even_row_boxes(components: ComponentRows) -> int:
+    """Boxes in rows 2, 4, 6, ... of every component."""
+    return sum([len(row) for comp in components for row in comp[1::2]])
+
+
+def rows_twice_spin(components: ComponentRows) -> int:
+    """Twice the spin: sum of k * (boxes of component k)."""
+    return sum([k * sum(map(len, comp)) for k, comp in enumerate(components) if k])
+
+
 @dataclass(frozen=True)
 class Multitableau:
     components: tuple[StandardTableau, ...]
@@ -145,29 +173,20 @@ class Multitableau:
 
     def inversions(self) -> int:
         """Pairs (i, j) of labels, i < j, where i sits in a later component
-        than j, or in the same component and a strictly lower row.
-
-        This is the sum of the component inversions plus ``cross_inversions``
-        over every pair of components, counted in one pass as the
-        inversions of the (component, row) keys read in label order.
-        """
-        rows = list(chain.from_iterable(t.rows for t in self.components))
-        # a row's place in this list orders it by (component, row)
-        keys = [0] * sum(map(len, rows))
-        for row_no, row in enumerate(rows):
-            for x in row:
-                keys[x - 1] = row_no
-        return inversions(keys)
+        than j, or in the same component and a strictly lower row: the sum
+        of the component inversions plus ``cross_inversions`` over every
+        pair of components (see ``rows_inversions``)."""
+        return rows_inversions([t.rows for t in self.components])
 
     def sign(self) -> int:
         return (-1) ** self.inversions()
 
     def even_row_boxes(self) -> int:
-        return sum(t.even_row_boxes() for t in self.components)
+        return rows_even_row_boxes([t.rows for t in self.components])
 
     def twice_spin(self) -> int:
         """Twice the spin statistic: sum of k * |sh(T_k)|, always an integer."""
-        return sum(k * t.size for k, t in enumerate(self.components))
+        return rows_twice_spin([t.rows for t in self.components])
 
     def is_ascending(self) -> bool:
         """Labels of each nonempty component lie entirely below those of the

@@ -46,12 +46,14 @@ def test_stats_element(capsys):
     assert code == 0
     assert "P.inv = 10" in out and "Q.inv = 14" in out
     assert "P.e = 2" in out and "P.twice_spin = 6" in out
+    assert "P.sign = 1" in out and "Q.sign = 1" in out
 
 
 def test_stats_tableau(capsys):
     code, out, _ = run(capsys, "stats", json.dumps([[[1, 3], [2]], [[4], [5]]]))
     assert code == 0
     assert "inv = 1" in out and "ascending = True" in out
+    assert "sign = -1" in out
 
 
 def test_sgn_identity_all_positive(capsys):

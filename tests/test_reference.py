@@ -3,7 +3,8 @@
 Each oracle here is the straightforward pairwise or object-level
 definition that the library computes by a faster route: the O(n^2)
 inversion count, the within-plus-cross multitableau count, OneDimValue
-canonical forms, and move-by-move replay of the ascending moves.
+canonical forms, move-by-move replay of the ascending moves, and the
+tableau-object route to the sign formula's statistics.
 """
 
 import random
@@ -18,8 +19,24 @@ from grpn.group import (
     enumerate_group,
     inversions,
 )
-from grpn.rs import apply_moves, ascending_moves, ascending_representative, rs_map
-from grpn.tableaux import cross_inversions, multipartitions, standard_multitableaux
+from grpn.rs import (
+    _rs_rows,
+    apply_moves,
+    ascending_moves,
+    ascending_representative,
+    row_insert,
+    rs_map,
+)
+from grpn.signs import pi_from_tableaux
+from grpn.tableaux import (
+    StandardTableau,
+    cross_inversions,
+    multipartitions,
+    rows_even_row_boxes,
+    rows_inversions,
+    rows_twice_spin,
+    standard_multitableaux,
+)
 
 
 def pairwise_inversions(keys):
@@ -41,6 +58,47 @@ def within_plus_cross(T):
 def row_numbers(t):
     rows_of = t.row_index()
     return [rows_of[x] for x in sorted(rows_of)]
+
+
+def object_stats(T):
+    """e, inv and twice-spin of a multitableau, component by component."""
+    return (
+        sum(t.even_row_boxes() for t in T.components),
+        within_plus_cross(T),
+        sum(k * t.size for k, t in enumerate(T.components)),
+    )
+
+
+def row_insert_image(w):
+    """P and Q row lists of w, built by ``row_insert`` one entry at a time."""
+    P = [StandardTableau(()) for _ in range(w.params.r)]
+    Q = [[] for _ in range(w.params.r)]
+    for i, (x, k) in enumerate(zip(w.perm, w.colors), start=1):
+        P[k], (row, _) = row_insert(P[k], x)
+        if row > len(Q[k]):
+            Q[k].append([])
+        Q[k][row - 1].append(i)
+    return [[list(row) for row in t.rows] for t in P], Q
+
+
+def check_row_route(w):
+    """The row-list statistics and (sign, spin_sum) of w against rs_map's
+    objects, their methods and the component-by-component definitions."""
+    p_rows, q_rows = _rs_rows(w)
+    pair = rs_map(w)
+    expected = {}
+    for name, rows, T in (("P", p_rows, pair.P), ("Q", q_rows, pair.Q)):
+        assert rows == [[list(row) for row in t.rows] for t in T.components]
+        expected[name] = object_stats(T)
+        got = (rows_even_row_boxes(rows), rows_inversions(rows), rows_twice_spin(rows))
+        assert got == expected[name], (str(w), name)
+        assert (T.even_row_boxes(), T.inversions(), T.twice_spin()) == expected[name]
+    (e_p, inv_p, ts_p), (_, inv_q, ts_q) = expected["P"], expected["Q"]
+    data = ((-1) ** (e_p + inv_p + inv_q), (ts_p + ts_q) // 2)
+    assert signs._rows_data(p_rows, q_rows) == data, str(w)
+    r = w.params.r
+    for i in range(r):
+        assert pi_from_tableaux(pair.P, pair.Q, i, r) == OneDimValue(data[0], (i * data[1]) % r, r)
 
 
 def random_element(rng, n, r):
@@ -152,3 +210,44 @@ def test_sweep_reports_only_the_failing_i(monkeypatch):
     for w, i, expected, got in report.counterexamples:
         assert got == w.one_dim(i, 1) != expected
     assert len(report.to_json()["failures"]) == len(report.counterexamples)
+
+
+@pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4)])
+def test_row_route_matches_objects_over_whole_groups(r, n):
+    for w in enumerate_group(GroupParams(r, 1, n)):
+        check_row_route(w)
+
+
+def test_row_route_matches_objects_up_to_rank_64():
+    rng = random.Random(17)
+    for _ in range(500):
+        w = random_element(rng, rng.randint(1, 64), rng.randint(1, 8))
+        check_row_route(w)
+        assert list(_rs_rows(w)) == list(row_insert_image(w)), w
+
+
+def test_membership_sweep_reports_a_wrong_twice_spin(monkeypatch):
+    """The forward direction reads twice_spin(P) off the row lists; a wrong
+    value there must show up as counterexamples."""
+    monkeypatch.setattr(signs, "rows_twice_spin", lambda comps: rows_twice_spin(comps) + 1)
+    full = GroupParams(2, 1, 3)
+    report = signs.verify_membership(GroupParams(2, 2, 3), max_counterexamples=1000)
+    assert not report.passed
+    assert report.elements_checked == full.order
+    assert len(report.counterexamples) == full.order
+    for w, i, member, criterion in report.counterexamples:
+        assert i == 0 and member == w.is_member(2) != criterion
+
+
+def test_perm_sign_is_cached_per_element():
+    rng = random.Random(13)
+    for _ in range(300):
+        w = random_element(rng, rng.randint(1, 64), rng.randint(1, 8))
+        expected = (-1) ** pairwise_inversions(w.perm)
+        assert "perm_sign" not in vars(w)
+        assert w.one_dim(0, 1).sign == expected
+        assert vars(w)["perm_sign"] == expected
+        twin = GroupElement(w.params, w.perm, w.colors)
+        assert "perm_sign" not in vars(twin)
+        assert twin == w and hash(twin) == hash(w) and repr(twin) == repr(w)
+        assert twin.perm_sign == expected

@@ -94,14 +94,20 @@ def _element(rng, r, n):
     return GroupElement(GroupParams(r, 1, n), tuple(perm), tuple(colors))
 
 
-def _count_rs_map(monkeypatch):
+def _count_insertions(monkeypatch):
+    """Record each element ``signs`` runs the insertion pass on, whether
+    through ``rs_map`` or straight through the row-list pass."""
     calls = []
 
-    def counting(w):
-        calls.append(w)
-        return rs_map(w)
+    def counting(f):
+        def wrapper(w):
+            calls.append(w)
+            return f(w)
 
-    monkeypatch.setattr(signs, "rs_map", counting)
+        return wrapper
+
+    monkeypatch.setattr(signs, "rs_map", counting(rs_map))
+    monkeypatch.setattr(signs, "_rs_rows", counting(signs._rs_rows))
     return calls
 
 
@@ -136,7 +142,7 @@ class TestPiMemo:
 
     def test_one_rs_map_for_all_i(self, monkeypatch):
         w = _element(random.Random(5), 8, 40)
-        calls = _count_rs_map(monkeypatch)
+        calls = _count_insertions(monkeypatch)
         values = [pi(w, i) for i in range(8)]
         assert len(calls) == 1
         assert values == [w.one_dim(i, 1) for i in range(8)]
@@ -144,14 +150,14 @@ class TestPiMemo:
     def test_new_element_refreshes(self, monkeypatch):
         rng = random.Random(6)
         a, b = _element(rng, 4, 10), _element(rng, 4, 10)
-        calls = _count_rs_map(monkeypatch)
+        calls = _count_insertions(monkeypatch)
         for w in (a, b, a):
             for i in range(4):
                 assert pi(w, i) == w.one_dim(i, 1)
         assert calls == [a, b, a]
 
     def test_cli_pi_runs_rs_map_once(self, monkeypatch, capsys):
-        calls = _count_rs_map(monkeypatch)
+        calls = _count_insertions(monkeypatch)
         assert main(["pi", "--r", "8", "[z3*5,1,z7*3,6,z2*7,z1*4,2,8]"]) == 0
         assert len(calls) == 1
         assert capsys.readouterr().out.count("pi_") == 8
@@ -184,7 +190,7 @@ class TestPiMemo:
 
     @pytest.mark.parametrize("i", [-1, 4, 5])
     def test_index_checked_before_rs_map(self, monkeypatch, running_example, i):
-        calls = _count_rs_map(monkeypatch)
+        calls = _count_insertions(monkeypatch)
         with pytest.raises(IndexOutOfRange, match=rf"^i={i} not in \[0, 4\)$"):
             pi(running_example, i)
         assert calls == []
