@@ -29,6 +29,10 @@ class InvalidP(GrpnError):
     pass
 
 
+class NotAMember(GrpnError):
+    """An element of G(r,1,n) given where G(r,p,n) was asked for."""
+
+
 class CapExceeded(GrpnError):
     pass
 

@@ -23,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidP,
     LengthMismatch,
+    NotAMember,
     NotAPermutation,
     ParamsMismatch,
     ParseError,
@@ -251,6 +252,22 @@ def make_element(params: GroupParams, perm: Sequence[int], colors: Sequence[int]
     return GroupElement(params, tuple(perm), tuple(colors))
 
 
+def require_member(w: GroupElement) -> None:
+    """Raise ``NotAMember`` unless w lies in G(r,p,n) for its params' p.
+
+    ``GroupElement`` itself does not check this: s_0, which lies outside
+    G(r,p,n) for p > 1, is built with those params by ``generator`` and
+    ``subgroup_generators``.  Parsers and inverse maps that take their p
+    from the user call this instead.
+    """
+    p = w.params.p
+    if w.color_sum() % p:
+        raise NotAMember(
+            f"color sum {w.color_sum()} is not divisible by p={p}: "
+            f"{w} is not in G({w.params.r},{p},{w.params.n})"
+        )
+
+
 def identity(params: GroupParams) -> GroupElement:
     return GroupElement(params, tuple(range(1, params.n + 1)), (0,) * params.n)
 
@@ -309,7 +326,8 @@ _ITEM_RE = re.compile(r"^(?:z(\d+)\*)?(\d+)$")
 
 
 def parse_element(text: str, r: int, p: int = 1) -> GroupElement:
-    """Parse one-line notation like ``[z1*5,1,z2*3,6]``; rank is inferred."""
+    """Parse one-line notation like ``[z1*5,1,z2*3,6]``; rank is inferred.
+    Raises ``NotAMember`` if the element lies outside G(r,p,n)."""
     text = "".join(text.split())
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(f"element must be bracketed: {text!r}")
@@ -325,4 +343,7 @@ def parse_element(text: str, r: int, p: int = 1) -> GroupElement:
         colors.append(int(exp) % r if exp else 0)
         perm.append(int(val))
     params = GroupParams(r, p, len(perm))
-    return GroupElement(params, tuple(perm), tuple(colors))
+    w = GroupElement(params, tuple(perm), tuple(colors))
+    if p != 1:
+        require_member(w)
+    return w

@@ -19,7 +19,7 @@ from .errors import (
     NotAdmissible,
     ShapeMismatch,
 )
-from .group import GroupElement, GroupParams, generator
+from .group import GroupElement, GroupParams, require_member
 from .tableaux import Multitableau, StandardTableau
 
 
@@ -81,7 +81,8 @@ def rs_map(w: GroupElement) -> RSPair:
 
 
 def rs_inverse(pair: RSPair, params: GroupParams) -> GroupElement:
-    """Reverse bumping, component by component in decreasing recording label."""
+    """Reverse bumping, component by component in decreasing recording label.
+    Raises ``NotAMember`` if the element lies outside G(r,p,n)."""
     n = pair.P.size
     if n != params.n or len(pair.P.components) != params.r:
         raise ShapeMismatch(
@@ -109,7 +110,10 @@ def rs_inverse(pair: RSPair, params: GroupParams) -> GroupElement:
             colors[position] = k
         if rows:
             raise InvalidTableau("recording tableau does not exhaust the shape")
-    return GroupElement(params, tuple(perm), tuple(colors))
+    w = GroupElement(params, tuple(perm), tuple(colors))
+    if params.p != 1:
+        require_member(w)
+    return w
 
 
 def is_ascending_element(w: GroupElement) -> bool:
@@ -135,7 +139,9 @@ def left_admissible(w: GroupElement, i: int) -> GroupElement:
     pos_j = w.perm.index(i + 1)
     if w.colors[pos_i] == w.colors[pos_j]:
         raise NotAdmissible(f"values {i} and {i + 1} carry equal colors")
-    return generator(w.params, i) * w
+    perm = list(w.perm)
+    perm[pos_i], perm[pos_j] = i + 1, i
+    return GroupElement(w.params, tuple(perm), w.colors)
 
 
 def right_admissible(w: GroupElement, i: int) -> GroupElement:
@@ -146,7 +152,12 @@ def right_admissible(w: GroupElement, i: int) -> GroupElement:
         raise IndexOutOfRange(f"i={i} not in [1, {n - 1}]")
     if w.colors[i - 1] == w.colors[i]:
         raise NotAdmissible(f"positions {i} and {i + 1} carry equal colors")
-    return w * generator(w.params, i)
+    perm, colors = w.perm, w.colors
+    return GroupElement(
+        w.params,
+        perm[: i - 1] + (perm[i], perm[i - 1]) + perm[i + 1 :],
+        colors[: i - 1] + (colors[i], colors[i - 1]) + colors[i + 1 :],
+    )
 
 
 def _ascend(w: GroupElement) -> tuple[list[tuple[str, int]], GroupElement]:

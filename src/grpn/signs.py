@@ -10,6 +10,10 @@ count and color sum.  The sweeps check the two routes against each other
 over entire groups.  Only e(P), inv(P) + inv(Q) and spin(P) + spin(Q)
 enter, so ``pi`` and the structural sweeps read them off the insertion
 pass's row lists where no tableau object is needed.
+
+``verify_admissible`` builds validated tableau objects for each swept
+element w, and reads each admissible move's image, which the same sweep
+validates as its own w, off the row lists.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .tableaux import (
     rows_inversions,
     rows_twice_spin,
     standard_multitableaux,
+    tableau_inversions,
 )
 
 
@@ -204,6 +209,23 @@ def verify_membership(
     return report
 
 
+def _move_keeps_invariants(
+    fixed: ComponentRows,
+    fixed_before: ComponentRows,
+    changed: ComponentRows,
+    inv_before: int,
+    comp_inv_before: list[int],
+) -> bool:
+    """An admissible move's image, as row lists, against the element's own
+    image: the fixed multitableau is unchanged, the other one's inversion
+    count moves by exactly one, and each of its components keeps its count."""
+    return (
+        fixed == fixed_before
+        and abs(rows_inversions(changed) - inv_before) == 1
+        and [tableau_inversions(comp) for comp in changed] == comp_inv_before
+    )
+
+
 def verify_admissible(
     params: GroupParams, cap: int = DEFAULT_CAP, max_counterexamples: int = 10
 ) -> VerificationReport:
@@ -214,6 +236,13 @@ def verify_admissible(
     Symmetrically for left moves and P.  Also checks that the formula-vs-
     character agreement boolean is constant along the passage to the
     ascending representative.
+
+    Each element w is mapped by the validated ``rs_map`` and its statistics
+    come from the tableau objects.  A move's image is compared on the row
+    lists of one ``_rs_rows`` pass: the image is an element of G(r,1,n)
+    too, so the sweep validates its objects where it maps it as its own w,
+    and building them again per move would only repeat that work.  The
+    ascending representative's sign data is read off row lists likewise.
     """
     r, n = params.r, params.n
     full = GroupParams(r, 1, n)
@@ -230,33 +259,19 @@ def verify_admissible(
         inv_p, inv_q = pair.P.inversions(), pair.Q.inversions()
         comp_inv_p = [c.inversions() for c in pair.P.components]
         comp_inv_q = [c.inversions() for c in pair.Q.components]
+        p_rows = [list(map(list, c.rows)) for c in pair.P.components]
+        q_rows = [list(map(list, c.rows)) for c in pair.Q.components]
         for i in range(1, n):
             if w.colors[i - 1] != w.colors[i]:
-                moved = rs_map(right_admissible(w, i))
+                moved_p, moved_q = _rs_rows(right_admissible(w, i))
                 report.i_values_checked += 1
-                ok = (
-                    moved.P == pair.P
-                    and abs(moved.Q.inversions() - inv_q) == 1
-                    and all(
-                        a.inversions() == b
-                        for a, b in zip(moved.Q.components, comp_inv_q)
-                    )
-                )
-                if not ok:
+                if not _move_keeps_invariants(moved_p, p_rows, moved_q, inv_q, comp_inv_q):
                     record(w, i, "R-move invariants", "violated")
             pos_i, pos_j = w.perm.index(i), w.perm.index(i + 1)
             if w.colors[pos_i] != w.colors[pos_j]:
-                moved = rs_map(left_admissible(w, i))
+                moved_p, moved_q = _rs_rows(left_admissible(w, i))
                 report.i_values_checked += 1
-                ok = (
-                    moved.Q == pair.Q
-                    and abs(moved.P.inversions() - inv_p) == 1
-                    and all(
-                        a.inversions() == b
-                        for a, b in zip(moved.P.components, comp_inv_p)
-                    )
-                )
-                if not ok:
+                if not _move_keeps_invariants(moved_q, q_rows, moved_p, inv_p, comp_inv_p):
                     record(w, i, "L-move invariants", "violated")
         rep = ascending_representative(w)
         if not is_ascending_element(rep):

@@ -99,10 +99,9 @@ class StandardTableau:
         return {x: i + 1 for i, row in enumerate(self.rows) for x in row}
 
     def inversions(self) -> int:
-        """Pairs (i, j), j > i, with the box of i in a strictly lower row:
-        the inversions of the row numbers read in label order."""
-        boxes = sorted((x, t) for t, row in enumerate(self.rows) for x in row)
-        return inversions([t for _, t in boxes])
+        """Pairs (i, j), j > i, with the box of i in a strictly lower row
+        (see ``tableau_inversions``)."""
+        return tableau_inversions(self.rows)
 
     def even_row_boxes(self) -> int:
         """Boxes in rows 2, 4, 6, ... (rows are 1-indexed)."""
@@ -121,10 +120,20 @@ def cross_inversions(t_earlier: StandardTableau, t_later: StandardTableau) -> in
     return sum(1 for j in a for i in b if j > i)
 
 
-# Multitableau statistics as functions of per-component row lists
-# (``[t.rows for t in T.components]``), so the insertion pass can read them
-# without building tableaux; the ``Multitableau`` methods call them.
+# Tableau and multitableau statistics as functions of row lists (one
+# component's ``t.rows``, or ``[t.rows for t in T.components]``), so the
+# insertion pass can read them without building tableaux; the
+# ``StandardTableau`` and ``Multitableau`` methods call them.
 ComponentRows = Sequence[Sequence[Sequence[int]]]
+
+
+def tableau_inversions(rows: Sequence[Sequence[int]]) -> int:
+    """Inversions of one component given as its row list: the inversions of
+    the row numbers read in label order."""
+    if len(rows) < 2:  # no two boxes in different rows
+        return 0
+    boxes = sorted((x, t) for t, row in enumerate(rows) for x in row)
+    return inversions([t for _, t in boxes])
 
 
 def rows_inversions(components: ComponentRows) -> int:

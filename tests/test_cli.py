@@ -103,6 +103,29 @@ def test_parse_error_exit_two(capsys):
     assert code == 2 and "error" in err
 
 
+def test_non_member_rejected_with_usage_error(capsys):
+    for command in ("rs", "sgn", "pi", "stats", "ascend"):
+        code, out, err = run(capsys, command, "--r", "4", "--p", "2", "[z1*2,1]")
+        assert code == 2 and out == "", command
+        assert err == "error: color sum 1 is not divisible by p=2: [z1*2,1] is not in G(4,2,2)\n"
+
+
+def test_member_accepted_for_p_above_one(capsys):
+    code, out, _ = run(capsys, "rs", "--r", "4", "--p", "2", "[z1*2,z1*1]")
+    assert code == 0 and "P = (- | 1/2 | - | -)" in out
+    code, out, _ = run(capsys, "sgn", "--r", "4", "--p", "2", "[z1*2,z1*1]")
+    assert code == 0 and "sgn_0(w) = +z^2" in out and "sigma_1(w) = +z^2" in out
+
+
+def test_inverse_rs_rejects_a_non_member(capsys):
+    pair = json.dumps([[[], [[1]], [], []], [[], [[1]], [], []]])
+    code, out, err = run(capsys, "inverse-rs", "--r", "4", "--p", "2", pair)
+    assert code == 2 and out == ""
+    assert "color sum 1 is not divisible by p=2" in err
+    code, out, _ = run(capsys, "inverse-rs", "--r", "4", pair)
+    assert code == 0 and out == "[z1*1]\n"
+
+
 def test_element_round_trip_through_str():
     w = parse_element(RUNNING, 4)
     assert parse_element(str(w), 4) == w

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from grpn.errors import (
     ColorOutOfRange,
     IndexOutOfRange,
     InvalidP,
+    NotAMember,
     NotAPermutation,
     ParamsMismatch,
 )
@@ -309,3 +311,21 @@ class TestParse:
     def test_inversions_helper(self):
         assert inversions((1, 2, 3)) == 0
         assert inversions((3, 2, 1)) == 3
+
+    def test_membership_checked_for_p_above_one(self):
+        for r, p, n in ((4, 2, 3), (6, 3, 2), (4, 4, 2)):
+            sub = GroupParams(r, p, n)
+            for w in enumerate_group(GroupParams(r, 1, n)):
+                if w.is_member(p):
+                    assert parse_element(str(w), r, p) == make_element(sub, w.perm, w.colors)
+                else:
+                    message = f"color sum {w.color_sum()} is not divisible by p={p}: {w} is not in"
+                    with pytest.raises(NotAMember, match=re.escape(message)):
+                        parse_element(str(w), r, p)
+        assert parse_element("[z1*2,1]", 4).color_sum() == 1  # p = 1 takes any color sum
+
+    def test_generators_still_built_outside_the_subgroup(self):
+        # s_0 is not in G(4,2,2), but generator and subgroup_generators build it
+        params = GroupParams(4, 2, 2)
+        assert not generator(params, 0).is_member(2)
+        assert subgroup_generators(params)[0] == generator(params, 0) ** 2

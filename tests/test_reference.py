@@ -4,7 +4,8 @@ Each oracle here is the straightforward pairwise or object-level
 definition that the library computes by a faster route: the O(n^2)
 inversion count, the within-plus-cross multitableau count, OneDimValue
 canonical forms, move-by-move replay of the ascending moves, and the
-tableau-object route to the sign formula's statistics.
+tableau-object route to the sign formula's statistics and to the
+admissible-move checks.
 """
 
 import random
@@ -24,6 +25,8 @@ from grpn.rs import (
     apply_moves,
     ascending_moves,
     ascending_representative,
+    left_admissible,
+    right_admissible,
     row_insert,
     rs_map,
 )
@@ -36,6 +39,7 @@ from grpn.tableaux import (
     rows_inversions,
     rows_twice_spin,
     standard_multitableaux,
+    tableau_inversions,
 )
 
 
@@ -251,3 +255,120 @@ def test_perm_sign_is_cached_per_element():
         assert "perm_sign" not in vars(twin)
         assert twin == w and hash(twin) == hash(w) and repr(twin) == repr(w)
         assert twin.perm_sign == expected
+
+
+def test_tableau_inversions_match_pairwise_on_rs_images_up_to_rank_64():
+    rng = random.Random(19)
+    for _ in range(300):
+        w = random_element(rng, rng.randint(1, 64), rng.randint(1, 8))
+        pair = rs_map(w)
+        for t in pair.P.components + pair.Q.components:
+            expected = pairwise_inversions(row_numbers(t))
+            assert tableau_inversions(t.rows) == t.inversions() == expected, w
+            assert tableau_inversions([list(row) for row in t.rows]) == expected
+
+
+def rows_of(T):
+    return [[list(row) for row in t.rows] for t in T.components]
+
+
+def object_move_check(fixed, fixed_before, changed, changed_before):
+    """The admissible-move invariants on tableau objects, one boolean each."""
+    return (
+        fixed == fixed_before,
+        abs(changed.inversions() - changed_before.inversions()) == 1,
+        [t.inversions() for t in changed.components]
+        == [t.inversions() for t in changed_before.components],
+    )
+
+
+def row_move_check(fixed, fixed_before, changed, changed_before):
+    """The same invariants on row lists, as ``verify_admissible`` reads them."""
+    return (
+        fixed == fixed_before,
+        abs(rows_inversions(changed) - rows_inversions(changed_before)) == 1,
+        [tableau_inversions(c) for c in changed]
+        == [tableau_inversions(c) for c in changed_before],
+    )
+
+
+@pytest.mark.parametrize("r,n", [(2, 4), (3, 3), (4, 3)])
+def test_move_images_on_rows_match_objects(r, n):
+    """Every admissible move's image: its row lists are the rows of its
+    ``rs_map`` pair, and each invariant reads the same on rows as on
+    objects, both for the side the move fixes (true) and the side it does
+    not (mostly false)."""
+    params = GroupParams(r, 1, n)
+    outcomes = set()
+    for w in enumerate_group(params):
+        pair = rs_map(w)
+        w_objs = pair.P, pair.Q
+        w_rows = rows_of(pair.P), rows_of(pair.Q)
+        moves = [right_admissible(w, i) for i in range(1, n) if w.colors[i - 1] != w.colors[i]]
+        moves += [
+            left_admissible(w, i)
+            for i in range(1, n)
+            if w.colors[w.perm.index(i)] != w.colors[w.perm.index(i + 1)]
+        ]
+        for moved in moves:
+            rows = _rs_rows(moved)
+            image = rs_map(moved)
+            objs = image.P, image.Q
+            assert list(rows) == [rows_of(image.P), rows_of(image.Q)], (str(w), str(moved))
+            for f, c in ((0, 1), (1, 0)):  # P fixed (R-move check), Q fixed (L-move check)
+                on_objects = object_move_check(objs[f], w_objs[f], objs[c], w_objs[c])
+                on_rows = row_move_check(rows[f], w_rows[f], rows[c], w_rows[c])
+                assert on_rows == on_objects, (str(w), str(moved), f)
+                outcomes.add(on_rows)
+                comp_inv = [t.inversions() for t in w_objs[c].components]
+                inv = w_objs[c].inversions()
+                ok = signs._move_keeps_invariants(rows[f], w_rows[f], rows[c], inv, comp_inv)
+                assert ok == all(on_objects), (str(w), str(moved), f)
+    assert (True, True, True) in outcomes and any(not all(o) for o in outcomes)
+
+
+def test_admissible_report_counts():
+    """One value check per admissible move plus r per element."""
+    params = GroupParams(3, 1, 3)
+    n = params.n
+    moves = 0
+    for w in enumerate_group(params):
+        moves += sum(w.colors[i - 1] != w.colors[i] for i in range(1, n))
+        colors_of = [w.colors[w.perm.index(v)] for v in range(1, n + 1)]
+        moves += sum(colors_of[i - 1] != colors_of[i] for i in range(1, n))
+    report = signs.verify_admissible(params)
+    assert report.passed
+    assert report.elements_checked == params.order
+    assert report.i_values_checked == moves + params.order * params.r
+
+
+def test_admissible_sweep_reports_a_wrong_component_count(monkeypatch):
+    """The per-component counts of each move's image are read with
+    ``signs.tableau_inversions``; a wrong count there must be reported on
+    both sides."""
+    monkeypatch.setattr(signs, "tableau_inversions", lambda rows: 0)
+    report = signs.verify_admissible(GroupParams(2, 1, 4), max_counterexamples=10**6)
+    assert not report.passed
+    assert {expected for _, _, expected, _ in report.counterexamples} == {
+        "R-move invariants",
+        "L-move invariants",
+    }
+
+
+def test_admissible_sweep_reports_an_r_move_that_changes_p(monkeypatch):
+    """An R-move that swaps the two colors but leaves the values in place
+    moves a value to another component of P."""
+
+    def recolor(w, i):
+        colors = list(w.colors)
+        colors[i - 1], colors[i] = colors[i], colors[i - 1]
+        return GroupElement(w.params, w.perm, tuple(colors))
+
+    monkeypatch.setattr(signs, "right_admissible", recolor)
+    params = GroupParams(2, 1, 3)
+    report = signs.verify_admissible(params, max_counterexamples=10**6)
+    assert {expected for _, _, expected, _ in report.counterexamples} == {"R-move invariants"}
+    r_moves = sum(
+        w.colors[i - 1] != w.colors[i] for w in enumerate_group(params) for i in range(1, params.n)
+    )
+    assert len(report.counterexamples) == r_moves

@@ -2,8 +2,21 @@ import itertools
 
 import pytest
 
-from grpn.errors import DuplicateLabel, IndexOutOfRange, NotAdmissible, ShapeMismatch
-from grpn.group import GroupParams, enumerate_group, identity, make_element, parse_element
+from grpn.errors import (
+    DuplicateLabel,
+    IndexOutOfRange,
+    NotAdmissible,
+    NotAMember,
+    ShapeMismatch,
+)
+from grpn.group import (
+    GroupParams,
+    enumerate_group,
+    generator,
+    identity,
+    make_element,
+    parse_element,
+)
 from grpn.rs import (
     RSPair,
     apply_moves,
@@ -122,6 +135,17 @@ class TestRSInverse:
             expected += count * count
         assert len(images) == expected == params.order
 
+    def test_non_member_rejected(self):
+        full, sub = GroupParams(4, 1, 3), GroupParams(4, 2, 3)
+        for w in enumerate_group(full):
+            pair = rs_map(w)
+            if w.is_member(2):
+                assert rs_inverse(pair, sub) == make_element(sub, w.perm, w.colors)
+            else:
+                message = f"color sum {w.color_sum()} is not divisible by p=2"
+                with pytest.raises(NotAMember, match=message):
+                    rs_inverse(pair, sub)
+
     def test_all_pairs_round_trip(self):
         params = GroupParams(2, 1, 3)
         for shape in multipartitions(3, 2):
@@ -182,9 +206,22 @@ class TestAdmissibleOperators:
         with pytest.raises(IndexOutOfRange):
             left_admissible(running_example, 0)
 
-    def test_matrix_oracle(self, running_example):
-        from grpn.group import generator
+    @pytest.mark.parametrize("r,n", [(2, 4), (3, 3), (4, 3)])
+    def test_moves_are_products_with_generators(self, r, n):
+        params = GroupParams(r, 1, n)
+        gens = [None] + [generator(params, i) for i in range(1, n)]
+        moves = 0
+        for w in enumerate_group(params):
+            for i in range(1, n):
+                if w.colors[i - 1] != w.colors[i]:
+                    assert right_admissible(w, i) == w * gens[i]
+                    moves += 1
+                if w.colors[w.perm.index(i)] != w.colors[w.perm.index(i + 1)]:
+                    assert left_admissible(w, i) == gens[i] * w
+                    moves += 1
+        assert moves > 0
 
+    def test_matrix_oracle(self, running_example):
         s1 = generator(running_example.params, 1)
         assert np.allclose(
             to_matrix(right_admissible(running_example, 1)),
