@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .errors import GrpnError
+from .errors import GrpnError, ParseError
 from .group import DEFAULT_CAP, GroupParams, parse_element
 from .rs import RSPair, ascending_moves, apply_moves, rs_inverse, rs_map
 from .signs import pi, verify_admissible, verify_membership, verify_theorem
@@ -50,7 +50,10 @@ def cmd_rs(args):
 
 
 def cmd_inverse_rs(args):
-    data = json.loads(_read(args.pair))
+    text = _read(args.pair)
+    data = json.loads(text)
+    if not (isinstance(data, list) and len(data) == 2):
+        raise ParseError(f"pair must be a JSON list [P, Q] of two multitableaux: {text!r}")
     P = Multitableau.from_json(data[0])
     Q = Multitableau.from_json(data[1])
     r = args.r if args.r is not None else P.r

@@ -29,6 +29,10 @@ class InvalidP(GrpnError):
     pass
 
 
+class InvalidParams(GrpnError):
+    """A group parameter r, p or n below 1."""
+
+
 class NotAMember(GrpnError):
     """An element of G(r,1,n) given where G(r,p,n) was asked for."""
 

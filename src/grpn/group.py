@@ -22,6 +22,7 @@ from .errors import (
     ColorOutOfRange,
     IndexOutOfRange,
     InvalidP,
+    InvalidParams,
     LengthMismatch,
     NotAMember,
     NotAPermutation,
@@ -42,7 +43,7 @@ class GroupParams:
 
     def __post_init__(self):
         if self.r < 1 or self.n < 1 or self.p < 1:
-            raise ValueError(f"parameters must be positive: {self}")
+            raise InvalidParams(f"parameters must be positive: {self}")
         if self.r % self.p != 0:
             raise InvalidP(f"p={self.p} does not divide r={self.r}")
 
@@ -305,6 +306,15 @@ def evaluate_word(params: GroupParams, word: Sequence[int]) -> GroupElement:
     return out
 
 
+def require_within_cap(params: GroupParams, cap: int) -> None:
+    """Raise ``CapExceeded`` if G(r,1,n), which every sweep walks, has more
+    than cap elements."""
+    r, n = params.r, params.n
+    total = r**n * factorial(n)
+    if total > cap:
+        raise CapExceeded(f"G({r},1,{n}) has {total} elements, above cap {cap}")
+
+
 def enumerate_group(params: GroupParams, cap: int = DEFAULT_CAP) -> Iterator[GroupElement]:
     """Yield every element of G(r,p,n) exactly once.
 
@@ -312,9 +322,7 @@ def enumerate_group(params: GroupParams, cap: int = DEFAULT_CAP) -> Iterator[Gro
     little-endian base-r counter within each permutation.
     """
     r, p, n = params.r, params.p, params.n
-    total = r**n * factorial(n)
-    if total > cap:
-        raise CapExceeded(f"G({r},1,{n}) has {total} elements, above cap {cap}")
+    require_within_cap(params, cap)
     for perm in itertools.permutations(range(1, n + 1)):
         for rev in itertools.product(range(r), repeat=n):
             colors = rev[::-1]
@@ -334,15 +342,17 @@ def parse_element(text: str, r: int, p: int = 1) -> GroupElement:
     body = text[1:-1]
     if not body:
         raise ParseError("empty element")
+    items = body.split(",")
+    # checked first: the colors below are reduced mod r
+    params = GroupParams(r, p, len(items))
     perm, colors = [], []
-    for item in body.split(","):
+    for item in items:
         m = _ITEM_RE.match(item)
         if not m:
             raise ParseError(f"bad item {item!r}")
         exp, val = m.groups()
         colors.append(int(exp) % r if exp else 0)
         perm.append(int(val))
-    params = GroupParams(r, p, len(perm))
     w = GroupElement(params, tuple(perm), tuple(colors))
     if p != 1:
         require_member(w)

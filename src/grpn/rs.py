@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import (
     DuplicateLabel,
@@ -19,7 +20,7 @@ from .errors import (
     NotAdmissible,
     ShapeMismatch,
 )
-from .group import GroupElement, GroupParams, require_member
+from .group import DEFAULT_CAP, GroupElement, GroupParams, require_member, require_within_cap
 from .tableaux import Multitableau, StandardTableau
 
 
@@ -73,6 +74,65 @@ def _rs_rows(w: GroupElement) -> tuple[list[list[list[int]]], list[list[list[int
     return p_rows, q_rows
 
 
+def _insertion_walk(
+    params: GroupParams, cap: int = DEFAULT_CAP
+) -> Iterator[tuple[list[int], list[int], list[list[list[int]]]]]:
+    """Every element of G(r,1,n) once, with the P row lists of ``_rs_rows``.
+
+    A depth-first search over positions that shares insertion prefixes: at
+    position j it tries every unused value v with every color k, inserts v
+    into component k's rows and records the bump positions; on the way back
+    it pops the new box (and its row, if that empties it) and undoes the
+    bumps in reverse order.  So each step costs one insertion, not n.
+
+    Order: lexicographic in (v_1, c_1, v_2, c_2, ...).  The yielded
+    ``(perm, colors, p_rows)`` are live buffers, valid until the next step;
+    copy what must outlive it.  Raises ``CapExceeded`` as ``enumerate_group``
+    does, before any work.
+    """
+    require_within_cap(params, cap)
+    r, n = params.r, params.n
+    perm = [0] * n
+    colors = [0] * n
+    p_rows: list[list[list[int]]] = [[] for _ in range(r)]
+    unused = list(range(1, n + 1))
+    last = n - 1
+
+    def descend(j):
+        for idx in range(len(unused)):
+            v = unused.pop(idx)
+            perm[j] = v
+            for k in range(r):
+                colors[j] = k
+                rows = p_rows[k]
+                cur = v
+                bumps = []
+                for row in rows:
+                    pos = bisect_right(row, cur)
+                    if pos == len(row):
+                        row.append(cur)
+                        break
+                    bumps.append(pos)
+                    cur, row[pos] = row[pos], cur
+                else:
+                    rows.append([cur])
+                if j == last:
+                    yield perm, colors, p_rows
+                else:
+                    yield from descend(j + 1)
+                # the new box sits at the end of row len(bumps)
+                row = rows[len(bumps)]
+                cur = row.pop()
+                if not row:
+                    rows.pop()
+                for t in range(len(bumps) - 1, -1, -1):
+                    row, pos = rows[t], bumps[t]
+                    cur, row[pos] = row[pos], cur
+            unused.insert(idx, v)
+
+    yield from descend(0)
+
+
 def rs_map(w: GroupElement) -> RSPair:
     p_rows, q_rows = _rs_rows(w)
     P = Multitableau(tuple(StandardTableau(rs) for rs in p_rows))
@@ -81,36 +141,39 @@ def rs_map(w: GroupElement) -> RSPair:
 
 
 def rs_inverse(pair: RSPair, params: GroupParams) -> GroupElement:
-    """Reverse bumping, component by component in decreasing recording label.
+    """Reverse bumping in decreasing recording label, n down to 1, each
+    label in the component and row where Q holds it.
     Raises ``NotAMember`` if the element lies outside G(r,p,n)."""
     n = pair.P.size
     if n != params.n or len(pair.P.components) != params.r:
         raise ShapeMismatch(
             f"pair has rank {n} with {len(pair.P.components)} components, expected {params}"
         )
+    # Q's labels are exactly 1..n, and P has Q's shape
+    comp_of = [0] * (n + 1)
+    row_of = [0] * (n + 1)
+    for k, q_comp in enumerate(pair.Q.components):
+        for t, row in enumerate(q_comp.rows):
+            for label in row:
+                comp_of[label] = k
+                row_of[label] = t
+    p_rows = [[list(row) for row in comp.rows] for comp in pair.P.components]
     perm = [0] * n
-    colors = [0] * n
-    for k, (p_comp, q_comp) in enumerate(zip(pair.P.components, pair.Q.components)):
-        rows = [list(row) for row in p_comp.rows]
-        boxes = sorted(
-            ((label, t) for t, row in enumerate(q_comp.rows) for label in row),
-            reverse=True,
-        )
-        for label, t in boxes:
-            x = rows[t].pop()
-            if not rows[t]:
-                rows.pop()
-            for upper in range(t - 1, -1, -1):
-                pos = bisect_right(rows[upper], x) - 1
-                if pos < 0:
-                    raise InvalidTableau("reverse bump fell off the tableau")
-                x, rows[upper][pos] = rows[upper][pos], x
-            position = label - 1
-            perm[position] = x
-            colors[position] = k
-        if rows:
-            raise InvalidTableau("recording tableau does not exhaust the shape")
-    w = GroupElement(params, tuple(perm), tuple(colors))
+    for label in range(n, 0, -1):
+        rows, t = p_rows[comp_of[label]], row_of[label]
+        x = rows[t].pop()
+        if not rows[t]:
+            rows.pop()
+        for upper in range(t - 1, -1, -1):
+            row = rows[upper]
+            pos = bisect_right(row, x) - 1
+            if pos < 0:
+                raise InvalidTableau("reverse bump fell off the tableau")
+            x, row[pos] = row[pos], x
+        perm[label - 1] = x
+    if any(p_rows):
+        raise InvalidTableau("recording tableau does not exhaust the shape")
+    w = GroupElement(params, tuple(perm), tuple(comp_of[1:]))
     if params.p != 1:
         require_member(w)
     return w

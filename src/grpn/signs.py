@@ -13,7 +13,8 @@ pass's row lists where no tableau object is needed.
 
 ``verify_admissible`` builds validated tableau objects for each swept
 element w, and reads each admissible move's image, which the same sweep
-validates as its own w, off the row lists.
+validates as its own w, off the row lists.  ``verify_membership`` reads P's
+row lists off one prefix-sharing insertion search over G(r,1,n).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import IndexOutOfRange, NotAscending, ShapeMismatch
 from .group import DEFAULT_CAP, GroupElement, GroupParams, OneDimValue, enumerate_group
 from .rs import (
     RSPair,
+    _insertion_walk,
     _rs_rows,
     ascending_representative,
     is_ascending_element,
@@ -182,17 +184,24 @@ def verify_membership(
     Forward: over all of G(r,1,n), membership in G(r,p,n) is equivalent to
     p dividing twice the spin of P.  Backward: every same-shape pair whose
     shape has p-divisible twice-spin reconstructs to a subgroup member.
+
+    The forward pass walks G(r,1,n) as one depth-first insertion search that
+    shares prefixes (``rs._insertion_walk``) and reads P's row lists at each
+    leaf; it builds a ``GroupElement`` only for a counterexample.  Its
+    counterexamples therefore come in walk order, lexicographic in
+    (v_1, c_1, v_2, c_2, ...), and the backward pass's follow them.
     """
     r, p, n = params.r, params.p, params.n
     full = GroupParams(r, 1, n)
     report = VerificationReport(params, "membership")
     start = time.perf_counter()
-    for w in enumerate_group(full, cap=cap):
-        member = w.is_member(p)
-        ts = rows_twice_spin(_rs_rows(w)[0])
+    for perm, colors, p_rows in _insertion_walk(full, cap=cap):
+        member = sum(colors) % p == 0
+        ts = rows_twice_spin(p_rows)
         report.elements_checked += 1
         report.i_values_checked += 1
         if member != (ts % p == 0) and len(report.counterexamples) < max_counterexamples:
+            w = GroupElement(full, tuple(perm), tuple(colors))
             report.counterexamples.append((w, 0, member, ts % p == 0))
     for shape in multipartitions(n, r):
         ts = sum(k * sum(lam) for k, lam in enumerate(shape))
@@ -207,6 +216,19 @@ def verify_membership(
                     report.counterexamples.append((w, 0, True, False))
     report.elapsed = time.perf_counter() - start
     return report
+
+
+def _agreements(sign: int, spin_sum: int, w: GroupElement) -> list[bool]:
+    """Per i, whether the tableaux-side value of sign data (sign, spin_sum)
+    equals ``w.one_dim(i, 1)``, compared as ``OneDimValue.code`` integers."""
+    r = w.params.r
+    two_r, color_sum = 2 * r, w.color_sum()
+    tab_half = r if sign < 0 else 0
+    group_half = r if w.perm_sign < 0 else 0
+    return [
+        (2 * i * spin_sum + tab_half) % two_r == (2 * i * color_sum + group_half) % two_r
+        for i in range(r)
+    ]
 
 
 def _move_keeps_invariants(
@@ -243,6 +265,8 @@ def verify_admissible(
     too, so the sweep validates its objects where it maps it as its own w,
     and building them again per move would only repeat that work.  The
     ascending representative's sign data is read off row lists likewise.
+    The formula and the character are compared for each i as
+    ``OneDimValue.code`` integers, as in ``verify_theorem``.
     """
     r, n = params.r, params.n
     full = GroupParams(r, 1, n)
@@ -280,10 +304,10 @@ def verify_admissible(
             pair.P.even_row_boxes(), inv_p + inv_q, pair.P.twice_spin() + pair.Q.twice_spin()
         )
         sign_rep, spin_rep = _rows_data(*_rs_rows(rep))
-        for i in range(r):
-            report.i_values_checked += 1
-            agrees_w = OneDimValue(sign_w, (i * spin_w) % r, r) == w.one_dim(i, 1)
-            agrees_rep = OneDimValue(sign_rep, (i * spin_rep) % r, r) == rep.one_dim(i, 1)
+        report.i_values_checked += r
+        for i, (agrees_w, agrees_rep) in enumerate(
+            zip(_agreements(sign_w, spin_w, w), _agreements(sign_rep, spin_rep, rep))
+        ):
             if agrees_w != agrees_rep:
                 record(w, i, agrees_w, agrees_rep)
     report.elapsed = time.perf_counter() - start

@@ -126,6 +126,28 @@ def test_inverse_rs_rejects_a_non_member(capsys):
     assert code == 0 and out == "[z1*1]\n"
 
 
+def test_non_positive_parameters_are_usage_errors(capsys):
+    for argv, params in (
+        (["rs", "--r", "0", "[1]"], "r=0, p=1, n=1"),
+        (["rs", "--r", "0", "[z1*1]"], "r=0, p=1, n=1"),
+        (["verify", "theorem", "--r", "2", "--n", "0"], "r=2, p=1, n=0"),
+        (["verify", "membership", "--r", "2", "--p", "0", "--n", "2"], "r=2, p=0, n=2"),
+        (["inverse-rs", "--r", "0", "[[[[1]]], [[[1]]]]"], "r=0, p=1, n=1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: parameters must be positive: GroupParams({params})\n", argv
+
+
+def test_inverse_rs_rejects_a_malformed_pair(capsys):
+    for text in ("5", '{"a":1}', "[]", "[1, 2, 3]", '"ab"'):
+        code, out, err = run(capsys, "inverse-rs", text)
+        assert code == 2 and out == "", text
+        assert err == f"error: pair must be a JSON list [P, Q] of two multitableaux: {text!r}\n"
+    code, out, err = run(capsys, "inverse-rs", "[5, 6]")
+    assert code == 2 and out == "" and err.startswith("error: expected a list of components")
+
+
 def test_element_round_trip_through_str():
     w = parse_element(RUNNING, 4)
     assert parse_element(str(w), 4) == w

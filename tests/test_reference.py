@@ -9,10 +9,12 @@ admissible-move checks.
 """
 
 import random
+from itertools import chain
 
 import pytest
 
 from grpn import signs
+from grpn.errors import CapExceeded
 from grpn.group import (
     GroupElement,
     GroupParams,
@@ -21,6 +23,7 @@ from grpn.group import (
     inversions,
 )
 from grpn.rs import (
+    _insertion_walk,
     _rs_rows,
     apply_moves,
     ascending_moves,
@@ -28,6 +31,7 @@ from grpn.rs import (
     left_admissible,
     right_admissible,
     row_insert,
+    rs_inverse,
     rs_map,
 )
 from grpn.signs import pi_from_tableaux
@@ -241,6 +245,65 @@ def test_membership_sweep_reports_a_wrong_twice_spin(monkeypatch):
     assert len(report.counterexamples) == full.order
     for w, i, member, criterion in report.counterexamples:
         assert i == 0 and member == w.is_member(2) != criterion
+
+
+@pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4), (1, 6)])
+def test_insertion_walk_matches_enumeration_and_rs_rows(r, n):
+    """Every element once, in (v_1, c_1, v_2, c_2, ...) order, with the rows
+    of its own insertion pass; the buffers are empty once the walk ends."""
+    params = GroupParams(r, 1, n)
+    keys = []
+    for perm, colors, p_rows in _insertion_walk(params):
+        w = GroupElement(params, tuple(perm), tuple(colors))
+        assert p_rows == _rs_rows(w)[0], str(w)
+        keys.append(tuple(chain.from_iterable(zip(perm, colors))))
+    assert keys == sorted(set(keys))
+    assert len(keys) == params.order
+    assert {k[::2] + k[1::2] for k in keys} == {w.perm + w.colors for w in enumerate_group(params)}
+    assert p_rows == [[] for _ in range(r)]  # the live buffers, after the walk
+
+
+def test_insertion_walk_cap_matches_enumerate_group():
+    for params in (GroupParams(3, 1, 4), GroupParams(4, 2, 3)):
+        with pytest.raises(CapExceeded) as walk:
+            next(_insertion_walk(params, cap=params.order - 1))
+        with pytest.raises(CapExceeded) as enum:
+            next(enumerate_group(params, cap=params.order - 1))
+        assert str(walk.value) == str(enum.value)
+    assert str(walk.value) == "G(4,1,3) has 384 elements, above cap 191"
+    with pytest.raises(CapExceeded, match="G\\(2,1,5\\) has 3840 elements, above cap 100"):
+        signs.verify_membership(GroupParams(2, 2, 5), cap=100)
+    assert sum(1 for _ in _insertion_walk(GroupParams(3, 1, 4), cap=1944)) == 1944
+
+
+def test_membership_counterexamples_come_in_walk_order(monkeypatch):
+    monkeypatch.setattr(signs, "rows_twice_spin", lambda comps: rows_twice_spin(comps) + 1)
+    params = GroupParams(4, 2, 3)  # p = 2: the shift flips every verdict
+    report = signs.verify_membership(params, max_counterexamples=10)
+    walked = [(tuple(perm), tuple(colors)) for perm, colors, _ in _insertion_walk(params)]
+    assert [(w.perm, w.colors) for w, *_ in report.counterexamples] == walked[:10]
+    assert all(w.params == GroupParams(4, 1, 3) for w, *_ in report.counterexamples)
+
+
+@pytest.mark.parametrize("r,n", [(2, 4), (3, 3)])
+def test_agreement_codes_match_value_comparison(r, n):
+    """``_agreements`` against ``OneDimValue`` == ``one_dim`` for every i, on
+    each element's own sign data and on data that disagrees with it."""
+    outcomes = set()
+    for w in enumerate_group(GroupParams(r, 1, n)):
+        sign, spin_sum = signs._rows_data(*_rs_rows(w))
+        for s, spin in ((sign, spin_sum), (-sign, spin_sum), (sign, spin_sum + 1), (-sign, 0)):
+            expected = [OneDimValue(s, (i * spin) % r, r) == w.one_dim(i, 1) for i in range(r)]
+            assert signs._agreements(s, spin, w) == expected, (str(w), s, spin)
+            outcomes.update(expected)
+    assert outcomes == {True, False}
+
+
+def test_rs_inverse_round_trip_up_to_rank_64():
+    rng = random.Random(23)
+    for _ in range(300):
+        w = random_element(rng, rng.randint(1, 64), rng.randint(1, 8))
+        assert rs_inverse(rs_map(w), w.params) == w, str(w)
 
 
 def test_perm_sign_is_cached_per_element():
