@@ -1,27 +1,23 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise."""
+"""The per-element kernel of the theorem sweep.
 
-from . import _fallback
+There is one kernel, the pure-Python ``_fallback.theorem_stats``;
+``signs.verify_theorem`` reads it through ``get_kernel()``.  ``BACKEND``,
+``BACKENDS`` and ``get_kernel(name)`` stay because the ``perfbench`` harness
+reads them: it records ``BACKEND`` in a run's environment and times every
+kernel in ``BACKENDS``.
+"""
 
-try:
-    from . import _speedups
+from ._fallback import theorem_stats
 
-    BACKEND = "cython"
-except ImportError:  # extension not built
-    _speedups = None
-    BACKEND = "python"
-
-BACKENDS = {"python": _fallback.theorem_stats}
-if _speedups is not None:
-    BACKENDS["cython"] = _speedups.theorem_stats
-
-theorem_stats = BACKENDS[BACKEND]
+BACKEND = "python"
+BACKENDS = {BACKEND: theorem_stats}
 
 
 def get_kernel(backend=None):
-    """Resolve a kernel by name; None picks the fastest available."""
+    """The kernel, or the one named by ``backend`` (None picks the default)."""
     if backend is None:
         return theorem_stats
     try:
         return BACKENDS[backend]
     except KeyError:
-        raise ValueError(f"unknown or unavailable backend {backend!r}; have {sorted(BACKENDS)}")
+        raise ValueError(f"unknown backend {backend!r}; have {sorted(BACKENDS)}")

@@ -4,8 +4,7 @@ Composes the public group / rs / tableaux operations: the validated
 ``rs_map`` pair and the ``Multitableau`` statistics, not the row-list pass
 that ``signs.pi`` uses.  So ``verify_theorem`` checks the formula on the
 objects users get, and a fault in the tableau classes shows up in the
-sweep.  The compiled kernel in _speedups.pyx reimplements the same contract
-on C arrays.
+sweep.
 """
 
 from __future__ import annotations

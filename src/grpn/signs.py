@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from ._kernels import BACKEND, get_kernel
+from ._kernels import get_kernel
 from .errors import IndexOutOfRange, NotAscending, ShapeMismatch
 from .group import DEFAULT_CAP, GroupElement, GroupParams, OneDimValue, enumerate_group
 from .rs import (
@@ -141,10 +141,9 @@ def verify_theorem(
     params: GroupParams,
     cap: int = DEFAULT_CAP,
     max_counterexamples: int = 10,
-    backend: str | None = None,
 ) -> VerificationReport:
     """Check the sign formula for every element of G(r,p,n) and every i."""
-    kernel = get_kernel(backend)
+    kernel = get_kernel()
     r = params.r
     report = VerificationReport(params, "theorem")
     start = time.perf_counter()

@@ -207,11 +207,18 @@ class Multitableau:
         return [[list(row) for row in t.rows] for t in self.components]
 
     @classmethod
-    def from_json(cls, data: Sequence) -> "Multitableau":
-        try:
-            return cls(tuple(StandardTableau(tuple(map(tuple, comp))) for comp in data))
-        except TypeError as exc:
-            raise InvalidTableau(f"expected a list of components of rows: {exc}") from exc
+    def from_json(cls, data: list) -> "Multitableau":
+        """Read the nested list layout: a list of components, each a list of
+        rows, each a list of integer labels (JSON booleans are not labels)."""
+        if not (
+            isinstance(data, list)
+            and all(isinstance(comp, list) and all(isinstance(row, list) for row in comp) for comp in data)
+        ):
+            raise InvalidTableau("expected a list of components of rows")
+        for label in chain.from_iterable(chain.from_iterable(data)):
+            if not isinstance(label, int) or isinstance(label, bool):
+                raise InvalidTableau(f"labels must be integers, got {label!r}")
+        return cls(tuple(StandardTableau(comp) for comp in data))
 
     def __str__(self):
         return "(" + " | ".join(str(t) for t in self.components) + ")"

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import grpn
 from grpn.cli import build_parser, main
@@ -146,6 +152,80 @@ def test_inverse_rs_rejects_a_malformed_pair(capsys):
         assert err == f"error: pair must be a JSON list [P, Q] of two multitableaux: {text!r}\n"
     code, out, err = run(capsys, "inverse-rs", "[5, 6]")
     assert code == 2 and out == "" and err.startswith("error: expected a list of components")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "[[[1.0]]]"],
+        ["stats", "[[[true]]]"],
+        ["inverse-rs", "[[[[1.0]]],[[[1]]]]"],
+        ["inverse-rs", "[[[[true]]],[[[1]]]]"],
+        ["inverse-rs", "[[[[1]]],[[[true]]]]"],
+    ],
+)
+def test_non_integer_labels_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: labels must be integers") and err.count("\n") == 1
+
+
+def run_quietly(argv):
+    """``main(argv)`` in process, with stdout and stderr captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_cli_contract(argv):
+    """Exit 0 with nothing on stderr, or exit 2 with one ``error:`` line and
+    nothing on stdout; an uncaught exception fails the test."""
+    code, out, err = run_quietly(argv)
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
+
+
+ITEMS = st.builds(
+    lambda color, value: value if color is None else f"z{color}*{value}",
+    st.none() | st.integers(0, 9).map(str),
+    st.integers(0, 9).map(str) | st.text("0123456789-x", max_size=2),
+)
+ELEMENT_TEXT = (
+    st.lists(ITEMS, max_size=7).map(lambda xs: "[" + ",".join(xs) + "]")
+    | st.text(max_size=20)
+).filter(lambda text: not text.startswith("-"))
+LABELS = st.integers(-1, 8) | st.booleans() | st.floats(0, 8) | st.none() | st.text(max_size=2)
+JSON_VALUES = st.recursive(
+    LABELS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=16,
+)
+TABLEAU_LIKE = st.lists(st.lists(st.lists(LABELS, max_size=3), max_size=3), max_size=3)
+TABLEAU_JSON = st.one_of(
+    TABLEAU_LIKE,
+    st.lists(TABLEAU_LIKE, min_size=2, max_size=2),
+    JSON_VALUES,
+).map(json.dumps)
+PARAMS = st.tuples(st.integers(0, 5), st.integers(0, 3)).map(
+    lambda rp: ["--r", str(rp[0]), "--p", str(rp[1])]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["rs", "sgn", "pi", "ascend", "stats"]), PARAMS, ELEMENT_TEXT)
+def test_element_commands_keep_the_exit_code_contract(command, params, text):
+    assert_cli_contract([command, *params, text])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["stats", "inverse-rs"]), st.none() | PARAMS, TABLEAU_JSON)
+def test_tableau_commands_keep_the_exit_code_contract(command, params, text):
+    assume(not text.startswith("-"))
+    assert_cli_contract([command, *(params or []), text])
 
 
 def test_element_round_trip_through_str():

@@ -176,13 +176,13 @@ def test_ascending_representative_replays_its_moves():
 def test_sweep_reports_a_broken_kernel(monkeypatch):
     """A kernel with the wrong sign of the permutation must fail the sweep
     at every i, with the counterexamples still given as values."""
-    kernel = signs.get_kernel("python")
+    kernel = signs.get_kernel()
 
     def flipped(perm, colors, r):
         inv_sigma, *rest = kernel(perm, colors, r)
         return (inv_sigma + 1, *rest)
 
-    monkeypatch.setattr(signs, "get_kernel", lambda backend=None: flipped)
+    monkeypatch.setattr(signs, "get_kernel", lambda: flipped)
     params = GroupParams(3, 1, 3)
     report = signs.verify_theorem(params, max_counterexamples=10)
     assert not report.passed
@@ -203,13 +203,13 @@ def test_sweep_reports_a_broken_kernel(monkeypatch):
 
 def test_sweep_reports_only_the_failing_i(monkeypatch):
     """Color sums off by r/2 disagree at odd i only."""
-    kernel = signs.get_kernel("python")
+    kernel = signs.get_kernel()
 
     def shifted(perm, colors, r):
         inv_sigma, color_sum, *rest = kernel(perm, colors, r)
         return (inv_sigma, color_sum + r // 2, *rest)
 
-    monkeypatch.setattr(signs, "get_kernel", lambda backend=None: shifted)
+    monkeypatch.setattr(signs, "get_kernel", lambda: shifted)
     params = GroupParams(4, 2, 3)
     report = signs.verify_theorem(params, max_counterexamples=1000)
     assert report.i_values_checked == params.order * params.r
