@@ -34,6 +34,19 @@ def _emit(args, text_lines, payload):
             print(line)
 
 
+def _load_json(text: str):
+    """``json.loads``, with a number above Python's integer-string limit
+    raised as ``ParseError``; malformed JSON still raises
+    ``json.JSONDecodeError``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"number too long: above the limit of {limit} digits") from None
+
+
 def _element(args):
     return parse_element(_read(args.element), args.r, args.p)
 
@@ -51,7 +64,7 @@ def cmd_rs(args):
 
 def cmd_inverse_rs(args):
     text = _read(args.pair)
-    data = json.loads(text)
+    data = _load_json(text)
     if not (isinstance(data, list) and len(data) == 2):
         raise ParseError(f"pair must be a JSON list [P, Q] of two multitableaux: {text!r}")
     P = Multitableau.from_json(data[0])
@@ -77,7 +90,7 @@ def _tableau_stats(T: Multitableau) -> dict:
 def cmd_stats(args):
     raw = _read(args.input)
     try:
-        data = json.loads(raw)
+        data = _load_json(raw)
         is_tableau = isinstance(data, list) and all(
             isinstance(comp, list) and all(isinstance(row, list) for row in comp)
             for comp in data

@@ -55,33 +55,72 @@ def multipartitions(n: int, r: int) -> Iterator[MultiPartition]:
                 yield (head,) + tail
 
 
-@dataclass(frozen=True)
+def _is_standard(rows: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether a nonempty tuple of rows forms a standard tableau, in one
+    pass over the rows: each row is nonempty, no longer than the row above,
+    increasing, and above each entry of the row below it.  The least label
+    is then ``rows[0][0]``, and a single increasing row has distinct
+    labels."""
+    above = rows[0]
+    if not above or above[0] < 1 or not all(map(lt, above, above[1:])):
+        return False
+    if len(rows) == 1:
+        return True
+    size = len(above)
+    for row in rows[1:]:
+        if not row or len(row) > len(above) or not all(map(lt, row, row[1:])):
+            return False
+        if not all(map(lt, above, row)):
+            return False
+        size += len(row)
+        above = row
+    return len(set(chain.from_iterable(rows))) == size
+
+
+def _check_rows(rows: tuple[tuple[int, ...], ...]) -> None:
+    """The tableau checks one by one, raising ``InvalidTableau`` at the
+    first that fails."""
+    lens = list(map(len, rows))
+    if 0 in lens:
+        raise InvalidTableau("empty row")
+    if any(map(lt, lens, lens[1:])):
+        raise InvalidTableau(f"row lengths must weakly decrease: {lens}")
+    labels = list(chain.from_iterable(rows))
+    if len(set(labels)) != len(labels) or min(labels) < 1:
+        raise InvalidTableau("labels must be distinct positive integers")
+    for row in rows:
+        if not all(map(lt, row, row[1:])):
+            raise InvalidTableau(f"row not increasing: {row}")
+    for i in range(len(rows) - 1):
+        if not all(map(lt, rows[i], rows[i + 1])):
+            raise InvalidTableau(f"column not increasing between rows {i + 1} and {i + 2}")
+
+
+@dataclass(frozen=True, init=False)
 class StandardTableau:
     """A Young tableau with distinct labels increasing along rows and down
     columns.  Labels need not be 1..m; any distinct positive integers work,
-    so component tableaux of a multitableau share one label pool."""
+    so component tableaux of a multitableau share one label pool.
+
+    Construction checks the rows in one pass (``_is_standard``).  Only an
+    input that fails it runs the checks one by one (``_check_rows``):
+    nonempty rows, weakly decreasing row lengths, distinct positive labels,
+    increasing rows, increasing columns.  So an invalid input raises
+    ``InvalidTableau`` with the message of the first check it fails, in
+    that order."""
 
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        rows = tuple(map(tuple, self.rows))
+    def __init__(self, rows):
+        rows = tuple(map(tuple, rows))
         object.__setattr__(self, "rows", rows)
-        if not rows:  # every check below holds vacuously
-            return
-        lens = list(map(len, rows))
-        if 0 in lens:
-            raise InvalidTableau("empty row")
-        if any(map(lt, lens, lens[1:])):
-            raise InvalidTableau(f"row lengths must weakly decrease: {lens}")
-        labels = list(chain.from_iterable(rows))
-        if len(set(labels)) != len(labels) or min(labels) < 1:
-            raise InvalidTableau("labels must be distinct positive integers")
-        for row in rows:
-            if not all(map(lt, row, row[1:])):
-                raise InvalidTableau(f"row not increasing: {row}")
-        for i in range(len(rows) - 1):
-            if not all(map(lt, rows[i], rows[i + 1])):
-                raise InvalidTableau(f"column not increasing between rows {i + 1} and {i + 2}")
+        if rows:
+            try:
+                if _is_standard(rows):
+                    return
+            except TypeError:  # labels that do not compare: let the checks name it
+                pass
+            _check_rows(rows)
 
     @property
     def shape(self) -> Partition:
@@ -158,13 +197,22 @@ def rows_twice_spin(components: ComponentRows) -> int:
     return sum([k * sum(map(len, comp)) for k, comp in enumerate(components) if k])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Multitableau:
+    """Standard tableaux, one per color, jointly labeled by exactly 1..n.
+
+    Construction checks the labels in one pass: it sorts the labels of all
+    components together and compares them with 1..n, raising
+    ``InvalidTableau`` with the sorted labels when they differ.  Each
+    component checked its own rows when it was built."""
+
     components: tuple[StandardTableau, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        labels = sorted(chain.from_iterable(chain.from_iterable(t.rows for t in self.components)))
+    def __init__(self, components):
+        components = tuple(components)
+        object.__setattr__(self, "components", components)
+        labels = [x for t in components for row in t.rows for x in row]
+        labels.sort()
         if labels != list(range(1, len(labels) + 1)):
             raise InvalidTableau(f"labels must be exactly 1..n, got {labels}")
 

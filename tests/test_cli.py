@@ -170,6 +170,25 @@ def test_non_integer_labels_are_usage_errors(capsys, argv):
     assert err.startswith("error: labels must be integers") and err.count("\n") == 1
 
 
+LONG = "1" * 5000  # above Python's default limit of 4300 digits for int(str)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rs", "--r", "2", f"[{LONG}]"],
+        ["rs", "--r", "2", f"[z{LONG}*1]"],
+        ["stats", f"[[[{LONG}]]]"],
+        ["inverse-rs", f"[[[[{LONG}]]],[[[1]]]]"],
+    ],
+    ids=["element-value", "color-exponent", "stats", "inverse-rs"],
+)
+def test_over_long_integers_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: number too long: ") and err.count("\n") == 1
+
+
 def run_quietly(argv):
     """``main(argv)`` in process, with stdout and stderr captured."""
     out, err = io.StringIO(), io.StringIO()
@@ -226,6 +245,24 @@ def test_element_commands_keep_the_exit_code_contract(command, params, text):
 def test_tableau_commands_keep_the_exit_code_contract(command, params, text):
     assume(not text.startswith("-"))
     assert_cli_contract([command, *(params or []), text])
+
+
+# mostly valid parameters, so that many draws run a sweep under the cap
+SMALL = st.sampled_from([1, 2, 3, 4, 1, 2, 3, 4, 0, -1])
+VERIFY_PARAMS = st.tuples(
+    st.sampled_from(["theorem", "membership", "admissible"]),
+    SMALL,
+    SMALL,
+    SMALL,
+    st.integers(-5, 1000),
+).map(lambda a: ["verify", a[0], f"--r={a[1]}", f"--p={a[2]}", f"--n={a[3]}", f"--cap={a[4]}"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(VERIFY_PARAMS, st.sampled_from([[], ["--format", "json"]]))
+def test_verify_keeps_the_exit_code_contract(argv, fmt):
+    # exit 1 would mean counterexamples, which correct code never finds
+    assert_cli_contract(argv + fmt)
 
 
 def test_element_round_trip_through_str():

@@ -14,7 +14,7 @@ from itertools import chain
 import pytest
 
 from grpn import signs
-from grpn.errors import CapExceeded
+from grpn.errors import CapExceeded, GrpnError, InvalidTableau, ShapeMismatch
 from grpn.group import (
     GroupElement,
     GroupParams,
@@ -23,6 +23,7 @@ from grpn.group import (
     inversions,
 )
 from grpn.rs import (
+    RSPair,
     _insertion_walk,
     _rs_rows,
     apply_moves,
@@ -36,7 +37,9 @@ from grpn.rs import (
 )
 from grpn.signs import pi_from_tableaux
 from grpn.tableaux import (
+    Multitableau,
     StandardTableau,
+    _is_standard,
     cross_inversions,
     multipartitions,
     rows_even_row_boxes,
@@ -435,3 +438,202 @@ def test_admissible_sweep_reports_an_r_move_that_changes_p(monkeypatch):
         w.colors[i - 1] != w.colors[i] for w in enumerate_group(params) for i in range(1, params.n)
     )
     assert len(report.counterexamples) == r_moves
+
+
+# Tableau validation against the checks run one by one.  The oracles are
+# the step-by-step definitions in their documented order; construction
+# takes a one-pass route and must agree on the exception class and message
+# of the first failing check, and accept every valid input on that route.
+
+
+def oracle_tableau(rows):
+    """(class, message) of the first failing tableau check, or None."""
+    if not rows:
+        return None
+    lens = [len(row) for row in rows]
+    labels = [x for row in rows for x in row]
+    if 0 in lens:
+        return InvalidTableau, "empty row"
+    if any(a < b for a, b in zip(lens, lens[1:])):
+        return InvalidTableau, f"row lengths must weakly decrease: {lens}"
+    if len(set(labels)) != len(labels) or min(labels) < 1:
+        return InvalidTableau, "labels must be distinct positive integers"
+    for row in rows:
+        if any(a >= b for a, b in zip(row, row[1:])):
+            return InvalidTableau, f"row not increasing: {row}"
+    for i in range(len(rows) - 1):
+        if any(a >= b for a, b in zip(rows[i], rows[i + 1])):
+            return InvalidTableau, f"column not increasing between rows {i + 1} and {i + 2}"
+    return None
+
+
+def oracle_multitableau(components):
+    for rows in components:
+        failure = oracle_tableau(rows)
+        if failure:
+            return failure
+    labels = sorted(x for rows in components for row in rows for x in row)
+    if labels != list(range(1, len(labels) + 1)):
+        return InvalidTableau, f"labels must be exactly 1..n, got {labels}"
+    return None
+
+
+def shape_of(components):
+    return tuple(tuple(len(row) for row in rows) for rows in components)
+
+
+def oracle_pair(p_components, q_components):
+    failure = oracle_multitableau(p_components) or oracle_multitableau(q_components)
+    if failure:
+        return failure
+    if shape_of(p_components) != shape_of(q_components):
+        return ShapeMismatch, f"{shape_of(p_components)} != {shape_of(q_components)}"
+    return None
+
+
+def outcome(build):
+    try:
+        build()
+    except GrpnError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def as_tuples(components):
+    return tuple(tuple(tuple(row) for row in rows) for rows in components)
+
+
+def validation_corpus():
+    """Component row lists of rs_map images up to rank 64 and of every
+    standard multitableau up to rank 6, as tuples; one list of (P, Q) pairs
+    and one of multitableaux."""
+    rng = random.Random(29)
+    pairs = []
+    for _ in range(200):
+        w = random_element(rng, rng.randint(1, 64), rng.choice((1, 2, 3, 4, 8)))
+        p_rows, q_rows = _rs_rows(w)
+        pairs.append((as_tuples(p_rows), as_tuples(q_rows)))
+    multis = [comps for pair in pairs for comps in pair]
+    for r, n in ((1, 6), (2, 6), (3, 5)):
+        for n_ in range(n + 1):
+            for shape in multipartitions(n_, r):
+                multis += [as_tuples(rows_of(T)) for T in standard_multitableaux(shape)]
+    return pairs, multis
+
+
+PAIRS, MULTIS = validation_corpus()
+TABLEAUX = sorted({rows for comps in MULTIS for rows in comps})
+
+
+def bottom_up_filling(rows):
+    """The shape of rows filled row by row from the bottom: rows increase,
+    every column above the last row descends."""
+    labels = iter(sorted(x for row in rows for x in row))
+    filled = [tuple(next(labels) for _ in row) for row in reversed(rows)]
+    return tuple(reversed(filled))
+
+
+def repeated_label(rows):
+    """rows with its largest label replaced by a smaller label that keeps
+    the rows and columns increasing, or None when there is none."""
+    top = max(x for row in rows for x in row)
+    i = next(i for i, row in enumerate(rows) if row[-1] == top)
+    j = len(rows[i]) - 1
+    least = max(rows[i][j - 1] if j else 0, rows[i - 1][j] if i else 0)
+    x = next((x for row in rows for x in row if least < x < top), None)
+    if x is None:
+        return None
+    return rows[:i] + (rows[i][:j] + (x,),) + rows[i + 1 :]
+
+
+def corrupted_tableaux(rows):
+    """Copies of a nonempty standard tableau, each breaking one check."""
+    top = max(x for row in rows for x in row)
+    yield rows + ((),)  # an empty row
+    yield ((),) + rows
+    yield rows + (tuple(range(top + 1, top + 2 + len(rows[-1]))),)  # growing lengths
+    yield (rows[0] + (rows[0][0],),) + rows[1:]  # a repeated label
+    if repeated_label(rows):
+        yield repeated_label(rows)
+    yield ((0,) + rows[0][1:],) + rows[1:]  # label 0
+    yield ((-top,) + rows[0][1:],) + rows[1:]
+    for i, row in enumerate(rows):  # a row descent
+        if len(row) > 1:
+            yield rows[:i] + (row[:-2] + (row[-1], row[-2]),) + rows[i + 1 :]
+    if len(rows) > 1:  # a column descent
+        yield bottom_up_filling(rows)
+        yield rows[1:] + rows[:1]
+
+
+def test_valid_tableaux_pass_in_one_pass():
+    assert len(TABLEAUX) > 1000
+    for rows in TABLEAUX:
+        assert oracle_tableau(rows) is None
+        if rows:
+            assert _is_standard(rows), rows
+        assert StandardTableau(rows).rows == rows
+        assert StandardTableau([list(row) for row in rows]).rows == rows
+
+
+def test_corrupted_tableaux_name_the_first_failing_check():
+    seen = set()
+    for rows in TABLEAUX:
+        if not rows:
+            continue
+        for bad in corrupted_tableaux(rows):
+            expected = oracle_tableau(bad)
+            assert expected is not None, bad
+            assert not _is_standard(bad), bad
+            assert outcome(lambda: StandardTableau(bad)) == expected, bad
+            seen.add(expected[1].split(":")[0].split(" between")[0])
+    # labels that do not compare with 1 still get the first failing check
+    assert outcome(lambda: StandardTableau(((None,), ()))) == (InvalidTableau, "empty row")
+    assert seen == {
+        "empty row",
+        "row lengths must weakly decrease",
+        "labels must be distinct positive integers",
+        "row not increasing",
+        "column not increasing",
+    }
+
+
+def corrupted_label_sets(components):
+    """Copies of a standard multitableau whose components stay standard but
+    whose labels are not exactly 1..n: a gap, then a repeat."""
+    n = sum(len(row) for rows in components for row in rows)
+    if not n:
+        return
+    yield tuple(
+        tuple(tuple(x + 1 if x == n else x for x in row) for row in rows) for rows in components
+    )
+    nonempty = next(rows for rows in components if rows)
+    yield components + (nonempty,)
+
+
+def test_multitableau_labels_match_the_oracle():
+    for comps in MULTIS:
+        assert oracle_multitableau(comps) is None
+        T = Multitableau(StandardTableau(rows) for rows in comps)
+        assert as_tuples(rows_of(T)) == comps
+        for bad in corrupted_label_sets(comps):
+            expected = oracle_multitableau(bad)
+            assert expected is not None and "exactly 1..n" in expected[1], bad
+            assert outcome(lambda: Multitableau([StandardTableau(rows) for rows in bad])) == expected
+
+
+def test_rs_pair_shapes_match_the_oracle():
+    rng = random.Random(31)
+    mismatches = 0
+    for p_comps, q_comps in PAIRS:
+        assert oracle_pair(p_comps, q_comps) is None
+        n = sum(len(row) for rows in p_comps for row in rows)
+        # a Q of the same rank and r but another element's shape, and Q's
+        # components in another order
+        other = _rs_rows(random_element(rng, n, len(q_comps)))[1]
+        for bad_q in (as_tuples(other), q_comps[1:] + q_comps[:1], q_comps + ((),)):
+            expected = oracle_pair(p_comps, bad_q)
+            mismatches += expected is not None
+            P = Multitableau([StandardTableau(rows) for rows in p_comps])
+            Q = Multitableau([StandardTableau(rows) for rows in bad_q])
+            assert outcome(lambda: RSPair(P, Q)) == expected, (p_comps, bad_q)
+    assert mismatches > len(PAIRS)
