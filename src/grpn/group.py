@@ -331,36 +331,34 @@ def enumerate_group(params: GroupParams, cap: int = DEFAULT_CAP) -> Iterator[Gro
                 yield GroupElement(params, perm, colors)
 
 
-_ITEM_RE = re.compile(r"(?:z(\d+)\*)?(\d+)")
-_BODY_RE = re.compile(r"(?:z\d+\*)?\d+(?:,(?:z\d+\*)?\d+)*")
+_ITEM_RE = re.compile(r"^(?:z(\d+)\*)?(\d+)$")
 
 
 def parse_element(text: str, r: int, p: int = 1) -> GroupElement:
     """Parse one-line notation like ``[z1*5,1,z2*3,6]``; rank is inferred.
-    Raises ``NotAMember`` if the element lies outside G(r,p,n).
-
-    One match checks the whole body and one ``findall`` reads its items;
-    only a body that fails the match is scanned item by item, to name the
-    first bad item."""
+    Raises ``NotAMember`` if the element lies outside G(r,p,n)."""
     text = "".join(text.split())
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(f"element must be bracketed: {text!r}")
     body = text[1:-1]
     if not body:
         raise ParseError("empty element")
+    items = body.split(",")
     # checked first: the colors below are reduced mod r
-    params = GroupParams(r, p, body.count(",") + 1)
-    if not _BODY_RE.fullmatch(body):
-        bad = next(item for item in body.split(",") if not _ITEM_RE.fullmatch(item))
-        raise ParseError(f"bad item {bad!r}")
-    exps, vals = zip(*_ITEM_RE.findall(body))
-    try:
-        colors = [int(exp) % r if exp else 0 for exp in exps]
-        perm = list(map(int, vals))
-    except ValueError:  # only a number above Python's integer-string limit
-        digits = max(map(len, exps + vals))
-        limit = sys.get_int_max_str_digits()
-        raise ParseError(f"number too long: {digits} digits, above the limit of {limit}") from None
+    params = GroupParams(r, p, len(items))
+    perm, colors = [], []
+    for item in items:
+        m = _ITEM_RE.match(item)
+        if not m:
+            raise ParseError(f"bad item {item!r}")
+        exp, val = m.groups()
+        try:
+            colors.append(int(exp) % r if exp else 0)
+            perm.append(int(val))
+        except ValueError:  # only a number above Python's integer-string limit
+            digits = max(len(exp or ""), len(val))
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"number too long: {digits} digits, above the limit of {limit}") from None
     w = GroupElement(params, tuple(perm), tuple(colors))
     if p != 1:
         require_member(w)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import eq
 from typing import Iterator
 
 from .errors import (
@@ -33,16 +32,8 @@ class RSPair:
     Q: Multitableau
 
     def __post_init__(self):
-        p, q = self.P.components, self.Q.components
-        # equal shapes without building them: same row count, then same
-        # row lengths, component by component
-        if len(p) != len(q) or not all(map(_same_shape, p, q)):
+        if self.P.shape != self.Q.shape:
             raise ShapeMismatch(f"{self.P.shape} != {self.Q.shape}")
-
-
-def _same_shape(s: StandardTableau, t: StandardTableau) -> bool:
-    s, t = s.rows, t.rows
-    return len(s) == len(t) and all(map(eq, map(len, s), map(len, t)))
 
 
 def row_insert(tableau: StandardTableau, x: int) -> tuple[StandardTableau, tuple[int, int]]:
