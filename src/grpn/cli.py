@@ -35,13 +35,15 @@ def _emit(args, text_lines, payload):
 
 
 def _load_json(text: str):
-    """``json.loads``, with a number above Python's integer-string limit
-    raised as ``ParseError``; malformed JSON still raises
-    ``json.JSONDecodeError``."""
+    """``json.loads``, with a number above Python's integer-string limit or
+    nesting deeper than its recursion limit raised as ``ParseError``;
+    malformed JSON still raises ``json.JSONDecodeError``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
         raise
+    except RecursionError:
+        raise ParseError("JSON nested too deeply") from None
     except ValueError:
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"number too long: above the limit of {limit} digits") from None

@@ -133,6 +133,64 @@ def _insertion_walk(
     yield from descend(0)
 
 
+def _removal_walk(P: Multitableau) -> Iterator[tuple[list[int], list[int]]]:
+    """``rs_inverse(RSPair(P, Q), G(r,1,n))`` for every standard Q of P's
+    shape, each once, as ``(perm, colors)``.
+
+    A depth-first search over recording labels n, n-1, ..., 1 that shares
+    removal prefixes: at label j it tries every corner box of every
+    component, pops it, reverse-bumps its value up through the rows above
+    and records the bump positions; on the way back it undoes the bumps in
+    reverse order and puts the box back.  So each step costs one reverse
+    bump, not n, and no recording multitableau is built.  Label 1's box is
+    then the only one left, so it is read off without a search step.
+
+    Order: label n's box first, components in order and each component's
+    corners top to bottom, then label n-1's, and so on.  The yielded lists
+    are live buffers, valid until the next step; copy what must outlive it.
+    P, of rank n >= 1, is not changed.
+    """
+    p_rows = [[list(row) for row in comp.rows] for comp in P.components]
+    n = P.size
+    perm = [0] * n
+    colors = [0] * n
+
+    def descend(j):
+        for k, rows in enumerate(p_rows):
+            colors[j] = k
+            last = len(rows) - 1
+            for t in range(last + 1):
+                row = rows[t]
+                if t < last and len(rows[t + 1]) == len(row):
+                    continue  # not a corner
+                x = row.pop()
+                if not row:
+                    rows.pop()
+                bumps = []
+                for upper in range(t - 1, -1, -1):
+                    above = rows[upper]
+                    pos = bisect_right(above, x) - 1
+                    if pos < 0:
+                        raise InvalidTableau("reverse bump fell off the tableau")
+                    bumps.append(pos)
+                    x, above[pos] = above[pos], x
+                perm[j] = x
+                if j > 1:
+                    yield from descend(j - 1)
+                else:  # at most label 1's box is left: read it off
+                    for c, rest in enumerate(p_rows):
+                        if rest:
+                            perm[0], colors[0] = rest[0][0], c
+                    yield perm, colors
+                for above, pos in zip(rows, reversed(bumps)):
+                    x, above[pos] = above[pos], x
+                if not row:  # the pop emptied it: put the same row back
+                    rows.append(row)
+                row.append(x)
+
+    yield from descend(n - 1)
+
+
 def rs_map(w: GroupElement) -> RSPair:
     p_rows, q_rows = _rs_rows(w)
     P = Multitableau(tuple(StandardTableau(rs) for rs in p_rows))

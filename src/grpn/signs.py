@@ -14,7 +14,9 @@ pass's row lists where no tableau object is needed.
 ``verify_admissible`` builds validated tableau objects for each swept
 element w, and reads each admissible move's image, which the same sweep
 validates as its own w, off the row lists.  ``verify_membership`` reads P's
-row lists off one prefix-sharing insertion search over G(r,1,n).
+row lists off one prefix-sharing insertion search over G(r,1,n), and
+reconstructs the elements of each P by one prefix-sharing corner-removal
+search.
 """
 
 from __future__ import annotations
@@ -26,14 +28,13 @@ from ._kernels import get_kernel
 from .errors import IndexOutOfRange, NotAscending, ShapeMismatch
 from .group import DEFAULT_CAP, GroupElement, GroupParams, OneDimValue, enumerate_group
 from .rs import (
-    RSPair,
     _insertion_walk,
+    _removal_walk,
     _rs_rows,
     ascending_representative,
     is_ascending_element,
     left_admissible,
     right_admissible,
-    rs_inverse,
     rs_map,
 )
 from .tableaux import (
@@ -186,9 +187,20 @@ def verify_membership(
 
     The forward pass walks G(r,1,n) as one depth-first insertion search that
     shares prefixes (``rs._insertion_walk``) and reads P's row lists at each
-    leaf; it builds a ``GroupElement`` only for a counterexample.  Its
-    counterexamples therefore come in walk order, lexicographic in
-    (v_1, c_1, v_2, c_2, ...), and the backward pass's follow them.
+    leaf.  The backward pass takes each P of each such shape in
+    ``standard_multitableaux`` order and walks every Q of P's shape as one
+    depth-first corner-removal search (``rs._removal_walk``): each leaf is
+    ``rs_inverse(RSPair(P, Q))`` at the cost of one reverse bump, with no Q
+    built.  Both passes build a ``GroupElement`` only for a counterexample.
+    So the forward pass's counterexamples come in walk order, lexicographic
+    in (v_1, c_1, v_2, c_2, ...), and the backward pass's follow them, by P
+    and then in removal-walk order.
+
+    Both criteria hold by construction for any Schensted pass that places
+    each value in its color's component: component k of P then holds
+    exactly the values of color k, so twice the spin of P equals the color
+    sum.  What the sweep exercises is the walks' placement of values and
+    their reverse bumping, not an independent fact about G(r,p,n).
     """
     r, p, n = params.r, params.p, params.n
     full = GroupParams(r, 1, n)
@@ -206,12 +218,11 @@ def verify_membership(
         ts = sum(k * sum(lam) for k, lam in enumerate(shape))
         if ts % p != 0:
             continue
-        tableaux = list(standard_multitableaux(shape, cap=n))
-        for P in tableaux:
-            for Q in tableaux:
-                w = rs_inverse(RSPair(P, Q), full)
+        for P in standard_multitableaux(shape, cap=n):
+            for perm, colors in _removal_walk(P):
                 report.i_values_checked += 1
-                if not w.is_member(p) and len(report.counterexamples) < max_counterexamples:
+                if sum(colors) % p != 0 and len(report.counterexamples) < max_counterexamples:
+                    w = GroupElement(full, tuple(perm), tuple(colors))
                     report.counterexamples.append((w, 0, True, False))
     report.elapsed = time.perf_counter() - start
     return report

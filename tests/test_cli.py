@@ -201,6 +201,13 @@ def test_over_long_integers_are_usage_errors(capsys, int_digit_limit, argv):
     assert err.startswith("error: number too long: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["stats", "inverse-rs"])
+def test_json_nested_too_deeply_is_a_usage_error(capsys, command):
+    # far past the recursion limit json.loads checks on any supported Python
+    code, out, err = run(capsys, command, "[" * 100_000 + "]" * 100_000)
+    assert (code, out, err) == (2, "", "error: JSON nested too deeply\n")
+
+
 def run_quietly(argv):
     """``main(argv)`` in process, with stdout and stderr captured."""
     out, err = io.StringIO(), io.StringIO()
@@ -241,6 +248,12 @@ TABLEAU_JSON = st.one_of(
     st.lists(TABLEAU_LIKE, min_size=2, max_size=2),
     JSON_VALUES,
 ).map(json.dumps)
+# nesting from none to well past the recursion limit
+DEEP_JSON = st.builds(
+    lambda depth, inner: "[" * depth + inner + "]" * depth,
+    st.integers(0, 3 * sys.getrecursionlimit()),
+    TABLEAU_JSON,
+)
 PARAMS = st.tuples(st.integers(0, 5), st.integers(0, 3)).map(
     lambda rp: ["--r", str(rp[0]), "--p", str(rp[1])]
 )
@@ -253,7 +266,7 @@ def test_element_commands_keep_the_exit_code_contract(command, params, text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["stats", "inverse-rs"]), st.none() | PARAMS, TABLEAU_JSON)
+@given(st.sampled_from(["stats", "inverse-rs"]), st.none() | PARAMS, TABLEAU_JSON | DEEP_JSON)
 def test_tableau_commands_keep_the_exit_code_contract(command, params, text):
     assume(not text.startswith("-"))
     assert_cli_contract([command, *(params or []), text])

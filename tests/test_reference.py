@@ -5,11 +5,11 @@ definition that the library computes by a faster route: the O(n^2)
 inversion count, the within-plus-cross multitableau count, OneDimValue
 canonical forms, move-by-move replay of the ascending moves, and the
 tableau-object route to the sign formula's statistics and to the
-admissible-move checks.
+admissible-move checks, and per-pair ``rs_inverse`` for the removal walk.
 """
 
 import random
-from itertools import chain
+from itertools import chain, islice
 
 import pytest
 
@@ -25,6 +25,7 @@ from grpn.group import (
 from grpn.rs import (
     RSPair,
     _insertion_walk,
+    _removal_walk,
     _rs_rows,
     apply_moves,
     ascending_moves,
@@ -40,6 +41,7 @@ from grpn.tableaux import (
     Multitableau,
     StandardTableau,
     _is_standard,
+    count_standard_multitableaux,
     cross_inversions,
     multipartitions,
     rows_even_row_boxes,
@@ -286,6 +288,60 @@ def test_membership_counterexamples_come_in_walk_order(monkeypatch):
     walked = [(tuple(perm), tuple(colors)) for perm, colors, _ in _insertion_walk(params)]
     assert [(w.perm, w.colors) for w, *_ in report.counterexamples] == walked[:10]
     assert all(w.params == GroupParams(4, 1, 3) for w, *_ in report.counterexamples)
+
+
+def removal_leaves(P):
+    """The removal walk's leaves as (perm, colors) tuples, and its row
+    buffers, read off its suspended frame, once the walk has ended."""
+    walk = _removal_walk(P)
+    leaves = [(tuple(perm), tuple(colors)) for perm, colors in islice(walk, 1)]
+    buffers = walk.gi_frame.f_locals["p_rows"]
+    leaves += [(tuple(perm), tuple(colors)) for perm, colors in walk]
+    return leaves, buffers
+
+
+@pytest.mark.parametrize("r,max_n", [(1, 6), (2, 6), (3, 5)])
+def test_removal_walk_matches_rs_inverse(r, max_n):
+    """For every P of every shape up to the rank: the leaves are exactly the
+    ``rs_inverse`` images of (P, Q) over every Q of P's shape, each once,
+    and the walk puts P's rows back in its buffers."""
+    for n in range(1, max_n + 1):
+        full = GroupParams(r, 1, n)
+        for shape in multipartitions(n, r):
+            tableaux = list(standard_multitableaux(shape, cap=n))
+            for P in tableaux:
+                leaves, buffers = removal_leaves(P)
+                images = [rs_inverse(RSPair(P, Q), full) for Q in tableaux]
+                assert set(leaves) == {(w.perm, w.colors) for w in images}, str(P)
+                assert len(set(leaves)) == len(leaves) == count_standard_multitableaux(shape)
+                assert buffers == [[list(row) for row in t.rows] for t in P.components]
+
+
+def test_membership_backward_pass_reports_a_shifted_color(monkeypatch):
+    """A reconstructed element outside G(r,p,n) must show up as a
+    (w, 0, True, False) counterexample, in P-then-walk order, and leave the
+    forward pass's count alone."""
+
+    def shifted(P):
+        for perm, colors in _removal_walk(P):
+            yield perm, [(colors[0] + 1) % 2] + colors[1:]
+
+    params, full = GroupParams(2, 2, 4), GroupParams(2, 1, 4)
+    clean = signs.verify_membership(params)
+    monkeypatch.setattr(signs, "_removal_walk", shifted)
+    report = signs.verify_membership(params)
+    assert report.elements_checked == clean.elements_checked == full.order
+    assert report.i_values_checked == clean.i_values_checked
+    failing = [
+        GroupElement(full, tuple(perm), tuple(colors))
+        for shape in multipartitions(4, 2)
+        if sum(k * sum(lam) for k, lam in enumerate(shape)) % 2 == 0
+        for P in standard_multitableaux(shape)
+        for perm, colors in shifted(P)
+        if sum(colors) % 2
+    ]
+    assert len(failing) > 10
+    assert report.counterexamples == [(w, 0, True, False) for w in failing[:10]]
 
 
 @pytest.mark.parametrize("r,n", [(2, 4), (3, 3)])
