@@ -3,14 +3,15 @@
 For an element w of G(r,1,n) the values with color k are Schensted-inserted
 in position order to build the component P_k, while Q_k records, in the box
 created by the entry at position i, the absolute position i itself.  The
-admissible operators L_i / R_i and the ascending canonical representative
-of each equivalence class live here as well.
+admissible operators L_i / R_i, their classes and the ascending canonical
+representative of each class live here as well.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, permutations, product
 from typing import Iterator
 
 from .errors import (
@@ -338,3 +339,70 @@ def apply_moves(w: GroupElement, moves: list[tuple[str, int]]) -> GroupElement:
 def ascending_representative(w: GroupElement) -> GroupElement:
     """The ascending element ``apply_moves(w, ascending_moves(w))``."""
     return _ascend(w)[1]
+
+
+def _color_words(used: list[int], counts: list[int]) -> list[tuple[int, ...]]:
+    """Every word with counts[t] letters used[t], in lexicographic order;
+    ``used`` is increasing."""
+    n = sum(counts)
+    left = list(counts)
+    word = [0] * n
+    words = []
+
+    def fill(j):
+        if j == n:
+            words.append(tuple(word))
+            return
+        for t, m in enumerate(left):
+            if m:
+                left[t] -= 1
+                word[j] = used[t]
+                fill(j + 1)
+                left[t] += 1
+
+    fill(0)
+    return words
+
+
+def _admissible_classes(params: GroupParams, cap: int = DEFAULT_CAP) -> Iterator[list[GroupElement]]:
+    """The elements of G(r,p,n), one admissible class at a time, each class
+    a list with its ascending element first.
+
+    Admissible moves keep two things: the color content (n_0, ..., n_{r-1})
+    and, for each color k, the relative order of the values at the positions
+    of color k.  A class is every element with one content and one tuple of
+    within-color orders: each position-color word paired with each
+    value-color word, multinomial(n; n_0, ..., n_{r-1})**2 elements.  The
+    classes are built from these two invariants, not by applying moves, so a
+    broken move cannot change them.  Moves keep the content, so a class lies
+    wholly inside G(r,p,n) or wholly outside it: for p > 1 only the contents
+    whose color sum p divides are kept.
+
+    Order: contents by their sorted color word, lexicographically, so
+    (n, 0, ..., 0) comes first; then within-color orders lexicographically
+    (the least color's first); then position words and, within each, value
+    words lexicographically.  The least word puts each color in one block,
+    so the class's ascending element comes first.  Work per content grows
+    with n, not with r.  Raises ``CapExceeded`` as ``enumerate_group``
+    does, before any work.
+    """
+    require_within_cap(params, cap)
+    p, n = params.p, params.n
+    for least in combinations_with_replacement(range(params.r), n):
+        if sum(least) % p:
+            continue
+        used = sorted(set(least))
+        counts = [least.count(k) for k in used]
+        words = _color_words(used, counts)
+        # per word, the indices (positions, or values - 1) of each used color
+        blocks = [[[j for j, c in enumerate(word) if c == k] for k in used] for word in words]
+        for orders in product(*(permutations(range(m)) for m in counts)):
+            members = []
+            for colors, positions in zip(words, blocks):
+                for values in blocks:
+                    perm = [0] * n
+                    for at, vals, order in zip(positions, values, orders):
+                        for j, rank in zip(at, order):
+                            perm[j] = vals[rank] + 1
+                    members.append(GroupElement(params, tuple(perm), colors))
+            yield members

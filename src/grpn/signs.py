@@ -8,15 +8,15 @@ its Robinson-Schensted image alone:
 The group route (``GroupElement.one_dim``) evaluates it from the inversion
 count and color sum.  The sweeps check the two routes against each other
 over entire groups.  Only e(P), inv(P) + inv(Q) and spin(P) + spin(Q)
-enter, so ``pi`` and the structural sweeps read them off the insertion
-pass's row lists where no tableau object is needed.
+enter, so ``pi`` reads them off the insertion pass's row lists where no
+tableau object is needed.
 
-``verify_admissible`` builds validated tableau objects for each swept
-element w, and reads each admissible move's image, which the same sweep
-validates as its own w, off the row lists.  ``verify_membership`` reads P's
-row lists off one prefix-sharing insertion search over G(r,1,n), and
-reconstructs the elements of each P by one prefix-sharing corner-removal
-search.
+``verify_admissible`` sweeps one admissible class at a time: it builds
+validated tableau objects once for each member and looks each admissible
+move's image, a member of the same class, up in the class's table.
+``verify_membership`` reads P's row lists off one prefix-sharing insertion
+search over G(r,1,n), and reconstructs the elements of each P by one
+prefix-sharing corner-removal search.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from ._kernels import get_kernel
 from .errors import IndexOutOfRange, NotAscending, ShapeMismatch
 from .group import DEFAULT_CAP, GroupElement, GroupParams, OneDimValue, enumerate_group
 from .rs import (
+    RSPair,
+    _admissible_classes,
     _insertion_walk,
     _removal_walk,
     _rs_rows,
@@ -241,45 +243,62 @@ def _agreements(sign: int, spin_sum: int, w: GroupElement) -> list[bool]:
     ]
 
 
-def _move_keeps_invariants(
-    fixed: ComponentRows,
-    fixed_before: ComponentRows,
-    changed: ComponentRows,
-    inv_before: int,
-    comp_inv_before: list[int],
-) -> bool:
-    """An admissible move's image, as row lists, against the element's own
-    image: the fixed multitableau is unchanged, the other one's inversion
-    count moves by exactly one, and each of its components keeps its count."""
+def _entry(pair: RSPair) -> tuple:
+    """What the admissible sweep keeps of one element's Robinson-Schensted
+    pair: for P, then for Q, its rows, inversion count and per-component
+    counts; then the element's (sign, spin_sum)."""
+    P, Q = pair.P, pair.Q
+    inv_p, inv_q = P.inversions(), Q.inversions()
+    p_rows = tuple([t.rows for t in P.components])
+    q_rows = tuple([t.rows for t in Q.components])
     return (
-        fixed == fixed_before
-        and abs(rows_inversions(changed) - inv_before) == 1
-        and [tableau_inversions(comp) for comp in changed] == comp_inv_before
+        (p_rows, inv_p, [tableau_inversions(rows) for rows in p_rows]),
+        (q_rows, inv_q, [tableau_inversions(rows) for rows in q_rows]),
+        _sign_data(P.even_row_boxes(), inv_p + inv_q, P.twice_spin() + Q.twice_spin()),
+    )
+
+
+def _move_kept(entry: tuple, image: tuple, fixed: int) -> bool:
+    """An admissible move, on the ``_entry`` of an element and of its image:
+    the multitableau ``fixed`` (0 for P, 1 for Q) is unchanged, the other
+    one's inversion count moves by exactly one, and each of its components
+    keeps its count."""
+    changed = 1 - fixed
+    return (
+        image[fixed][0] == entry[fixed][0]
+        and abs(image[changed][1] - entry[changed][1]) == 1
+        and image[changed][2] == entry[changed][2]
     )
 
 
 def verify_admissible(
     params: GroupParams, cap: int = DEFAULT_CAP, max_counterexamples: int = 10
 ) -> VerificationReport:
-    """Check the admissible-operator propositions over all of G(r,1,n).
+    """Check the admissible-operator propositions over all of G(r,p,n).
 
     For every admissible right move: P is fixed, the multitableau inversion
     count of Q changes by exactly one, and each component's count is fixed.
-    Symmetrically for left moves and P.  Also checks that the formula-vs-
-    character agreement boolean is constant along the passage to the
-    ascending representative.
+    Symmetrically for left moves and P.  Also checks that each element's
+    ascending representative is the ascending element of its class (a
+    counterexample gives the representative it got), and that the
+    formula-vs-character agreement boolean is the same for both.
 
-    Each element w is mapped by the validated ``rs_map`` and its statistics
-    come from the tableau objects.  A move's image is compared on the row
-    lists of one ``_rs_rows`` pass: the image is an element of G(r,1,n)
-    too, so the sweep validates its objects where it maps it as its own w,
-    and building them again per move would only repeat that work.  The
-    ascending representative's sign data is read off row lists likewise.
-    The formula and the character are compared for each i as
-    ``OneDimValue.code`` integers, as in ``verify_theorem``.
+    The sweep takes G(r,p,n) one admissible class at a time
+    (``rs._admissible_classes``), with the class's ascending element rho
+    first.  Moves stay inside a class, so it maps every member once with the
+    validated ``rs_map`` and keeps its ``_entry`` in a table keyed by
+    (perm, colors); each move's image is then looked up there, and an image
+    outside the table has left its class, which the move must not do.  The
+    table holds one class at a time, at most multinomial(n; n_k)**2
+    elements, never the whole group.  The formula and the character are
+    compared for each i as ``OneDimValue.code`` integers, as in
+    ``verify_theorem``, and rho's agreements are computed once per class.
+
+    Counterexamples come by class and then in member order, not in
+    ``enumerate_group`` order; a class whose first element is not ascending
+    reports that before its members.
     """
     r, n = params.r, params.n
-    full = GroupParams(r, 1, n)
     report = VerificationReport(params, "admissible")
     start = time.perf_counter()
 
@@ -287,39 +306,36 @@ def verify_admissible(
         if len(report.counterexamples) < max_counterexamples:
             report.counterexamples.append((w, i, expected, got))
 
-    for w in enumerate_group(full, cap=cap):
-        pair = rs_map(w)
-        report.elements_checked += 1
-        inv_p, inv_q = pair.P.inversions(), pair.Q.inversions()
-        comp_inv_p = [c.inversions() for c in pair.P.components]
-        comp_inv_q = [c.inversions() for c in pair.Q.components]
-        p_rows = [list(map(list, c.rows)) for c in pair.P.components]
-        q_rows = [list(map(list, c.rows)) for c in pair.Q.components]
-        for i in range(1, n):
-            if w.colors[i - 1] != w.colors[i]:
-                moved_p, moved_q = _rs_rows(right_admissible(w, i))
-                report.i_values_checked += 1
-                if not _move_keeps_invariants(moved_p, p_rows, moved_q, inv_q, comp_inv_q):
-                    record(w, i, "R-move invariants", "violated")
-            pos_i, pos_j = w.perm.index(i), w.perm.index(i + 1)
-            if w.colors[pos_i] != w.colors[pos_j]:
-                moved_p, moved_q = _rs_rows(left_admissible(w, i))
-                report.i_values_checked += 1
-                if not _move_keeps_invariants(moved_q, q_rows, moved_p, inv_p, comp_inv_p):
-                    record(w, i, "L-move invariants", "violated")
-        rep = ascending_representative(w)
-        if not is_ascending_element(rep):
-            record(w, 0, "ascending representative", "not ascending")
-        sign_w, spin_w = _sign_data(
-            pair.P.even_row_boxes(), inv_p + inv_q, pair.P.twice_spin() + pair.Q.twice_spin()
-        )
-        sign_rep, spin_rep = _rows_data(*_rs_rows(rep))
-        report.i_values_checked += r
-        for i, (agrees_w, agrees_rep) in enumerate(
-            zip(_agreements(sign_w, spin_w, w), _agreements(sign_rep, spin_rep, rep))
-        ):
-            if agrees_w != agrees_rep:
-                record(w, i, agrees_w, agrees_rep)
+    for members in _admissible_classes(params, cap=cap):
+        table = {(w.perm, w.colors): _entry(rs_map(w)) for w in members}
+        rho = members[0]
+        if not is_ascending_element(rho):
+            record(rho, 0, "ascending representative", "not ascending")
+        rho_agrees = _agreements(*table[rho.perm, rho.colors][2], rho)
+        for w in members:
+            report.elements_checked += 1
+            entry = table[w.perm, w.colors]
+            for i in range(1, n):
+                if w.colors[i - 1] != w.colors[i]:
+                    moved = right_admissible(w, i)
+                    image = table.get((moved.perm, moved.colors))
+                    report.i_values_checked += 1
+                    if image is None or not _move_kept(entry, image, 0):
+                        record(w, i, "R-move invariants", "violated")
+                pos_i, pos_j = w.perm.index(i), w.perm.index(i + 1)
+                if w.colors[pos_i] != w.colors[pos_j]:
+                    moved = left_admissible(w, i)
+                    image = table.get((moved.perm, moved.colors))
+                    report.i_values_checked += 1
+                    if image is None or not _move_kept(entry, image, 1):
+                        record(w, i, "L-move invariants", "violated")
+            rep = ascending_representative(w)
+            if rep != rho:
+                record(w, 0, "ascending representative", str(rep))
+            report.i_values_checked += r
+            for i, (agrees_w, agrees_rho) in enumerate(zip(_agreements(*entry[2], w), rho_agrees)):
+                if agrees_w != agrees_rho:
+                    record(w, i, agrees_w, agrees_rho)
     report.elapsed = time.perf_counter() - start
     return report
 

@@ -98,6 +98,16 @@ def test_verify_json(capsys):
     assert code == 0 and data["failures"] == []
 
 
+@pytest.mark.parametrize("r,p,n,order", [(3, 1, 3, 162), (4, 2, 3, 192)])
+def test_verify_admissible_json_checks_the_group_order(capsys, r, p, n, order):
+    code, out, _ = run(
+        capsys, "verify", "admissible", f"--r={r}", f"--p={p}", f"--n={n}", "--format", "json"
+    )
+    data = json.loads(out)
+    assert code == 0 and data["failures"] == []
+    assert data["checked"] == order
+
+
 def test_verify_cap_exit_usage(capsys):
     code, _, err = run(capsys, "verify", "theorem", "--r", "6", "--n", "8", "--cap", "100")
     assert code == 2

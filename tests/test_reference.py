@@ -5,11 +5,15 @@ definition that the library computes by a faster route: the O(n^2)
 inversion count, the within-plus-cross multitableau count, OneDimValue
 canonical forms, move-by-move replay of the ascending moves, and the
 tableau-object route to the sign formula's statistics and to the
-admissible-move checks, and per-pair ``rs_inverse`` for the removal walk.
+admissible-move checks, per-pair ``rs_inverse`` for the removal walk, and
+the two invariants of a move (color content and within-color orders) for
+the admissible classes.
 """
 
 import random
-from itertools import chain, islice
+import sys
+from itertools import chain, islice, product
+from math import factorial, prod
 
 import pytest
 
@@ -25,11 +29,13 @@ from grpn.group import (
 from grpn.rs import (
     RSPair,
     _insertion_walk,
+    _admissible_classes,
     _removal_walk,
     _rs_rows,
     apply_moves,
     ascending_moves,
     ascending_representative,
+    is_ascending_element,
     left_admissible,
     right_admissible,
     row_insert,
@@ -405,7 +411,7 @@ def object_move_check(fixed, fixed_before, changed, changed_before):
 
 
 def row_move_check(fixed, fixed_before, changed, changed_before):
-    """The same invariants on row lists, as ``verify_admissible`` reads them."""
+    """The same invariants on the row lists of one ``_rs_rows`` pass."""
     return (
         fixed == fixed_before,
         abs(rows_inversions(changed) - rows_inversions(changed_before)) == 1,
@@ -419,7 +425,8 @@ def test_move_images_on_rows_match_objects(r, n):
     """Every admissible move's image: its row lists are the rows of its
     ``rs_map`` pair, and each invariant reads the same on rows as on
     objects, both for the side the move fixes (true) and the side it does
-    not (mostly false)."""
+    not (mostly false).  The sweep's comparison of the two pairs'
+    ``_entry`` values holds exactly when all three hold on objects."""
     params = GroupParams(r, 1, n)
     outcomes = set()
     for w in enumerate_group(params):
@@ -442,9 +449,7 @@ def test_move_images_on_rows_match_objects(r, n):
                 on_rows = row_move_check(rows[f], w_rows[f], rows[c], w_rows[c])
                 assert on_rows == on_objects, (str(w), str(moved), f)
                 outcomes.add(on_rows)
-                comp_inv = [t.inversions() for t in w_objs[c].components]
-                inv = w_objs[c].inversions()
-                ok = signs._move_keeps_invariants(rows[f], w_rows[f], rows[c], inv, comp_inv)
+                ok = signs._move_kept(signs._entry(pair), signs._entry(image), f)
                 assert ok == all(on_objects), (str(w), str(moved), f)
     assert (True, True, True) in outcomes and any(not all(o) for o in outcomes)
 
@@ -465,16 +470,26 @@ def test_admissible_report_counts():
 
 
 def test_admissible_sweep_reports_a_wrong_component_count(monkeypatch):
-    """The per-component counts of each move's image are read with
-    ``signs.tableau_inversions``; a wrong count there must be reported on
-    both sides."""
-    monkeypatch.setattr(signs, "tableau_inversions", lambda rows: 0)
-    report = signs.verify_admissible(GroupParams(2, 1, 4), max_counterexamples=10**6)
-    assert not report.passed
-    assert {expected for _, _, expected, _ in report.counterexamples} == {
-        "R-move invariants",
-        "L-move invariants",
+    """Both sides of a move read their per-component counts with
+    ``signs.tableau_inversions``.  A count one too high on the component
+    holding label 1 changes exactly where a move carries label 1 to another
+    component: R_1 moves it in Q and L_1 in P.  Those moves, and nothing
+    else, must be reported."""
+    real = signs.tableau_inversions
+    monkeypatch.setattr(
+        signs, "tableau_inversions", lambda rows: real(rows) + any(1 in row for row in rows)
+    )
+    params = GroupParams(2, 1, 4)
+    report = signs.verify_admissible(params, max_counterexamples=10**6)
+    assert {(i, expected) for _, i, expected, _ in report.counterexamples} == {
+        (1, "R-move invariants"),
+        (1, "L-move invariants"),
     }
+    moved = sum(
+        (w.colors[0] != w.colors[1]) + (w.colors[w.perm.index(1)] != w.colors[w.perm.index(2)])
+        for w in enumerate_group(params)
+    )
+    assert len(report.counterexamples) == moved
 
 
 def test_admissible_sweep_reports_an_r_move_that_changes_p(monkeypatch):
@@ -494,6 +509,130 @@ def test_admissible_sweep_reports_an_r_move_that_changes_p(monkeypatch):
         w.colors[i - 1] != w.colors[i] for w in enumerate_group(params) for i in range(1, params.n)
     )
     assert len(report.counterexamples) == r_moves
+
+
+# Admissible classes against their definition: one color content and, for
+# each color, one relative order of the values at that color's positions.
+
+
+def class_signature(w):
+    """Content and within-color orders of w, the two things moves keep."""
+    r = w.params.r
+    content = tuple(w.colors.count(k) for k in range(r))
+    orders = []
+    for k in range(r):
+        values = [v for v, c in zip(w.perm, w.colors) if c == k]
+        ranks = {v: rank for rank, v in enumerate(sorted(values))}
+        orders.append(tuple(ranks[v] for v in values))
+    return content, tuple(orders)
+
+
+def multinomial(content):
+    out = factorial(sum(content))
+    for m in content:
+        out //= factorial(m)
+    return out
+
+
+@pytest.mark.parametrize("r,n", [(1, 4), (2, 1), (2, 4), (3, 3), (4, 3), (5, 2)])
+def test_admissible_classes_partition_the_group(r, n):
+    """Each class is one signature with multinomial**2 members, its first
+    member is ascending and is every member's ascending representative, and
+    the classes cover G(r,1,n) once."""
+    params = GroupParams(r, 1, n)
+    seen, signatures = [], set()
+    for members in _admissible_classes(params):
+        rho = members[0]
+        content, _ = signature = class_signature(rho)
+        assert signature not in signatures
+        signatures.add(signature)
+        assert len(members) == multinomial(content) ** 2
+        assert is_ascending_element(rho)
+        for w in members:
+            assert class_signature(w) == signature, str(w)
+            assert ascending_representative(w) == rho, str(w)
+        seen += members
+    assert len(seen) == params.order
+    assert set(seen) == set(enumerate_group(params))
+
+
+@pytest.mark.parametrize("r,p,n", [(4, 2, 3), (6, 3, 2), (2, 2, 4), (3, 3, 3)])
+def test_admissible_classes_cover_exactly_the_subgroup(r, p, n):
+    params = GroupParams(r, p, n)
+    seen = [w for members in _admissible_classes(params) for w in members]
+    assert len(seen) == params.order
+    assert set(seen) == set(enumerate_group(params))
+
+
+def test_admissible_classes_of_a_large_r():
+    """Contents are read off sorted color words, not built one color at a
+    time, so an r above the recursion limit works: one class per color."""
+    r = 2 * sys.getrecursionlimit()
+    params = GroupParams(r, 1, 1)
+    assert list(_admissible_classes(params)) == [
+        [GroupElement(params, (1,), (k,))] for k in range(r)
+    ]
+
+
+def test_admissible_counterexamples_come_in_class_walk_order(monkeypatch):
+    """With R-moves patched to the identity every admissible R-move fails,
+    and the first 10 are reported by class and then in member order."""
+    monkeypatch.setattr(signs, "right_admissible", lambda w, i: w)
+    params = GroupParams(3, 1, 3)
+    report = signs.verify_admissible(params)
+    walk = (
+        (w, i, "R-move invariants", "violated")
+        for members in _admissible_classes(params)
+        for w in members
+        for i in range(1, params.n)
+        if w.colors[i - 1] != w.colors[i]
+    )
+    assert report.counterexamples == list(islice(walk, 10))
+
+
+def test_admissible_sweep_reports_a_wrong_ascending_representative(monkeypatch):
+    """An ascending representative that returns w itself is wrong exactly
+    on the non-ascending elements: all but one per class, where a content
+    has prod n_k! classes."""
+    monkeypatch.setattr(signs, "ascending_representative", lambda w: w)
+    r, n = 3, 3
+    params = GroupParams(r, 1, n)
+    report = signs.verify_admissible(params, max_counterexamples=10**6)
+    assert {(i, expected) for _, i, expected, _ in report.counterexamples} == {
+        (0, "ascending representative")
+    }
+    ascending = 0
+    for content in product(range(n + 1), repeat=r):
+        if sum(content) == n:
+            ascending += prod(factorial(m) for m in content)
+    assert len(report.counterexamples) == params.order - ascending
+    assert {w for w, *_ in report.counterexamples} == {
+        w for w in enumerate_group(params) if not is_ascending_element(w)
+    }
+
+
+def test_admissible_sweep_reports_broken_sign_data(monkeypatch):
+    """e(P) one too high wherever value 1 has color 0 flips the sign on
+    those elements only.  A class with color 0 has such an ascending element
+    and members without, whose agreements then differ for every i; a class
+    without color 0 has neither.  Only those agreements may be reported."""
+    real = Multitableau.even_row_boxes
+    monkeypatch.setattr(
+        Multitableau,
+        "even_row_boxes",
+        lambda self: real(self) + any(1 in row for row in self.components[0].rows),
+    )
+    params = GroupParams(2, 1, 4)
+    report = signs.verify_admissible(params, max_counterexamples=10**6)
+    expected = {
+        (w, i)
+        for w in enumerate_group(params)
+        if 0 in w.colors and w.colors[w.perm.index(1)] != 0
+        for i in range(params.r)
+    }
+    assert {(w, i) for w, i, _, _ in report.counterexamples} == expected
+    assert len(report.counterexamples) == len(expected)
+    assert all(got != agrees for _, _, agrees, got in report.counterexamples)
 
 
 # Tableau validation against the checks run one by one.  The oracles are

@@ -236,11 +236,20 @@ class TestVerifyMembership:
 
 
 class TestVerifyAdmissible:
-    @pytest.mark.parametrize("r,p,n", [(2, 1, 3), (3, 1, 3)])
+    @pytest.mark.parametrize("r,p,n", [(2, 1, 3), (3, 1, 3), (4, 2, 3), (6, 3, 2), (2, 2, 4)])
     def test_passes(self, r, p, n):
-        report = verify_admissible(GroupParams(r, p, n))
+        """It sweeps G(r,p,n), not G(r,1,n): one value check per admissible
+        move of each element, plus r."""
+        params = GroupParams(r, p, n)
+        report = verify_admissible(params)
         assert report.passed
-        assert report.elements_checked == GroupParams(r, 1, n).order
+        assert report.elements_checked == params.order
+        moves = 0
+        for w in enumerate_group(params):
+            colors_of = [w.colors[w.perm.index(v)] for v in range(1, n + 1)]
+            for colors in (w.colors, colors_of):
+                moves += sum(a != b for a, b in zip(colors, colors[1:]))
+        assert report.i_values_checked == moves + params.order * r
 
     @pytest.mark.parametrize(
         "move,violation",
