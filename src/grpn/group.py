@@ -15,7 +15,7 @@ import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, lgamma, log, log10
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -307,10 +307,23 @@ def evaluate_word(params: GroupParams, word: Sequence[int]) -> GroupElement:
     return out
 
 
+# orders of at most this many digits are spelled out in full, as Python's
+# default integer-string limit allows
+EXACT_ORDER_DIGITS = 4300
+
+
 def require_within_cap(params: GroupParams, cap: int) -> None:
     """Raise ``CapExceeded`` if G(r,1,n), which every sweep walks, has more
-    than cap elements."""
+    than cap elements.
+
+    The order's size is read off its logarithm first, so a group of more
+    than ``EXACT_ORDER_DIGITS`` digits is refused as "more than 10^d
+    elements" without computing r^n * n!; a smaller one is named with its
+    exact order."""
     r, n = params.r, params.n
+    log10_order = n * log10(r) + lgamma(n + 1) / log(10)
+    if log10_order > EXACT_ORDER_DIGITS and log10_order > cap.bit_length() * log10(2) + 1:
+        raise CapExceeded(f"G({r},1,{n}) has more than 10^{int(log10_order)} elements, above cap {cap}")
     total = r**n * factorial(n)
     if total > cap:
         raise CapExceeded(f"G({r},1,{n}) has {total} elements, above cap {cap}")

@@ -2,9 +2,11 @@
 
 For an element w of G(r,1,n) the values with color k are Schensted-inserted
 in position order to build the component P_k, while Q_k records, in the box
-created by the entry at position i, the absolute position i itself.  The
-admissible operators L_i / R_i, their classes and the ascending canonical
-representative of each class live here as well.
+created by the entry at position i, the absolute position i itself.
+``_removal_walk`` runs the inverse for every Q of one P at once, as a
+corner-removal search over P's row lists.  The admissible operators
+L_i / R_i, their classes and the ascending canonical representative of each
+class live here as well.
 """
 
 from __future__ import annotations
@@ -75,68 +77,10 @@ def _rs_rows(w: GroupElement) -> tuple[list[list[list[int]]], list[list[list[int
     return p_rows, q_rows
 
 
-def _insertion_walk(
-    params: GroupParams, cap: int = DEFAULT_CAP
-) -> Iterator[tuple[list[int], list[int], list[list[list[int]]]]]:
-    """Every element of G(r,1,n) once, with the P row lists of ``_rs_rows``.
-
-    A depth-first search over positions that shares insertion prefixes: at
-    position j it tries every unused value v with every color k, inserts v
-    into component k's rows and records the bump positions; on the way back
-    it pops the new box (and its row, if that empties it) and undoes the
-    bumps in reverse order.  So each step costs one insertion, not n.
-
-    Order: lexicographic in (v_1, c_1, v_2, c_2, ...).  The yielded
-    ``(perm, colors, p_rows)`` are live buffers, valid until the next step;
-    copy what must outlive it.  Raises ``CapExceeded`` as ``enumerate_group``
-    does, before any work.
-    """
-    require_within_cap(params, cap)
-    r, n = params.r, params.n
-    perm = [0] * n
-    colors = [0] * n
-    p_rows: list[list[list[int]]] = [[] for _ in range(r)]
-    unused = list(range(1, n + 1))
-    last = n - 1
-
-    def descend(j):
-        for idx in range(len(unused)):
-            v = unused.pop(idx)
-            perm[j] = v
-            for k in range(r):
-                colors[j] = k
-                rows = p_rows[k]
-                cur = v
-                bumps = []
-                for row in rows:
-                    pos = bisect_right(row, cur)
-                    if pos == len(row):
-                        row.append(cur)
-                        break
-                    bumps.append(pos)
-                    cur, row[pos] = row[pos], cur
-                else:
-                    rows.append([cur])
-                if j == last:
-                    yield perm, colors, p_rows
-                else:
-                    yield from descend(j + 1)
-                # the new box sits at the end of row len(bumps)
-                row = rows[len(bumps)]
-                cur = row.pop()
-                if not row:
-                    rows.pop()
-                for t in range(len(bumps) - 1, -1, -1):
-                    row, pos = rows[t], bumps[t]
-                    cur, row[pos] = row[pos], cur
-            unused.insert(idx, v)
-
-    yield from descend(0)
-
-
-def _removal_walk(P: Multitableau) -> Iterator[tuple[list[int], list[int]]]:
+def _removal_walk(p_rows: list[list[list[int]]]) -> Iterator[tuple[list[int], list[int]]]:
     """``rs_inverse(RSPair(P, Q), G(r,1,n))`` for every standard Q of P's
-    shape, each once, as ``(perm, colors)``.
+    shape, each once, as ``(perm, colors)``; P is given as one row list per
+    component.
 
     A depth-first search over recording labels n, n-1, ..., 1 that shares
     removal prefixes: at label j it tries every corner box of every
@@ -149,10 +93,10 @@ def _removal_walk(P: Multitableau) -> Iterator[tuple[list[int], list[int]]]:
     Order: label n's box first, components in order and each component's
     corners top to bottom, then label n-1's, and so on.  The yielded lists
     are live buffers, valid until the next step; copy what must outlive it.
-    P, of rank n >= 1, is not changed.
+    The walk works in ``p_rows`` itself, which must hold n >= 1 boxes, and
+    leaves it holding P's rows again, the same row objects, when it ends.
     """
-    p_rows = [[list(row) for row in comp.rows] for comp in P.components]
-    n = P.size
+    n = sum(len(row) for rows in p_rows for row in rows)
     perm = [0] * n
     colors = [0] * n
 

@@ -14,9 +14,10 @@ tableau object is needed.
 ``verify_admissible`` sweeps one admissible class at a time: it builds
 validated tableau objects once for each member and looks each admissible
 move's image, a member of the same class, up in the class's table.
-``verify_membership`` reads P's row lists off one prefix-sharing insertion
-search over G(r,1,n), and reconstructs the elements of each P by one
-prefix-sharing corner-removal search.
+``verify_membership`` is one walk: it takes every P of every shape as row
+lists and reconstructs the elements of each P by one prefix-sharing
+corner-removal search, so it visits G(r,1,n) once, by shape, then by P,
+then in removal order, without inserting.
 """
 
 from __future__ import annotations
@@ -26,11 +27,17 @@ from dataclasses import dataclass, field
 
 from ._kernels import get_kernel
 from .errors import IndexOutOfRange, NotAscending, ShapeMismatch
-from .group import DEFAULT_CAP, GroupElement, GroupParams, OneDimValue, enumerate_group
+from .group import (
+    DEFAULT_CAP,
+    GroupElement,
+    GroupParams,
+    OneDimValue,
+    enumerate_group,
+    require_within_cap,
+)
 from .rs import (
     RSPair,
     _admissible_classes,
-    _insertion_walk,
     _removal_walk,
     _rs_rows,
     ascending_representative,
@@ -42,11 +49,11 @@ from .rs import (
 from .tableaux import (
     ComponentRows,
     Multitableau,
+    _standard_fillings,
     multipartitions,
     rows_even_row_boxes,
     rows_inversions,
     rows_twice_spin,
-    standard_multitableaux,
     tableau_inversions,
 )
 
@@ -181,51 +188,48 @@ def verify_theorem(
 def verify_membership(
     params: GroupParams, cap: int = DEFAULT_CAP, max_counterexamples: int = 10
 ) -> VerificationReport:
-    """Subgroup membership matches the spin criterion, both directions.
+    """Subgroup membership matches the spin criterion, both directions: an
+    element of G(r,1,n) lies in G(r,p,n) exactly when p divides twice the
+    spin of its insertion multitableau P.
 
-    Forward: over all of G(r,1,n), membership in G(r,p,n) is equivalent to
-    p dividing twice the spin of P.  Backward: every same-shape pair whose
-    shape has p-divisible twice-spin reconstructs to a subgroup member.
+    The sweep is one walk.  For each shape in ``multipartitions`` order and
+    each P of that shape in ``_standard_fillings`` order, given as live row
+    lists, it reads the criterion off P (``rows_twice_spin``) and walks
+    every Q of P's shape as one depth-first corner-removal search
+    (``rs._removal_walk``): each leaf is ``rs_inverse(RSPair(P, Q))`` at the
+    cost of one reverse bump, with no Q built.  The correspondence is a
+    bijection, so the leaves are G(r,1,n), each once, and each is checked
+    against its own P's criterion: a member whose P fails it, or a
+    non-member whose P passes it, is a counterexample ``(w, 0, member,
+    criterion)``.  A ``GroupElement`` is built only for a counterexample, so
+    counterexamples come by shape, then by P, then in removal-walk order.
+    Each leaf counts one value check, and a second when its P passes the
+    criterion (the reconstruction of a pair whose shape admits members).
 
-    The forward pass walks G(r,1,n) as one depth-first insertion search that
-    shares prefixes (``rs._insertion_walk``) and reads P's row lists at each
-    leaf.  The backward pass takes each P of each such shape in
-    ``standard_multitableaux`` order and walks every Q of P's shape as one
-    depth-first corner-removal search (``rs._removal_walk``): each leaf is
-    ``rs_inverse(RSPair(P, Q))`` at the cost of one reverse bump, with no Q
-    built.  Both passes build a ``GroupElement`` only for a counterexample.
-    So the forward pass's counterexamples come in walk order, lexicographic
-    in (v_1, c_1, v_2, c_2, ...), and the backward pass's follow them, by P
-    and then in removal-walk order.
-
-    Both criteria hold by construction for any Schensted pass that places
+    The criterion holds by construction for any Schensted pass that places
     each value in its color's component: component k of P then holds
     exactly the values of color k, so twice the spin of P equals the color
-    sum.  What the sweep exercises is the walks' placement of values and
-    their reverse bumping, not an independent fact about G(r,p,n).
+    sum.  What the sweep exercises is the walk's reverse bumping, not an
+    independent fact about G(r,p,n).  Raises ``CapExceeded`` as
+    ``enumerate_group`` does, before any work.
     """
+    require_within_cap(params, cap)
     r, p, n = params.r, params.p, params.n
     full = GroupParams(r, 1, n)
     report = VerificationReport(params, "membership")
     start = time.perf_counter()
-    for perm, colors, p_rows in _insertion_walk(full, cap=cap):
-        member = sum(colors) % p == 0
-        ts = rows_twice_spin(p_rows)
-        report.elements_checked += 1
-        report.i_values_checked += 1
-        if member != (ts % p == 0) and len(report.counterexamples) < max_counterexamples:
-            w = GroupElement(full, tuple(perm), tuple(colors))
-            report.counterexamples.append((w, 0, member, ts % p == 0))
+    checked = values = 0
     for shape in multipartitions(n, r):
-        ts = sum(k * sum(lam) for k, lam in enumerate(shape))
-        if ts % p != 0:
-            continue
-        for P in standard_multitableaux(shape, cap=n):
-            for perm, colors in _removal_walk(P):
-                report.i_values_checked += 1
-                if sum(colors) % p != 0 and len(report.counterexamples) < max_counterexamples:
+        for p_rows in _standard_fillings(shape):
+            criterion = rows_twice_spin(p_rows) % p == 0
+            for perm, colors in _removal_walk(p_rows):
+                member = sum(colors) % p == 0
+                checked += 1
+                values += 1 + criterion
+                if member != criterion and len(report.counterexamples) < max_counterexamples:
                     w = GroupElement(full, tuple(perm), tuple(colors))
-                    report.counterexamples.append((w, 0, True, False))
+                    report.counterexamples.append((w, 0, member, criterion))
+    report.elements_checked, report.i_values_checked = checked, values
     report.elapsed = time.perf_counter() - start
     return report
 

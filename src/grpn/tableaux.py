@@ -2,12 +2,14 @@
 
 A partition is a plain tuple of weakly decreasing positive integers; a
 multipartition is an r-tuple of partitions.  Multitableaux carry r
-component tableaux jointly labeled by 1..n.
+component tableaux jointly labeled by 1..n.  The standard fillings of a
+multipartition come from one depth-first corner search
+(``_standard_fillings``) as plain row lists; ``standard_tableaux`` and
+``standard_multitableaux`` wrap them in validated objects.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from itertools import chain
 from math import factorial
@@ -272,70 +274,62 @@ class Multitableau:
         return "(" + " | ".join(str(t) for t in self.components) + ")"
 
 
+def _standard_fillings(shape: MultiPartition) -> Iterator[list[list[list[int]]]]:
+    """Every standard filling of a multipartition with 1..n, as one row list
+    per component.
+
+    A depth-first corner search: label n goes into each corner box of each
+    component in turn, then label n-1 into each corner of the boxes still
+    empty, and so on down to 1.  Each label is the largest of those still to
+    place, so every row and every column increases.
+
+    Order: label n's box first, components in order and each component's
+    corners top to bottom, then label n-1's, and so on (the order of
+    ``rs._removal_walk``).  The yielded lists are live buffers, valid until
+    the next step; copy what must outlive it.
+    """
+    rows = [[[0] * part for part in lam] for lam in shape]
+    # left[k][t]: boxes of row t of component k still without a label
+    left = [list(lam) for lam in shape]
+
+    def place(j):
+        if not j:
+            yield rows
+            return
+        for comp, counts in zip(rows, left):
+            for t, m in enumerate(counts):
+                if not m or (t + 1 < len(counts) and counts[t + 1] == m):
+                    continue  # no box left, or not a corner
+                counts[t] = m - 1
+                comp[t][m - 1] = j
+                yield from place(j - 1)
+                counts[t] = m
+
+    yield from place(sum(map(sum, shape)))
+
+
 def standard_tableaux(shape: Partition, labels: Sequence[int] | None = None) -> Iterator[StandardTableau]:
     """All standard tableaux of the given shape, filled with the given label
-    set (default 1..n) in the order-preserving way."""
+    set (default 1..n) in the order-preserving way, in the corner-search
+    order of ``_standard_fillings``."""
     shape = check_partition(shape)
     n = sum(shape)
     pool = sorted(labels) if labels is not None else list(range(1, n + 1))
     if len(pool) != n:
         raise InvalidTableau(f"need {n} labels, got {len(pool)}")
-    for filling in _standard_fillings(shape):
-        yield StandardTableau(
-            tuple(tuple(pool[k - 1] for k in row) for row in filling)
-        )
-
-
-def _standard_fillings(shape: Partition) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Standard fillings with 1..n, built by removing n from a corner."""
-    n = sum(shape)
-    if n == 0:
-        yield ()
-        return
-    rows = list(shape)
-    for i in range(len(rows)):
-        is_corner = rows[i] > 0 and (i + 1 == len(rows) or rows[i] > rows[i + 1])
-        if not is_corner:
-            continue
-        smaller = rows[:i] + ([rows[i] - 1] if rows[i] > 1 else []) + rows[i + 1 :]
-        for sub in _standard_fillings(tuple(smaller)):
-            filled = [list(row) for row in sub]
-            while len(filled) <= i:
-                filled.append([])
-            filled[i].append(n)
-            yield tuple(tuple(row) for row in filled if row)
+    for (filling,) in _standard_fillings((shape,)):
+        yield StandardTableau([[pool[k - 1] for k in row] for row in filling])
 
 
 def standard_multitableaux(shape: MultiPartition, cap: int = DEFAULT_SHAPE_CAP) -> Iterator[Multitableau]:
-    """All standard multitableaux of the given multipartition shape."""
-    sizes = [sum(lam) for lam in shape]
-    n = sum(sizes)
+    """All standard multitableaux of the given multipartition shape, in the
+    corner-search order of ``_standard_fillings``."""
+    shape = tuple(map(check_partition, shape))
+    n = sum(map(sum, shape))
     if n > cap:
         raise CapExceeded(f"rank {n} above cap {cap}")
-    remaining = set(range(1, n + 1))
-    yield from _assemble(tuple(shape), sizes, remaining)
-
-
-def _assemble(shape: MultiPartition, sizes: list[int], remaining: set[int]) -> Iterator[Multitableau]:
-    for split in _label_splits(sorted(remaining), sizes):
-        comps = [
-            list(standard_tableaux(lam, labels=lab)) if lam else [StandardTableau(())]
-            for lam, lab in zip(shape, split)
-        ]
-        for combo in itertools.product(*comps):
-            yield Multitableau(tuple(combo))
-
-
-def _label_splits(pool: list[int], sizes: list[int]) -> Iterator[list[list[int]]]:
-    if not sizes:
-        if not pool:
-            yield []
-        return
-    head, rest = sizes[0], sizes[1:]
-    for chosen in itertools.combinations(pool, head):
-        left = [x for x in pool if x not in chosen]
-        for tail in _label_splits(left, rest):
-            yield [list(chosen)] + tail
+    for filling in _standard_fillings(shape):
+        yield Multitableau(StandardTableau(comp) for comp in filling)
 
 
 def count_standard_tableaux(shape: Partition) -> int:

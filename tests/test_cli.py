@@ -284,11 +284,13 @@ def test_tableau_commands_keep_the_exit_code_contract(command, params, text):
 
 # mostly valid parameters, so that many draws run a sweep under the cap
 SMALL = st.sampled_from([1, 2, 3, 4, 1, 2, 3, 4, 0, -1])
+# orders of 4,566 and of 5,866,739 digits: too long to print in full
+HUGE_N = st.sampled_from([1500, 10**6])
 VERIFY_PARAMS = st.tuples(
     st.sampled_from(["theorem", "membership", "admissible"]),
     SMALL,
     SMALL,
-    SMALL,
+    SMALL | HUGE_N,
     st.integers(-5, 1000),
 ).map(lambda a: ["verify", a[0], f"--r={a[1]}", f"--p={a[2]}", f"--n={a[3]}", f"--cap={a[4]}"])
 

@@ -291,6 +291,16 @@ class TestEnumerate:
         with pytest.raises(CapExceeded):
             list(enumerate_group(GroupParams(10, 1, 10), cap=100))
 
+    def test_cap_names_an_order_too_long_to_print(self):
+        # 2^1423 * 1423! has 4,300 digits, 2^1424 * 1424! has 4,303
+        with pytest.raises(CapExceeded, match=r"^G\(2,1,1423\) has \d{4300} elements, above cap 5$"):
+            next(enumerate_group(GroupParams(2, 1, 1423), cap=5))
+        with pytest.raises(CapExceeded, match=r"^G\(2,1,1424\) has more than 10\^4302 elements, above cap 5$"):
+            next(enumerate_group(GroupParams(2, 1, 1424), cap=5))
+        huge = r"^G\(2,1,1000000\) has more than 10\^5866738 elements, above cap 10000000$"
+        with pytest.raises(CapExceeded, match=huge):
+            next(enumerate_group(GroupParams(2, 1, 10**6)))
+
     def test_members_only(self):
         for w in enumerate_group(GroupParams(4, 4, 2)):
             assert w.is_member(4)

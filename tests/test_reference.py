@@ -5,14 +5,15 @@ definition that the library computes by a faster route: the O(n^2)
 inversion count, the within-plus-cross multitableau count, OneDimValue
 canonical forms, move-by-move replay of the ascending moves, and the
 tableau-object route to the sign formula's statistics and to the
-admissible-move checks, per-pair ``rs_inverse`` for the removal walk, and
-the two invariants of a move (color content and within-color orders) for
-the admissible classes.
+admissible-move checks, per-pair ``rs_inverse`` and ``enumerate_group``
+for the removal walk, every arrangement of the labels for the standard
+fillings, and the two invariants of a move (color content and within-color
+orders) for the admissible classes.
 """
 
 import random
 import sys
-from itertools import chain, islice, product
+from itertools import chain, islice, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -28,7 +29,6 @@ from grpn.group import (
 )
 from grpn.rs import (
     RSPair,
-    _insertion_walk,
     _admissible_classes,
     _removal_walk,
     _rs_rows,
@@ -47,6 +47,7 @@ from grpn.tableaux import (
     Multitableau,
     StandardTableau,
     _is_standard,
+    _standard_fillings,
     count_standard_multitableaux,
     cross_inversions,
     multipartitions,
@@ -245,8 +246,101 @@ def test_row_route_matches_objects_up_to_rank_64():
         assert list(_rs_rows(w)) == list(row_insert_image(w)), w
 
 
+def removal_leaves(p_rows):
+    """The removal walk's leaves over P's row lists as (perm, colors)
+    tuples; the walk must leave the same row objects, holding P's rows, in
+    ``p_rows``."""
+    before = [[(id(row), list(row)) for row in comp] for comp in p_rows]
+    leaves = [(tuple(perm), tuple(colors)) for perm, colors in _removal_walk(p_rows)]
+    assert [[(id(row), list(row)) for row in comp] for comp in p_rows] == before
+    return leaves
+
+
+def shape_criterion(shape, p):
+    """Whether p divides twice the spin of a shape, sum of k * |lambda_k|."""
+    return sum(k * sum(lam) for k, lam in enumerate(shape)) % p == 0
+
+
+def membership_leaves(params, walk=_removal_walk):
+    """(w, criterion) for every leaf of the membership sweep, in its order:
+    shapes in ``multipartitions`` order, each P in ``_standard_fillings``
+    order, then the removal walk's order; the criterion is read off the
+    shape."""
+    r, p, n = params.r, params.p, params.n
+    full = GroupParams(r, 1, n)
+    for shape in multipartitions(n, r):
+        for p_rows in _standard_fillings(shape):
+            for perm, colors in walk(p_rows):
+                yield GroupElement(full, tuple(perm), tuple(colors)), shape_criterion(shape, p)
+
+
+@pytest.mark.parametrize("r,n", [(1, 6), (2, 5), (3, 4), (4, 3), (4, 4)])
+def test_removal_walk_covers_the_group(r, n):
+    """Over every filling of every shape, the removal walk's leaves are
+    G(r,1,n), each exactly once, each inserting back to the P it came from,
+    and each walk puts P's rows back."""
+    params = GroupParams(r, 1, n)
+    leaves = []
+    for shape in multipartitions(n, r):
+        for p_rows in _standard_fillings(shape):
+            for perm, colors in removal_leaves(p_rows):
+                assert _rs_rows(GroupElement(params, perm, colors))[0] == p_rows, (perm, colors)
+                leaves.append((perm, colors))
+    assert len(leaves) == len(set(leaves)) == params.order
+    assert set(leaves) == {(w.perm, w.colors) for w in enumerate_group(params)}
+
+
+@pytest.mark.parametrize("r,max_n", [(1, 6), (2, 6), (3, 5)])
+def test_removal_walk_matches_rs_inverse(r, max_n):
+    """For every P of every shape up to the rank, as row lists: the leaves
+    are exactly the ``rs_inverse`` images of (P, Q) over every Q of P's
+    shape, each once, and the walk puts P's rows back in its buffers."""
+    for n in range(1, max_n + 1):
+        full = GroupParams(r, 1, n)
+        for shape in multipartitions(n, r):
+            tableaux = list(standard_multitableaux(shape, cap=n))
+            for p_rows in _standard_fillings(shape):
+                P = Multitableau(StandardTableau(rows) for rows in p_rows)
+                leaves = removal_leaves(p_rows)
+                images = [rs_inverse(RSPair(P, Q), full) for Q in tableaux]
+                assert set(leaves) == {(w.perm, w.colors) for w in images}, str(P)
+                assert len(set(leaves)) == len(leaves) == count_standard_multitableaux(shape)
+
+
+def brute_force_fillings(shape):
+    """Every arrangement of 1..n in the boxes of a multipartition whose rows
+    and columns increase, as tuples of row tuples."""
+    boxes = [(k, t, c) for k, lam in enumerate(shape) for t, part in enumerate(lam) for c in range(part)]
+    found = set()
+    for labels in permutations(range(1, len(boxes) + 1)):
+        comps = [[[0] * part for part in lam] for lam in shape]
+        for (k, t, c), x in zip(boxes, labels):
+            comps[k][t][c] = x
+        if all(
+            a < b
+            for rows in comps
+            for t, row in enumerate(rows)
+            for a, b in chain(zip(row, row[1:]), zip(rows[t - 1], row) if t else ())
+        ):
+            found.add(as_tuples(comps))
+    return found
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_standard_fillings_match_brute_force(r):
+    """Every multishape up to rank 5: the corner search yields exactly the
+    increasing arrangements, each once, and ``standard_multitableaux``
+    wraps them in the same order."""
+    for n in range(6):
+        for shape in multipartitions(n, r):
+            fillings = [as_tuples(rows) for rows in _standard_fillings(shape)]
+            assert len(fillings) == len(set(fillings)) == count_standard_multitableaux(shape)
+            assert set(fillings) == brute_force_fillings(shape), shape
+            assert fillings == [as_tuples(rows_of(T)) for T in standard_multitableaux(shape)]
+
+
 def test_membership_sweep_reports_a_wrong_twice_spin(monkeypatch):
-    """The forward direction reads twice_spin(P) off the row lists; a wrong
+    """The sweep reads twice_spin(P) off each filling's row lists; a wrong
     value there must show up as counterexamples."""
     monkeypatch.setattr(signs, "rows_twice_spin", lambda comps: rows_twice_spin(comps) + 1)
     full = GroupParams(2, 1, 3)
@@ -258,96 +352,54 @@ def test_membership_sweep_reports_a_wrong_twice_spin(monkeypatch):
         assert i == 0 and member == w.is_member(2) != criterion
 
 
-@pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4), (1, 6)])
-def test_insertion_walk_matches_enumeration_and_rs_rows(r, n):
-    """Every element once, in (v_1, c_1, v_2, c_2, ...) order, with the rows
-    of its own insertion pass; the buffers are empty once the walk ends."""
-    params = GroupParams(r, 1, n)
-    keys = []
-    for perm, colors, p_rows in _insertion_walk(params):
-        w = GroupElement(params, tuple(perm), tuple(colors))
-        assert p_rows == _rs_rows(w)[0], str(w)
-        keys.append(tuple(chain.from_iterable(zip(perm, colors))))
-    assert keys == sorted(set(keys))
-    assert len(keys) == params.order
-    assert {k[::2] + k[1::2] for k in keys} == {w.perm + w.colors for w in enumerate_group(params)}
-    assert p_rows == [[] for _ in range(r)]  # the live buffers, after the walk
-
-
-def test_insertion_walk_cap_matches_enumerate_group():
+def test_membership_cap_matches_enumerate_group():
     for params in (GroupParams(3, 1, 4), GroupParams(4, 2, 3)):
-        with pytest.raises(CapExceeded) as walk:
-            next(_insertion_walk(params, cap=params.order - 1))
+        with pytest.raises(CapExceeded) as sweep:
+            signs.verify_membership(params, cap=params.order - 1)
         with pytest.raises(CapExceeded) as enum:
             next(enumerate_group(params, cap=params.order - 1))
-        assert str(walk.value) == str(enum.value)
-    assert str(walk.value) == "G(4,1,3) has 384 elements, above cap 191"
+        assert str(sweep.value) == str(enum.value)
+    assert str(sweep.value) == "G(4,1,3) has 384 elements, above cap 191"
     with pytest.raises(CapExceeded, match="G\\(2,1,5\\) has 3840 elements, above cap 100"):
         signs.verify_membership(GroupParams(2, 2, 5), cap=100)
-    assert sum(1 for _ in _insertion_walk(GroupParams(3, 1, 4), cap=1944)) == 1944
+    # refused before any work: the first filling of rank 10**6 would recurse past the limit
+    with pytest.raises(CapExceeded, match="G\\(2,1,1000000\\) has more than 10"):
+        signs.verify_membership(GroupParams(2, 2, 10**6))
+    assert signs.verify_membership(GroupParams(3, 1, 4), cap=1944).elements_checked == 1944
 
 
 def test_membership_counterexamples_come_in_walk_order(monkeypatch):
+    """By shape, then by P, then in removal-walk order, each with the
+    element's membership and the criterion the sweep read."""
     monkeypatch.setattr(signs, "rows_twice_spin", lambda comps: rows_twice_spin(comps) + 1)
     params = GroupParams(4, 2, 3)  # p = 2: the shift flips every verdict
     report = signs.verify_membership(params, max_counterexamples=10)
-    walked = [(tuple(perm), tuple(colors)) for perm, colors, _ in _insertion_walk(params)]
-    assert [(w.perm, w.colors) for w, *_ in report.counterexamples] == walked[:10]
+    walked = list(islice(membership_leaves(params), 10))
+    assert report.counterexamples == [(w, 0, criterion, not criterion) for w, criterion in walked]
     assert all(w.params == GroupParams(4, 1, 3) for w, *_ in report.counterexamples)
-
-
-def removal_leaves(P):
-    """The removal walk's leaves as (perm, colors) tuples, and its row
-    buffers, read off its suspended frame, once the walk has ended."""
-    walk = _removal_walk(P)
-    leaves = [(tuple(perm), tuple(colors)) for perm, colors in islice(walk, 1)]
-    buffers = walk.gi_frame.f_locals["p_rows"]
-    leaves += [(tuple(perm), tuple(colors)) for perm, colors in walk]
-    return leaves, buffers
-
-
-@pytest.mark.parametrize("r,max_n", [(1, 6), (2, 6), (3, 5)])
-def test_removal_walk_matches_rs_inverse(r, max_n):
-    """For every P of every shape up to the rank: the leaves are exactly the
-    ``rs_inverse`` images of (P, Q) over every Q of P's shape, each once,
-    and the walk puts P's rows back in its buffers."""
-    for n in range(1, max_n + 1):
-        full = GroupParams(r, 1, n)
-        for shape in multipartitions(n, r):
-            tableaux = list(standard_multitableaux(shape, cap=n))
-            for P in tableaux:
-                leaves, buffers = removal_leaves(P)
-                images = [rs_inverse(RSPair(P, Q), full) for Q in tableaux]
-                assert set(leaves) == {(w.perm, w.colors) for w in images}, str(P)
-                assert len(set(leaves)) == len(leaves) == count_standard_multitableaux(shape)
-                assert buffers == [[list(row) for row in t.rows] for t in P.components]
+    assert {criterion for _, criterion in walked} == {True, False}
 
 
 def test_membership_backward_pass_reports_a_shifted_color(monkeypatch):
-    """A reconstructed element outside G(r,p,n) must show up as a
-    (w, 0, True, False) counterexample, in P-then-walk order, and leave the
-    forward pass's count alone."""
+    """A leaf whose color is shifted must show up as a (w, 0, member,
+    criterion) counterexample, in shape-then-P-then-walk order, and leave
+    the counts alone."""
 
-    def shifted(P):
-        for perm, colors in _removal_walk(P):
-            yield perm, [(colors[0] + 1) % 2] + colors[1:]
+    def shifted(p_rows):
+        # the value 1 at position 1 gets the next color, an element outside
+        # its P's membership verdict for p = 2
+        for perm, colors in _removal_walk(p_rows):
+            yield perm, [(colors[0] + 1) % 2] + colors[1:] if perm[0] == 1 else colors
 
     params, full = GroupParams(2, 2, 4), GroupParams(2, 1, 4)
     clean = signs.verify_membership(params)
     monkeypatch.setattr(signs, "_removal_walk", shifted)
     report = signs.verify_membership(params)
     assert report.elements_checked == clean.elements_checked == full.order
-    assert report.i_values_checked == clean.i_values_checked
-    failing = [
-        GroupElement(full, tuple(perm), tuple(colors))
-        for shape in multipartitions(4, 2)
-        if sum(k * sum(lam) for k, lam in enumerate(shape)) % 2 == 0
-        for P in standard_multitableaux(shape)
-        for perm, colors in shifted(P)
-        if sum(colors) % 2
-    ]
-    assert len(failing) > 10
-    assert report.counterexamples == [(w, 0, True, False) for w in failing[:10]]
+    assert report.i_values_checked == clean.i_values_checked == full.order + params.order
+    failing = [(w, criterion) for w, criterion in membership_leaves(params, shifted) if w.is_member(2) != criterion]
+    assert 10 < len(failing) < full.order
+    assert report.counterexamples == [(w, 0, not criterion, criterion) for w, criterion in failing[:10]]
 
 
 @pytest.mark.parametrize("r,n", [(2, 4), (3, 3)])
