@@ -12,7 +12,8 @@ enter, so ``pi`` reads them off the insertion pass's row lists where no
 tableau object is needed.
 
 ``verify_admissible`` sweeps one admissible class at a time: it builds
-validated tableau objects once for each member and looks each admissible
+validated tableau objects once for each member, reads the statistics of
+each distinct P and Q rows once per class, and looks each admissible
 move's image, a member of the same class, up in the class's table.
 ``verify_membership`` is one walk: it takes every P of every shape as row
 lists and reconstructs the elements of each P by one prefix-sharing
@@ -76,6 +77,8 @@ def _rows_data(p_rows: ComponentRows, q_rows: ComponentRows) -> tuple[int, int]:
 def pi_from_tableaux(P: Multitableau, Q: Multitableau, i: int, r: int) -> OneDimValue:
     if P.shape != Q.shape:
         raise ShapeMismatch(f"{P.shape} != {Q.shape}")
+    if P.r != r:
+        raise ShapeMismatch(f"pair has {P.r} components, expected r={r}")
     if not 0 <= i < r:
         raise IndexOutOfRange(f"i={i} not in [0, {r})")
     sign, spin_sum = _rows_data([t.rows for t in P.components], [t.rows for t in Q.components])
@@ -247,19 +250,52 @@ def _agreements(sign: int, spin_sum: int, w: GroupElement) -> list[bool]:
     ]
 
 
-def _entry(pair: RSPair) -> tuple:
+def _part(T: Multitableau, store: dict) -> tuple:
+    """What the admissible sweep keeps of one multitableau: (its rows, its
+    inversion count, its per-component counts), then e(T) and twice its
+    spin.  Each is a function of the rows alone, so they are read off T only
+    the first time its rows appear in ``store``, which P's and Q's share."""
+    rows = tuple([t.rows for t in T.components])
+    part = store.get(rows)
+    if part is None:
+        part = store[rows] = (
+            (rows, T.inversions(), [tableau_inversions(comp) for comp in rows]),
+            T.even_row_boxes(),
+            T.twice_spin(),
+        )
+    return part
+
+
+def _entry(pair: RSPair, store: dict | None = None) -> tuple:
     """What the admissible sweep keeps of one element's Robinson-Schensted
     pair: for P, then for Q, its rows, inversion count and per-component
-    counts; then the element's (sign, spin_sum)."""
-    P, Q = pair.P, pair.Q
-    inv_p, inv_q = P.inversions(), Q.inversions()
-    p_rows = tuple([t.rows for t in P.components])
-    q_rows = tuple([t.rows for t in Q.components])
-    return (
-        (p_rows, inv_p, [tableau_inversions(rows) for rows in p_rows]),
-        (q_rows, inv_q, [tableau_inversions(rows) for rows in q_rows]),
-        _sign_data(P.even_row_boxes(), inv_p + inv_q, P.twice_spin() + Q.twice_spin()),
-    )
+    counts; then the element's (sign, spin_sum).  The statistics come from
+    ``_part`` through ``store``, a fresh one when none is given."""
+    if store is None:
+        store = {}
+    kept_p, e_p, twice_spin_p = _part(pair.P, store)
+    kept_q, _, twice_spin_q = _part(pair.Q, store)
+    return kept_p, kept_q, _sign_data(e_p, kept_p[1] + kept_q[1], twice_spin_p + twice_spin_q)
+
+
+def _class_table(members: list[GroupElement]) -> dict:
+    """The ``_entry`` of every member of one admissible class, keyed by
+    (perm, colors).  Every member is mapped with ``rs_map``.  P depends only
+    on the value-color word and Q only on the position-color word, so a
+    class of M**2 members has M distinct P's and M distinct Q's, and one
+    store for this class reads each one's statistics once."""
+    store: dict = {}
+    return {(w.perm, w.colors): _entry(rs_map(w), store) for w in members}
+
+
+def _class_agreements(store: dict, sign_data: tuple[int, int], w: GroupElement) -> list[bool]:
+    """``_agreements(*sign_data, w)``, computed once per (sign, spin_sum,
+    perm_sign, color_sum) in ``store``: all it depends on besides r."""
+    key = (*sign_data, w.perm_sign, w.color_sum())
+    agrees = store.get(key)
+    if agrees is None:
+        agrees = store[key] = _agreements(*sign_data, w)
+    return agrees
 
 
 def _move_kept(entry: tuple, image: tuple, fixed: int) -> bool:
@@ -291,12 +327,16 @@ def verify_admissible(
     (``rs._admissible_classes``), with the class's ascending element rho
     first.  Moves stay inside a class, so it maps every member once with the
     validated ``rs_map`` and keeps its ``_entry`` in a table keyed by
-    (perm, colors); each move's image is then looked up there, and an image
-    outside the table has left its class, which the move must not do.  The
+    (perm, colors) (``_class_table``); each move's image is then looked up
+    there, and an image outside the table has left its class, which the move
+    must not do.  Within a class P depends only on the value-color word and
+    Q only on the position-color word, so the statistics are taken once per
+    distinct P and Q rows, while ``rs_map`` still runs on every member.  The
     table holds one class at a time, at most multinomial(n; n_k)**2
     elements, never the whole group.  The formula and the character are
     compared for each i as ``OneDimValue.code`` integers, as in
-    ``verify_theorem``, and rho's agreements are computed once per class.
+    ``verify_theorem``, once per distinct (sign, spin_sum, perm_sign,
+    color_sum) in the class.
 
     Counterexamples come by class and then in member order, not in
     ``enumerate_group`` order; a class whose first element is not ascending
@@ -310,36 +350,43 @@ def verify_admissible(
         if len(report.counterexamples) < max_counterexamples:
             report.counterexamples.append((w, i, expected, got))
 
+    checked = values = 0
+    value_colors = [0] * (n + 1)  # value_colors[v]: the color at v's position
     for members in _admissible_classes(params, cap=cap):
-        table = {(w.perm, w.colors): _entry(rs_map(w)) for w in members}
+        table = _class_table(members)
+        agreements: dict = {}
         rho = members[0]
         if not is_ascending_element(rho):
             record(rho, 0, "ascending representative", "not ascending")
-        rho_agrees = _agreements(*table[rho.perm, rho.colors][2], rho)
+        rho_agrees = _class_agreements(agreements, table[rho.perm, rho.colors][2], rho)
         for w in members:
-            report.elements_checked += 1
+            checked += 1
             entry = table[w.perm, w.colors]
+            colors = w.colors
+            for v, c in zip(w.perm, colors):
+                value_colors[v] = c
             for i in range(1, n):
-                if w.colors[i - 1] != w.colors[i]:
+                if colors[i - 1] != colors[i]:
                     moved = right_admissible(w, i)
                     image = table.get((moved.perm, moved.colors))
-                    report.i_values_checked += 1
+                    values += 1
                     if image is None or not _move_kept(entry, image, 0):
                         record(w, i, "R-move invariants", "violated")
-                pos_i, pos_j = w.perm.index(i), w.perm.index(i + 1)
-                if w.colors[pos_i] != w.colors[pos_j]:
+                if value_colors[i] != value_colors[i + 1]:
                     moved = left_admissible(w, i)
                     image = table.get((moved.perm, moved.colors))
-                    report.i_values_checked += 1
+                    values += 1
                     if image is None or not _move_kept(entry, image, 1):
                         record(w, i, "L-move invariants", "violated")
             rep = ascending_representative(w)
             if rep != rho:
                 record(w, 0, "ascending representative", str(rep))
-            report.i_values_checked += r
-            for i, (agrees_w, agrees_rho) in enumerate(zip(_agreements(*entry[2], w), rho_agrees)):
+            values += r
+            agrees = _class_agreements(agreements, entry[2], w)
+            for i, (agrees_w, agrees_rho) in enumerate(zip(agrees, rho_agrees)):
                 if agrees_w != agrees_rho:
                     record(w, i, agrees_w, agrees_rho)
+    report.elements_checked, report.i_values_checked = checked, values
     report.elapsed = time.perf_counter() - start
     return report
 

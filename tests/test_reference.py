@@ -521,6 +521,57 @@ def test_admissible_report_counts():
     assert report.i_values_checked == moves + params.order * params.r
 
 
+@pytest.mark.parametrize(
+    "r,p,n,checked,values",
+    [
+        (2, 1, 3, 48, 192),
+        (2, 1, 4, 384, 1920),
+        (3, 1, 3, 162, 918),
+        (4, 1, 3, 384, 2688),
+        (4, 2, 3, 192, 1344),
+        (2, 1, 5, 3840, 23040),
+    ],
+)
+def test_admissible_report_counts_are_pinned(r, p, n, checked, values):
+    report = signs.verify_admissible(GroupParams(r, p, n))
+    assert report.passed
+    assert (report.elements_checked, report.i_values_checked) == (checked, values)
+
+
+def object_entry(pair):
+    """``_entry`` read straight off the tableau objects, method by method."""
+
+    def kept(T):
+        return (
+            tuple(t.rows for t in T.components),
+            T.inversions(),
+            [t.inversions() for t in T.components],
+        )
+
+    P, Q = pair.P, pair.Q
+    sign = (-1) ** (P.even_row_boxes() + P.inversions() + Q.inversions())
+    return kept(P), kept(Q), (sign, (P.twice_spin() + Q.twice_spin()) // 2)
+
+
+@pytest.mark.parametrize("r,p,n", [(2, 1, 4), (3, 1, 3), (4, 2, 3), (2, 1, 5)])
+def test_class_table_matches_fresh_entries(r, p, n):
+    """The sweep's per-class table, whose statistics are read once per
+    distinct rows, against each member's ``_entry`` computed afresh and
+    against the tableau objects; the class has as many distinct P's as Q's,
+    its members' square root."""
+    for members in _admissible_classes(GroupParams(r, p, n)):
+        table = signs._class_table(members)
+        assert list(table) == [(w.perm, w.colors) for w in members]
+        p_rows, q_rows = set(), set()
+        for w in members:
+            pair = rs_map(w)
+            fresh = signs._entry(pair)
+            assert table[w.perm, w.colors] == fresh == object_entry(pair), str(w)
+            p_rows.add(fresh[0][0])
+            q_rows.add(fresh[1][0])
+        assert len(p_rows) ** 2 == len(q_rows) ** 2 == len(members)
+
+
 def test_admissible_sweep_reports_a_wrong_component_count(monkeypatch):
     """Both sides of a move read their per-component counts with
     ``signs.tableau_inversions``.  A count one too high on the component

@@ -60,6 +60,16 @@ class TestPiFromTableaux:
         with pytest.raises(IndexOutOfRange):
             pi_from_tableaux(T, T, 1, 1)
 
+    @pytest.mark.parametrize("r", [1, 2, 4, 7])
+    def test_component_count_must_be_r(self, r):
+        """A pair with three components is no image in G(r,1,n) for r != 3,
+        whatever i: the value would be reduced mod the wrong r."""
+        T = Multitableau.from_json([[[1]], [[2]], [[3]]])
+        for i in range(r):
+            with pytest.raises(ShapeMismatch):
+                pi_from_tableaux(T, T, i, r)
+        assert pi_from_tableaux(T, T, 1, 3) == OneDimValue(1, 0, 3)
+
 
 class TestPi:
     def test_running_example(self, running_example):
