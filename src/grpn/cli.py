@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .errors import GrpnError, ParseError
+from .errors import GrpnError, ParseError, ShapeMismatch
 from .group import DEFAULT_CAP, GroupParams, parse_element
 from .rs import RSPair, ascending_moves, apply_moves, rs_inverse, rs_map
 from .signs import pi, verify_admissible, verify_membership, verify_theorem
@@ -101,6 +101,8 @@ def cmd_stats(args):
         is_tableau = False
     if is_tableau:
         T = Multitableau.from_json(data)
+        if args.r is not None and args.r != T.r:
+            raise ShapeMismatch(f"multitableau has {T.r} components, expected r={args.r}")
         stats = _tableau_stats(T)
         _emit(
             args,

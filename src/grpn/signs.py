@@ -11,10 +11,12 @@ over entire groups.  Only e(P), inv(P) + inv(Q) and spin(P) + spin(Q)
 enter, so ``pi`` reads them off the insertion pass's row lists where no
 tableau object is needed.
 
-``verify_admissible`` sweeps one admissible class at a time: it builds
-validated tableau objects once for each member, reads the statistics of
-each distinct P and Q rows once per class, and looks each admissible
-move's image, a member of the same class, up in the class's table.
+``verify_admissible`` sweeps one admissible class at a time: it runs the
+insertion pass on every member, builds validated tableau objects only for
+a member whose P rows or Q rows are new to the class, so each distinct P
+and Q is built, validated and read once per class, and looks each
+admissible move's image, a member of the same class, up in the class's
+table.
 ``verify_membership`` is one walk: it takes every P of every shape as row
 lists and reconstructs the elements of each P by one prefix-sharing
 corner-removal search, so it visits G(r,1,n) once, by shape, then by P,
@@ -252,9 +254,10 @@ def _agreements(sign: int, spin_sum: int, w: GroupElement) -> list[bool]:
 
 def _part(T: Multitableau, store: dict) -> tuple:
     """What the admissible sweep keeps of one multitableau: (its rows, its
-    inversion count, its per-component counts), then e(T) and twice its
-    spin.  Each is a function of the rows alone, so they are read off T only
-    the first time its rows appear in ``store``, which P's and Q's share."""
+    inversion count, its per-component counts), then e(T), twice its spin
+    and its shape.  Each is a function of the rows alone, so they are read
+    off T only the first time its rows appear in ``store``, which P's and
+    Q's share; ``_rows_key`` gives the same key from row lists."""
     rows = tuple([t.rows for t in T.components])
     part = store.get(rows)
     if part is None:
@@ -262,8 +265,25 @@ def _part(T: Multitableau, store: dict) -> tuple:
             (rows, T.inversions(), [tableau_inversions(comp) for comp in rows]),
             T.even_row_boxes(),
             T.twice_spin(),
+            T.shape,
         )
     return part
+
+
+def _rows_key(components: list[list[list[int]]]) -> tuple:
+    """The ``_part`` store key of a multitableau given as per-component row
+    lists: the rows tuple its ``Multitableau`` would hold."""
+    return tuple([tuple(map(tuple, comp)) for comp in components])
+
+
+def _join(p_part: tuple, q_part: tuple) -> tuple:
+    """The ``_entry`` of a pair from the ``_part`` of P and of Q, which must
+    have one shape, as ``RSPair`` requires."""
+    kept_p, e_p, twice_spin_p, shape = p_part
+    kept_q, _, twice_spin_q, q_shape = q_part
+    if shape != q_shape:
+        raise ShapeMismatch(f"{shape} != {q_shape}")
+    return kept_p, kept_q, _sign_data(e_p, kept_p[1] + kept_q[1], twice_spin_p + twice_spin_q)
 
 
 def _entry(pair: RSPair, store: dict | None = None) -> tuple:
@@ -273,19 +293,32 @@ def _entry(pair: RSPair, store: dict | None = None) -> tuple:
     ``_part`` through ``store``, a fresh one when none is given."""
     if store is None:
         store = {}
-    kept_p, e_p, twice_spin_p = _part(pair.P, store)
-    kept_q, _, twice_spin_q = _part(pair.Q, store)
-    return kept_p, kept_q, _sign_data(e_p, kept_p[1] + kept_q[1], twice_spin_p + twice_spin_q)
+    return _join(_part(pair.P, store), _part(pair.Q, store))
 
 
 def _class_table(members: list[GroupElement]) -> dict:
     """The ``_entry`` of every member of one admissible class, keyed by
-    (perm, colors).  Every member is mapped with ``rs_map``.  P depends only
-    on the value-color word and Q only on the position-color word, so a
-    class of M**2 members has M distinct P's and M distinct Q's, and one
-    store for this class reads each one's statistics once."""
+    (perm, colors).
+
+    Every member goes through the insertion pass ``_rs_rows``.  Only a member
+    whose P rows or Q rows are not yet in the class's store is mapped with
+    the validated ``rs_map``, and its ``_entry`` puts them there; every
+    other member's entry is joined from the stored parts of tableaux that
+    were built and validated with exactly its rows.  P depends only on the
+    value-color word and Q only on the position-color word, so a class of
+    M**2 members has M distinct P's and M distinct Q's: ``rs_map`` runs on
+    at most 2M - 1 members, and each tableau's statistics are read once."""
     store: dict = {}
-    return {(w.perm, w.colors): _entry(rs_map(w), store) for w in members}
+    table = {}
+    for w in members:
+        p_rows, q_rows = _rs_rows(w)
+        p_part = store.get(_rows_key(p_rows))
+        q_part = store.get(_rows_key(q_rows))
+        if p_part is None or q_part is None:
+            table[w.perm, w.colors] = _entry(rs_map(w), store)
+        else:
+            table[w.perm, w.colors] = _join(p_part, q_part)
+    return table
 
 
 def _class_agreements(store: dict, sign_data: tuple[int, int], w: GroupElement) -> list[bool]:
@@ -325,18 +358,20 @@ def verify_admissible(
 
     The sweep takes G(r,p,n) one admissible class at a time
     (``rs._admissible_classes``), with the class's ascending element rho
-    first.  Moves stay inside a class, so it maps every member once with the
-    validated ``rs_map`` and keeps its ``_entry`` in a table keyed by
-    (perm, colors) (``_class_table``); each move's image is then looked up
-    there, and an image outside the table has left its class, which the move
-    must not do.  Within a class P depends only on the value-color word and
-    Q only on the position-color word, so the statistics are taken once per
-    distinct P and Q rows, while ``rs_map`` still runs on every member.  The
-    table holds one class at a time, at most multinomial(n; n_k)**2
-    elements, never the whole group.  The formula and the character are
-    compared for each i as ``OneDimValue.code`` integers, as in
-    ``verify_theorem``, once per distinct (sign, spin_sum, perm_sign,
-    color_sum) in the class.
+    first.  Moves stay inside a class, so it keeps every member's ``_entry``
+    in a table keyed by (perm, colors) (``_class_table``); each move's image
+    is then looked up there, and an image outside the table has left its
+    class, which the move must not do.  Within a class P depends only on the
+    value-color word and Q only on the position-color word.  So the table
+    runs the insertion pass on every member but the validated ``rs_map``
+    only on a member whose P rows or Q rows are new to the class: each
+    distinct P and Q is built as a validated ``Multitableau`` and its
+    statistics read once, and every other member's entry is joined from
+    those of its two tableaux.  The table holds one class at a time, at
+    most multinomial(n; n_k)**2 elements, never the whole group.  The
+    formula and the character are compared for each i as
+    ``OneDimValue.code`` integers, as in ``verify_theorem``, once per
+    distinct (sign, spin_sum, perm_sign, color_sum) in the class.
 
     Counterexamples come by class and then in member order, not in
     ``enumerate_group`` order; a class whose first element is not ascending

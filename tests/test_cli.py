@@ -62,6 +62,13 @@ def test_stats_tableau(capsys):
     assert "sign = -1" in out
 
 
+def test_stats_tableau_rejects_a_mismatched_r(capsys):
+    code, out, err = run(capsys, "stats", "--r", "1", "[[[1]],[[2]]]")
+    assert (code, out, err) == (2, "", "error: multitableau has 2 components, expected r=1\n")
+    code, out, _ = run(capsys, "stats", "--r", "2", "[[[1]],[[2]]]")
+    assert code == 0 and "twice_spin = 1" in out
+
+
 def test_sgn_identity_all_positive(capsys):
     code, out, _ = run(capsys, "sgn", "--r", "4", "[1,2]")
     assert code == 0

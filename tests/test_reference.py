@@ -18,6 +18,7 @@ from math import factorial, prod
 
 import pytest
 
+from grpn import rs as rs_module
 from grpn import signs
 from grpn.errors import CapExceeded, GrpnError, InvalidTableau, ShapeMismatch
 from grpn.group import (
@@ -553,23 +554,100 @@ def object_entry(pair):
     return kept(P), kept(Q), (sign, (P.twice_spin() + Q.twice_spin()) // 2)
 
 
+# rs_map calls of the admissible sweep: the members whose P rows or Q rows
+# are new to their class's store
+MAPPED = {(2, 1, 4): 132, (3, 1, 3): 60, (4, 2, 3): 60, (2, 1, 5): 904}
+
+
 @pytest.mark.parametrize("r,p,n", [(2, 1, 4), (3, 1, 3), (4, 2, 3), (2, 1, 5)])
-def test_class_table_matches_fresh_entries(r, p, n):
-    """The sweep's per-class table, whose statistics are read once per
-    distinct rows, against each member's ``_entry`` computed afresh and
-    against the tableau objects; the class has as many distinct P's as Q's,
-    its members' square root."""
+def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
+    """The sweep's per-class table, built from the insertion pass's row
+    lists, against each member's ``_entry`` computed afresh and against the
+    tableau objects; the class has as many distinct P's as Q's, its
+    members' square root.  The table maps with ``rs_map`` exactly the
+    members whose P rows or Q rows no earlier member of the class had."""
+    mapped = []
+    monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or rs_map(w))
+    total = 0
     for members in _admissible_classes(GroupParams(r, p, n)):
+        mapped.clear()
         table = signs._class_table(members)
         assert list(table) == [(w.perm, w.colors) for w in members]
-        p_rows, q_rows = set(), set()
+        p_rows, q_rows, seen, new = set(), set(), set(), []
         for w in members:
             pair = rs_map(w)
             fresh = signs._entry(pair)
             assert table[w.perm, w.colors] == fresh == object_entry(pair), str(w)
             p_rows.add(fresh[0][0])
             q_rows.add(fresh[1][0])
+            rows = {fresh[0][0], fresh[1][0]}
+            if not rows <= seen:
+                new.append(w)
+            seen |= rows
         assert len(p_rows) ** 2 == len(q_rows) ** 2 == len(members)
+        assert mapped == new
+        total += len(new)
+    assert total == MAPPED[r, p, n]
+
+
+def patch_rs_rows(monkeypatch, fake):
+    """Replace the insertion pass both where ``rs_map`` and where the sweep
+    call it: ``fake(w, real)`` returns w's (P rows, Q rows)."""
+    real = _rs_rows
+    for module in (rs_module, signs):
+        monkeypatch.setattr(module, "_rs_rows", lambda w: fake(w, real))
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["P", "Q"])
+def test_admissible_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
+    """Non-standard rows from the insertion pass, for a member whose true
+    rows repeat earlier members' rows, are never looked up as if valid:
+    they are new to the store, so the member is mapped with ``rs_map`` and
+    its tableau validation raises."""
+    params = GroupParams(2, 1, 4)
+    for members in _admissible_classes(params):
+        if len(members) > 1:
+            break
+    target = members[-1]
+    mapped = []
+    monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or rs_map(w))
+    signs._class_table(members)
+    assert target not in mapped  # its true rows repeat
+    monkeypatch.setattr(signs, "rs_map", rs_map)
+
+    def fake(w, real):
+        rows = real(w)
+        if w == target:
+            comp = next(c for c in rows[side] if c and len(c[0]) > 1)
+            comp[0].reverse()
+        return rows
+
+    patch_rs_rows(monkeypatch, fake)
+    with pytest.raises(InvalidTableau):
+        signs.verify_admissible(params)
+
+
+def test_admissible_sweep_checks_the_pair_shape(monkeypatch):
+    """Two stored, validated tableaux of different shapes given as one
+    member's pair are a ``ShapeMismatch``, as ``RSPair`` raises for them."""
+    params = GroupParams(2, 1, 3)
+    for members in _admissible_classes(params):
+        if len(members) > 4:
+            break
+    shape = rs_map(members[0]).P.shape
+    other = next(x for x in enumerate_group(params) if rs_map(x).P.shape != shape)
+    decoy, target = members[1], members[-1]
+
+    def fake(w, real):
+        if w == decoy:
+            return real(other)
+        if w == target:
+            return real(other)[0], real(w)[1]
+        return real(w)
+
+    patch_rs_rows(monkeypatch, fake)
+    with pytest.raises(ShapeMismatch):
+        signs.verify_admissible(params)
 
 
 def test_admissible_sweep_reports_a_wrong_component_count(monkeypatch):
