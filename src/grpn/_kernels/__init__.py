@@ -1,23 +1,26 @@
 """The per-element kernel of the theorem sweep.
 
-There is one kernel, the pure-Python ``_fallback.theorem_stats``;
-``signs.verify_theorem`` reads it through ``get_kernel()``.  ``BACKEND``,
-``BACKENDS`` and ``get_kernel(name)`` stay because the ``perfbench`` harness
-reads them: it records ``BACKEND`` in a run's environment and times every
-kernel in ``BACKENDS``.
+There is one kernel, the pure-Python ``_fallback.theorem_kernel``.  Each
+``get_kernel()`` call returns a fresh kernel holding its own store of the
+statistics of every distinct multitableau it has met, so one sweep, which
+calls ``get_kernel()`` once, shares one store, and no state carries from
+one sweep to the next.  ``BACKEND``, ``BACKENDS`` and ``get_kernel(name)``
+stay because the ``perfbench`` harness reads them: it records ``BACKEND``
+in a run's environment and times a kernel of every name in ``BACKENDS``.
 """
 
-from ._fallback import theorem_stats
+from ._fallback import theorem_kernel
 
 BACKEND = "python"
-BACKENDS = {BACKEND: theorem_stats}
+BACKENDS = {BACKEND: theorem_kernel}
 
 
 def get_kernel(backend=None):
-    """The kernel, or the one named by ``backend`` (None picks the default)."""
+    """A fresh kernel, of the backend named by ``backend`` (None picks the
+    default)."""
     if backend is None:
-        return theorem_stats
+        return theorem_kernel()
     try:
-        return BACKENDS[backend]
+        return BACKENDS[backend]()
     except KeyError:
         raise ValueError(f"unknown backend {backend!r}; have {sorted(BACKENDS)}")

@@ -3,10 +3,12 @@
 For an element w of G(r,1,n) the values with color k are Schensted-inserted
 in position order to build the component P_k, while Q_k records, in the box
 created by the entry at position i, the absolute position i itself.
-``_removal_walk`` runs the inverse for every Q of one P at once, as a
-corner-removal search over P's row lists.  The admissible operators
-L_i / R_i, their classes and the ascending canonical representative of each
-class live here as well.
+``_parts`` gives the statistics the sweeps read of an element's P and Q
+from a store keyed by rows, building and validating the ``rs_map`` pair
+only for rows new to the store.  ``_removal_walk`` runs the inverse for
+every Q of one P at once, as a corner-removal search over P's row lists.
+The admissible operators L_i / R_i, their classes and the ascending
+canonical representative of each class live here as well.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .group import DEFAULT_CAP, GroupElement, GroupParams, require_member, require_within_cap
-from .tableaux import Multitableau, StandardTableau
+from .tableaux import Multitableau, StandardTableau, tableau_inversions
 
 
 @dataclass(frozen=True)
@@ -56,13 +58,13 @@ def row_insert(tableau: StandardTableau, x: int) -> tuple[StandardTableau, tuple
     return StandardTableau(tuple(map(tuple, rows))), (len(rows), 1)
 
 
-def _rs_rows(w: GroupElement) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
-    """Per-component row lists of P and Q, the insertion pass of ``rs_map``
-    without the tableau objects."""
-    r = w.params.r
+def _insertion_rows(perm, colors, r: int) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
+    """Per-component row lists of P and Q for the colored permutation with
+    one-line data ``perm``, ``colors`` in G(r,1,n): the insertion pass of
+    ``rs_map`` without the tableau objects.  Nothing is validated."""
     p_rows: list[list[list[int]]] = [[] for _ in range(r)]
     q_rows: list[list[list[int]]] = [[] for _ in range(r)]
-    for i, (cur, k) in enumerate(zip(w.perm, w.colors), start=1):
+    for i, (cur, k) in enumerate(zip(perm, colors), start=1):
         rows = p_rows[k]
         for t, row in enumerate(rows):
             pos = bisect_right(row, cur)
@@ -75,6 +77,11 @@ def _rs_rows(w: GroupElement) -> tuple[list[list[list[int]]], list[list[list[int
             rows.append([cur])
             q_rows[k].append([i])
     return p_rows, q_rows
+
+
+def _rs_rows(w: GroupElement) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
+    """``_insertion_rows`` of the element w."""
+    return _insertion_rows(w.perm, w.colors, w.params.r)
 
 
 def _removal_walk(p_rows: list[list[list[int]]]) -> Iterator[tuple[list[int], list[int]]]:
@@ -141,6 +148,50 @@ def rs_map(w: GroupElement) -> RSPair:
     P = Multitableau(tuple(StandardTableau(rs) for rs in p_rows))
     Q = Multitableau(tuple(StandardTableau(rs) for rs in q_rows))
     return RSPair(P, Q)
+
+
+def _rows_key(components: list[list[list[int]]]) -> tuple:
+    """The ``_part`` store key of a multitableau given as per-component row
+    lists: the rows tuple its ``Multitableau`` would hold."""
+    return tuple([tuple(map(tuple, comp)) for comp in components])
+
+
+def _part(T: Multitableau, store: dict) -> tuple:
+    """What the sweeps keep of one multitableau: (its rows, its inversion
+    count, its per-component counts), then e(T), twice its spin and its
+    shape.  Each is a function of the rows alone, so they are read off T
+    only the first time its rows appear in ``store``, which P's and Q's
+    share; ``_rows_key`` gives the same key from row lists."""
+    rows = tuple([t.rows for t in T.components])
+    part = store.get(rows)
+    if part is None:
+        part = store[rows] = (
+            (rows, T.inversions(), [tableau_inversions(comp) for comp in rows]),
+            T.even_row_boxes(),
+            T.twice_spin(),
+            T.shape,
+        )
+    return part
+
+
+def _parts(p_rows: list, q_rows: list, store: dict, mapped) -> tuple[tuple, tuple]:
+    """The ``_part`` of P and of Q, given as one element's insertion-pass
+    row lists, each built and validated once per distinct rows in ``store``.
+
+    If P's rows or Q's rows are new to ``store``, ``mapped()`` must return
+    the element's validated ``rs_map`` pair, and both parts are read off its
+    tableaux into ``store``.  Otherwise both were built and validated with
+    exactly these rows, and are joined with the pair-shape check ``RSPair``
+    makes.  Rows that are not a standard tableau are never in ``store``, so
+    they always reach ``mapped()``, whose validation raises."""
+    p_part = store.get(_rows_key(p_rows))
+    q_part = store.get(_rows_key(q_rows))
+    if p_part is None or q_part is None:
+        pair = mapped()
+        return _part(pair.P, store), _part(pair.Q, store)
+    if p_part[3] != q_part[3]:
+        raise ShapeMismatch(f"{p_part[3]} != {q_part[3]}")
+    return p_part, q_part
 
 
 def rs_inverse(pair: RSPair, params: GroupParams) -> GroupElement:

@@ -11,12 +11,14 @@ over entire groups.  Only e(P), inv(P) + inv(Q) and spin(P) + spin(Q)
 enter, so ``pi`` reads them off the insertion pass's row lists where no
 tableau object is needed.
 
-``verify_admissible`` sweeps one admissible class at a time: it runs the
-insertion pass on every member, builds validated tableau objects only for
-a member whose P rows or Q rows are new to the class, so each distinct P
-and Q is built, validated and read once per class, and looks each
-admissible move's image, a member of the same class, up in the class's
-table.
+``verify_theorem`` and ``verify_admissible`` run the insertion pass on
+every element, as row lists, and build validated tableau objects only for
+an element whose P rows or Q rows are new to a store (``rs._parts``): one
+store per sweep in the theorem kernel, one per class in the admissible
+sweep.  So each distinct P and Q is built, validated and read once per
+sweep or per class.  ``verify_admissible`` sweeps one admissible class at
+a time and looks each admissible move's image, a member of the same
+class, up in the class's table.
 ``verify_membership`` is one walk: it takes every P of every shape as row
 lists and reconstructs the elements of each P by one prefix-sharing
 corner-removal search, so it visits G(r,1,n) once, by shape, then by P,
@@ -41,6 +43,8 @@ from .group import (
 from .rs import (
     RSPair,
     _admissible_classes,
+    _part,
+    _parts,
     _removal_walk,
     _rs_rows,
     ascending_representative,
@@ -57,7 +61,6 @@ from .tableaux import (
     rows_even_row_boxes,
     rows_inversions,
     rows_twice_spin,
-    tableau_inversions,
 )
 
 
@@ -157,7 +160,15 @@ def verify_theorem(
     cap: int = DEFAULT_CAP,
     max_counterexamples: int = 10,
 ) -> VerificationReport:
-    """Check the sign formula for every element of G(r,p,n) and every i."""
+    """Check the sign formula for every element of G(r,p,n) and every i.
+
+    The sweep takes the elements in ``enumerate_group`` order and makes one
+    kernel call per element, on a kernel fresh for this sweep: it runs the
+    insertion pass and looks P's and Q's statistics up in the kernel's
+    store, building and validating the ``rs_map`` pair only for an element
+    whose P or Q the sweep has not met before.  The formula and the
+    character are compared for each i as ``OneDimValue.code`` integers.
+    Counterexamples come in ``enumerate_group`` order."""
     kernel = get_kernel()
     r = params.r
     report = VerificationReport(params, "theorem")
@@ -252,47 +263,18 @@ def _agreements(sign: int, spin_sum: int, w: GroupElement) -> list[bool]:
     ]
 
 
-def _part(T: Multitableau, store: dict) -> tuple:
-    """What the admissible sweep keeps of one multitableau: (its rows, its
-    inversion count, its per-component counts), then e(T), twice its spin
-    and its shape.  Each is a function of the rows alone, so they are read
-    off T only the first time its rows appear in ``store``, which P's and
-    Q's share; ``_rows_key`` gives the same key from row lists."""
-    rows = tuple([t.rows for t in T.components])
-    part = store.get(rows)
-    if part is None:
-        part = store[rows] = (
-            (rows, T.inversions(), [tableau_inversions(comp) for comp in rows]),
-            T.even_row_boxes(),
-            T.twice_spin(),
-            T.shape,
-        )
-    return part
-
-
-def _rows_key(components: list[list[list[int]]]) -> tuple:
-    """The ``_part`` store key of a multitableau given as per-component row
-    lists: the rows tuple its ``Multitableau`` would hold."""
-    return tuple([tuple(map(tuple, comp)) for comp in components])
-
-
 def _join(p_part: tuple, q_part: tuple) -> tuple:
-    """The ``_entry`` of a pair from the ``_part`` of P and of Q, which must
-    have one shape, as ``RSPair`` requires."""
-    kept_p, e_p, twice_spin_p, shape = p_part
-    kept_q, _, twice_spin_q, q_shape = q_part
-    if shape != q_shape:
-        raise ShapeMismatch(f"{shape} != {q_shape}")
+    """The ``_entry`` of a pair from the ``rs._part`` of P and of Q."""
+    kept_p, e_p, twice_spin_p, _ = p_part
+    kept_q, _, twice_spin_q, _ = q_part
     return kept_p, kept_q, _sign_data(e_p, kept_p[1] + kept_q[1], twice_spin_p + twice_spin_q)
 
 
-def _entry(pair: RSPair, store: dict | None = None) -> tuple:
+def _entry(pair: RSPair) -> tuple:
     """What the admissible sweep keeps of one element's Robinson-Schensted
     pair: for P, then for Q, its rows, inversion count and per-component
-    counts; then the element's (sign, spin_sum).  The statistics come from
-    ``_part`` through ``store``, a fresh one when none is given."""
-    if store is None:
-        store = {}
+    counts; then the element's (sign, spin_sum)."""
+    store: dict = {}
     return _join(_part(pair.P, store), _part(pair.Q, store))
 
 
@@ -300,24 +282,20 @@ def _class_table(members: list[GroupElement]) -> dict:
     """The ``_entry`` of every member of one admissible class, keyed by
     (perm, colors).
 
-    Every member goes through the insertion pass ``_rs_rows``.  Only a member
-    whose P rows or Q rows are not yet in the class's store is mapped with
-    the validated ``rs_map``, and its ``_entry`` puts them there; every
-    other member's entry is joined from the stored parts of tableaux that
-    were built and validated with exactly its rows.  P depends only on the
-    value-color word and Q only on the position-color word, so a class of
-    M**2 members has M distinct P's and M distinct Q's: ``rs_map`` runs on
-    at most 2M - 1 members, and each tableau's statistics are read once."""
+    Every member goes through the insertion pass ``_rs_rows``, and
+    ``rs._parts`` gives its P's and Q's statistics from the class's store:
+    only a member whose P rows or Q rows are not yet there is mapped with
+    the validated ``rs_map``, and every other member's entry is joined from
+    the stored parts of tableaux that were built and validated with exactly
+    its rows.  P depends only on the value-color word and Q only on the
+    position-color word, so a class of M**2 members has M distinct P's and
+    M distinct Q's: ``rs_map`` runs on at most 2M - 1 members, and each
+    tableau's statistics are read once."""
     store: dict = {}
     table = {}
     for w in members:
         p_rows, q_rows = _rs_rows(w)
-        p_part = store.get(_rows_key(p_rows))
-        q_part = store.get(_rows_key(q_rows))
-        if p_part is None or q_part is None:
-            table[w.perm, w.colors] = _entry(rs_map(w), store)
-        else:
-            table[w.perm, w.colors] = _join(p_part, q_part)
+        table[w.perm, w.colors] = _join(*_parts(p_rows, q_rows, store, lambda: rs_map(w)))
     return table
 
 

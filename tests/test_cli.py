@@ -69,6 +69,22 @@ def test_stats_tableau_rejects_a_mismatched_r(capsys):
     assert code == 0 and "twice_spin = 1" in out
 
 
+def test_stats_tableau_checks_r_and_p(capsys):
+    """On tableau input the component count is r, and it and --p are
+    checked as element input checks them."""
+    for argv, message in (
+        (["--p", "0", "[[[1]],[[2]]]"], "parameters must be positive: r=2, p=0"),
+        (["--p", "-2", "[[[1]],[[2]]]"], "parameters must be positive: r=2, p=-2"),
+        (["--r", "2", "--p", "3", "[[[1]],[[2]]]"], "p=3 does not divide r=2"),
+        (["--p", "3", "[[[1]],[[2]]]"], "p=3 does not divide r=2"),
+        (["[]"], "parameters must be positive: r=0, p=1"),
+    ):
+        code, out, err = run(capsys, "stats", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+    code, out, _ = run(capsys, "stats", "--p", "2", "[[[1]],[[2]]]")
+    assert code == 0 and "twice_spin = 1" in out
+
+
 def test_sgn_identity_all_positive(capsys):
     code, out, _ = run(capsys, "sgn", "--r", "4", "[1,2]")
     assert code == 0

@@ -652,13 +652,13 @@ def test_admissible_sweep_checks_the_pair_shape(monkeypatch):
 
 def test_admissible_sweep_reports_a_wrong_component_count(monkeypatch):
     """Both sides of a move read their per-component counts with
-    ``signs.tableau_inversions``.  A count one too high on the component
-    holding label 1 changes exactly where a move carries label 1 to another
-    component: R_1 moves it in Q and L_1 in P.  Those moves, and nothing
-    else, must be reported."""
-    real = signs.tableau_inversions
+    ``rs.tableau_inversions`` (in ``rs._part``).  A count one too high on the
+    component holding label 1 changes exactly where a move carries label 1
+    to another component: R_1 moves it in Q and L_1 in P.  Those moves, and
+    nothing else, must be reported."""
+    real = rs_module.tableau_inversions
     monkeypatch.setattr(
-        signs, "tableau_inversions", lambda rows: real(rows) + any(1 in row for row in rows)
+        rs_module, "tableau_inversions", lambda rows: real(rows) + any(1 in row for row in rows)
     )
     params = GroupParams(2, 1, 4)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
