@@ -108,6 +108,9 @@ def cmd_stats(args):
             raise InvalidParams(f"parameters must be positive: r={T.r}, p={args.p}")
         if T.r % args.p:
             raise InvalidP(f"p={args.p} does not divide r={T.r}")
+        # and its box count is n, which must be positive too
+        if not T.size:
+            raise InvalidParams("parameters must be positive: multitableau has no boxes, n=0")
         stats = _tableau_stats(T)
         _emit(
             args,

@@ -329,19 +329,35 @@ def require_within_cap(params: GroupParams, cap: int) -> None:
         raise CapExceeded(f"G({r},1,{n}) has {total} elements, above cap {cap}")
 
 
-def enumerate_group(params: GroupParams, cap: int = DEFAULT_CAP) -> Iterator[GroupElement]:
-    """Yield every element of G(r,p,n) exactly once.
-
-    Order is deterministic: permutations lexicographically, colors as a
-    little-endian base-r counter within each permutation.
-    """
+def _element_tuples(params: GroupParams) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The one-line data ``(perm, colors)`` of every element of G(r,p,n),
+    each once, in lexicographic order: permutations lexicographically and,
+    within each, colors lexicographically (the last color changes fastest),
+    so consecutive elements share long prefixes.  For p > 1 the last color
+    runs through the residue class mod p that makes the color sum divisible
+    by p, so no candidate is discarded.  The cap is not checked here."""
     r, p, n = params.r, params.p, params.n
-    require_within_cap(params, cap)
     for perm in itertools.permutations(range(1, n + 1)):
-        for rev in itertools.product(range(r), repeat=n):
-            colors = rev[::-1]
-            if p == 1 or sum(colors) % p == 0:
-                yield GroupElement(params, perm, colors)
+        if p == 1:
+            colorings = itertools.product(range(r), repeat=n)
+        else:
+            colorings = (
+                head + (last,)
+                for head in itertools.product(range(r), repeat=n - 1)
+                for last in range(-sum(head) % p, r, p)
+            )
+        yield from zip(itertools.repeat(perm), colorings)
+
+
+def enumerate_group(params: GroupParams, cap: int = DEFAULT_CAP) -> Iterator[GroupElement]:
+    """Yield every element of G(r,p,n) exactly once, in the lexicographic
+    order of ``_element_tuples``: permutations lexicographically, then
+    colors lexicographically within each permutation.  Raises
+    ``CapExceeded`` before the first element if G(r,1,n) is above ``cap``.
+    """
+    require_within_cap(params, cap)
+    for perm, colors in _element_tuples(params):
+        yield GroupElement(params, perm, colors)
 
 
 _ITEM_RE = re.compile(r"^(?:z(\d+)\*)?(\d+)$")

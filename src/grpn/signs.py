@@ -11,12 +11,15 @@ over entire groups.  Only e(P), inv(P) + inv(Q) and spin(P) + spin(Q)
 enter, so ``pi`` reads them off the insertion pass's row lists where no
 tableau object is needed.
 
-``verify_theorem`` and ``verify_admissible`` run the insertion pass on
-every element, as row lists, and build validated tableau objects only for
-an element whose P rows or Q rows are new to a store (``rs._parts``): one
-store per sweep in the theorem kernel, one per class in the admissible
-sweep.  So each distinct P and Q is built, validated and read once per
-sweep or per class.  ``verify_admissible`` sweeps one admissible class at
+``verify_theorem`` and ``verify_admissible`` get every element's P and Q
+as row lists, and build validated tableau objects only for an element
+whose P rows or Q rows are new to a store (``rs._parts``): one store per
+sweep in the theorem kernel, one per class in the admissible sweep.  So
+each distinct P and Q is built, validated and read once per sweep or per
+class.  ``verify_theorem`` takes G(r,p,n) in lexicographic order, and its
+kernel keeps the previous element's rows, so it inserts only the entries
+past the prefix the two share; the admissible sweep runs the insertion
+pass on every member.  ``verify_admissible`` sweeps one admissible class at
 a time and looks each admissible move's image, a member of the same
 class, up in the class's table.
 ``verify_membership`` is one walk: it takes every P of every shape as row
@@ -37,7 +40,7 @@ from .group import (
     GroupElement,
     GroupParams,
     OneDimValue,
-    enumerate_group,
+    _element_tuples,
     require_within_cap,
 )
 from .rs import (
@@ -162,41 +165,55 @@ def verify_theorem(
 ) -> VerificationReport:
     """Check the sign formula for every element of G(r,p,n) and every i.
 
-    The sweep takes the elements in ``enumerate_group`` order and makes one
-    kernel call per element, on a kernel fresh for this sweep: it runs the
-    insertion pass and looks P's and Q's statistics up in the kernel's
-    store, building and validating the ``rs_map`` pair only for an element
-    whose P or Q the sweep has not met before.  The formula and the
-    character are compared for each i as ``OneDimValue.code`` integers.
-    Counterexamples come in ``enumerate_group`` order."""
+    The sweep takes the elements' one-line data in lexicographic order
+    (``group._element_tuples``, the order of ``enumerate_group``) and makes
+    one call per element to a kernel fresh for this sweep.  The kernel keeps
+    the insertion rows of the previous element, so it inserts only the
+    entries past the prefix the two share, and looks P's and Q's statistics
+    up in its store, building and validating the ``rs_map`` pair only for
+    an element whose P or Q the sweep has not met before.  The formula and
+    the character are compared for each i as ``OneDimValue.code`` integers,
+    once per distinct (inv(sigma) parity, color sum mod r, tableau parity,
+    spin sum mod r): all the codes depend on.  A ``GroupElement`` is built
+    only for a counterexample, and counterexamples come in
+    ``enumerate_group`` order.  Raises ``CapExceeded`` as
+    ``enumerate_group`` does, before any work."""
+    require_within_cap(params, cap)
     kernel = get_kernel()
     r = params.r
     report = VerificationReport(params, "theorem")
     start = time.perf_counter()
     two_r = 2 * r
-    for w in enumerate_group(params, cap=cap):
-        inv_sigma, color_sum, e_p, inv_p, inv_q, ts_p, ts_q = kernel(w.perm, w.colors, r)
-        spin_sum = (ts_p + ts_q) // 2
-        report.elements_checked += 1
-        report.i_values_checked += r
-        # OneDimValue.code of both values for every i, without building them
-        group_half = r * (inv_sigma & 1)
-        tab_half = r * ((e_p + inv_p + inv_q) & 1)
-        expected = [(2 * i * color_sum + group_half) % two_r for i in range(r)]
-        got = [(2 * i * spin_sum + tab_half) % two_r for i in range(r)]
-        if expected == got:
-            continue
-        group_sign, tab_sign = (-1) ** inv_sigma, (-1) ** (e_p + inv_p + inv_q)
-        for i in range(r):
-            if expected[i] != got[i] and len(report.counterexamples) < max_counterexamples:
+    # per (inv_sigma & 1, color_sum % r, tableau parity, spin_sum % r): the
+    # i whose two codes differ
+    mismatches: dict = {}
+    checked = 0
+    for perm, colors in _element_tuples(params):
+        inv_sigma, color_sum, e_p, inv_p, inv_q, ts_p, ts_q = kernel(perm, colors, r)
+        checked += 1
+        key = (inv_sigma & 1, color_sum % r, (e_p + inv_p + inv_q) & 1, (ts_p + ts_q) // 2 % r)
+        bad = mismatches.get(key)
+        if bad is None:
+            group_parity, color_sum, tab_parity, spin_sum = key
+            bad = mismatches[key] = [
+                i
+                for i in range(r)
+                if (2 * i * color_sum + r * group_parity) % two_r
+                != (2 * i * spin_sum + r * tab_parity) % two_r
+            ]
+        if bad and len(report.counterexamples) < max_counterexamples:
+            group_parity, color_sum, tab_parity, spin_sum = key
+            w = GroupElement(params, perm, colors)
+            for i in bad[: max_counterexamples - len(report.counterexamples)]:
                 report.counterexamples.append(
                     (
                         w,
                         i,
-                        OneDimValue(group_sign, (i * color_sum) % r, r),
-                        OneDimValue(tab_sign, (i * spin_sum) % r, r),
+                        OneDimValue((-1) ** group_parity, (i * color_sum) % r, r),
+                        OneDimValue((-1) ** tab_parity, (i * spin_sum) % r, r),
                     )
                 )
+    report.elements_checked, report.i_values_checked = checked, checked * r
     report.elapsed = time.perf_counter() - start
     return report
 

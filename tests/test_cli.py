@@ -85,6 +85,14 @@ def test_stats_tableau_checks_r_and_p(capsys):
     assert code == 0 and "twice_spin = 1" in out
 
 
+def test_stats_tableau_refuses_a_multitableau_without_boxes(capsys):
+    """n = 0 is refused for a multitableau as for every other input."""
+    for argv in (["[[],[]]"], ["[[]]"], ["--r", "3", "[[],[],[]]"]):
+        code, out, err = run(capsys, "stats", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: parameters must be positive: multitableau has no boxes, n=0\n", argv
+
+
 def test_sgn_identity_all_positive(capsys):
     code, out, _ = run(capsys, "sgn", "--r", "4", "[1,2]")
     assert code == 0

@@ -305,6 +305,19 @@ class TestEnumerate:
         for w in enumerate_group(GroupParams(4, 4, 2)):
             assert w.is_member(4)
 
+    @pytest.mark.parametrize("r,p,n", [(4, 2, 4), (6, 3, 3), (3, 3, 1), (1, 1, 5)])
+    def test_lexicographic_order(self, r, p, n):
+        """Every candidate of G(r,1,n) whose color sum p divides, sorted:
+        permutations first, then colors, the last color fastest."""
+        expected = sorted(
+            (perm, colors)
+            for perm, colors in itertools.product(
+                itertools.permutations(range(1, n + 1)), itertools.product(range(r), repeat=n)
+            )
+            if sum(colors) % p == 0
+        )
+        assert [(w.perm, w.colors) for w in enumerate_group(GroupParams(r, p, n))] == expected
+
 
 class TestParse:
     def test_round_trip(self):

@@ -3,9 +3,13 @@ test_reference: pairwise inversion counts, and the component-by-component
 statistics of the image built by ``row_insert`` one entry at a time.
 
 A kernel keeps a store of the statistics of every distinct multitableau it
-has met, so a fresh kernel per element tests only the path that builds
-and validates the tableaux, and one kernel across a whole group tests the
-store as well."""
+has met, and the insertion rows of the last element it was called with,
+which it rewinds to the prefix the next element shares.  So a fresh kernel
+per element tests only the path that builds and validates the tableaux,
+and one kernel across many elements tests the store and the rewind as
+well: in lexicographic order, where neighbours share all but the last
+entries, in shuffled order, across changes of r and n, and on an input
+buffer the caller mutates in place."""
 
 import random
 
@@ -15,7 +19,7 @@ from grpn import rs as rs_module
 from grpn import signs
 from grpn._kernels import BACKENDS, _fallback, get_kernel
 from grpn.errors import InvalidTableau, ShapeMismatch
-from grpn.group import GroupParams, enumerate_group
+from grpn.group import GroupElement, GroupParams, enumerate_group
 from grpn.tableaux import Multitableau, StandardTableau
 from test_reference import object_stats, pairwise_inversions, random_element, row_insert_image
 
@@ -58,6 +62,70 @@ def test_one_kernel_matches_oracle_over_whole_groups(r, n):
     kernel = get_kernel()
     for w in enumerate_group(GroupParams(r, 1, n)):
         assert kernel(w.perm, w.colors, r) == oracle_stats(w), str(w)
+
+
+@pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4)])
+def test_one_kernel_matches_oracle_in_shuffled_order(r, n):
+    """Neighbours in a shuffled order share short prefixes, or none, so the
+    kernel rewinds many labels or starts afresh."""
+    elements = list(enumerate_group(GroupParams(r, 1, n)))
+    random.Random(r * 10 + n).shuffle(elements)
+    kernel = get_kernel()
+    for w in elements:
+        assert kernel(w.perm, w.colors, r) == oracle_stats(w), str(w)
+
+
+def neighbour(rng, w, r):
+    """An element of rank n or n + 1 sharing a random prefix of w's
+    one-line data, the rest drawn afresh."""
+    n = len(w.perm) + rng.randint(0, 1)
+    m = rng.randint(0, len(w.perm))
+    rest = sorted(set(range(1, n + 1)) - set(w.perm[:m]))
+    rng.shuffle(rest)
+    colors = w.colors[:m] + tuple(rng.randrange(r) for _ in rest)
+    return GroupElement(GroupParams(r, 1, n), w.perm[:m] + tuple(rest), colors)
+
+
+def test_one_kernel_matches_oracle_on_prefix_sharing_neighbours_up_to_rank_64():
+    rng = random.Random(44)
+    kernel = get_kernel()
+    for _ in range(300):
+        r = rng.randint(1, 8)
+        w = random_element(rng, rng.randint(1, 64), r)
+        for v in (w, neighbour(rng, w, r), w):
+            assert kernel(v.perm, v.colors, r) == oracle_stats(v), str(v)
+
+
+def test_one_kernel_across_changes_of_r_and_n():
+    """Each element shares a prefix with the one before it, and r or n
+    changes between them: a new r starts the rows afresh, a new n rewinds
+    or extends them."""
+    kernel = get_kernel()
+    for r, perm, colors in (
+        (2, (2, 1, 3), (1, 0, 1)),
+        (2, (2, 1, 3, 4), (1, 0, 1, 1)),
+        (2, (2, 1), (1, 0)),
+        (3, (2, 1, 3), (1, 0, 2)),
+        (2, (2, 1, 3), (1, 0, 1)),
+        (4, (2, 1, 3, 5, 4), (1, 0, 3, 2, 0)),
+        (4, (2, 1, 3, 4), (1, 0, 3, 2)),
+        (1, (2, 1, 3, 4), (0, 0, 0, 0)),
+        (2, (2, 1, 3, 4), (0, 0, 0, 1)),
+    ):
+        w = GroupElement(GroupParams(r, 1, len(perm)), perm, colors)
+        assert kernel(perm, colors, r) == oracle_stats(w), str(w)
+
+
+def test_one_kernel_reads_an_input_buffer_the_caller_mutates():
+    """The caller passes the same two lists on every call and changes
+    their last entries in place: the kernel compares against its own copy
+    of the last input, not against the caller's lists."""
+    params = GroupParams(3, 1, 4)
+    kernel = get_kernel()
+    perm, colors = [0] * 4, [0] * 4
+    for w in enumerate_group(params):
+        perm[:], colors[:] = w.perm, w.colors
+        assert kernel(perm, colors, 3) == oracle_stats(w), str(w)
 
 
 def test_one_kernel_matches_oracle_random_up_to_rank_64():
@@ -119,16 +187,21 @@ def test_sweep_maps_each_first_sight_once(monkeypatch, r, p, n):
 
 
 def patch_insertion(monkeypatch, fake):
-    """Replace the insertion pass both where the kernel and where ``rs_map``
-    call it: ``fake(perm, colors, r, real)`` returns (P rows, Q rows)."""
-    real = rs_module._insertion_rows
+    """Replace the insertion loop both where the kernel and where ``rs_map``
+    call it: ``fake(p_rows, q_rows, perm, colors, start, real)`` inserts the
+    entries past ``start`` into the row lists, as ``rs._insert`` does."""
+    real = rs_module._insert
     for module in (_fallback, rs_module):
-        monkeypatch.setattr(module, "_insertion_rows", lambda *a: fake(*a, real))
+        monkeypatch.setattr(module, "_insert", lambda *a: fake(*a, real))
+
+
+def is_target(w, perm, colors):
+    return (tuple(perm), tuple(colors)) == (w.perm, w.colors)
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["P", "Q"])
 def test_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
-    """Non-standard rows from the insertion pass, for an element whose true
+    """Non-standard rows from the insertion loop, for an element whose true
     rows repeat earlier elements' rows, are never looked up as if valid:
     they are new to the store, so the element is mapped with ``rs_map`` and
     its tableau validation raises."""
@@ -140,12 +213,11 @@ def test_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
         if w not in new and any(c and len(c[0]) > 1 for c in row_insert_image(w)[side])
     )
 
-    def fake(perm, colors, r, real):
-        rows = real(perm, colors, r)
-        if (perm, colors) == (target.perm, target.colors):
-            comp = next(c for c in rows[side] if c and len(c[0]) > 1)
+    def fake(p_rows, q_rows, perm, colors, start, real):
+        real(p_rows, q_rows, perm, colors, start)
+        if is_target(target, perm, colors):
+            comp = next(c for c in (p_rows, q_rows)[side] if c and len(c[0]) > 1)
             comp[0].reverse()
-        return rows
 
     patch_insertion(monkeypatch, fake)
     with pytest.raises(InvalidTableau):
@@ -164,10 +236,12 @@ def test_sweep_checks_the_pair_shape(monkeypatch):
     earlier = elements[: elements.index(target)]
     decoy = next(w for w in earlier if rs_module.rs_map(w).P.shape != shape)
 
-    def fake(perm, colors, r, real):
-        if (perm, colors) == (target.perm, target.colors):
-            return real(decoy.perm, decoy.colors, r)[0], real(perm, colors, r)[1]
-        return real(perm, colors, r)
+    def fake(p_rows, q_rows, perm, colors, start, real):
+        real(p_rows, q_rows, perm, colors, start)
+        if is_target(target, perm, colors):
+            decoy_p = [[] for _ in p_rows]
+            real(decoy_p, [[] for _ in q_rows], decoy.perm, decoy.colors, 0)
+            p_rows[:] = decoy_p
 
     patch_insertion(monkeypatch, fake)
     with pytest.raises(ShapeMismatch):

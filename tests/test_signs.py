@@ -7,7 +7,7 @@ import pytest
 
 from grpn import signs
 from grpn.cli import main
-from grpn.errors import IndexOutOfRange, NotAscending, ShapeMismatch
+from grpn.errors import CapExceeded, IndexOutOfRange, NotAscending, ShapeMismatch
 from grpn.group import (
     GroupElement,
     GroupParams,
@@ -219,6 +219,49 @@ class TestVerifyTheorem:
         sub = verify_theorem(GroupParams(4, 2, 3))
         assert full.passed and sub.passed
         assert sub.elements_checked * 2 == full.elements_checked
+
+    @pytest.mark.parametrize("limit", [10**6, 7])
+    def test_counterexamples_match_an_element_by_element_comparison(self, monkeypatch, limit):
+        """A kernel whose spin is off on some elements: the sweep, which
+        compares codes once per distinct statistics, reports exactly the
+        (element, i) an element-by-element comparison of ``OneDimValue``
+        objects finds, in ``enumerate_group`` order."""
+        get_kernel = signs.get_kernel
+
+        def skewed():
+            kernel = get_kernel()
+
+            def stats(perm, colors, r):
+                inv_sigma, color_sum, e_p, inv_p, inv_q, ts_p, ts_q = kernel(perm, colors, r)
+                return inv_sigma, color_sum, e_p, inv_p + (perm[0] == 2), inv_q, ts_p, ts_q + 2 * perm[-1]
+
+            return stats
+
+        monkeypatch.setattr(signs, "get_kernel", skewed)
+        params = GroupParams(4, 2, 3)
+        kernel, expected = skewed(), []
+        for w in enumerate_group(params):
+            inv_sigma, color_sum, e_p, inv_p, inv_q, ts_p, ts_q = kernel(w.perm, w.colors, 4)
+            for i in range(4):
+                group = OneDimValue((-1) ** inv_sigma, i * color_sum % 4, 4)
+                tableaux = OneDimValue((-1) ** (e_p + inv_p + inv_q), i * ((ts_p + ts_q) // 2) % 4, 4)
+                if group != tableaux:
+                    expected.append((w, i, group, tableaux))
+        assert 7 < len(expected) < params.order * 4
+        report = verify_theorem(params, max_counterexamples=limit)
+        assert report.elements_checked == params.order
+        assert report.counterexamples == expected[:limit]
+        assert [(str(w), i, str(a), str(b)) for w, i, a, b in report.counterexamples] == [
+            (str(w), i, str(a), str(b)) for w, i, a, b in expected[:limit]
+        ]
+
+    def test_cap_is_checked_before_any_work(self, monkeypatch):
+        """As ``enumerate_group`` refuses, and before a kernel is built."""
+        monkeypatch.setattr(signs, "get_kernel", lambda: pytest.fail("kernel built"))
+        with pytest.raises(CapExceeded, match=r"^G\(4,1,3\) has 384 elements, above cap 191$"):
+            verify_theorem(GroupParams(4, 2, 3), cap=191)
+        with pytest.raises(CapExceeded, match=r"^G\(2,1,1000000\) has more than 10\^"):
+            verify_theorem(GroupParams(2, 1, 10**6))
 
     def test_report_serialization(self):
         report = verify_theorem(GroupParams(2, 1, 2))
