@@ -2,12 +2,11 @@
 
 There is one kernel, the pure-Python ``_fallback.theorem_kernel``.  Each
 ``get_kernel()`` call returns a fresh kernel holding its own store of the
-statistics of every distinct multitableau it has met, and the insertion
-rows of the last element it was called with, which it rewinds to the
-prefix the next element shares and extends by that element's suffix.  So
-one sweep, which calls ``get_kernel()`` once, shares one store and one set
-of rows, and no state carries from one sweep to the next.  ``BACKEND``, ``BACKENDS`` and ``get_kernel(name)``
-stay because the ``perfbench`` harness reads them: it records ``BACKEND``
+statistics of every distinct multitableau it has met, and the last
+permutation it was called with and that permutation's inv(sigma).  So one
+sweep, which calls ``get_kernel()`` once, shares one store, and no state
+carries from one sweep to the next.  ``BACKEND``, ``BACKENDS`` and
+``get_kernel(name)`` stay because the ``perfbench`` harness reads them: it records ``BACKEND``
 in a run's environment and times a kernel of every name in ``BACKENDS``.
 """
 

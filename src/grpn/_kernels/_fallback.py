@@ -1,86 +1,44 @@
 """Pure-Python kernel: per-element statistics for the verification sweep.
 
-The kernel keeps the row lists of P and Q of the last element it was called
-with, and an immutable copy of that element's one-line data.  For the next
-element it finds the longest common prefix of (perm, colors) with that copy,
-removes the later labels from the rows one reverse-bump step each
-(``rs._unbump``), and inserts only the new suffix with the insertion loop
-``rs_map`` uses (``rs._insert``).  Label i is the largest label of its
-component of Q, so it ends a row there, and removing labels n, n-1, ... in
-turn undoes the insertion exactly.  A sweep in lexicographic order changes
-only the last entry or two from one element to the next, so most calls
-insert one or two entries.  The rows start afresh when r changes or the
-prefix is empty, and inv(sigma) is recounted only when perm changes.
-
-P's and Q's statistics come from the kernel's store through ``rs._parts``,
-the path the admissible sweep's class table takes.  Only an element whose P
-rows or Q rows are new to the store is rebuilt as a ``GroupElement`` and
-mapped with the validated ``rs_map``; the statistics are then read off the
+The kernel runs the row-list insertion pass on every element and reads P's
+and Q's statistics from its store through ``rs._parts``, the path the
+admissible sweep's class table takes.  Only an element whose P rows or Q
+rows are new to the store is rebuilt as a ``GroupElement`` and mapped with
+the validated ``rs_map``; the statistics are then read off the
 ``Multitableau`` objects into the store.  So ``verify_theorem`` checks the
 formula on the objects users get, each distinct P and Q built and
 validated once per sweep, and a fault in the tableau classes shows up in
-the sweep.
+the sweep.  inv(sigma) is recounted only when the permutation differs from
+the previous call's, which in a sweep in lexicographic order is once per
+permutation.
 """
 
 from __future__ import annotations
 
 from ..group import GroupElement, GroupParams, inversions
-from ..rs import _insert, _parts, _unbump, rs_map
+from ..rs import _insertion_rows, _parts, rs_map
 
 
 def theorem_kernel():
-    """A fresh kernel ``theorem_stats(perm, colors, r)`` with an empty store
-    and no rows."""
+    """A fresh kernel ``theorem_stats(perm, colors, r)`` with an empty store."""
     store: dict = {}
-    p_rows: list = []
-    q_rows: list = []
-    # the last element's (perm, colors) as tuples, and its r and inv(sigma)
+    # a copy of the last permutation, and its inv(sigma)
     last_perm: tuple = ()
-    last_colors: tuple = ()
-    last_r = 0
     inv_sigma = 0
 
     def theorem_stats(perm, colors, r):
         """Return (inv_sigma, color_sum, e_P, inv_P, inv_Q, twice_spin_P,
         twice_spin_Q) for the element with the given one-line data."""
-        nonlocal p_rows, q_rows, last_perm, last_colors, last_r, inv_sigma
-        perm, colors = tuple(perm), tuple(colors)
-        prefix = 0
-        if r == last_r:
-            if perm == last_perm:  # the common case in a sweep: compare colors only
-                pairs = zip(colors, last_colors)
-            else:
-                pairs = zip(zip(perm, colors), zip(last_perm, last_colors))
-            for a, b in pairs:
-                if a != b:
-                    break
-                prefix += 1
-        old_perm, old_colors = last_perm, last_colors
-        # the rows match no element until the suffix is in
-        last_perm = last_colors = ()
-        if prefix:
-            for label in range(len(old_colors), prefix, -1):
-                k = old_colors[label - 1]
-                q_comp = q_rows[k]
-                for t, row in enumerate(q_comp):
-                    if row[-1] == label:
-                        break
-                row.pop()
-                if not row:
-                    q_comp.pop()
-                _unbump(p_rows[k], t)
-        else:
-            p_rows = [[] for _ in range(r)]
-            q_rows = [[] for _ in range(r)]
-        _insert(p_rows, q_rows, perm, colors, prefix)
-        if perm != old_perm:
-            inv_sigma = inversions(perm)
-        last_perm, last_colors, last_r = perm, colors, r
+        nonlocal last_perm, inv_sigma
+        p_rows, q_rows = _insertion_rows(perm, colors, r)
+        if perm != last_perm:
+            last_perm = tuple(perm)
+            inv_sigma = inversions(last_perm)
         p_part, q_part = _parts(
             p_rows,
             q_rows,
             store,
-            lambda: rs_map(GroupElement(GroupParams(r, 1, len(perm)), perm, colors)),
+            lambda: rs_map(GroupElement(GroupParams(r, 1, len(perm)), tuple(perm), tuple(colors))),
         )
         (_, inv_p, _), e_p, twice_spin_p, _ = p_part
         (_, inv_q, _), _, twice_spin_q, _ = q_part

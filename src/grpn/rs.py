@@ -3,13 +3,9 @@
 For an element w of G(r,1,n) the values with color k are Schensted-inserted
 in position order to build the component P_k, while Q_k records, in the box
 created by the entry at position i, the absolute position i itself.
-``_insert`` is the one insertion loop: ``rs_map``, ``pi`` and the sweeps run
-it on fresh row lists, and the theorem kernel runs it on the suffix past
-the prefix its previous element shares.  ``_unbump`` is one reverse-bump
-step, which ``rs_inverse`` and the kernel's rewind share.  ``_parts`` gives
-the statistics the sweeps read of an element's P and Q from a store keyed
-by rows, building and validating the ``rs_map`` pair only for rows new to
-the store.  ``_removal_walk`` runs the inverse for
+``_parts`` gives the statistics the sweeps read of an element's P and Q
+from a store keyed by rows, building and validating the ``rs_map`` pair
+only for rows new to the store.  ``_removal_walk`` runs the inverse for
 every Q of one P at once, as a corner-removal search over P's row lists.
 The admissible operators L_i / R_i, their classes and the ascending
 canonical representative of each class live here as well.
@@ -62,54 +58,25 @@ def row_insert(tableau: StandardTableau, x: int) -> tuple[StandardTableau, tuple
     return StandardTableau(tuple(map(tuple, rows))), (len(rows), 1)
 
 
-def _insert(p_rows: list, q_rows: list, perm, colors, start: int) -> None:
-    """Schensted-insert the entries at positions start+1..n of the colored
-    permutation ``perm``, ``colors`` into the per-component row lists
-    ``p_rows`` and ``q_rows``, which must hold the insertion of the first
-    ``start`` entries: each value goes into its color's component of P, and
-    its position into the box it creates in that component of Q.  This is
-    the one insertion loop; nothing is validated."""
-    for i in range(start, len(perm)):
-        cur = perm[i]
-        k = colors[i]
-        rows = p_rows[k]
-        for t, row in enumerate(rows):
-            pos = bisect_right(row, cur)
-            if pos == len(row):
-                row.append(cur)
-                q_rows[k][t].append(i + 1)
-                break
-            cur, row[pos] = row[pos], cur
-        else:
-            rows.append([cur])
-            q_rows[k].append([i + 1])
-
-
 def _insertion_rows(perm, colors, r: int) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
     """Per-component row lists of P and Q for the colored permutation with
     one-line data ``perm``, ``colors`` in G(r,1,n): the insertion pass of
     ``rs_map`` without the tableau objects.  Nothing is validated."""
     p_rows: list[list[list[int]]] = [[] for _ in range(r)]
     q_rows: list[list[list[int]]] = [[] for _ in range(r)]
-    _insert(p_rows, q_rows, perm, colors, 0)
+    for i, (cur, k) in enumerate(zip(perm, colors), start=1):
+        rows = p_rows[k]
+        for t, row in enumerate(rows):
+            pos = bisect_right(row, cur)
+            if pos == len(row):
+                row.append(cur)
+                q_rows[k][t].append(i)
+                break
+            cur, row[pos] = row[pos], cur
+        else:
+            rows.append([cur])
+            q_rows[k].append([i])
     return p_rows, q_rows
-
-
-def _unbump(rows: list[list[int]], t: int) -> int:
-    """One reverse-bump step of one component given as row lists: remove
-    the last box of row ``t``, which must be a corner, and bump its value
-    up through the rows above; returns the value that leaves the first
-    row.  Raises ``InvalidTableau`` if a row above holds no smaller value."""
-    x = rows[t].pop()
-    if not rows[t]:
-        rows.pop()
-    for upper in range(t - 1, -1, -1):
-        row = rows[upper]
-        pos = bisect_right(row, x) - 1
-        if pos < 0:
-            raise InvalidTableau("reverse bump fell off the tableau")
-        x, row[pos] = row[pos], x
-    return x
 
 
 def _rs_rows(w: GroupElement) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
@@ -247,7 +214,17 @@ def rs_inverse(pair: RSPair, params: GroupParams) -> GroupElement:
     p_rows = [[list(row) for row in comp.rows] for comp in pair.P.components]
     perm = [0] * n
     for label in range(n, 0, -1):
-        perm[label - 1] = _unbump(p_rows[comp_of[label]], row_of[label])
+        rows, t = p_rows[comp_of[label]], row_of[label]
+        x = rows[t].pop()
+        if not rows[t]:
+            rows.pop()
+        for upper in range(t - 1, -1, -1):
+            row = rows[upper]
+            pos = bisect_right(row, x) - 1
+            if pos < 0:
+                raise InvalidTableau("reverse bump fell off the tableau")
+            x, row[pos] = row[pos], x
+        perm[label - 1] = x
     if any(p_rows):
         raise InvalidTableau("recording tableau does not exhaust the shape")
     w = GroupElement(params, tuple(perm), tuple(comp_of[1:]))

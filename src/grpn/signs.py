@@ -16,10 +16,9 @@ as row lists, and build validated tableau objects only for an element
 whose P rows or Q rows are new to a store (``rs._parts``): one store per
 sweep in the theorem kernel, one per class in the admissible sweep.  So
 each distinct P and Q is built, validated and read once per sweep or per
-class.  ``verify_theorem`` takes G(r,p,n) in lexicographic order, and its
-kernel keeps the previous element's rows, so it inserts only the entries
-past the prefix the two share; the admissible sweep runs the insertion
-pass on every member.  ``verify_admissible`` sweeps one admissible class at
+class.  ``verify_theorem`` takes G(r,p,n) in lexicographic order and
+builds no ``GroupElement`` except for a counterexample.
+``verify_admissible`` sweeps one admissible class at
 a time and looks each admissible move's image, a member of the same
 class, up in the class's table.
 ``verify_membership`` is one walk: it takes every P of every shape as row
@@ -167,11 +166,10 @@ def verify_theorem(
 
     The sweep takes the elements' one-line data in lexicographic order
     (``group._element_tuples``, the order of ``enumerate_group``) and makes
-    one call per element to a kernel fresh for this sweep.  The kernel keeps
-    the insertion rows of the previous element, so it inserts only the
-    entries past the prefix the two share, and looks P's and Q's statistics
-    up in its store, building and validating the ``rs_map`` pair only for
-    an element whose P or Q the sweep has not met before.  The formula and
+    one call per element to a kernel fresh for this sweep.  The kernel runs
+    the insertion pass and looks P's and Q's statistics up in its store,
+    building and validating the ``rs_map`` pair only for an element whose P
+    or Q the sweep has not met before.  The formula and
     the character are compared for each i as ``OneDimValue.code`` integers,
     once per distinct (inv(sigma) parity, color sum mod r, tableau parity,
     spin sum mod r): all the codes depend on.  A ``GroupElement`` is built
@@ -191,26 +189,26 @@ def verify_theorem(
     for perm, colors in _element_tuples(params):
         inv_sigma, color_sum, e_p, inv_p, inv_q, ts_p, ts_q = kernel(perm, colors, r)
         checked += 1
-        key = (inv_sigma & 1, color_sum % r, (e_p + inv_p + inv_q) & 1, (ts_p + ts_q) // 2 % r)
+        group_parity, color_mod = inv_sigma & 1, color_sum % r
+        tab_parity, spin_mod = (e_p + inv_p + inv_q) & 1, (ts_p + ts_q) // 2 % r
+        key = (group_parity, color_mod, tab_parity, spin_mod)
         bad = mismatches.get(key)
         if bad is None:
-            group_parity, color_sum, tab_parity, spin_sum = key
             bad = mismatches[key] = [
                 i
                 for i in range(r)
-                if (2 * i * color_sum + r * group_parity) % two_r
-                != (2 * i * spin_sum + r * tab_parity) % two_r
+                if (2 * i * color_mod + r * group_parity) % two_r
+                != (2 * i * spin_mod + r * tab_parity) % two_r
             ]
         if bad and len(report.counterexamples) < max_counterexamples:
-            group_parity, color_sum, tab_parity, spin_sum = key
             w = GroupElement(params, perm, colors)
             for i in bad[: max_counterexamples - len(report.counterexamples)]:
                 report.counterexamples.append(
                     (
                         w,
                         i,
-                        OneDimValue((-1) ** group_parity, (i * color_sum) % r, r),
-                        OneDimValue((-1) ** tab_parity, (i * spin_sum) % r, r),
+                        OneDimValue((-1) ** group_parity, (i * color_mod) % r, r),
+                        OneDimValue((-1) ** tab_parity, (i * spin_mod) % r, r),
                     )
                 )
     report.elements_checked, report.i_values_checked = checked, checked * r

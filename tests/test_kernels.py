@@ -3,13 +3,12 @@ test_reference: pairwise inversion counts, and the component-by-component
 statistics of the image built by ``row_insert`` one entry at a time.
 
 A kernel keeps a store of the statistics of every distinct multitableau it
-has met, and the insertion rows of the last element it was called with,
-which it rewinds to the prefix the next element shares.  So a fresh kernel
-per element tests only the path that builds and validates the tableaux,
-and one kernel across many elements tests the store and the rewind as
-well: in lexicographic order, where neighbours share all but the last
-entries, in shuffled order, across changes of r and n, and on an input
-buffer the caller mutates in place."""
+has met, and the last permutation it was called with and its inv(sigma).
+So a fresh kernel per element tests only the path that builds and
+validates the tableaux, and one kernel across many elements tests the
+store and the reuse of inv(sigma) as well: in lexicographic order, where
+neighbours mostly share the permutation, in shuffled order, across
+changes of r and n, and on an input buffer the caller mutates in place."""
 
 import random
 
@@ -66,8 +65,8 @@ def test_one_kernel_matches_oracle_over_whole_groups(r, n):
 
 @pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4)])
 def test_one_kernel_matches_oracle_in_shuffled_order(r, n):
-    """Neighbours in a shuffled order share short prefixes, or none, so the
-    kernel rewinds many labels or starts afresh."""
+    """Neighbours in a shuffled order rarely share the permutation, so the
+    kernel recounts inv(sigma) on most calls."""
     elements = list(enumerate_group(GroupParams(r, 1, n)))
     random.Random(r * 10 + n).shuffle(elements)
     kernel = get_kernel()
@@ -97,9 +96,8 @@ def test_one_kernel_matches_oracle_on_prefix_sharing_neighbours_up_to_rank_64():
 
 
 def test_one_kernel_across_changes_of_r_and_n():
-    """Each element shares a prefix with the one before it, and r or n
-    changes between them: a new r starts the rows afresh, a new n rewinds
-    or extends them."""
+    """Each element shares a prefix with the one before it, or its
+    permutation, and r or n changes between them."""
     kernel = get_kernel()
     for r, perm, colors in (
         (2, (2, 1, 3), (1, 0, 1)),
@@ -119,7 +117,7 @@ def test_one_kernel_across_changes_of_r_and_n():
 def test_one_kernel_reads_an_input_buffer_the_caller_mutates():
     """The caller passes the same two lists on every call and changes
     their last entries in place: the kernel compares against its own copy
-    of the last input, not against the caller's lists."""
+    of the last permutation, not against the caller's list."""
     params = GroupParams(3, 1, 4)
     kernel = get_kernel()
     perm, colors = [0] * 4, [0] * 4
@@ -187,21 +185,16 @@ def test_sweep_maps_each_first_sight_once(monkeypatch, r, p, n):
 
 
 def patch_insertion(monkeypatch, fake):
-    """Replace the insertion loop both where the kernel and where ``rs_map``
-    call it: ``fake(p_rows, q_rows, perm, colors, start, real)`` inserts the
-    entries past ``start`` into the row lists, as ``rs._insert`` does."""
-    real = rs_module._insert
+    """Replace the insertion pass both where the kernel and where ``rs_map``
+    call it: ``fake(perm, colors, r, real)`` returns (P rows, Q rows)."""
+    real = rs_module._insertion_rows
     for module in (_fallback, rs_module):
-        monkeypatch.setattr(module, "_insert", lambda *a: fake(*a, real))
-
-
-def is_target(w, perm, colors):
-    return (tuple(perm), tuple(colors)) == (w.perm, w.colors)
+        monkeypatch.setattr(module, "_insertion_rows", lambda *a: fake(*a, real))
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["P", "Q"])
 def test_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
-    """Non-standard rows from the insertion loop, for an element whose true
+    """Non-standard rows from the insertion pass, for an element whose true
     rows repeat earlier elements' rows, are never looked up as if valid:
     they are new to the store, so the element is mapped with ``rs_map`` and
     its tableau validation raises."""
@@ -213,11 +206,12 @@ def test_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
         if w not in new and any(c and len(c[0]) > 1 for c in row_insert_image(w)[side])
     )
 
-    def fake(p_rows, q_rows, perm, colors, start, real):
-        real(p_rows, q_rows, perm, colors, start)
-        if is_target(target, perm, colors):
-            comp = next(c for c in (p_rows, q_rows)[side] if c and len(c[0]) > 1)
+    def fake(perm, colors, r, real):
+        rows = real(perm, colors, r)
+        if (perm, colors) == (target.perm, target.colors):
+            comp = next(c for c in rows[side] if c and len(c[0]) > 1)
             comp[0].reverse()
+        return rows
 
     patch_insertion(monkeypatch, fake)
     with pytest.raises(InvalidTableau):
@@ -236,12 +230,10 @@ def test_sweep_checks_the_pair_shape(monkeypatch):
     earlier = elements[: elements.index(target)]
     decoy = next(w for w in earlier if rs_module.rs_map(w).P.shape != shape)
 
-    def fake(p_rows, q_rows, perm, colors, start, real):
-        real(p_rows, q_rows, perm, colors, start)
-        if is_target(target, perm, colors):
-            decoy_p = [[] for _ in p_rows]
-            real(decoy_p, [[] for _ in q_rows], decoy.perm, decoy.colors, 0)
-            p_rows[:] = decoy_p
+    def fake(perm, colors, r, real):
+        if (perm, colors) == (target.perm, target.colors):
+            return real(decoy.perm, decoy.colors, r)[0], real(perm, colors, r)[1]
+        return real(perm, colors, r)
 
     patch_insertion(monkeypatch, fake)
     with pytest.raises(ShapeMismatch):
