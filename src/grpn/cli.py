@@ -12,7 +12,7 @@ import functools
 import json
 import sys
 
-from .errors import GrpnError, InvalidP, InvalidParams, ParseError, ShapeMismatch
+from .errors import GrpnError, ParseError, ShapeMismatch
 from .group import DEFAULT_CAP, GroupParams, parse_element
 from .rs import RSPair, ascending_moves, apply_moves, rs_inverse, rs_map
 from .signs import pi, verify_admissible, verify_membership, verify_theorem
@@ -103,14 +103,8 @@ def cmd_stats(args):
         T = Multitableau.from_json(data)
         if args.r is not None and args.r != T.r:
             raise ShapeMismatch(f"multitableau has {T.r} components, expected r={args.r}")
-        # the component count is r: check it and --p as GroupParams does
-        if T.r < 1 or args.p < 1:
-            raise InvalidParams(f"parameters must be positive: r={T.r}, p={args.p}")
-        if T.r % args.p:
-            raise InvalidP(f"p={args.p} does not divide r={T.r}")
-        # and its box count is n, which must be positive too
-        if not T.size:
-            raise InvalidParams("parameters must be positive: multitableau has no boxes, n=0")
+        # checked as every other input: the component count is r, the box count n
+        GroupParams(T.r, args.p, T.size)
         stats = _tableau_stats(T)
         _emit(
             args,

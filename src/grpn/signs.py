@@ -11,6 +11,12 @@ over entire groups.  Only e(P), inv(P) + inv(Q) and spin(P) + spin(Q)
 enter, so ``pi`` reads them off the insertion pass's row lists where no
 tableau object is needed.
 
+Both sides agree for every i exactly when an element's *defect*
+(parity, shift) is (0, 0): parity is (inv(sigma) + e(P) + inv(P) + inv(Q))
+mod 2 and shift is (spin(P) + spin(Q) - color sum) mod r.  The i at which
+the two sides disagree depend on the defect alone (``_disagreeing``), so the
+sweeps compare defects and list those i only for a counterexample.
+
 ``verify_theorem`` and ``verify_admissible`` get every element's P and Q
 as row lists, and build validated tableau objects only for an element
 whose P rows or Q rows are new to a store (``rs._parts``): one store per
@@ -81,6 +87,20 @@ def _rows_data(p_rows: ComponentRows, q_rows: ComponentRows) -> tuple[int, int]:
     )
 
 
+def _defect(perm_sign: int, color_sum: int, sign: int, spin_sum: int, r: int) -> tuple[int, int]:
+    """(parity, shift) of the tableaux side's ``_sign_data`` (sign, spin_sum)
+    against the group side's (-1)^inv(sigma) and color sum: (0, 0) exactly
+    when the two sides agree for every i."""
+    return int(sign != perm_sign), (spin_sum - color_sum) % r
+
+
+def _disagreeing(parity: int, shift: int, r: int) -> list[int]:
+    """The i at which the two sides of an element with defect (parity,
+    shift) differ: their ``OneDimValue.code`` integers differ by
+    2 i shift + r parity mod 2r."""
+    return [i for i in range(r) if (2 * i * shift + r * parity) % (2 * r)]
+
+
 def pi_from_tableaux(P: Multitableau, Q: Multitableau, i: int, r: int) -> OneDimValue:
     if P.shape != Q.shape:
         raise ShapeMismatch(f"{P.shape} != {Q.shape}")
@@ -125,10 +145,22 @@ class VerificationReport:
     i_values_checked: int = 0
     counterexamples: list = field(default_factory=list)
     elapsed: float = 0.0
+    max_counterexamples: int = 10
 
     @property
     def passed(self) -> bool:
         return not self.counterexamples
+
+    @property
+    def full(self) -> bool:
+        """Whether ``max_counterexamples`` are kept: a sweep need not build
+        another counterexample."""
+        return len(self.counterexamples) >= self.max_counterexamples
+
+    def record(self, w, i, expected, got) -> None:
+        """Keep one counterexample, unless the report is full."""
+        if not self.full:
+            self.counterexamples.append((w, i, expected, got))
 
     def to_json(self) -> dict:
         return {
@@ -169,48 +201,29 @@ def verify_theorem(
     one call per element to a kernel fresh for this sweep.  The kernel runs
     the insertion pass and looks P's and Q's statistics up in its store,
     building and validating the ``rs_map`` pair only for an element whose P
-    or Q the sweep has not met before.  The formula and
-    the character are compared for each i as ``OneDimValue.code`` integers,
-    once per distinct (inv(sigma) parity, color sum mod r, tableau parity,
-    spin sum mod r): all the codes depend on.  A ``GroupElement`` is built
-    only for a counterexample, and counterexamples come in
-    ``enumerate_group`` order.  Raises ``CapExceeded`` as
-    ``enumerate_group`` does, before any work."""
+    or Q the sweep has not met before.  An element is a counterexample
+    when its defect is not (0, 0), and is then reported at each i where the
+    character's value (expected) and the formula's (got) differ.  A
+    ``GroupElement`` is built only for a counterexample the report keeps,
+    and counterexamples come in ``enumerate_group`` order.  Raises
+    ``CapExceeded`` as ``enumerate_group`` does, before any work."""
     require_within_cap(params, cap)
     kernel = get_kernel()
     r = params.r
-    report = VerificationReport(params, "theorem")
+    report = VerificationReport(params, "theorem", max_counterexamples=max_counterexamples)
     start = time.perf_counter()
-    two_r = 2 * r
-    # per (inv_sigma & 1, color_sum % r, tableau parity, spin_sum % r): the
-    # i whose two codes differ
-    mismatches: dict = {}
     checked = 0
     for perm, colors in _element_tuples(params):
         inv_sigma, color_sum, e_p, inv_p, inv_q, ts_p, ts_q = kernel(perm, colors, r)
         checked += 1
-        group_parity, color_mod = inv_sigma & 1, color_sum % r
-        tab_parity, spin_mod = (e_p + inv_p + inv_q) & 1, (ts_p + ts_q) // 2 % r
-        key = (group_parity, color_mod, tab_parity, spin_mod)
-        bad = mismatches.get(key)
-        if bad is None:
-            bad = mismatches[key] = [
-                i
-                for i in range(r)
-                if (2 * i * color_mod + r * group_parity) % two_r
-                != (2 * i * spin_mod + r * tab_parity) % two_r
-            ]
-        if bad and len(report.counterexamples) < max_counterexamples:
+        perm_sign = -1 if inv_sigma & 1 else 1
+        sign, spin_sum = _sign_data(e_p, inv_p + inv_q, ts_p + ts_q)
+        parity, shift = _defect(perm_sign, color_sum, sign, spin_sum, r)
+        if (parity or shift) and not report.full:
             w = GroupElement(params, perm, colors)
-            for i in bad[: max_counterexamples - len(report.counterexamples)]:
-                report.counterexamples.append(
-                    (
-                        w,
-                        i,
-                        OneDimValue((-1) ** group_parity, (i * color_mod) % r, r),
-                        OneDimValue((-1) ** tab_parity, (i * spin_mod) % r, r),
-                    )
-                )
+            for i in _disagreeing(parity, shift, r):
+                expected = OneDimValue(perm_sign, i * color_sum % r, r)
+                report.record(w, i, expected, OneDimValue(sign, i * spin_sum % r, r))
     report.elements_checked, report.i_values_checked = checked, checked * r
     report.elapsed = time.perf_counter() - start
     return report
@@ -247,7 +260,7 @@ def verify_membership(
     require_within_cap(params, cap)
     r, p, n = params.r, params.p, params.n
     full = GroupParams(r, 1, n)
-    report = VerificationReport(params, "membership")
+    report = VerificationReport(params, "membership", max_counterexamples=max_counterexamples)
     start = time.perf_counter()
     checked = values = 0
     for shape in multipartitions(n, r):
@@ -257,25 +270,11 @@ def verify_membership(
                 member = sum(colors) % p == 0
                 checked += 1
                 values += 1 + criterion
-                if member != criterion and len(report.counterexamples) < max_counterexamples:
-                    w = GroupElement(full, tuple(perm), tuple(colors))
-                    report.counterexamples.append((w, 0, member, criterion))
+                if member != criterion and not report.full:
+                    report.record(GroupElement(full, tuple(perm), tuple(colors)), 0, member, criterion)
     report.elements_checked, report.i_values_checked = checked, values
     report.elapsed = time.perf_counter() - start
     return report
-
-
-def _agreements(sign: int, spin_sum: int, w: GroupElement) -> list[bool]:
-    """Per i, whether the tableaux-side value of sign data (sign, spin_sum)
-    equals ``w.one_dim(i, 1)``, compared as ``OneDimValue.code`` integers."""
-    r = w.params.r
-    two_r, color_sum = 2 * r, w.color_sum()
-    tab_half = r if sign < 0 else 0
-    group_half = r if w.perm_sign < 0 else 0
-    return [
-        (2 * i * spin_sum + tab_half) % two_r == (2 * i * color_sum + group_half) % two_r
-        for i in range(r)
-    ]
 
 
 def _join(p_part: tuple, q_part: tuple) -> tuple:
@@ -312,16 +311,6 @@ def _class_table(members: list[GroupElement]) -> dict:
         p_rows, q_rows = _rs_rows(w)
         table[w.perm, w.colors] = _join(*_parts(p_rows, q_rows, store, lambda: rs_map(w)))
     return table
-
-
-def _class_agreements(store: dict, sign_data: tuple[int, int], w: GroupElement) -> list[bool]:
-    """``_agreements(*sign_data, w)``, computed once per (sign, spin_sum,
-    perm_sign, color_sum) in ``store``: all it depends on besides r."""
-    key = (*sign_data, w.perm_sign, w.color_sum())
-    agrees = store.get(key)
-    if agrees is None:
-        agrees = store[key] = _agreements(*sign_data, w)
-    return agrees
 
 
 def _move_kept(entry: tuple, image: tuple, fixed: int) -> bool:
@@ -362,31 +351,27 @@ def verify_admissible(
     statistics read once, and every other member's entry is joined from
     those of its two tableaux.  The table holds one class at a time, at
     most multinomial(n; n_k)**2 elements, never the whole group.  The
-    formula and the character are compared for each i as
-    ``OneDimValue.code`` integers, as in ``verify_theorem``, once per
-    distinct (sign, spin_sum, perm_sign, color_sum) in the class.
+    agreement of formula and character is compared through defects: only
+    a member whose defect differs from rho's has its ``_disagreeing`` i
+    compared with rho's, and each i where exactly one of the two agrees is
+    a counterexample ``(w, i, agrees_w, agrees_rho)``.
 
     Counterexamples come by class and then in member order, not in
     ``enumerate_group`` order; a class whose first element is not ascending
     reports that before its members.
     """
     r, n = params.r, params.n
-    report = VerificationReport(params, "admissible")
+    report = VerificationReport(params, "admissible", max_counterexamples=max_counterexamples)
+    record = report.record
     start = time.perf_counter()
-
-    def record(w, i, expected, got):
-        if len(report.counterexamples) < max_counterexamples:
-            report.counterexamples.append((w, i, expected, got))
-
     checked = values = 0
     value_colors = [0] * (n + 1)  # value_colors[v]: the color at v's position
     for members in _admissible_classes(params, cap=cap):
         table = _class_table(members)
-        agreements: dict = {}
         rho = members[0]
         if not is_ascending_element(rho):
             record(rho, 0, "ascending representative", "not ascending")
-        rho_agrees = _class_agreements(agreements, table[rho.perm, rho.colors][2], rho)
+        rho_defect = _defect(rho.perm_sign, rho.color_sum(), *table[rho.perm, rho.colors][2], r)
         for w in members:
             checked += 1
             entry = table[w.perm, w.colors]
@@ -410,10 +395,11 @@ def verify_admissible(
             if rep != rho:
                 record(w, 0, "ascending representative", str(rep))
             values += r
-            agrees = _class_agreements(agreements, entry[2], w)
-            for i, (agrees_w, agrees_rho) in enumerate(zip(agrees, rho_agrees)):
-                if agrees_w != agrees_rho:
-                    record(w, i, agrees_w, agrees_rho)
+            defect = _defect(w.perm_sign, w.color_sum(), *entry[2], r)
+            if defect != rho_defect:
+                bad, rho_bad = _disagreeing(*defect, r), _disagreeing(*rho_defect, r)
+                for i in sorted(set(bad).symmetric_difference(rho_bad)):
+                    record(w, i, i not in bad, i not in rho_bad)
     report.elements_checked, report.i_values_checked = checked, values
     report.elapsed = time.perf_counter() - start
     return report

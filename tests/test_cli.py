@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import grpn
 from grpn.cli import build_parser, main
-from grpn.group import parse_element
+from grpn.group import MAX_R, parse_element
 
 RUNNING = "[z1*5,1,z2*3,6,z2*7,z1*4,2,8]"
 SRC = os.path.dirname(os.path.dirname(grpn.__file__))
@@ -73,11 +73,11 @@ def test_stats_tableau_checks_r_and_p(capsys):
     """On tableau input the component count is r, and it and --p are
     checked as element input checks them."""
     for argv, message in (
-        (["--p", "0", "[[[1]],[[2]]]"], "parameters must be positive: r=2, p=0"),
-        (["--p", "-2", "[[[1]],[[2]]]"], "parameters must be positive: r=2, p=-2"),
+        (["--p", "0", "[[[1]],[[2]]]"], "parameters must be positive: GroupParams(r=2, p=0, n=2)"),
+        (["--p", "-2", "[[[1]],[[2]]]"], "parameters must be positive: GroupParams(r=2, p=-2, n=2)"),
         (["--r", "2", "--p", "3", "[[[1]],[[2]]]"], "p=3 does not divide r=2"),
         (["--p", "3", "[[[1]],[[2]]]"], "p=3 does not divide r=2"),
-        (["[]"], "parameters must be positive: r=0, p=1"),
+        (["[]"], "parameters must be positive: GroupParams(r=0, p=1, n=0)"),
     ):
         code, out, err = run(capsys, "stats", *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv
@@ -87,10 +87,10 @@ def test_stats_tableau_checks_r_and_p(capsys):
 
 def test_stats_tableau_refuses_a_multitableau_without_boxes(capsys):
     """n = 0 is refused for a multitableau as for every other input."""
-    for argv in (["[[],[]]"], ["[[]]"], ["--r", "3", "[[],[],[]]"]):
+    for argv, r in ((["[[],[]]"], 2), (["[[]]"], 1), (["--r", "3", "[[],[],[]]"], 3)):
         code, out, err = run(capsys, "stats", *argv)
         assert (code, out) == (2, ""), argv
-        assert err == "error: parameters must be positive: multitableau has no boxes, n=0\n", argv
+        assert err == f"error: parameters must be positive: GroupParams(r={r}, p=1, n=0)\n", argv
 
 
 def test_sgn_identity_all_positive(capsys):
@@ -184,6 +184,26 @@ def test_non_positive_parameters_are_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err == f"error: parameters must be positive: GroupParams({params})\n", argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rs", "[1]"],
+        ["inverse-rs", "[[[[1]]], [[[1]]]]"],
+        ["stats", "[1]"],
+        ["sgn", "[1]"],
+        ["pi", "[1]"],
+        ["ascend", "[1]"],
+        ["verify", "theorem", "--n", "1", "--cap", "1"],  # a sweep of r elements would be slow
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_r_above_the_limit_is_a_usage_error(capsys, argv):
+    """An element of G(r,p,n) has r components in its image, so each command
+    refuses an r above ``MAX_R`` before it builds anything of size r."""
+    code, out, err = run(capsys, *argv, "--r", str(MAX_R + 1))
+    assert (code, out, err) == (2, "", f"error: r={MAX_R + 1} is above the limit of {MAX_R}\n")
 
 
 def test_inverse_rs_rejects_a_malformed_pair(capsys):

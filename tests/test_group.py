@@ -12,11 +12,13 @@ from grpn.errors import (
     ColorOutOfRange,
     IndexOutOfRange,
     InvalidP,
+    InvalidParams,
     NotAMember,
     NotAPermutation,
     ParamsMismatch,
 )
 from grpn.group import (
+    MAX_R,
     GroupElement,
     GroupParams,
     OneDimValue,
@@ -66,6 +68,14 @@ class TestConstruction:
     def test_p_must_divide_r(self):
         with pytest.raises(InvalidP):
             GroupParams(4, 3, 2)
+
+    def test_r_is_bounded(self):
+        """r = 2000 stays inside the bound; any r above it is refused."""
+        assert MAX_R > 2000
+        assert GroupParams(MAX_R, 1, 1).r == MAX_R
+        for r in (MAX_R + 1, 10**20):
+            with pytest.raises(InvalidParams, match=rf"^r={r} is above the limit of {MAX_R}$"):
+                GroupParams(r, 1, 1)
 
 
 class TestMultiply:

@@ -404,17 +404,35 @@ def test_membership_backward_pass_reports_a_shifted_color(monkeypatch):
 
 
 @pytest.mark.parametrize("r,n", [(2, 4), (3, 3)])
-def test_agreement_codes_match_value_comparison(r, n):
-    """``_agreements`` against ``OneDimValue`` == ``one_dim`` for every i, on
-    each element's own sign data and on data that disagrees with it."""
+def test_disagreeing_matches_value_comparison(r, n):
+    """``_disagreeing`` of the defect against ``OneDimValue`` == ``one_dim``
+    for every i, on each element's own sign data and on data that disagrees
+    with it."""
     outcomes = set()
     for w in enumerate_group(GroupParams(r, 1, n)):
         sign, spin_sum = signs._rows_data(*_rs_rows(w))
         for s, spin in ((sign, spin_sum), (-sign, spin_sum), (sign, spin_sum + 1), (-sign, 0)):
-            expected = [OneDimValue(s, (i * spin) % r, r) == w.one_dim(i, 1) for i in range(r)]
-            assert signs._agreements(s, spin, w) == expected, (str(w), s, spin)
-            outcomes.update(expected)
+            expected = [i for i in range(r) if OneDimValue(s, (i * spin) % r, r) != w.one_dim(i, 1)]
+            defect = signs._defect(w.perm_sign, w.color_sum(), s, spin, r)
+            assert signs._disagreeing(*defect, r) == expected, (str(w), s, spin)
+            outcomes.update(i in expected for i in range(r))
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_disagreeing_is_empty_exactly_at_defect_zero(r):
+    """Every sign on each side and every color sum and spin sum mod r: the
+    two sides' ``OneDimValue`` objects differ at the i ``_disagreeing``
+    lists, and at none exactly when the defect is (0, 0)."""
+    for perm_sign, sign, color_sum, spin_sum in product((1, -1), (1, -1), range(r), range(r)):
+        defect = signs._defect(perm_sign, color_sum, sign, spin_sum, r)
+        bad = signs._disagreeing(*defect, r)
+        assert bad == [
+            i
+            for i in range(r)
+            if OneDimValue(sign, (i * spin_sum) % r, r) != OneDimValue(perm_sign, (i * color_sum) % r, r)
+        ]
+        assert (bad == []) == (defect == (0, 0)), (perm_sign, sign, color_sum, spin_sum)
 
 
 def test_rs_inverse_round_trip_up_to_rank_64():
@@ -814,6 +832,33 @@ def test_admissible_sweep_reports_broken_sign_data(monkeypatch):
     assert {(w, i) for w, i, _, _ in report.counterexamples} == expected
     assert len(report.counterexamples) == len(expected)
     assert all(got != agrees for _, _, agrees, got in report.counterexamples)
+
+
+@pytest.mark.parametrize("member_shift,recorded", [(3, set()), (2, {(2, True, False)})])
+def test_admissible_sweep_compares_the_disagreeing_i_not_the_defects(monkeypatch, member_shift, recorded):
+    """At r = 4 the defects (0, 1) and (0, 3) both disagree at i = 1, 2, 3,
+    and (0, 2) at i = 1, 3.  Spin sums skewed by 1 on each class's ascending
+    element and by ``member_shift`` on its other members give differing
+    defects; a counterexample is each i where exactly one of the two
+    agrees, so none when the disagreeing i are the same."""
+    real = signs._class_table
+
+    def skewed(members):
+        table = real(members)
+        rho = members[0].perm, members[0].colors
+        for key, (kept_p, kept_q, (sign, spin_sum)) in table.items():
+            table[key] = kept_p, kept_q, (sign, spin_sum + (1 if key == rho else member_shift))
+        return table
+
+    monkeypatch.setattr(signs, "_class_table", skewed)
+    params = GroupParams(4, 1, 3)
+    report = signs.verify_admissible(params, max_counterexamples=10**6)
+    assert report.elements_checked == params.order
+    not_ascending = [w for w in enumerate_group(params) if not is_ascending_element(w)]
+    assert len(report.counterexamples) == len(not_ascending) * len(recorded)
+    assert {(w, i, a, b) for w, i, a, b in report.counterexamples} == {
+        (w, *c) for w in not_ascending for c in recorded
+    }
 
 
 # Tableau validation against the checks run one by one.  The oracles are
