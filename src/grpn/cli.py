@@ -16,7 +16,7 @@ from .errors import GrpnError, ParseError, ShapeMismatch
 from .group import DEFAULT_CAP, GroupParams, parse_element
 from .rs import RSPair, ascending_moves, apply_moves, rs_inverse, rs_map
 from .signs import pi, verify_admissible, verify_membership, verify_theorem
-from .tableaux import Multitableau
+from .tableaux import Multitableau, is_component_list
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -26,7 +26,13 @@ def _read(text: str) -> str:
     return sys.stdin.read().strip() if text == "-" else text
 
 
-def _emit(args, text_lines, payload):
+def _emit(args, text_lines, payload, w=None):
+    """Print ``text_lines``, or ``payload`` as JSON for ``--format json``.  A
+    command on one element w leads with it: the ``w = ...`` line and the
+    ``"element"`` key."""
+    if w is not None:
+        text_lines = [f"w = {w}", *text_lines]
+        payload = {"element": str(w), **payload}
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -56,11 +62,7 @@ def _element(args):
 def cmd_rs(args):
     w = _element(args)
     pair = rs_map(w)
-    _emit(
-        args,
-        [f"w = {w}", f"P = {pair.P}", f"Q = {pair.Q}"],
-        {"element": str(w), "P": pair.P.to_json(), "Q": pair.Q.to_json()},
-    )
+    _emit(args, [f"P = {pair.P}", f"Q = {pair.Q}"], {"P": pair.P.to_json(), "Q": pair.Q.to_json()}, w)
     return 0
 
 
@@ -93,13 +95,9 @@ def cmd_stats(args):
     raw = _read(args.input)
     try:
         data = _load_json(raw)
-        is_tableau = isinstance(data, list) and all(
-            isinstance(comp, list) and all(isinstance(row, list) for row in comp)
-            for comp in data
-        )
     except json.JSONDecodeError:
-        is_tableau = False
-    if is_tableau:
+        data = None
+    if is_component_list(data):
         T = Multitableau.from_json(data)
         if args.r is not None and args.r != T.r:
             raise ShapeMismatch(f"multitableau has {T.r} components, expected r={args.r}")
@@ -117,10 +115,9 @@ def cmd_stats(args):
     w = parse_element(raw, args.r, args.p)
     pair = rs_map(w)
     stats = {"P": _tableau_stats(pair.P), "Q": _tableau_stats(pair.Q)}
-    lines = [f"w = {w}", f"P = {pair.P}", f"Q = {pair.Q}"]
-    for name in ("P", "Q"):
-        lines += [f"{name}.{k} = {v}" for k, v in stats[name].items()]
-    _emit(args, lines, {"element": str(w), **stats})
+    lines = [f"P = {pair.P}", f"Q = {pair.Q}"]
+    lines += [f"{name}.{k} = {v}" for name, part in stats.items() for k, v in part.items()]
+    _emit(args, lines, stats, w)
     return 0
 
 
@@ -129,15 +126,10 @@ def cmd_sgn(args):
     values = {eps: [str(w.one_dim(i, eps)) for i in range(args.r)] for eps in (0, 1)}
     _emit(
         args,
-        [f"w = {w}"]
-        + [f"sigma_{i}(w) = {v}" for i, v in enumerate(values[0])]
+        [f"sigma_{i}(w) = {v}" for i, v in enumerate(values[0])]
         + [f"sgn_{i}(w) = {v}" for i, v in enumerate(values[1])],
-        {
-            "element": str(w),
-            "values": {
-                f"tau_{i}^{eps}": v for eps in (0, 1) for i, v in enumerate(values[eps])
-            },
-        },
+        {"values": {f"tau_{i}^{eps}": v for eps in (0, 1) for i, v in enumerate(values[eps])}},
+        w,
     )
     return 0
 
@@ -147,8 +139,9 @@ def cmd_pi(args):
     values = [str(pi(w, i)) for i in range(args.r)]
     _emit(
         args,
-        [f"w = {w}"] + [f"pi_{i}(w) = {v}" for i, v in enumerate(values)],
-        {"element": str(w), "values": {str(i): v for i, v in enumerate(values)}},
+        [f"pi_{i}(w) = {v}" for i, v in enumerate(values)],
+        {"values": {str(i): v for i, v in enumerate(values)}},
+        w,
     )
     return 0
 
@@ -160,8 +153,9 @@ def cmd_ascend(args):
     move_text = " ".join(f"{side}{i}" for side, i in moves) or "(none)"
     _emit(
         args,
-        [f"w = {w}", f"ascending = {rep}", f"moves = {move_text}"],
-        {"element": str(w), "ascending": str(rep), "moves": [[s, i] for s, i in moves]},
+        [f"ascending = {rep}", f"moves = {move_text}"],
+        {"ascending": str(rep), "moves": [[s, i] for s, i in moves]},
+        w,
     )
     return 0
 
@@ -181,58 +175,43 @@ def cmd_verify(args):
     return 0 if report.passed else VERIFY_FAILURE
 
 
+# name, handler, positional input, whether --r is required, help
+COMMANDS = (
+    ("rs", cmd_rs, "element", True, "Robinson-Schensted image of an element"),
+    ("inverse-rs", cmd_inverse_rs, "pair", False, "element from a JSON pair [P, Q]"),
+    ("stats", cmd_stats, "input", False, "statistics of an element or multitableau"),
+    ("sgn", cmd_sgn, "element", True, "all 2r one-dimensional values, group side"),
+    ("pi", cmd_pi, "element", True, "tableaux-side sign values for all i"),
+    ("ascend", cmd_ascend, "element", True, "ascending representative and move sequence"),
+)
+
+
+def _shared_options(p, need_r=True, with_n=False):
+    p.add_argument("--r", type=int, required=need_r, help="color modulus r")
+    p.add_argument("--p", type=int, default=1, help="subgroup parameter, divides r")
+    if with_n:  # here, so that usage lists the group's parameters together
+        p.add_argument("--n", type=int, required=True)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: ``parse_args`` never
     changes it and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(prog="grpn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_r=True, element_arg=True):
-        p.add_argument("--r", type=int, required=need_r, default=None, help="color modulus r")
-        p.add_argument("--p", type=int, default=1, help="subgroup parameter, divides r")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("rs", help="Robinson-Schensted image of an element")
-    common(p)
-    p.add_argument("element")
-    p.set_defaults(func=cmd_rs)
-
-    p = sub.add_parser("inverse-rs", help="element from a JSON pair [P, Q]")
-    common(p, need_r=False)
-    p.add_argument("pair")
-    p.set_defaults(func=cmd_inverse_rs)
-
-    p = sub.add_parser("stats", help="statistics of an element or multitableau")
-    common(p, need_r=False)
-    p.add_argument("input")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("sgn", help="all 2r one-dimensional values, group side")
-    common(p)
-    p.add_argument("element")
-    p.set_defaults(func=cmd_sgn)
-
-    p = sub.add_parser("pi", help="tableaux-side sign values for all i")
-    common(p)
-    p.add_argument("element")
-    p.set_defaults(func=cmd_pi)
-
-    p = sub.add_parser("ascend", help="ascending representative and move sequence")
-    common(p)
-    p.add_argument("element")
-    p.set_defaults(func=cmd_ascend)
+    for name, func, positional, need_r, help_text in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        _shared_options(p, need_r)
+        p.add_argument(positional)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="exhaustive verification sweep")
     p.add_argument("which", choices=sorted(VERIFIERS))
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    _shared_options(p, with_n=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--force", action="store_true", help="ignore the enumeration cap")
     p.set_defaults(func=cmd_verify)
-
     return parser
 
 

@@ -37,9 +37,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from math import factorial
 
 from ._kernels import get_kernel
-from .errors import IndexOutOfRange, NotAscending, ShapeMismatch
+from .errors import CapExceeded, IndexOutOfRange, NotAscending, ShapeMismatch
 from .group import (
     DEFAULT_CAP,
     GroupElement,
@@ -189,6 +190,28 @@ class VerificationReport:
         )
 
 
+# A sweep's work per element grows with r, not only its element count: every
+# element's image has r components in P and in Q, and the theorem kernel's
+# store keeps up to r distinct P of r components each.  G(100000,1,1) has 10^5
+# elements but would take hours and exhaust memory.  So above SWEEP_R a
+# sweep's element cap is scaled down by SWEEP_R / r; at or below it the
+# element cap decides alone.
+SWEEP_R = 8
+
+
+def _require_sweep_within_cap(params: GroupParams, cap: int) -> None:
+    """Raise ``CapExceeded`` if G(r,1,n) is above ``cap`` or, for r above
+    ``SWEEP_R``, above ``cap`` scaled by SWEEP_R / r."""
+    require_within_cap(params, cap)
+    r, n = params.r, params.n
+    order, scaled = r**n * factorial(n), cap * SWEEP_R // r
+    if r > SWEEP_R and order > scaled:
+        raise CapExceeded(
+            f"G({r},1,{n}) has {order} elements, above cap {scaled} "
+            f"for a sweep at r={r} (cap {cap} times {SWEEP_R}/r)"
+        )
+
+
 def verify_theorem(
     params: GroupParams,
     cap: int = DEFAULT_CAP,
@@ -206,8 +229,9 @@ def verify_theorem(
     character's value (expected) and the formula's (got) differ.  A
     ``GroupElement`` is built only for a counterexample the report keeps,
     and counterexamples come in ``enumerate_group`` order.  Raises
-    ``CapExceeded`` as ``enumerate_group`` does, before any work."""
-    require_within_cap(params, cap)
+    ``CapExceeded`` before any work if the sweep is above its cap
+    (``_require_sweep_within_cap``)."""
+    _require_sweep_within_cap(params, cap)
     kernel = get_kernel()
     r = params.r
     report = VerificationReport(params, "theorem", max_counterexamples=max_counterexamples)
@@ -254,10 +278,10 @@ def verify_membership(
     each value in its color's component: component k of P then holds
     exactly the values of color k, so twice the spin of P equals the color
     sum.  What the sweep exercises is the walk's reverse bumping, not an
-    independent fact about G(r,p,n).  Raises ``CapExceeded`` as
-    ``enumerate_group`` does, before any work.
+    independent fact about G(r,p,n).  Raises ``CapExceeded`` before any
+    work if the sweep is above its cap (``_require_sweep_within_cap``).
     """
-    require_within_cap(params, cap)
+    _require_sweep_within_cap(params, cap)
     r, p, n = params.r, params.p, params.n
     full = GroupParams(r, 1, n)
     report = VerificationReport(params, "membership", max_counterexamples=max_counterexamples)
@@ -358,8 +382,10 @@ def verify_admissible(
 
     Counterexamples come by class and then in member order, not in
     ``enumerate_group`` order; a class whose first element is not ascending
-    reports that before its members.
+    reports that before its members.  Raises ``CapExceeded`` before any
+    work if the sweep is above its cap (``_require_sweep_within_cap``).
     """
+    _require_sweep_within_cap(params, cap)
     r, n = params.r, params.n
     report = VerificationReport(params, "admissible", max_counterexamples=max_counterexamples)
     record = report.record

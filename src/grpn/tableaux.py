@@ -199,6 +199,14 @@ def rows_twice_spin(components: ComponentRows) -> int:
     return sum([k * sum(map(len, comp)) for k, comp in enumerate(components) if k])
 
 
+def is_component_list(data) -> bool:
+    """Whether decoded JSON has the nested list layout of a multitableau: a
+    list of components, each a list of rows, each a list."""
+    return isinstance(data, list) and all(
+        isinstance(comp, list) and all(isinstance(row, list) for row in comp) for comp in data
+    )
+
+
 @dataclass(frozen=True, init=False)
 class Multitableau:
     """Standard tableaux, one per color, jointly labeled by exactly 1..n.
@@ -260,10 +268,7 @@ class Multitableau:
     def from_json(cls, data: list) -> "Multitableau":
         """Read the nested list layout: a list of components, each a list of
         rows, each a list of integer labels (JSON booleans are not labels)."""
-        if not (
-            isinstance(data, list)
-            and all(isinstance(comp, list) and all(isinstance(row, list) for row in comp) for comp in data)
-        ):
+        if not is_component_list(data):
             raise InvalidTableau("expected a list of components of rows")
         for label in chain.from_iterable(chain.from_iterable(data)):
             if not isinstance(label, int) or isinstance(label, bool):

@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +23,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# (argv, exit code, stdout, stderr) of every subcommand, in text and in JSON,
+# on the running example, and of the usage errors; a sweep's elapsed time is
+# masked
+CLI_OUTPUTS = json.loads(Path(__file__).with_name("cli_outputs.json").read_text())
+
+
+def _mask_elapsed(text):
+    text = re.sub(r'("elapsed_ms": )[0-9.e-]+', "\\1…", text)
+    return re.sub(r"[0-9.]+ ms$", "… ms", text, flags=re.M)
+
+
+@pytest.mark.parametrize("case", CLI_OUTPUTS, ids=lambda case: " ".join(case["argv"])[:48])
+def test_output_is_pinned(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
+    try:
+        code = main(case["argv"])
+    except SystemExit as exc:  # argparse usage errors exit directly
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, _mask_elapsed(out.out), out.err) == (case["code"], case["stdout"], case["stderr"])
 
 
 def test_rs_text(capsys):

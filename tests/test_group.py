@@ -13,6 +13,7 @@ from grpn.errors import (
     IndexOutOfRange,
     InvalidP,
     InvalidParams,
+    LengthMismatch,
     NotAMember,
     NotAPermutation,
     ParamsMismatch,
@@ -64,6 +65,18 @@ class TestConstruction:
     def test_color_out_of_range(self):
         with pytest.raises(ColorOutOfRange):
             make_element(GroupParams(2, 1, 2), [1, 2], [0, 2])
+
+    def test_lengths_must_be_the_rank(self):
+        with pytest.raises(LengthMismatch, match="expected 3 entries, got perm of 2 and colors of 2"):
+            GroupElement(GroupParams(2, 1, 3), (1, 2), (0, 0))
+        with pytest.raises(LengthMismatch, match="expected 2 entries, got perm of 2 and colors of 1"):
+            GroupElement(GroupParams(2, 1, 2), (1, 2), (0,))
+
+    def test_negative_powers_are_powers_of_the_inverse(self, running_example):
+        w = running_example
+        assert w**-1 == w.inverse() != w
+        assert w**-3 == w.inverse() ** 3
+        assert w**-3 * w**3 == identity(w.params)
 
     def test_p_must_divide_r(self):
         with pytest.raises(InvalidP):
@@ -221,6 +234,11 @@ class TestOneDim:
         with pytest.raises(IndexOutOfRange):
             running_example.one_dim(4, 1)
 
+    @pytest.mark.parametrize("epsilon", [-1, 2])
+    def test_epsilon_checked(self, running_example, epsilon):
+        with pytest.raises(ValueError, match=f"^epsilon must be 0 or 1, got {epsilon}$"):
+            running_example.one_dim(0, epsilon)
+
     def test_homomorphism_exhaustive(self):
         group = list(enumerate_group(GroupParams(2, 1, 3)))
         for u, v in itertools.product(group, repeat=2):
@@ -235,6 +253,24 @@ class TestOneDimValue:
 
     def test_odd_modulus_distinct(self):
         assert all(OneDimValue(-1, 1, 3) != OneDimValue(1, k, 3) for k in range(3))
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_sign_checked(self, sign):
+        with pytest.raises(ValueError, match=f"^sign must be \\+-1, got {sign}$"):
+            OneDimValue(sign, 0, 4)
+
+    @pytest.mark.parametrize("exponent", [-1, 4])
+    def test_exponent_checked(self, exponent):
+        with pytest.raises(ValueError, match=f"^exponent {exponent} out of range mod 4$"):
+            OneDimValue(1, exponent, 4)
+
+    def test_never_equal_to_another_type(self):
+        value = OneDimValue(1, 0, 4)
+        assert value != 1 and value != (1, 0, 4) and not value == "+1"
+
+    def test_product_needs_one_modulus(self):
+        with pytest.raises(ParamsMismatch, match="different moduli"):
+            OneDimValue(1, 1, 4) * OneDimValue(1, 1, 2)
 
     def test_str(self):
         assert str(OneDimValue(1, 0, 4)) == "+1"

@@ -135,6 +135,19 @@ class TestRSInverse:
             expected += count * count
         assert len(images) == expected == params.order
 
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            (GroupParams(2, 1, 2), r"pair has rank 1 with 2 components, expected GroupParams\(r=2, p=1, n=2\)"),
+            (GroupParams(3, 1, 1), r"pair has rank 1 with 2 components, expected GroupParams\(r=3, p=1, n=1\)"),
+        ],
+        ids=["rank", "components"],
+    )
+    def test_pair_must_have_the_params_rank_and_r(self, params, message):
+        box = Multitableau.from_json([[[1]], []])
+        with pytest.raises(ShapeMismatch, match=f"^{message}$"):
+            rs_inverse(RSPair(box, box), params)
+
     def test_non_member_rejected(self):
         full, sub = GroupParams(4, 1, 3), GroupParams(4, 2, 3)
         for w in enumerate_group(full):

@@ -9,6 +9,7 @@ from grpn import signs
 from grpn.cli import main
 from grpn.errors import CapExceeded, IndexOutOfRange, NotAscending, ShapeMismatch
 from grpn.group import (
+    DEFAULT_CAP,
     GroupElement,
     GroupParams,
     OneDimValue,
@@ -17,7 +18,7 @@ from grpn.group import (
     identity,
     parse_element,
 )
-from grpn.rs import ascending_representative, rs_map
+from grpn.rs import _admissible_classes, ascending_representative, is_ascending_element, rs_map
 from grpn.signs import (
     VerificationReport,
     decompose_ascending,
@@ -313,6 +314,46 @@ class TestVerifyAdmissible:
         report = verify_admissible(GroupParams(2, 1, 3))
         assert not report.passed
         assert {expected for _, _, expected, _ in report.counterexamples} == {violation}
+
+    def test_reports_a_class_not_led_by_its_ascending_element(self, monkeypatch):
+        def reversed_classes(params, cap=DEFAULT_CAP):
+            return (members[::-1] for members in _admissible_classes(params, cap))
+
+        monkeypatch.setattr(signs, "_admissible_classes", reversed_classes)
+        params = GroupParams(2, 1, 3)
+        report = verify_admissible(params, max_counterexamples=10**4)
+        leaders = [members[0] for members in reversed_classes(params)]
+        assert sum(not is_ascending_element(w) for w in leaders) > 3
+        assert [(w, i, expected) for w, i, expected, got in report.counterexamples if got == "not ascending"] == [
+            (w, 0, "ascending representative") for w in leaders if not is_ascending_element(w)
+        ]
+
+
+@pytest.mark.parametrize(
+    "verify,walk",
+    [
+        (verify_theorem, "_element_tuples"),
+        (verify_membership, "multipartitions"),
+        (verify_admissible, "_admissible_classes"),
+    ],
+)
+def test_sweep_cap_scales_with_r_before_any_work(monkeypatch, verify, walk):
+    """A sweep's work per element grows with r, so above ``SWEEP_R`` its
+    element cap is scaled down by SWEEP_R / r before any work: G(100000,1,1)
+    has 10^5 elements but is refused at once.  A larger cap lifts the bound,
+    and at r <= SWEEP_R the element cap decides alone."""
+    monkeypatch.setattr(signs, walk, lambda *args, **kwargs: pytest.fail("sweep started"))
+    message = (
+        r"^G\(100000,1,1\) has 100000 elements, above cap 800 "
+        r"for a sweep at r=100000 \(cap 10000000 times 8/r\)$"
+    )
+    with pytest.raises(CapExceeded, match=message):
+        verify(GroupParams(10**5, 1, 1))
+    with pytest.raises(CapExceeded, match=r"^G\(9,1,2\) has 162 elements, above cap 160 for a sweep at r=9"):
+        verify(GroupParams(9, 1, 2), cap=180)
+    monkeypatch.undo()
+    assert verify(GroupParams(9, 1, 2), cap=183).elements_checked == 162
+    assert verify(GroupParams(8, 1, 2), cap=128).elements_checked == 128
 
 
 class TestDecomposeAscending:

@@ -192,6 +192,25 @@ class TestEnumeration:
             got = len(list(standard_multitableaux(shape)))
             assert got == count_standard_multitableaux(shape), shape
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_single_shape_counts_match_hook_length_oracle(self, n):
+        for shape in partitions(n):
+            out = list(standard_tableaux(shape))
+            assert all(T.shape == shape for T in out), shape
+            assert len({str(T) for T in out}) == len(out) == count_standard_tableaux(shape), shape
+
+    def test_single_shape_takes_a_label_pool(self):
+        """The labels fill in their order where 1..n would."""
+        pool = [30, 10, 50, 20]
+        relabel = dict(zip(range(1, 5), sorted(pool)))
+        expected = [[[relabel[x] for x in row] for row in T.rows] for T in standard_tableaux((2, 1, 1))]
+        assert [list(map(list, T.rows)) for T in standard_tableaux((2, 1, 1), pool)] == expected
+        assert len(expected) == 3
+
+    def test_single_shape_needs_one_label_per_box(self):
+        with pytest.raises(InvalidTableau, match="^need 3 labels, got 2$"):
+            list(standard_tableaux((2, 1), [1, 2]))
+
     def test_hook_lengths_known_values(self):
         assert count_standard_tableaux((2, 1)) == 2
         assert count_standard_tableaux((3, 2)) == 5
