@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=sorted(VERIFIERS))
     _shared_options(p, with_n=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--force", action="store_true", help="ignore the enumeration cap")
+    p.add_argument("--force", action="store_true", help="raise the enumeration cap to 10^12")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -25,7 +25,7 @@ from .errors import (
     NotAdmissible,
     ShapeMismatch,
 )
-from .group import DEFAULT_CAP, GroupElement, GroupParams, require_member, require_within_cap
+from .group import GroupElement, GroupParams, require_member
 from .tableaux import Multitableau, StandardTableau, tableau_inversions
 
 
@@ -252,8 +252,7 @@ def left_admissible(w: GroupElement, i: int) -> GroupElement:
     n = w.params.n
     if not 1 <= i <= n - 1:
         raise IndexOutOfRange(f"i={i} not in [1, {n - 1}]")
-    pos_i = w.perm.index(i)
-    pos_j = w.perm.index(i + 1)
+    pos_i, pos_j = w.perm.index(i), w.perm.index(i + 1)
     if w.colors[pos_i] == w.colors[pos_j]:
         raise NotAdmissible(f"values {i} and {i + 1} carry equal colors")
     perm = list(w.perm)
@@ -277,40 +276,47 @@ def right_admissible(w: GroupElement, i: int) -> GroupElement:
     )
 
 
-def _ascend(w: GroupElement) -> tuple[list[tuple[str, int]], GroupElement]:
-    """The moves of ``ascending_moves`` and the element they lead to.
+def _bubble(keys: list, carried: list) -> list[int]:
+    """Stably sort ``keys`` in place by swapping adjacent entries that are
+    strictly out of order, pass after pass, and swap ``carried`` alongside.
+    Returns the 1-based index i of each swap of entries i and i+1, in order.
+    A pass stops where the previous one made its last swap: the keys from
+    there on are already in their final places."""
+    swaps, end = [], len(keys)
+    while end > 1:
+        last = 0
+        for j in range(1, end):
+            if keys[j - 1] > keys[j]:
+                keys[j - 1], keys[j] = keys[j], keys[j - 1]
+                carried[j - 1], carried[j] = carried[j], carried[j - 1]
+                swaps.append(j)
+                last = j
+        end = last
+    return swaps
 
-    Runs the moves on plain lists and builds one group element at the end.
-    A move is made only where the two colors it swaps are strictly out of
-    order, so every move is admissible: ``apply_moves`` replays them with
-    ``left_admissible`` / ``right_admissible`` to the same element.
+
+def _ascend(w: GroupElement) -> tuple[list[int], list[int], GroupElement]:
+    """The swaps of the two phases of ``ascending_moves``, right then left,
+    and the element they lead to.
+
+    Both phases are one ``_bubble``.  The right moves bubble the
+    position-color word and carry the values; the left moves then bubble
+    the value-color word (the color at each value's position, by value)
+    and carry the positions.  A swap is made only where the two colors it
+    exchanges are strictly out of order, so every move is admissible:
+    ``apply_moves`` replays them with ``left_admissible`` /
+    ``right_admissible`` to the same element, which is built once at the end.
     """
-    n = w.params.n
     perm, colors = list(w.perm), list(w.colors)
-    moves: list[tuple[str, int]] = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(1, n):
-            if colors[j - 1] > colors[j]:
-                perm[j - 1], perm[j] = perm[j], perm[j - 1]
-                colors[j - 1], colors[j] = colors[j], colors[j - 1]
-                moves.append(("R", j))
-                changed = True
-    position = [0] * (n + 1)  # position[v]: 0-based position holding value v
+    right = _bubble(colors, perm)
+    # the 0-based position of value v, and its color, at index v - 1
+    position, value_colors = [0] * len(perm), [0] * len(perm)
     for p, v in enumerate(perm):
-        position[v] = p
-    changed = True
-    while changed:
-        changed = False
-        for v in range(1, n):
-            p, q = position[v], position[v + 1]
-            if colors[p] > colors[q]:
-                perm[p], perm[q] = v + 1, v
-                position[v], position[v + 1] = q, p
-                moves.append(("L", v))
-                changed = True
-    return moves, GroupElement(w.params, tuple(perm), tuple(colors))
+        position[v - 1], value_colors[v - 1] = p, colors[p]
+    left = _bubble(value_colors, position)
+    for v, p in enumerate(position, start=1):
+        perm[p] = v
+    return right, left, GroupElement(w.params, tuple(perm), tuple(colors))
 
 
 def ascending_moves(w: GroupElement) -> list[tuple[str, int]]:
@@ -319,9 +325,12 @@ def ascending_moves(w: GroupElement) -> list[tuple[str, int]]:
 
     Right moves stably bubble positions into weakly increasing color order;
     left moves then stably renumber values so each color class occupies a
-    contiguous block, preserving within-class order on both sides.
+    contiguous block, preserving within-class order on both sides.  The two
+    phases are one adjacent-swap sort (``_bubble``), run first on the
+    position-color word and then on the value-color word.
     """
-    return _ascend(w)[0]
+    right, left, _ = _ascend(w)
+    return [("R", i) for i in right] + [("L", i) for i in left]
 
 
 def apply_moves(w: GroupElement, moves: list[tuple[str, int]]) -> GroupElement:
@@ -333,33 +342,10 @@ def apply_moves(w: GroupElement, moves: list[tuple[str, int]]) -> GroupElement:
 
 def ascending_representative(w: GroupElement) -> GroupElement:
     """The ascending element ``apply_moves(w, ascending_moves(w))``."""
-    return _ascend(w)[1]
+    return _ascend(w)[2]
 
 
-def _color_words(used: list[int], counts: list[int]) -> list[tuple[int, ...]]:
-    """Every word with counts[t] letters used[t], in lexicographic order;
-    ``used`` is increasing."""
-    n = sum(counts)
-    left = list(counts)
-    word = [0] * n
-    words = []
-
-    def fill(j):
-        if j == n:
-            words.append(tuple(word))
-            return
-        for t, m in enumerate(left):
-            if m:
-                left[t] -= 1
-                word[j] = used[t]
-                fill(j + 1)
-                left[t] += 1
-
-    fill(0)
-    return words
-
-
-def _admissible_classes(params: GroupParams, cap: int = DEFAULT_CAP) -> Iterator[list[GroupElement]]:
+def _admissible_classes(params: GroupParams) -> Iterator[list[GroupElement]]:
     """The elements of G(r,p,n), one admissible class at a time, each class
     a list with its ascending element first.
 
@@ -377,18 +363,18 @@ def _admissible_classes(params: GroupParams, cap: int = DEFAULT_CAP) -> Iterator
     (n, 0, ..., 0) comes first; then within-color orders lexicographically
     (the least color's first); then position words and, within each, value
     words lexicographically.  The least word puts each color in one block,
-    so the class's ascending element comes first.  Work per content grows
-    with n, not with r.  Raises ``CapExceeded`` as ``enumerate_group``
-    does, before any work.
+    so the class's ascending element comes first.  A content's color words
+    are the distinct orderings of its least word, taken from its n!
+    permutations.  Work per content grows with n, not with r.  The caller
+    bounds the sweep's size.
     """
-    require_within_cap(params, cap)
     p, n = params.p, params.n
     for least in combinations_with_replacement(range(params.r), n):
         if sum(least) % p:
             continue
         used = sorted(set(least))
         counts = [least.count(k) for k in used]
-        words = _color_words(used, counts)
+        words = sorted(set(permutations(least)))
         # per word, the indices (positions, or values - 1) of each used color
         blocks = [[[j for j, c in enumerate(word) if c == k] for k in used] for word in words]
         for orders in product(*(permutations(range(m)) for m in counts)):

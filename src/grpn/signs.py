@@ -50,9 +50,7 @@ from .group import (
     require_within_cap,
 )
 from .rs import (
-    RSPair,
     _admissible_classes,
-    _part,
     _parts,
     _removal_walk,
     _rs_rows,
@@ -301,24 +299,10 @@ def verify_membership(
     return report
 
 
-def _join(p_part: tuple, q_part: tuple) -> tuple:
-    """The ``_entry`` of a pair from the ``rs._part`` of P and of Q."""
-    kept_p, e_p, twice_spin_p, _ = p_part
-    kept_q, _, twice_spin_q, _ = q_part
-    return kept_p, kept_q, _sign_data(e_p, kept_p[1] + kept_q[1], twice_spin_p + twice_spin_q)
-
-
-def _entry(pair: RSPair) -> tuple:
-    """What the admissible sweep keeps of one element's Robinson-Schensted
-    pair: for P, then for Q, its rows, inversion count and per-component
-    counts; then the element's (sign, spin_sum)."""
-    store: dict = {}
-    return _join(_part(pair.P, store), _part(pair.Q, store))
-
-
 def _class_table(members: list[GroupElement]) -> dict:
-    """The ``_entry`` of every member of one admissible class, keyed by
-    (perm, colors).
+    """What the admissible sweep keeps of every member of one admissible
+    class, keyed by (perm, colors): for P, then for Q, its rows, inversion
+    count and per-component counts; then the member's (sign, spin_sum).
 
     Every member goes through the insertion pass ``_rs_rows``, and
     ``rs._parts`` gives its P's and Q's statistics from the class's store:
@@ -333,18 +317,25 @@ def _class_table(members: list[GroupElement]) -> dict:
     table = {}
     for w in members:
         p_rows, q_rows = _rs_rows(w)
-        table[w.perm, w.colors] = _join(*_parts(p_rows, q_rows, store, lambda: rs_map(w)))
+        (kept_p, e_p, twice_spin_p, _), (kept_q, _, twice_spin_q, _) = _parts(
+            p_rows, q_rows, store, lambda: rs_map(w)
+        )
+        sign_data = _sign_data(e_p, kept_p[1] + kept_q[1], twice_spin_p + twice_spin_q)
+        table[w.perm, w.colors] = kept_p, kept_q, sign_data
     return table
 
 
-def _move_kept(entry: tuple, image: tuple, fixed: int) -> bool:
-    """An admissible move, on the ``_entry`` of an element and of its image:
-    the multitableau ``fixed`` (0 for P, 1 for Q) is unchanged, the other
-    one's inversion count moves by exactly one, and each of its components
-    keeps its count."""
+def _move_kept(table: dict, entry: tuple, moved: GroupElement, fixed: int) -> bool:
+    """An admissible move, from the member whose ``_class_table`` entry is
+    ``entry`` to ``moved``: ``moved`` is in the class's table, the
+    multitableau ``fixed`` (0 for P, 1 for Q) is unchanged, the other one's
+    inversion count moves by exactly one, and each of its components keeps
+    its count."""
+    image = table.get((moved.perm, moved.colors))
     changed = 1 - fixed
     return (
-        image[fixed][0] == entry[fixed][0]
+        image is not None
+        and image[fixed][0] == entry[fixed][0]
         and abs(image[changed][1] - entry[changed][1]) == 1
         and image[changed][2] == entry[changed][2]
     )
@@ -364,7 +355,7 @@ def verify_admissible(
 
     The sweep takes G(r,p,n) one admissible class at a time
     (``rs._admissible_classes``), with the class's ascending element rho
-    first.  Moves stay inside a class, so it keeps every member's ``_entry``
+    first.  Moves stay inside a class, so it keeps every member's entry
     in a table keyed by (perm, colors) (``_class_table``); each move's image
     is then looked up there, and an image outside the table has left its
     class, which the move must not do.  Within a class P depends only on the
@@ -392,7 +383,7 @@ def verify_admissible(
     start = time.perf_counter()
     checked = values = 0
     value_colors = [0] * (n + 1)  # value_colors[v]: the color at v's position
-    for members in _admissible_classes(params, cap=cap):
+    for members in _admissible_classes(params):
         table = _class_table(members)
         rho = members[0]
         if not is_ascending_element(rho):
@@ -406,16 +397,12 @@ def verify_admissible(
                 value_colors[v] = c
             for i in range(1, n):
                 if colors[i - 1] != colors[i]:
-                    moved = right_admissible(w, i)
-                    image = table.get((moved.perm, moved.colors))
                     values += 1
-                    if image is None or not _move_kept(entry, image, 0):
+                    if not _move_kept(table, entry, right_admissible(w, i), 0):
                         record(w, i, "R-move invariants", "violated")
                 if value_colors[i] != value_colors[i + 1]:
-                    moved = left_admissible(w, i)
-                    image = table.get((moved.perm, moved.colors))
                     values += 1
-                    if image is None or not _move_kept(entry, image, 1):
+                    if not _move_kept(table, entry, left_admissible(w, i), 1):
                         record(w, i, "L-move invariants", "violated")
             rep = ascending_representative(w)
             if rep != rho:

@@ -46,15 +46,17 @@ def partitions(n: int) -> Iterator[Partition]:
 
 
 def multipartitions(n: int, r: int) -> Iterator[MultiPartition]:
-    """All r-tuples of partitions of total rank n."""
-    if r == 0:
-        if n == 0:
-            yield ()
+    """All r-tuples of partitions of total rank n: by the first component's
+    size, then its partition, then the rest in this order.  Only nonempty
+    components recurse, so the depth is at most n, whatever r is."""
+    if n == 0:
+        yield ((),) * r
         return
-    for m in range(n + 1):
-        for head in partitions(m):
-            for tail in multipartitions(n - m, r - 1):
-                yield (head,) + tail
+    for j in range(r - 1, -1, -1):  # the first nonempty component
+        for m in range(1, n + 1):
+            for head in partitions(m):
+                for tail in multipartitions(n - m, r - j - 1):
+                    yield ((),) * j + (head,) + tail
 
 
 def _is_standard(rows: tuple[tuple[int, ...], ...]) -> bool:

@@ -174,6 +174,20 @@ def test_parse_error_exit_two(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("text", ["[1,2,3,4,5,6,7,8,9,1 0]", "[z1 2*1]"])
+def test_whitespace_between_digits_is_a_usage_error(capsys, text):
+    code, out, err = run(capsys, "sgn", "--r", "4", text)
+    assert (code, out) == (2, "") and err.startswith("error: bad item ")
+
+
+def test_verify_membership_of_many_components(capsys):
+    # G(1000,1,1): the shapes have 1000 components, more than the recursion limit
+    code, out, _ = run(capsys, "verify", "membership", "--r", "1000", "--n", "1", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["failures"] == []
+    assert (data["checked"], data["i_values_checked"]) == (1000, 2000)
+
+
 def test_non_member_rejected_with_usage_error(capsys):
     for command in ("rs", "sgn", "pi", "stats", "ascend"):
         code, out, err = run(capsys, command, "--r", "4", "--p", "2", "[z1*2,1]")

@@ -17,6 +17,7 @@ from grpn.errors import (
     NotAMember,
     NotAPermutation,
     ParamsMismatch,
+    ParseError,
 )
 from grpn.group import (
     MAX_R,
@@ -376,6 +377,15 @@ class TestParse:
 
     def test_whitespace_and_mod(self):
         assert parse_element(" [ z5*1 , 2 ] ", 4).colors == (1, 0)
+        assert parse_element("[\tz 5 * 1,\n2 ]", 4) == parse_element("[z5*1,2]", 4)
+
+    @pytest.mark.parametrize(
+        "text,item",
+        [("[1,2,3,4,5,6,7,8,9,1 0]", "1 0"), ("[z1 2*1]", "z1 2*1"), ("[2, z3*1\t4]", "z3*1\t4")],
+    )
+    def test_whitespace_between_digits_is_refused(self, text, item):
+        with pytest.raises(ParseError, match=re.escape(f"bad item {item!r}")):
+            parse_element(text, 4)
 
     def test_inversions_helper(self):
         assert inversions((1, 2, 3)) == 0

@@ -496,8 +496,8 @@ def test_move_images_on_rows_match_objects(r, n):
     """Every admissible move's image: its row lists are the rows of its
     ``rs_map`` pair, and each invariant reads the same on rows as on
     objects, both for the side the move fixes (true) and the side it does
-    not (mostly false).  The sweep's comparison of the two pairs'
-    ``_entry`` values holds exactly when all three hold on objects."""
+    not (mostly false).  The sweep's comparison of the two members'
+    ``_class_table`` entries holds exactly when all three hold on objects."""
     params = GroupParams(r, 1, n)
     outcomes = set()
     for w in enumerate_group(params):
@@ -520,7 +520,8 @@ def test_move_images_on_rows_match_objects(r, n):
                 on_rows = row_move_check(rows[f], w_rows[f], rows[c], w_rows[c])
                 assert on_rows == on_objects, (str(w), str(moved), f)
                 outcomes.add(on_rows)
-                ok = signs._move_kept(signs._entry(pair), signs._entry(image), f)
+                table = signs._class_table([w, moved])
+                ok = signs._move_kept(table, table[w.perm, w.colors], moved, f)
                 assert ok == all(on_objects), (str(w), str(moved), f)
     assert (True, True, True) in outcomes and any(not all(o) for o in outcomes)
 
@@ -558,7 +559,8 @@ def test_admissible_report_counts_are_pinned(r, p, n, checked, values):
 
 
 def object_entry(pair):
-    """``_entry`` read straight off the tableau objects, method by method."""
+    """A ``_class_table`` entry read straight off the tableau objects,
+    method by method."""
 
     def kept(T):
         return (
@@ -580,7 +582,7 @@ MAPPED = {(2, 1, 4): 132, (3, 1, 3): 60, (4, 2, 3): 60, (2, 1, 5): 904}
 @pytest.mark.parametrize("r,p,n", [(2, 1, 4), (3, 1, 3), (4, 2, 3), (2, 1, 5)])
 def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
     """The sweep's per-class table, built from the insertion pass's row
-    lists, against each member's ``_entry`` computed afresh and against the
+    lists, against each member's entry in a table of its own and against the
     tableau objects; the class has as many distinct P's as Q's, its
     members' square root.  The table maps with ``rs_map`` exactly the
     members whose P rows or Q rows no earlier member of the class had."""
@@ -590,11 +592,12 @@ def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
     for members in _admissible_classes(GroupParams(r, p, n)):
         mapped.clear()
         table = signs._class_table(members)
+        calls = list(mapped)
         assert list(table) == [(w.perm, w.colors) for w in members]
         p_rows, q_rows, seen, new = set(), set(), set(), []
         for w in members:
             pair = rs_map(w)
-            fresh = signs._entry(pair)
+            fresh = signs._class_table([w])[w.perm, w.colors]
             assert table[w.perm, w.colors] == fresh == object_entry(pair), str(w)
             p_rows.add(fresh[0][0])
             q_rows.add(fresh[1][0])
@@ -603,7 +606,7 @@ def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
                 new.append(w)
             seen |= rows
         assert len(p_rows) ** 2 == len(q_rows) ** 2 == len(members)
-        assert mapped == new
+        assert calls == new
         total += len(new)
     assert total == MAPPED[r, p, n]
 

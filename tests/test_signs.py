@@ -9,7 +9,6 @@ from grpn import signs
 from grpn.cli import main
 from grpn.errors import CapExceeded, IndexOutOfRange, NotAscending, ShapeMismatch
 from grpn.group import (
-    DEFAULT_CAP,
     GroupElement,
     GroupParams,
     OneDimValue,
@@ -316,8 +315,8 @@ class TestVerifyAdmissible:
         assert {expected for _, _, expected, _ in report.counterexamples} == {violation}
 
     def test_reports_a_class_not_led_by_its_ascending_element(self, monkeypatch):
-        def reversed_classes(params, cap=DEFAULT_CAP):
-            return (members[::-1] for members in _admissible_classes(params, cap))
+        def reversed_classes(params):
+            return (members[::-1] for members in _admissible_classes(params))
 
         monkeypatch.setattr(signs, "_admissible_classes", reversed_classes)
         params = GroupParams(2, 1, 3)

@@ -1,3 +1,6 @@
+import sys
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -226,6 +229,39 @@ class TestPartitionGenerators:
         # 2 colors: sum over m of p(m) * p(n - m)
         assert len(list(multipartitions(3, 2))) == 10
         assert all(sum(map(sum, mp)) == 3 for mp in multipartitions(3, 2))
+
+    def test_multipartition_order(self):
+        """The order of the recursion over every component, by the first
+        component's size, then its partition, then the rest: the membership
+        sweep reports its counterexamples in this order."""
+
+        def by_components(n, r):
+            if r == 0:
+                if n == 0:
+                    yield ()
+                return
+            for m in range(n + 1):
+                for head in partitions(m):
+                    for tail in by_components(n - m, r - 1):
+                        yield (head,) + tail
+
+        for n in range(7):
+            for r in range(6):
+                assert list(multipartitions(n, r)) == list(by_components(n, r)), (n, r)
+
+    def test_multipartitions_of_many_components(self):
+        # the recursion depth is at most n, not r
+        r = 2 * sys.getrecursionlimit()
+        empty = ((),) * r
+        assert list(islice(multipartitions(2, r), 5)) == [
+            empty[:-1] + ((2,),),
+            empty[:-1] + ((1, 1),),
+            empty[:-2] + ((1,), (1,)),
+            empty[:-2] + ((2,), ()),
+            empty[:-2] + ((1, 1), ()),
+        ]
+        singles = [(mp.index((1,)), sum(map(sum, mp))) for mp in multipartitions(1, r)]
+        assert singles == [(k, 1) for k in range(r - 1, -1, -1)]
 
 
 class TestSerialization:
