@@ -8,7 +8,9 @@ from a store keyed by rows, building and validating the ``rs_map`` pair
 only for rows new to the store.  ``_removal_walk`` runs the inverse for
 every Q of one P at once, as a corner-removal search over P's row lists.
 The admissible operators L_i / R_i, their classes and the ascending
-canonical representative of each class live here as well.
+canonical representative of each class live here as well, each written
+once on one-line data ``(perm, colors)`` (``_left_move``, ``_right_move``,
+``_ascend``) and wrapped for ``GroupElement``s.
 """
 
 from __future__ import annotations
@@ -245,35 +247,46 @@ def is_ascending_element(w: GroupElement) -> bool:
     return all(max(a) < min(b) for a, b in zip(nonempty, nonempty[1:]))
 
 
+def _left_move(perm: tuple, position, i: int) -> tuple:
+    """L_i on one-line data: ``perm`` with the values i and i+1 swapped,
+    found through ``position[v]``, the 0-based position of value v."""
+    moved = list(perm)
+    moved[position[i]], moved[position[i + 1]] = i + 1, i
+    return tuple(moved)
+
+
+def _right_move(perm: tuple, colors: tuple, i: int) -> tuple[tuple, tuple]:
+    """R_i on one-line data: entries i-1 and i (0-based) of both tuples
+    swapped."""
+    p, c = list(perm), list(colors)
+    p[i - 1], p[i], c[i - 1], c[i] = p[i], p[i - 1], c[i], c[i - 1]
+    return tuple(p), tuple(c)
+
+
+def _require_move_index(w: GroupElement, i: int) -> None:
+    """Raise ``IndexOutOfRange`` unless 1 <= i <= n - 1."""
+    if not 1 <= i <= w.params.n - 1:
+        raise IndexOutOfRange(f"i={i} not in [1, {w.params.n - 1}]")
+
+
 def left_admissible(w: GroupElement, i: int) -> GroupElement:
     """s_i * w: swaps the values i and i+1, keeping each position's color.
     Admissible only when the positions holding i and i+1 carry different
     colors."""
-    n = w.params.n
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"i={i} not in [1, {n - 1}]")
-    pos_i, pos_j = w.perm.index(i), w.perm.index(i + 1)
-    if w.colors[pos_i] == w.colors[pos_j]:
+    _require_move_index(w, i)
+    position = {i: w.perm.index(i), i + 1: w.perm.index(i + 1)}
+    if w.colors[position[i]] == w.colors[position[i + 1]]:
         raise NotAdmissible(f"values {i} and {i + 1} carry equal colors")
-    perm = list(w.perm)
-    perm[pos_i], perm[pos_j] = i + 1, i
-    return GroupElement(w.params, tuple(perm), w.colors)
+    return GroupElement(w.params, _left_move(w.perm, position, i), w.colors)
 
 
 def right_admissible(w: GroupElement, i: int) -> GroupElement:
     """w * s_i: swaps positions i and i+1 together with their colors.
     Admissible only when those positions carry different colors."""
-    n = w.params.n
-    if not 1 <= i <= n - 1:
-        raise IndexOutOfRange(f"i={i} not in [1, {n - 1}]")
+    _require_move_index(w, i)
     if w.colors[i - 1] == w.colors[i]:
         raise NotAdmissible(f"positions {i} and {i + 1} carry equal colors")
-    perm, colors = w.perm, w.colors
-    return GroupElement(
-        w.params,
-        perm[: i - 1] + (perm[i], perm[i - 1]) + perm[i + 1 :],
-        colors[: i - 1] + (colors[i], colors[i - 1]) + colors[i + 1 :],
-    )
+    return GroupElement(w.params, *_right_move(w.perm, w.colors, i))
 
 
 def _bubble(keys: list, carried: list) -> list[int]:
@@ -295,9 +308,9 @@ def _bubble(keys: list, carried: list) -> list[int]:
     return swaps
 
 
-def _ascend(w: GroupElement) -> tuple[list[int], list[int], GroupElement]:
+def _ascend(perm, colors) -> tuple[list[int], list[int], tuple[tuple, tuple]]:
     """The swaps of the two phases of ``ascending_moves``, right then left,
-    and the element they lead to.
+    and the one-line data ``(perm, colors)`` of the element they lead to.
 
     Both phases are one ``_bubble``.  The right moves bubble the
     position-color word and carry the values; the left moves then bubble
@@ -305,9 +318,9 @@ def _ascend(w: GroupElement) -> tuple[list[int], list[int], GroupElement]:
     and carry the positions.  A swap is made only where the two colors it
     exchanges are strictly out of order, so every move is admissible:
     ``apply_moves`` replays them with ``left_admissible`` /
-    ``right_admissible`` to the same element, which is built once at the end.
+    ``right_admissible`` to the same element.
     """
-    perm, colors = list(w.perm), list(w.colors)
+    perm, colors = list(perm), list(colors)
     right = _bubble(colors, perm)
     # the 0-based position of value v, and its color, at index v - 1
     position, value_colors = [0] * len(perm), [0] * len(perm)
@@ -316,7 +329,7 @@ def _ascend(w: GroupElement) -> tuple[list[int], list[int], GroupElement]:
     left = _bubble(value_colors, position)
     for v, p in enumerate(position, start=1):
         perm[p] = v
-    return right, left, GroupElement(w.params, tuple(perm), tuple(colors))
+    return right, left, (tuple(perm), tuple(colors))
 
 
 def ascending_moves(w: GroupElement) -> list[tuple[str, int]]:
@@ -329,7 +342,7 @@ def ascending_moves(w: GroupElement) -> list[tuple[str, int]]:
     phases are one adjacent-swap sort (``_bubble``), run first on the
     position-color word and then on the value-color word.
     """
-    right, left, _ = _ascend(w)
+    right, left, _ = _ascend(w.perm, w.colors)
     return [("R", i) for i in right] + [("L", i) for i in left]
 
 
@@ -342,12 +355,13 @@ def apply_moves(w: GroupElement, moves: list[tuple[str, int]]) -> GroupElement:
 
 def ascending_representative(w: GroupElement) -> GroupElement:
     """The ascending element ``apply_moves(w, ascending_moves(w))``."""
-    return _ascend(w)[2]
+    return GroupElement(w.params, *_ascend(w.perm, w.colors)[2])
 
 
-def _admissible_classes(params: GroupParams) -> Iterator[list[GroupElement]]:
+def _admissible_classes(params: GroupParams) -> Iterator[list[tuple[tuple, tuple]]]:
     """The elements of G(r,p,n), one admissible class at a time, each class
-    a list with its ascending element first.
+    a list of one-line data ``(perm, colors)`` with its ascending element
+    first.  No ``GroupElement`` is built, and nothing is validated.
 
     Admissible moves keep two things: the color content (n_0, ..., n_{r-1})
     and, for each color k, the relative order of the values at the positions
@@ -385,5 +399,5 @@ def _admissible_classes(params: GroupParams) -> Iterator[list[GroupElement]]:
                     for at, vals, order in zip(positions, values, orders):
                         for j, rank in zip(at, order):
                             perm[j] = vals[rank] + 1
-                    members.append(GroupElement(params, tuple(perm), colors))
+                    members.append((tuple(perm), colors))
             yield members

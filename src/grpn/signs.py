@@ -24,9 +24,13 @@ sweep in the theorem kernel, one per class in the admissible sweep.  So
 each distinct P and Q is built, validated and read once per sweep or per
 class.  ``verify_theorem`` takes G(r,p,n) in lexicographic order and
 builds no ``GroupElement`` except for a counterexample.
-``verify_admissible`` sweeps one admissible class at
-a time and looks each admissible move's image, a member of the same
-class, up in the class's table.
+``verify_admissible`` sweeps one admissible class at a time, also on
+one-line ``(perm, colors)`` tuples: each admissible move is an index swap
+whose image, a member of the same class, is looked up in the class's
+table.  It builds a ``GroupElement`` only for each class's ascending-element
+check, for a first-sight ``rs_map`` call and for a counterexample.  Both
+sweeps hand the report a counterexample's tuples, and the report builds
+the element only if it keeps it.
 ``verify_membership`` is one walk: it takes every P of every shape as row
 lists and reconstructs the elements of each P by one prefix-sharing
 corner-removal search, so it visits G(r,1,n) once, by shape, then by P,
@@ -47,17 +51,19 @@ from .group import (
     GroupParams,
     OneDimValue,
     _element_tuples,
+    inversions,
     require_within_cap,
 )
 from .rs import (
     _admissible_classes,
+    _ascend,
+    _insertion_rows,
+    _left_move,
     _parts,
     _removal_walk,
+    _right_move,
     _rs_rows,
-    ascending_representative,
     is_ascending_element,
-    left_admissible,
-    right_admissible,
     rs_map,
 )
 from .tableaux import (
@@ -157,8 +163,11 @@ class VerificationReport:
         return len(self.counterexamples) >= self.max_counterexamples
 
     def record(self, w, i, expected, got) -> None:
-        """Keep one counterexample, unless the report is full."""
+        """Keep one counterexample, unless the report is full.  ``w`` is an
+        element, or the one-line data ``(perm, colors)`` of one of
+        ``params``, which is then built as a ``GroupElement`` only if kept."""
         if not self.full:
+            w = GroupElement(self.params, *w) if isinstance(w, tuple) else w
             self.counterexamples.append((w, i, expected, got))
 
     def to_json(self) -> dict:
@@ -242,10 +251,9 @@ def verify_theorem(
         sign, spin_sum = _sign_data(e_p, inv_p + inv_q, ts_p + ts_q)
         parity, shift = _defect(perm_sign, color_sum, sign, spin_sum, r)
         if (parity or shift) and not report.full:
-            w = GroupElement(params, perm, colors)
             for i in _disagreeing(parity, shift, r):
                 expected = OneDimValue(perm_sign, i * color_sum % r, r)
-                report.record(w, i, expected, OneDimValue(sign, i * spin_sum % r, r))
+                report.record((perm, colors), i, expected, OneDimValue(sign, i * spin_sum % r, r))
     report.elements_checked, report.i_values_checked = checked, checked * r
     report.elapsed = time.perf_counter() - start
     return report
@@ -299,39 +307,39 @@ def verify_membership(
     return report
 
 
-def _class_table(members: list[GroupElement]) -> dict:
+def _class_table(params: GroupParams, members: list[tuple[tuple, tuple]]) -> dict:
     """What the admissible sweep keeps of every member of one admissible
-    class, keyed by (perm, colors): for P, then for Q, its rows, inversion
-    count and per-component counts; then the member's (sign, spin_sum).
+    class, given as one-line data ``(perm, colors)`` and keyed by it: for
+    P, then for Q, its rows, inversion count and per-component counts; then
+    the member's (sign, spin_sum).
 
-    Every member goes through the insertion pass ``_rs_rows``, and
+    Every member goes through the insertion pass ``_insertion_rows``, and
     ``rs._parts`` gives its P's and Q's statistics from the class's store:
-    only a member whose P rows or Q rows are not yet there is mapped with
-    the validated ``rs_map``, and every other member's entry is joined from
-    the stored parts of tableaux that were built and validated with exactly
-    its rows.  P depends only on the value-color word and Q only on the
-    position-color word, so a class of M**2 members has M distinct P's and
-    M distinct Q's: ``rs_map`` runs on at most 2M - 1 members, and each
-    tableau's statistics are read once."""
+    only a member whose P rows or Q rows are not yet there is built as a
+    ``GroupElement`` and mapped with the validated ``rs_map``, and every
+    other member's entry is joined from the stored parts of tableaux that
+    were built and validated with exactly its rows.  P depends only on the
+    value-color word and Q only on the position-color word, so a class of
+    M**2 members has M distinct P's and M distinct Q's: ``rs_map`` runs on
+    at most 2M - 1 members, and each tableau's statistics are read once."""
     store: dict = {}
     table = {}
-    for w in members:
-        p_rows, q_rows = _rs_rows(w)
-        (kept_p, e_p, twice_spin_p, _), (kept_q, _, twice_spin_q, _) = _parts(
-            p_rows, q_rows, store, lambda: rs_map(w)
+    for perm, colors in members:
+        p_rows, q_rows = _insertion_rows(perm, colors, params.r)
+        (kept_p, e_p, ts_p, _), (kept_q, _, ts_q, _) = _parts(
+            p_rows, q_rows, store, lambda: rs_map(GroupElement(params, perm, colors))
         )
-        sign_data = _sign_data(e_p, kept_p[1] + kept_q[1], twice_spin_p + twice_spin_q)
-        table[w.perm, w.colors] = kept_p, kept_q, sign_data
+        table[perm, colors] = kept_p, kept_q, _sign_data(e_p, kept_p[1] + kept_q[1], ts_p + ts_q)
     return table
 
 
-def _move_kept(table: dict, entry: tuple, moved: GroupElement, fixed: int) -> bool:
+def _move_kept(table: dict, entry: tuple, moved: tuple, fixed: int) -> bool:
     """An admissible move, from the member whose ``_class_table`` entry is
-    ``entry`` to ``moved``: ``moved`` is in the class's table, the
-    multitableau ``fixed`` (0 for P, 1 for Q) is unchanged, the other one's
-    inversion count moves by exactly one, and each of its components keeps
-    its count."""
-    image = table.get((moved.perm, moved.colors))
+    ``entry`` to the one-line data ``moved``: ``moved`` is in the class's
+    table, the multitableau ``fixed`` (0 for P, 1 for Q) is unchanged, the
+    other one's inversion count moves by exactly one, and each of its
+    components keeps its count."""
+    image = table.get(moved)
     changed = 1 - fixed
     return (
         image is not None
@@ -355,7 +363,13 @@ def verify_admissible(
 
     The sweep takes G(r,p,n) one admissible class at a time
     (``rs._admissible_classes``), with the class's ascending element rho
-    first.  Moves stay inside a class, so it keeps every member's entry
+    first, and works on one-line data ``(perm, colors)`` throughout: the
+    moves are ``rs._right_move`` and ``rs._left_move`` and the
+    representative is ``rs._ascend``, the routines ``right_admissible``,
+    ``left_admissible`` and ``ascending_representative`` wrap.  A
+    ``GroupElement`` is built only for rho's ascending check, for a member
+    ``rs_map`` must map, and for a counterexample the report keeps.
+    Moves stay inside a class, so it keeps every member's entry
     in a table keyed by (perm, colors) (``_class_table``); each move's image
     is then looked up there, and an image outside the table has left its
     class, which the move must not do.  Within a class P depends only on the
@@ -366,7 +380,8 @@ def verify_admissible(
     statistics read once, and every other member's entry is joined from
     those of its two tableaux.  The table holds one class at a time, at
     most multinomial(n; n_k)**2 elements, never the whole group.  The
-    agreement of formula and character is compared through defects: only
+    agreement of formula and character is compared through defects, read
+    off inv(sigma) and the color sum: only
     a member whose defect differs from rho's has its ``_disagreeing`` i
     compared with rho's, and each i where exactly one of the two agrees is
     a counterexample ``(w, i, agrees_w, agrees_rho)``.
@@ -382,37 +397,36 @@ def verify_admissible(
     record = report.record
     start = time.perf_counter()
     checked = values = 0
-    value_colors = [0] * (n + 1)  # value_colors[v]: the color at v's position
+    position = [0] * (n + 1)  # position[v]: the 0-based position of value v
     for members in _admissible_classes(params):
-        table = _class_table(members)
+        table = _class_table(params, members)
         rho = members[0]
-        if not is_ascending_element(rho):
+        if not is_ascending_element(GroupElement(params, *rho)):
             record(rho, 0, "ascending representative", "not ascending")
-        rho_defect = _defect(rho.perm_sign, rho.color_sum(), *table[rho.perm, rho.colors][2], r)
-        for w in members:
+        rho_defect = _defect((-1) ** inversions(rho[0]), sum(rho[1]), *table[rho][2], r)
+        for perm, colors in members:
             checked += 1
-            entry = table[w.perm, w.colors]
-            colors = w.colors
-            for v, c in zip(w.perm, colors):
-                value_colors[v] = c
+            entry = table[perm, colors]
+            for p, v in enumerate(perm):
+                position[v] = p
             for i in range(1, n):
                 if colors[i - 1] != colors[i]:
                     values += 1
-                    if not _move_kept(table, entry, right_admissible(w, i), 0):
-                        record(w, i, "R-move invariants", "violated")
-                if value_colors[i] != value_colors[i + 1]:
+                    if not _move_kept(table, entry, _right_move(perm, colors, i), 0):
+                        record((perm, colors), i, "R-move invariants", "violated")
+                if colors[position[i]] != colors[position[i + 1]]:
                     values += 1
-                    if not _move_kept(table, entry, left_admissible(w, i), 1):
-                        record(w, i, "L-move invariants", "violated")
-            rep = ascending_representative(w)
-            if rep != rho:
-                record(w, 0, "ascending representative", str(rep))
+                    if not _move_kept(table, entry, (_left_move(perm, position, i), colors), 1):
+                        record((perm, colors), i, "L-move invariants", "violated")
+            rep = _ascend(perm, colors)[2]
+            if rep != rho and not report.full:
+                record((perm, colors), 0, "ascending representative", str(GroupElement(params, *rep)))
             values += r
-            defect = _defect(w.perm_sign, w.color_sum(), *entry[2], r)
+            defect = _defect((-1) ** inversions(perm), sum(colors), *entry[2], r)
             if defect != rho_defect:
                 bad, rho_bad = _disagreeing(*defect, r), _disagreeing(*rho_defect, r)
                 for i in sorted(set(bad).symmetric_difference(rho_bad)):
-                    record(w, i, i not in bad, i not in rho_bad)
+                    record((perm, colors), i, i not in bad, i not in rho_bad)
     report.elements_checked, report.i_values_checked = checked, values
     report.elapsed = time.perf_counter() - start
     return report

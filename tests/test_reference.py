@@ -26,6 +26,7 @@ from grpn.group import (
     GroupParams,
     OneDimValue,
     enumerate_group,
+    generator,
     inversions,
 )
 from grpn.rs import (
@@ -520,8 +521,9 @@ def test_move_images_on_rows_match_objects(r, n):
                 on_rows = row_move_check(rows[f], w_rows[f], rows[c], w_rows[c])
                 assert on_rows == on_objects, (str(w), str(moved), f)
                 outcomes.add(on_rows)
-                table = signs._class_table([w, moved])
-                ok = signs._move_kept(table, table[w.perm, w.colors], moved, f)
+                key, image_key = (w.perm, w.colors), (moved.perm, moved.colors)
+                table = signs._class_table(params, [key, image_key])
+                ok = signs._move_kept(table, table[key], image_key, f)
                 assert ok == all(on_objects), (str(w), str(moved), f)
     assert (True, True, True) in outcomes and any(not all(o) for o in outcomes)
 
@@ -586,19 +588,21 @@ def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
     tableau objects; the class has as many distinct P's as Q's, its
     members' square root.  The table maps with ``rs_map`` exactly the
     members whose P rows or Q rows no earlier member of the class had."""
+    params = GroupParams(r, p, n)
     mapped = []
     monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or rs_map(w))
     total = 0
-    for members in _admissible_classes(GroupParams(r, p, n)):
+    for members in _admissible_classes(params):
         mapped.clear()
-        table = signs._class_table(members)
+        table = signs._class_table(params, members)
         calls = list(mapped)
-        assert list(table) == [(w.perm, w.colors) for w in members]
+        assert list(table) == members
         p_rows, q_rows, seen, new = set(), set(), set(), []
-        for w in members:
+        for key in members:
+            w = GroupElement(params, *key)
             pair = rs_map(w)
-            fresh = signs._class_table([w])[w.perm, w.colors]
-            assert table[w.perm, w.colors] == fresh == object_entry(pair), str(w)
+            fresh = signs._class_table(params, [key])[key]
+            assert table[key] == fresh == object_entry(pair), str(w)
             p_rows.add(fresh[0][0])
             q_rows.add(fresh[1][0])
             rows = {fresh[0][0], fresh[1][0]}
@@ -611,12 +615,17 @@ def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
     assert total == MAPPED[r, p, n]
 
 
-def patch_rs_rows(monkeypatch, fake):
+def patch_insertion_rows(monkeypatch, fake):
     """Replace the insertion pass both where ``rs_map`` and where the sweep
-    call it: ``fake(w, real)`` returns w's (P rows, Q rows)."""
-    real = _rs_rows
+    call it: ``fake(key, real)`` returns the (P rows, Q rows) of the
+    one-line data ``key`` = (perm, colors), and ``real(key)`` the true ones."""
+    real = rs_module._insertion_rows
     for module in (rs_module, signs):
-        monkeypatch.setattr(module, "_rs_rows", lambda w: fake(w, real))
+        monkeypatch.setattr(
+            module,
+            "_insertion_rows",
+            lambda perm, colors, r: fake((tuple(perm), tuple(colors)), lambda key: real(*key, r)),
+        )
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["P", "Q"])
@@ -632,18 +641,18 @@ def test_admissible_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
     target = members[-1]
     mapped = []
     monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or rs_map(w))
-    signs._class_table(members)
-    assert target not in mapped  # its true rows repeat
+    signs._class_table(params, members)
+    assert GroupElement(params, *target) not in mapped  # its true rows repeat
     monkeypatch.setattr(signs, "rs_map", rs_map)
 
-    def fake(w, real):
-        rows = real(w)
-        if w == target:
+    def fake(key, real):
+        rows = real(key)
+        if key == target:
             comp = next(c for c in rows[side] if c and len(c[0]) > 1)
             comp[0].reverse()
         return rows
 
-    patch_rs_rows(monkeypatch, fake)
+    patch_insertion_rows(monkeypatch, fake)
     with pytest.raises(InvalidTableau):
         signs.verify_admissible(params)
 
@@ -655,18 +664,18 @@ def test_admissible_sweep_checks_the_pair_shape(monkeypatch):
     for members in _admissible_classes(params):
         if len(members) > 4:
             break
-    shape = rs_map(members[0]).P.shape
-    other = next(x for x in enumerate_group(params) if rs_map(x).P.shape != shape)
+    shape = rs_map(GroupElement(params, *members[0])).P.shape
+    other = next((x.perm, x.colors) for x in enumerate_group(params) if rs_map(x).P.shape != shape)
     decoy, target = members[1], members[-1]
 
-    def fake(w, real):
-        if w == decoy:
+    def fake(key, real):
+        if key == decoy:
             return real(other)
-        if w == target:
-            return real(other)[0], real(w)[1]
-        return real(w)
+        if key == target:
+            return real(other)[0], real(key)[1]
+        return real(key)
 
-    patch_rs_rows(monkeypatch, fake)
+    patch_insertion_rows(monkeypatch, fake)
     with pytest.raises(ShapeMismatch):
         signs.verify_admissible(params)
 
@@ -698,12 +707,12 @@ def test_admissible_sweep_reports_an_r_move_that_changes_p(monkeypatch):
     """An R-move that swaps the two colors but leaves the values in place
     moves a value to another component of P."""
 
-    def recolor(w, i):
-        colors = list(w.colors)
+    def recolor(perm, colors, i):
+        colors = list(colors)
         colors[i - 1], colors[i] = colors[i], colors[i - 1]
-        return GroupElement(w.params, w.perm, tuple(colors))
+        return perm, tuple(colors)
 
-    monkeypatch.setattr(signs, "right_admissible", recolor)
+    monkeypatch.setattr(signs, "_right_move", recolor)
     params = GroupParams(2, 1, 3)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
     assert {expected for _, _, expected, _ in report.counterexamples} == {"R-move invariants"}
@@ -740,10 +749,14 @@ def multinomial(content):
 def test_admissible_classes_partition_the_group(r, n):
     """Each class is one signature with multinomial**2 members, its first
     member is ascending and is every member's ascending representative, and
-    the classes cover G(r,1,n) once."""
+    the classes cover G(r,1,n) once.  Every yielded (perm, colors) is a pair
+    of tuples that makes a valid ``GroupElement``; ``_admissible_classes``
+    builds none, so this is where its output is validated."""
     params = GroupParams(r, 1, n)
     seen, signatures = [], set()
-    for members in _admissible_classes(params):
+    for keys in _admissible_classes(params):
+        assert all(type(perm) is type(colors) is tuple for perm, colors in keys)
+        members = [GroupElement(params, *key) for key in keys]
         rho = members[0]
         content, _ = signature = class_signature(rho)
         assert signature not in signatures
@@ -761,7 +774,7 @@ def test_admissible_classes_partition_the_group(r, n):
 @pytest.mark.parametrize("r,p,n", [(4, 2, 3), (6, 3, 2), (2, 2, 4), (3, 3, 3)])
 def test_admissible_classes_cover_exactly_the_subgroup(r, p, n):
     params = GroupParams(r, p, n)
-    seen = [w for members in _admissible_classes(params) for w in members]
+    seen = [GroupElement(params, *key) for keys in _admissible_classes(params) for key in keys]
     assert len(seen) == params.order
     assert set(seen) == set(enumerate_group(params))
 
@@ -771,23 +784,73 @@ def test_admissible_classes_of_a_large_r():
     time, so an r above the recursion limit works: one class per color."""
     r = 2 * sys.getrecursionlimit()
     params = GroupParams(r, 1, 1)
-    assert list(_admissible_classes(params)) == [
-        [GroupElement(params, (1,), (k,))] for k in range(r)
-    ]
+    assert list(_admissible_classes(params)) == [[((1,), (k,))] for k in range(r)]
+
+
+def move_oracle_elements():
+    """Every element of G(2,1,4), G(3,1,3) and G(4,2,3), then 300 seeded
+    random elements of rank 8 to 64."""
+    for params in (GroupParams(2, 1, 4), GroupParams(3, 1, 3), GroupParams(4, 2, 3)):
+        yield from enumerate_group(params)
+    rng = random.Random(19)
+    for _ in range(300):
+        yield random_element(rng, rng.randint(8, 64), rng.choice((2, 3, 4, 8)))
+
+
+def test_one_line_moves_and_ascend_match_products_and_the_element_api():
+    """The one-line routines the admissible sweep calls, against group
+    products and the element API that wraps them: wherever a move is
+    admissible, ``_right_move`` gives w * s_i and ``_left_move`` (through a
+    value-to-position array) gives s_i * w, as tuples and equal to
+    ``right_admissible`` / ``left_admissible``; ``_ascend`` gives the one
+    ascending element of w's class signature, ``ascending_representative``
+    and ``ascending_moves``, whose replay leads to it."""
+
+    def key(w):
+        return w.perm, w.colors
+
+    gens = {}
+    moves = 0
+    for w in move_oracle_elements():
+        params, perm, colors = w.params, w.perm, w.colors
+        if params not in gens:
+            gens[params] = [None] + [generator(params, i) for i in range(1, params.n)]
+        position = [0] * (params.n + 1)
+        for p, v in enumerate(perm):
+            position[v] = p
+        for i in range(1, params.n):
+            s_i = gens[params][i]
+            if colors[i - 1] != colors[i]:
+                moved = rs_module._right_move(perm, colors, i)
+                assert type(moved[0]) is type(moved[1]) is tuple
+                assert moved == key(w * s_i) == key(right_admissible(w, i)), (str(w), i)
+                moves += 1
+            if colors[position[i]] != colors[position[i + 1]]:
+                moved = rs_module._left_move(perm, position, i)
+                assert type(moved) is tuple
+                assert (moved, colors) == key(s_i * w) == key(left_admissible(w, i)), (str(w), i)
+                moves += 1
+        right, left, rep = rs_module._ascend(perm, colors)
+        assert type(rep[0]) is type(rep[1]) is tuple
+        rho = GroupElement(params, *rep)
+        assert is_ascending_element(rho) and class_signature(rho) == class_signature(w), str(w)
+        assert rho == ascending_representative(w) == apply_moves(w, ascending_moves(w)), str(w)
+        assert ascending_moves(w) == [("R", i) for i in right] + [("L", i) for i in left]
+    assert moves > 10**4
 
 
 def test_admissible_counterexamples_come_in_class_walk_order(monkeypatch):
     """With R-moves patched to the identity every admissible R-move fails,
     and the first 10 are reported by class and then in member order."""
-    monkeypatch.setattr(signs, "right_admissible", lambda w, i: w)
+    monkeypatch.setattr(signs, "_right_move", lambda perm, colors, i: (perm, colors))
     params = GroupParams(3, 1, 3)
     report = signs.verify_admissible(params)
     walk = (
-        (w, i, "R-move invariants", "violated")
+        (GroupElement(params, perm, colors), i, "R-move invariants", "violated")
         for members in _admissible_classes(params)
-        for w in members
+        for perm, colors in members
         for i in range(1, params.n)
-        if w.colors[i - 1] != w.colors[i]
+        if colors[i - 1] != colors[i]
     )
     assert report.counterexamples == list(islice(walk, 10))
 
@@ -796,7 +859,7 @@ def test_admissible_sweep_reports_a_wrong_ascending_representative(monkeypatch):
     """An ascending representative that returns w itself is wrong exactly
     on the non-ascending elements: all but one per class, where a content
     has prod n_k! classes."""
-    monkeypatch.setattr(signs, "ascending_representative", lambda w: w)
+    monkeypatch.setattr(signs, "_ascend", lambda perm, colors: ([], [], (perm, colors)))
     r, n = 3, 3
     params = GroupParams(r, 1, n)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
@@ -846,9 +909,9 @@ def test_admissible_sweep_compares_the_disagreeing_i_not_the_defects(monkeypatch
     agrees, so none when the disagreeing i are the same."""
     real = signs._class_table
 
-    def skewed(members):
-        table = real(members)
-        rho = members[0].perm, members[0].colors
+    def skewed(params, members):
+        table = real(params, members)
+        rho = members[0]
         for key, (kept_p, kept_q, (sign, spin_sum)) in table.items():
             table[key] = kept_p, kept_q, (sign, spin_sum + (1 if key == rho else member_shift))
         return table

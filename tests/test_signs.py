@@ -305,11 +305,17 @@ class TestVerifyAdmissible:
         assert report.i_values_checked == moves + params.order * r
 
     @pytest.mark.parametrize(
-        "move,violation",
-        [("right_admissible", "R-move invariants"), ("left_admissible", "L-move invariants")],
+        "move,nothing,violation",
+        [
+            ("_right_move", lambda perm, colors, i: (perm, colors), "R-move invariants"),
+            ("_left_move", lambda perm, position, i: perm, "L-move invariants"),
+        ],
+        ids=["right_admissible-R-move invariants", "left_admissible-L-move invariants"],
     )
-    def test_catches_a_move_that_does_nothing(self, monkeypatch, move, violation):
-        monkeypatch.setattr(signs, move, lambda w, i: w)
+    def test_catches_a_move_that_does_nothing(self, monkeypatch, move, nothing, violation):
+        """The one-line routine that ``right_admissible`` / ``left_admissible``
+        wrap, patched to return its input, fails every such move."""
+        monkeypatch.setattr(signs, move, nothing)
         report = verify_admissible(GroupParams(2, 1, 3))
         assert not report.passed
         assert {expected for _, _, expected, _ in report.counterexamples} == {violation}
@@ -321,7 +327,7 @@ class TestVerifyAdmissible:
         monkeypatch.setattr(signs, "_admissible_classes", reversed_classes)
         params = GroupParams(2, 1, 3)
         report = verify_admissible(params, max_counterexamples=10**4)
-        leaders = [members[0] for members in reversed_classes(params)]
+        leaders = [GroupElement(params, *members[0]) for members in reversed_classes(params)]
         assert sum(not is_ascending_element(w) for w in leaders) > 3
         assert [(w, i, expected) for w, i, expected, got in report.counterexamples if got == "not ascending"] == [
             (w, 0, "ascending representative") for w in leaders if not is_ascending_element(w)
