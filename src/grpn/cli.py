@@ -14,7 +14,7 @@ import sys
 
 from .errors import GrpnError, ParseError, ShapeMismatch
 from .group import DEFAULT_CAP, GroupParams, parse_element
-from .rs import RSPair, ascending_moves, apply_moves, rs_inverse, rs_map
+from .rs import RSPair, ascending_moves, ascending_representative, rs_inverse, rs_map
 from .signs import pi, verify_admissible, verify_membership, verify_theorem
 from .tableaux import Multitableau, is_component_list
 
@@ -149,7 +149,7 @@ def cmd_pi(args):
 def cmd_ascend(args):
     w = _element(args)
     moves = ascending_moves(w)
-    rep = apply_moves(w, moves)
+    rep = ascending_representative(w)
     move_text = " ".join(f"{side}{i}" for side, i in moves) or "(none)"
     _emit(
         args,
@@ -169,8 +169,7 @@ VERIFIERS = {
 
 def cmd_verify(args):
     params = GroupParams(args.r, args.p, args.n)
-    cap = args.cap if not args.force else 10**12
-    report = VERIFIERS[args.which](params, cap=cap)
+    report = VERIFIERS[args.which](params, cap=args.cap)
     _emit(args, [report.summary()], report.to_json())
     return 0 if report.passed else VERIFY_FAILURE
 
@@ -210,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", choices=sorted(VERIFIERS))
     _shared_options(p, with_n=True)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument("--force", action="store_true", help="raise the enumeration cap to 10^12")
     p.set_defaults(func=cmd_verify)
     return parser
 

@@ -372,8 +372,7 @@ def enumerate_group(params: GroupParams, cap: int = DEFAULT_CAP) -> Iterator[Gro
         yield GroupElement(params, perm, colors)
 
 
-_ITEM_RE = re.compile(r"(?:z(\d+)\*)?(\d+)")
-# the same with whitespace around a number, never inside one
+# one item: whitespace may stand around a number, never inside one
 _SPACED_ITEM_RE = re.compile(r"\s*(?:z\s*(\d+)\s*\*\s*)?(\d+)\s*")
 
 
@@ -393,7 +392,7 @@ def parse_element(text: str, r: int, p: int = 1) -> GroupElement:
     params = GroupParams(r, p, len(items))
     perm, colors = [], []
     for item in items:
-        m = _ITEM_RE.fullmatch(item) or _SPACED_ITEM_RE.fullmatch(item)
+        m = _SPACED_ITEM_RE.fullmatch(item)
         if not m:
             raise ParseError(f"bad item {item.strip()!r}")
         exp, val = m.groups()

@@ -35,12 +35,18 @@ the element only if it keeps it.
 lists and reconstructs the elements of each P by one prefix-sharing
 corner-removal search, so it visits G(r,1,n) once, by shape, then by P,
 then in removal order, without inserting.
+
+The three sweeps share one frame, ``_sweep``: it refuses a sweep above its
+cap before any work, builds the ``VerificationReport``, times the walk and
+sets the report's element and value-check counts.  Each sweep's own body
+only walks its elements, records counterexamples and returns those counts.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from inspect import cleandoc
 from math import factorial
 
 from ._kernels import get_kernel
@@ -206,24 +212,46 @@ class VerificationReport:
 SWEEP_R = 8
 
 
-def _require_sweep_within_cap(params: GroupParams, cap: int) -> None:
-    """Raise ``CapExceeded`` if G(r,1,n) is above ``cap`` or, for r above
-    ``SWEEP_R``, above ``cap`` scaled by SWEEP_R / r."""
-    require_within_cap(params, cap)
-    r, n = params.r, params.n
-    order, scaled = r**n * factorial(n), cap * SWEEP_R // r
-    if r > SWEEP_R and order > scaled:
-        raise CapExceeded(
-            f"G({r},1,{n}) has {order} elements, above cap {scaled} "
-            f"for a sweep at r={r} (cap {cap} times {SWEEP_R}/r)"
-        )
+_CAP_DOC = "Raises ``CapExceeded`` before any work if the sweep is above its cap (``_sweep``)."
 
 
-def verify_theorem(
-    params: GroupParams,
-    cap: int = DEFAULT_CAP,
-    max_counterexamples: int = 10,
-) -> VerificationReport:
+def _sweep(walk):
+    """The frame of a sweep, written once for all three: ``@_sweep`` on
+    ``verify_<kind>(params, report)`` makes the public
+    ``verify_<kind>(params, cap=DEFAULT_CAP, max_counterexamples=10)``.
+
+    The walk checks every element, records its counterexamples in
+    ``report`` and returns (elements checked, value checks).  The frame
+    refuses a sweep above its cap before any work, builds the report, times
+    the walk and sets the report's counts and elapsed time.  It is a plain
+    function with its own signature and the walk's docstring, so
+    ``inspect.signature`` and ``help`` show the public call."""
+    kind = walk.__name__.removeprefix("verify_")
+
+    def sweep(
+        params: GroupParams, cap: int = DEFAULT_CAP, max_counterexamples: int = 10
+    ) -> VerificationReport:
+        require_within_cap(params, cap)
+        r, n = params.r, params.n
+        order, scaled = r**n * factorial(n), cap * SWEEP_R // r
+        if r > SWEEP_R and order > scaled:
+            raise CapExceeded(
+                f"G({r},1,{n}) has {order} elements, above cap {scaled} "
+                f"for a sweep at r={r} (cap {cap} times {SWEEP_R}/r)"
+            )
+        report = VerificationReport(params, kind, max_counterexamples=max_counterexamples)
+        start = time.perf_counter()
+        report.elements_checked, report.i_values_checked = walk(params, report)
+        report.elapsed = time.perf_counter() - start
+        return report
+
+    sweep.__name__ = sweep.__qualname__ = walk.__name__
+    sweep.__doc__ = f"{cleandoc(walk.__doc__)}\n\n{_CAP_DOC}"
+    return sweep
+
+
+@_sweep
+def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int, int]:
     """Check the sign formula for every element of G(r,p,n) and every i.
 
     The sweep takes the elements' one-line data in lexicographic order
@@ -235,18 +263,11 @@ def verify_theorem(
     when its defect is not (0, 0), and is then reported at each i where the
     character's value (expected) and the formula's (got) differ.  A
     ``GroupElement`` is built only for a counterexample the report keeps,
-    and counterexamples come in ``enumerate_group`` order.  Raises
-    ``CapExceeded`` before any work if the sweep is above its cap
-    (``_require_sweep_within_cap``)."""
-    _require_sweep_within_cap(params, cap)
+    and counterexamples come in ``enumerate_group`` order."""
     kernel = get_kernel()
     r = params.r
-    report = VerificationReport(params, "theorem", max_counterexamples=max_counterexamples)
-    start = time.perf_counter()
-    checked = 0
-    for perm, colors in _element_tuples(params):
+    for checked, (perm, colors) in enumerate(_element_tuples(params), 1):
         inv_sigma, color_sum, e_p, inv_p, inv_q, ts_p, ts_q = kernel(perm, colors, r)
-        checked += 1
         perm_sign = -1 if inv_sigma & 1 else 1
         sign, spin_sum = _sign_data(e_p, inv_p + inv_q, ts_p + ts_q)
         parity, shift = _defect(perm_sign, color_sum, sign, spin_sum, r)
@@ -254,14 +275,11 @@ def verify_theorem(
             for i in _disagreeing(parity, shift, r):
                 expected = OneDimValue(perm_sign, i * color_sum % r, r)
                 report.record((perm, colors), i, expected, OneDimValue(sign, i * spin_sum % r, r))
-    report.elements_checked, report.i_values_checked = checked, checked * r
-    report.elapsed = time.perf_counter() - start
-    return report
+    return checked, checked * r
 
 
-def verify_membership(
-    params: GroupParams, cap: int = DEFAULT_CAP, max_counterexamples: int = 10
-) -> VerificationReport:
+@_sweep
+def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[int, int]:
     """Subgroup membership matches the spin criterion, both directions: an
     element of G(r,1,n) lies in G(r,p,n) exactly when p divides twice the
     spin of its insertion multitableau P.
@@ -284,14 +302,10 @@ def verify_membership(
     each value in its color's component: component k of P then holds
     exactly the values of color k, so twice the spin of P equals the color
     sum.  What the sweep exercises is the walk's reverse bumping, not an
-    independent fact about G(r,p,n).  Raises ``CapExceeded`` before any
-    work if the sweep is above its cap (``_require_sweep_within_cap``).
+    independent fact about G(r,p,n).
     """
-    _require_sweep_within_cap(params, cap)
     r, p, n = params.r, params.p, params.n
     full = GroupParams(r, 1, n)
-    report = VerificationReport(params, "membership", max_counterexamples=max_counterexamples)
-    start = time.perf_counter()
     checked = values = 0
     for shape in multipartitions(n, r):
         for p_rows in _standard_fillings(shape):
@@ -302,9 +316,7 @@ def verify_membership(
                 values += 1 + criterion
                 if member != criterion and not report.full:
                     report.record(GroupElement(full, tuple(perm), tuple(colors)), 0, member, criterion)
-    report.elements_checked, report.i_values_checked = checked, values
-    report.elapsed = time.perf_counter() - start
-    return report
+    return checked, values
 
 
 def _class_table(params: GroupParams, members: list[tuple[tuple, tuple]]) -> dict:
@@ -349,9 +361,8 @@ def _move_kept(table: dict, entry: tuple, moved: tuple, fixed: int) -> bool:
     )
 
 
-def verify_admissible(
-    params: GroupParams, cap: int = DEFAULT_CAP, max_counterexamples: int = 10
-) -> VerificationReport:
+@_sweep
+def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[int, int]:
     """Check the admissible-operator propositions over all of G(r,p,n).
 
     For every admissible right move: P is fixed, the multitableau inversion
@@ -388,21 +399,16 @@ def verify_admissible(
 
     Counterexamples come by class and then in member order, not in
     ``enumerate_group`` order; a class whose first element is not ascending
-    reports that before its members.  Raises ``CapExceeded`` before any
-    work if the sweep is above its cap (``_require_sweep_within_cap``).
+    reports that before its members.
     """
-    _require_sweep_within_cap(params, cap)
     r, n = params.r, params.n
-    report = VerificationReport(params, "admissible", max_counterexamples=max_counterexamples)
-    record = report.record
-    start = time.perf_counter()
     checked = values = 0
     position = [0] * (n + 1)  # position[v]: the 0-based position of value v
     for members in _admissible_classes(params):
         table = _class_table(params, members)
         rho = members[0]
         if not is_ascending_element(GroupElement(params, *rho)):
-            record(rho, 0, "ascending representative", "not ascending")
+            report.record(rho, 0, "ascending representative", "not ascending")
         rho_defect = _defect((-1) ** inversions(rho[0]), sum(rho[1]), *table[rho][2], r)
         for perm, colors in members:
             checked += 1
@@ -413,23 +419,21 @@ def verify_admissible(
                 if colors[i - 1] != colors[i]:
                     values += 1
                     if not _move_kept(table, entry, _right_move(perm, colors, i), 0):
-                        record((perm, colors), i, "R-move invariants", "violated")
+                        report.record((perm, colors), i, "R-move invariants", "violated")
                 if colors[position[i]] != colors[position[i + 1]]:
                     values += 1
                     if not _move_kept(table, entry, (_left_move(perm, position, i), colors), 1):
-                        record((perm, colors), i, "L-move invariants", "violated")
+                        report.record((perm, colors), i, "L-move invariants", "violated")
             rep = _ascend(perm, colors)[2]
             if rep != rho and not report.full:
-                record((perm, colors), 0, "ascending representative", str(GroupElement(params, *rep)))
+                report.record((perm, colors), 0, "ascending representative", str(GroupElement(params, *rep)))
             values += r
             defect = _defect((-1) ** inversions(perm), sum(colors), *entry[2], r)
             if defect != rho_defect:
                 bad, rho_bad = _disagreeing(*defect, r), _disagreeing(*rho_defect, r)
                 for i in sorted(set(bad).symmetric_difference(rho_bad)):
-                    record((perm, colors), i, i not in bad, i not in rho_bad)
-    report.elements_checked, report.i_values_checked = checked, values
-    report.elapsed = time.perf_counter() - start
-    return report
+                    report.record((perm, colors), i, i not in bad, i not in rho_bad)
+    return checked, values
 
 
 def decompose_ascending(w: GroupElement) -> list[GroupElement]:

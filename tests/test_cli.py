@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 import grpn
 from grpn.cli import build_parser, main
-from grpn.group import MAX_R, parse_element
+from grpn.group import MAX_R, GroupElement, GroupParams, parse_element
+from grpn.rs import apply_moves, ascending_moves
 
 RUNNING = "[z1*5,1,z2*3,6,z2*7,z1*4,2,8]"
 SRC = os.path.dirname(os.path.dirname(grpn.__file__))
@@ -141,6 +143,22 @@ def test_ascend(capsys):
     assert moves.split(" = ")[1].split()[0][0] in "LR"
 
 
+def test_ascend_matches_replaying_its_moves(capsys):
+    """On seeded elements of rank 64, the printed representative and moves
+    are ``ascending_moves(w)`` and the element those moves replay to."""
+    rng = random.Random(64)
+    for r in (2, 4, 8, 4, 2):
+        perm = list(range(1, 65))
+        rng.shuffle(perm)
+        w = GroupElement(GroupParams(r, 1, 64), tuple(perm), tuple(rng.randrange(r) for _ in perm))
+        code, out, _ = run(capsys, "ascend", "--r", str(r), "--format", "json", str(w))
+        data = json.loads(out)
+        moves = ascending_moves(w)
+        assert code == 0 and len(moves) > 100
+        assert data["moves"] == [[side, i] for side, i in moves]
+        assert data["ascending"] == str(apply_moves(w, moves)), str(w)
+
+
 def test_verify_pass_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "theorem", "--r", "2", "--p", "1", "--n", "4")
     assert code == 0
@@ -167,6 +185,18 @@ def test_verify_cap_exit_usage(capsys):
     code, _, err = run(capsys, "verify", "theorem", "--r", "6", "--n", "8", "--cap", "100")
     assert code == 2
     assert "error" in err
+
+
+def test_verify_cap_is_the_only_size_option(capsys):
+    """``--cap`` sizes a sweep; there is no ``--force`` to override it."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "theorem", "--r", "2", "--n", "3", "--force"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
+    code, out, _ = run(capsys, "verify", "theorem", "--r", "2", "--n", "3", "--cap", "1000000000000")
+    assert code == 0 and "PASS, 48 elements" in out
+    code, _, err = run(capsys, "verify", "theorem", "--r", "2", "--n", "3", "--cap", "5")
+    assert code == 2 and err == "error: G(2,1,3) has 48 elements, above cap 5\n"
 
 
 def test_parse_error_exit_two(capsys):

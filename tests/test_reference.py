@@ -258,6 +258,14 @@ def removal_leaves(p_rows):
     return leaves
 
 
+@pytest.mark.parametrize("p_rows", [[[[2], [1]]], [[[1]], [[3, 4], [2]]]])
+def test_removal_walk_refuses_rows_that_are_not_standard(p_rows):
+    """A column that decreases makes a reverse bump find no smaller entry in
+    the row above: the walk raises instead of yielding a wrong element."""
+    with pytest.raises(InvalidTableau, match="^reverse bump fell off the tableau$"):
+        list(_removal_walk(p_rows))
+
+
 def shape_criterion(shape, p):
     """Whether p divides twice the spin of a shape, sum of k * |lambda_k|."""
     return sum(k * sum(lam) for k, lam in enumerate(shape)) % p == 0

@@ -1,4 +1,6 @@
+import inspect
 import json
+import pydoc
 import random
 import sys
 import threading
@@ -9,6 +11,7 @@ from grpn import signs
 from grpn.cli import main
 from grpn.errors import CapExceeded, IndexOutOfRange, NotAscending, ShapeMismatch
 from grpn.group import (
+    DEFAULT_CAP,
     GroupElement,
     GroupParams,
     OneDimValue,
@@ -359,6 +362,26 @@ def test_sweep_cap_scales_with_r_before_any_work(monkeypatch, verify, walk):
     monkeypatch.undo()
     assert verify(GroupParams(9, 1, 2), cap=183).elements_checked == 162
     assert verify(GroupParams(8, 1, 2), cap=128).elements_checked == 128
+
+
+@pytest.mark.parametrize("verify", [verify_theorem, verify_membership, verify_admissible])
+def test_sweeps_keep_their_public_signature(verify):
+    """The sweep frame is the public call: ``inspect.signature`` and ``help``
+    show ``(params, cap=DEFAULT_CAP, max_counterexamples=10)`` under the
+    sweep's own name, with its docstring and the frame's cap sentence."""
+    sig = inspect.signature(verify)
+    assert [(p.name, p.kind, p.default) for p in sig.parameters.values()] == [
+        ("params", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("cap", inspect.Parameter.POSITIONAL_OR_KEYWORD, DEFAULT_CAP),
+        ("max_counterexamples", inspect.Parameter.POSITIONAL_OR_KEYWORD, 10),
+    ]
+    assert verify.__module__ == "grpn.signs" and verify.__qualname__ == verify.__name__
+    assert getattr(signs, verify.__name__) is verify
+    doc = inspect.getdoc(verify)
+    assert doc.endswith("Raises ``CapExceeded`` before any work if the sweep is above its cap (``_sweep``).")
+    assert doc.count("CapExceeded") == 1
+    text = pydoc.render_doc(verify, renderer=pydoc.plaintext)
+    assert f"{verify.__name__}{sig}" in text and doc.splitlines()[0] in text
 
 
 class TestDecomposeAscending:
