@@ -21,7 +21,6 @@ from .rs import (
     is_ascending_element,
     left_admissible,
     right_admissible,
-    row_insert,
     rs_inverse,
     rs_map,
 )

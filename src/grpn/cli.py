@@ -14,7 +14,7 @@ import sys
 
 from .errors import GrpnError, ParseError, ShapeMismatch
 from .group import DEFAULT_CAP, GroupParams, parse_element
-from .rs import RSPair, ascending_moves, ascending_representative, rs_inverse, rs_map
+from .rs import RSPair, _ascend_element, rs_inverse, rs_map
 from .signs import pi, verify_admissible, verify_membership, verify_theorem
 from .tableaux import Multitableau, is_component_list
 
@@ -148,8 +148,7 @@ def cmd_pi(args):
 
 def cmd_ascend(args):
     w = _element(args)
-    moves = ascending_moves(w)
-    rep = ascending_representative(w)
+    moves, rep = _ascend_element(w)
     move_text = " ".join(f"{side}{i}" for side, i in moves) or "(none)"
     _emit(
         args,

@@ -41,14 +41,6 @@ class CapExceeded(GrpnError):
     pass
 
 
-class OverlappingLabels(GrpnError):
-    pass
-
-
-class DuplicateLabel(GrpnError):
-    pass
-
-
 class ShapeMismatch(GrpnError):
     pass
 

@@ -145,6 +145,25 @@ def inversions(keys: Sequence) -> int:
     return total
 
 
+def _bubble(keys: list, carried: list) -> list[int]:
+    """Stably sort ``keys`` in place by swapping adjacent entries that are
+    strictly out of order, pass after pass, and swap ``carried`` alongside.
+    Returns the 1-based index i of each swap of entries i and i+1, in order.
+    A pass stops where the previous one made its last swap: the keys from
+    there on are already in their final places."""
+    swaps, end = [], len(keys)
+    while end > 1:
+        last = 0
+        for j in range(1, end):
+            if keys[j - 1] > keys[j]:
+                keys[j - 1], keys[j] = keys[j], keys[j - 1]
+                carried[j - 1], carried[j] = carried[j], carried[j - 1]
+                swaps.append(j)
+                last = j
+        end = last
+    return swaps
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """An element of G(r,1,n): a permutation together with color exponents."""
@@ -232,19 +251,13 @@ class GroupElement:
         """A word in the generators s_0..s_{n-1} whose product is this element.
 
         Not length-minimal: the permutation part is bubble-sorted with
-        adjacent transpositions, then each color a_i is produced by the
-        conjugate s_{i-1}...s_1 s_0 s_1...s_{i-1} applied a_i times.
+        adjacent transpositions (``_bubble``), then each color a_i is
+        produced by the conjugate s_{i-1}...s_1 s_0 s_1...s_{i-1} applied
+        a_i times.
         """
         n = self.params.n
         # sort one-line notation to identity by right multiplications
-        line = list(self.perm)
-        swaps = []
-        for _ in range(n):
-            for j in range(n - 1):
-                if line[j] > line[j + 1]:
-                    line[j], line[j + 1] = line[j + 1], line[j]
-                    swaps.append(j + 1)
-        word = list(reversed(swaps))
+        word = _bubble(list(self.perm), [None] * n)[::-1]
         for i in range(1, n + 1):
             a = self.colors[i - 1]
             if a:

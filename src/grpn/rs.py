@@ -20,14 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 from typing import Iterator
 
-from .errors import (
-    DuplicateLabel,
-    IndexOutOfRange,
-    InvalidTableau,
-    NotAdmissible,
-    ShapeMismatch,
-)
-from .group import GroupElement, GroupParams, require_member
+from .errors import IndexOutOfRange, InvalidTableau, NotAdmissible, ShapeMismatch
+from .group import GroupElement, GroupParams, _bubble, require_member
 from .tableaux import Multitableau, StandardTableau, tableau_inversions
 
 
@@ -41,23 +35,6 @@ class RSPair:
     def __post_init__(self):
         if self.P.shape != self.Q.shape:
             raise ShapeMismatch(f"{self.P.shape} != {self.Q.shape}")
-
-
-def row_insert(tableau: StandardTableau, x: int) -> tuple[StandardTableau, tuple[int, int]]:
-    """Schensted row insertion; returns the new tableau and the 1-based
-    (row, column) of the appended box."""
-    if x in tableau.labels():
-        raise DuplicateLabel(f"label {x} already present")
-    rows = [list(row) for row in tableau.rows]
-    cur = x
-    for t, row in enumerate(rows):
-        pos = bisect_right(row, cur)
-        if pos == len(row):
-            row.append(cur)
-            return StandardTableau(tuple(map(tuple, rows))), (t + 1, len(row))
-        cur, row[pos] = row[pos], cur
-    rows.append([cur])
-    return StandardTableau(tuple(map(tuple, rows))), (len(rows), 1)
 
 
 def _insertion_rows(perm, colors, r: int) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
@@ -289,25 +266,6 @@ def right_admissible(w: GroupElement, i: int) -> GroupElement:
     return GroupElement(w.params, *_right_move(w.perm, w.colors, i))
 
 
-def _bubble(keys: list, carried: list) -> list[int]:
-    """Stably sort ``keys`` in place by swapping adjacent entries that are
-    strictly out of order, pass after pass, and swap ``carried`` alongside.
-    Returns the 1-based index i of each swap of entries i and i+1, in order.
-    A pass stops where the previous one made its last swap: the keys from
-    there on are already in their final places."""
-    swaps, end = [], len(keys)
-    while end > 1:
-        last = 0
-        for j in range(1, end):
-            if keys[j - 1] > keys[j]:
-                keys[j - 1], keys[j] = keys[j], keys[j - 1]
-                carried[j - 1], carried[j] = carried[j], carried[j - 1]
-                swaps.append(j)
-                last = j
-        end = last
-    return swaps
-
-
 def _ascend(perm, colors) -> tuple[list[int], list[int], tuple[tuple, tuple]]:
     """The swaps of the two phases of ``ascending_moves``, right then left,
     and the one-line data ``(perm, colors)`` of the element they lead to.
@@ -342,8 +300,14 @@ def ascending_moves(w: GroupElement) -> list[tuple[str, int]]:
     phases are one adjacent-swap sort (``_bubble``), run first on the
     position-color word and then on the value-color word.
     """
-    right, left, _ = _ascend(w.perm, w.colors)
-    return [("R", i) for i in right] + [("L", i) for i in left]
+    return _ascend_element(w)[0]
+
+
+def _ascend_element(w: GroupElement) -> tuple[list[tuple[str, int]], GroupElement]:
+    """``ascending_moves(w)`` and ``ascending_representative(w)`` from one
+    ``_ascend``."""
+    right, left, rep = _ascend(w.perm, w.colors)
+    return [("R", i) for i in right] + [("L", i) for i in left], GroupElement(w.params, *rep)
 
 
 def apply_moves(w: GroupElement, moves: list[tuple[str, int]]) -> GroupElement:

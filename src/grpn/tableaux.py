@@ -16,7 +16,7 @@ from math import factorial
 from operator import lt
 from typing import Iterator, Sequence
 
-from .errors import CapExceeded, InvalidTableau, OverlappingLabels
+from .errors import CapExceeded, InvalidTableau
 from .group import inversions
 
 Partition = tuple[int, ...]
@@ -137,10 +137,6 @@ class StandardTableau:
     def labels(self) -> set[int]:
         return {x for row in self.rows for x in row}
 
-    def row_index(self) -> dict[int, int]:
-        """Map label -> 1-based row number."""
-        return {x: i + 1 for i, row in enumerate(self.rows) for x in row}
-
     def inversions(self) -> int:
         """Pairs (i, j), j > i, with the box of i in a strictly lower row
         (see ``tableau_inversions``)."""
@@ -152,15 +148,6 @@ class StandardTableau:
 
     def __str__(self):
         return "/".join(",".join(map(str, row)) for row in self.rows) or "-"
-
-
-def cross_inversions(t_earlier: StandardTableau, t_later: StandardTableau) -> int:
-    """Pairs (j, i) with j a label of the earlier component, i of the later,
-    and j > i."""
-    a, b = t_earlier.labels(), t_later.labels()
-    if a & b:
-        raise OverlappingLabels(f"components share labels {sorted(a & b)}")
-    return sum(1 for j in a for i in b if j > i)
 
 
 # Tableau and multitableau statistics as functions of row lists (one
@@ -243,12 +230,9 @@ class Multitableau:
     def inversions(self) -> int:
         """Pairs (i, j) of labels, i < j, where i sits in a later component
         than j, or in the same component and a strictly lower row: the sum
-        of the component inversions plus ``cross_inversions`` over every
-        pair of components (see ``rows_inversions``)."""
+        of the component inversions plus, over every pair of components,
+        the label pairs split between them (see ``rows_inversions``)."""
         return rows_inversions([t.rows for t in self.components])
-
-    def sign(self) -> int:
-        return (-1) ** self.inversions()
 
     def even_row_boxes(self) -> int:
         return rows_even_row_boxes([t.rows for t in self.components])
@@ -315,17 +299,11 @@ def _standard_fillings(shape: MultiPartition) -> Iterator[list[list[list[int]]]]
     yield from place(sum(map(sum, shape)))
 
 
-def standard_tableaux(shape: Partition, labels: Sequence[int] | None = None) -> Iterator[StandardTableau]:
-    """All standard tableaux of the given shape, filled with the given label
-    set (default 1..n) in the order-preserving way, in the corner-search
-    order of ``_standard_fillings``."""
-    shape = check_partition(shape)
-    n = sum(shape)
-    pool = sorted(labels) if labels is not None else list(range(1, n + 1))
-    if len(pool) != n:
-        raise InvalidTableau(f"need {n} labels, got {len(pool)}")
-    for (filling,) in _standard_fillings((shape,)):
-        yield StandardTableau([[pool[k - 1] for k in row] for row in filling])
+def standard_tableaux(shape: Partition) -> Iterator[StandardTableau]:
+    """All standard tableaux of the given shape, filled with 1..n, in the
+    corner-search order of ``_standard_fillings``."""
+    for (filling,) in _standard_fillings((check_partition(shape),)):
+        yield StandardTableau(filling)
 
 
 def standard_multitableaux(shape: MultiPartition, cap: int = DEFAULT_SHAPE_CAP) -> Iterator[Multitableau]:

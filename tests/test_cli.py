@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import grpn
+from grpn import rs as rs_module
 from grpn.cli import build_parser, main
 from grpn.group import MAX_R, GroupElement, GroupParams, parse_element
 from grpn.rs import apply_moves, ascending_moves
@@ -157,6 +158,48 @@ def test_ascend_matches_replaying_its_moves(capsys):
         assert code == 0 and len(moves) > 100
         assert data["moves"] == [[side, i] for side, i in moves]
         assert data["ascending"] == str(apply_moves(w, moves)), str(w)
+
+
+def test_ascend_sorts_once(capsys, monkeypatch):
+    """``grpn ascend`` takes its moves and its representative from one
+    ``_ascend``, which runs both bubble sorts."""
+    calls = []
+    ascend = rs_module._ascend
+    monkeypatch.setattr(rs_module, "_ascend", lambda *args: calls.append(args) or ascend(*args))
+    for fmt in ("text", "json"):
+        calls.clear()
+        assert run(capsys, "ascend", "--r", "4", "--format", fmt, RUNNING)[0] == 0
+        assert len(calls) == 1, fmt
+
+
+# kind, r, p, n, elements checked, i values checked
+SWEEP_COUNTS = [
+    ("admissible", 2, 1, 4, 384, 1920),
+    ("admissible", 3, 1, 3, 162, 918),
+    ("admissible", 4, 2, 3, 192, 1344),
+    ("admissible", 3, 3, 3, 54, 306),
+    ("admissible", 2, 2, 4, 192, 960),
+    ("admissible", 2, 1, 5, 3840, 23040),
+    ("membership", 2, 2, 5, 3840, 5760),
+    ("membership", 3, 3, 4, 1944, 2592),
+    ("membership", 1000, 1, 1, 1000, 2000),  # more components than the recursion limit
+    ("theorem", 2, 1, 5, 3840, 7680),
+    ("theorem", 4, 2, 4, 3072, 12288),
+    ("theorem", 3, 3, 4, 648, 1944),
+    ("theorem", 6, 3, 3, 432, 2592),
+    ("theorem", 4, 4, 3, 96, 384),
+    ("theorem", 3, 3, 1, 1, 3),
+]
+
+
+@pytest.mark.parametrize("kind,r,p,n,checked,values", SWEEP_COUNTS)
+def test_verify_json_reports_its_counts(capsys, kind, r, p, n, checked, values):
+    """A sweep's report keys, and its element and value-check counts."""
+    code, out, _ = run(capsys, "verify", kind, "--r", str(r), "--p", str(p), "--n", str(n), "--format", "json")
+    data = json.loads(out)
+    assert code == 0
+    assert set(data) == {"params", "kind", "checked", "i_values_checked", "failures", "elapsed_ms"}
+    assert [data["checked"], data["i_values_checked"]] == [checked, values]
 
 
 def test_verify_pass_exit_zero(capsys):

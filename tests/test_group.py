@@ -288,6 +288,22 @@ class TestWord:
         for w in enumerate_group(params):
             assert evaluate_word(params, w.word()) == w
 
+    def test_words_are_pinned(self):
+        """The bubble sort's swaps, last first, then each color's conjugate."""
+        for text, r, word in (
+            ("[3,1,2]", 1, [2, 1]),
+            ("[4,3,2,1]", 1, [1, 2, 1, 3, 2, 1]),
+            ("[z1*2,1]", 2, [1, 0]),
+            ("[1,z2*2,3]", 3, [1, 0, 0, 1]),
+            (
+                "[z1*5,1,z2*3,6,z2*7,z1*4,2,8]",
+                4,
+                [2, 3, 4, 3, 5, 4, 6, 5, 2, 1, 0, 2, 1, 0, 0, 1, 2, 4, 3, 2, 1, 0, 0, 1, 2, 3]
+                + [4, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5],
+            ),
+        ):
+            assert parse_element(text, r).word() == word, text
+
     def test_word_evaluates_characters(self):
         # multiplicative evaluation over the word agrees with the closed form
         params = GroupParams(3, 1, 3)

@@ -1,6 +1,7 @@
 """The theorem sweep's kernel against the independent oracles of
 test_reference: pairwise inversion counts, and the component-by-component
-statistics of the image built by ``row_insert`` one entry at a time.
+statistics of the image built one entry at a time by test_reference's
+``row_insert``, a Schensted insertion on row lists by linear scan.
 
 A kernel keeps a store of the statistics of every distinct multitableau it
 has met, and the last permutation it was called with and its inv(sigma).

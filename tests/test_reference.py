@@ -2,7 +2,8 @@
 
 Each oracle here is the straightforward pairwise or object-level
 definition that the library computes by a faster route: the O(n^2)
-inversion count, the within-plus-cross multitableau count, OneDimValue
+inversion count, the within-plus-cross multitableau count on row lists,
+Schensted row insertion by a linear scan (``row_insert``), OneDimValue
 canonical forms, move-by-move replay of the ascending moves, and the
 tableau-object route to the sign formula's statistics and to the
 admissible-move checks, per-pair ``rs_inverse`` and ``enumerate_group``
@@ -13,7 +14,7 @@ orders) for the admissible classes.
 
 import random
 import sys
-from itertools import chain, islice, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -40,7 +41,6 @@ from grpn.rs import (
     is_ascending_element,
     left_admissible,
     right_admissible,
-    row_insert,
     rs_inverse,
     rs_map,
 )
@@ -51,7 +51,6 @@ from grpn.tableaux import (
     _is_standard,
     _standard_fillings,
     count_standard_multitableaux,
-    cross_inversions,
     multipartitions,
     rows_even_row_boxes,
     rows_inversions,
@@ -67,19 +66,21 @@ def pairwise_inversions(keys):
 
 
 def within_plus_cross(T):
-    comps = T.components
-    within = sum(pairwise_inversions(row_numbers(t)) for t in comps)
+    """Inversions of each component's row numbers, plus the pairs (j, i),
+    j > i, with j in an earlier component than i."""
+    comps = [t.rows for t in T.components]
+    within = sum(pairwise_inversions(row_numbers(rows)) for rows in comps)
+    labels = [[x for row in rows for x in row] for rows in comps]
     cross = sum(
-        cross_inversions(comps[k], comps[l])
-        for k in range(len(comps))
-        for l in range(k + 1, len(comps))
+        1 for earlier, later in combinations(labels, 2) for j in earlier for i in later if j > i
     )
     return within + cross
 
 
-def row_numbers(t):
-    rows_of = t.row_index()
-    return [rows_of[x] for x in sorted(rows_of)]
+def row_numbers(rows):
+    """The 1-based row number of each label of one component, by label."""
+    row_of = {x: t for t, row in enumerate(rows, start=1) for x in row}
+    return [row_of[x] for x in sorted(row_of)]
 
 
 def object_stats(T):
@@ -91,16 +92,31 @@ def object_stats(T):
     )
 
 
+def row_insert(rows, x):
+    """Schensted row insertion of x into the row list ``rows``, in place:
+    x takes the place of the first larger entry of a row, which moves on to
+    the next row, until one is appended at a row's end.  Returns the 1-based
+    row of the appended box."""
+    for t, row in enumerate(rows, start=1):
+        larger = [j for j, y in enumerate(row) if y > x]
+        if not larger:
+            row.append(x)
+            return t
+        x, row[larger[0]] = row[larger[0]], x
+    rows.append([x])
+    return len(rows)
+
+
 def row_insert_image(w):
     """P and Q row lists of w, built by ``row_insert`` one entry at a time."""
-    P = [StandardTableau(()) for _ in range(w.params.r)]
+    P = [[] for _ in range(w.params.r)]
     Q = [[] for _ in range(w.params.r)]
     for i, (x, k) in enumerate(zip(w.perm, w.colors), start=1):
-        P[k], (row, _) = row_insert(P[k], x)
+        row = row_insert(P[k], x)
         if row > len(Q[k]):
             Q[k].append([])
         Q[k][row - 1].append(i)
-    return [[list(row) for row in t.rows] for t in P], Q
+    return P, Q
 
 
 def check_row_route(w):
@@ -144,7 +160,7 @@ def test_tableau_inversions_match_pairwise_definition():
         for shape in multipartitions(n, r):
             for T in standard_multitableaux(shape):
                 for t in T.components:
-                    assert t.inversions() == pairwise_inversions(row_numbers(t))
+                    assert t.inversions() == pairwise_inversions(row_numbers(t.rows))
 
 
 @pytest.mark.parametrize("r,n", [(1, 6), (2, 5), (3, 4), (4, 3)])
@@ -471,7 +487,7 @@ def test_tableau_inversions_match_pairwise_on_rs_images_up_to_rank_64():
         w = random_element(rng, rng.randint(1, 64), rng.randint(1, 8))
         pair = rs_map(w)
         for t in pair.P.components + pair.Q.components:
-            expected = pairwise_inversions(row_numbers(t))
+            expected = pairwise_inversions(row_numbers(t.rows))
             assert tableau_inversions(t.rows) == t.inversions() == expected, w
             assert tableau_inversions([list(row) for row in t.rows]) == expected
 

@@ -2,13 +2,7 @@ import itertools
 
 import pytest
 
-from grpn.errors import (
-    DuplicateLabel,
-    IndexOutOfRange,
-    NotAdmissible,
-    NotAMember,
-    ShapeMismatch,
-)
+from grpn.errors import IndexOutOfRange, NotAdmissible, NotAMember, ShapeMismatch
 from grpn.group import (
     GroupParams,
     enumerate_group,
@@ -19,17 +13,17 @@ from grpn.group import (
 )
 from grpn.rs import (
     RSPair,
+    _insertion_rows,
     apply_moves,
     ascending_moves,
     ascending_representative,
     is_ascending_element,
     left_admissible,
     right_admissible,
-    row_insert,
     rs_inverse,
     rs_map,
 )
-from grpn.tableaux import Multitableau, StandardTableau, multipartitions, standard_multitableaux
+from grpn.tableaux import Multitableau, multipartitions, standard_multitableaux
 
 from conftest import to_matrix
 
@@ -57,21 +51,19 @@ def canonical_ascending(w):
 
 
 class TestRowInsert:
+    """Single insertions through ``_insertion_rows``: the last entry's
+    recording label marks the box it appended."""
+
     def test_bump_into_new_row(self):
-        t, box = row_insert(StandardTableau(((5,),)), 4)
-        assert t.rows == ((4,), (5,)) and box == (2, 1)
+        assert _insertion_rows((5, 4), (0, 0), 1) == ([[[4], [5]]], [[[1], [2]]])
 
     def test_empty(self):
-        t, box = row_insert(StandardTableau(()), 7)
-        assert t.rows == ((7,),) and box == (1, 1)
+        assert _insertion_rows((7,), (0,), 1) == ([[[7]]], [[[1]]])
 
     def test_append_without_bump(self):
-        t, box = row_insert(StandardTableau(((1, 2, 8), (6,))), 9)
-        assert t.rows == ((1, 2, 8, 9), (6,)) and box == (1, 4)
-
-    def test_duplicate(self):
-        with pytest.raises(DuplicateLabel):
-            row_insert(StandardTableau(((5,),)), 5)
+        # 1, 6, 8, 2 build (1,2,8 / 6); then 9 appends at row 1, column 4
+        p_rows, q_rows = _insertion_rows((1, 6, 8, 2, 9), (0,) * 5, 1)
+        assert p_rows == [[[1, 2, 8, 9], [6]]] and q_rows == [[[1, 2, 3, 5], [4]]]
 
 
 class TestRSMap:
