@@ -3,10 +3,11 @@
 For an element w of G(r,1,n) the values with color k are Schensted-inserted
 in position order to build the component P_k, while Q_k records, in the box
 created by the entry at position i, the absolute position i itself.
-``_parts`` gives the statistics the sweeps read of an element's P and Q
-from a store keyed by rows, building and validating the ``rs_map`` pair
-only for rows new to the store.  ``_removal_walk`` runs the inverse for
-every Q of one P at once, as a corner-removal search over P's row lists.
+``_parts`` gives the statistics the admissible sweep reads of an
+element's P and Q from a store keyed by rows, building and validating the
+``rs_map`` pair only for rows new to the store.  ``_removal_walk`` runs
+the inverse for every Q of one P at once, as a corner-removal search over
+P's row lists.
 The admissible operators L_i / R_i, their classes and the ascending
 canonical representative of each class live here as well, each written
 once on one-line data ``(perm, colors)`` (``_left_move``, ``_right_move``,
@@ -136,11 +137,11 @@ def _rows_key(components: list[list[list[int]]]) -> tuple:
 
 
 def _part(T: Multitableau, store: dict) -> tuple:
-    """What the sweeps keep of one multitableau: (its rows, its inversion
-    count, its per-component counts), then e(T), twice its spin and its
-    shape.  Each is a function of the rows alone, so they are read off T
-    only the first time its rows appear in ``store``, which P's and Q's
-    share; ``_rows_key`` gives the same key from row lists."""
+    """What the admissible sweep keeps of one multitableau: (its rows, its
+    inversion count, its per-component counts), then e(T), twice its spin
+    and its shape.  Each is a function of the rows alone, so they are read
+    off T only the first time its rows appear in ``store``, which P's and
+    Q's share; ``_rows_key`` gives the same key from row lists."""
     rows = tuple([t.rows for t in T.components])
     part = store.get(rows)
     if part is None:

@@ -17,24 +17,26 @@ mod 2 and shift is (spin(P) + spin(Q) - color sum) mod r.  The i at which
 the two sides disagree depend on the defect alone (``_disagreeing``), so the
 sweeps compare defects and list those i only for a counterexample.
 
-``verify_theorem`` and ``verify_admissible`` get every element's P and Q
-as row lists, and build validated tableau objects only for an element
-whose P rows or Q rows are new to a store (``rs._parts``): one store per
-sweep in the theorem kernel, one per class in the admissible sweep.  So
-each distinct P and Q is built, validated and read once per sweep or per
-class.  ``verify_theorem`` takes G(r,p,n) in lexicographic order and
-builds no ``GroupElement`` except for a counterexample.
-``verify_admissible`` sweeps one admissible class at a time, also on
-one-line ``(perm, colors)`` tuples: each admissible move is an index swap
-whose image, a member of the same class, is looked up in the class's
-table.  It builds a ``GroupElement`` only for each class's ascending-element
-check, for a first-sight ``rs_map`` call and for a counterexample.  Both
-sweeps hand the report a counterexample's tuples, and the report builds
-the element only if it keeps it.
-``verify_membership`` is one walk: it takes every P of every shape as row
-lists and reconstructs the elements of each P by one prefix-sharing
-corner-removal search, so it visits G(r,1,n) once, by shape, then by P,
-then in removal order, without inserting.
+``verify_theorem`` and ``verify_membership`` are one walk each: they take
+every P of every shape and reconstruct the elements of each P by one
+prefix-sharing corner-removal search (``rs._removal_walk``), so they visit
+the group once, by shape, then by P, then in removal order, without
+inserting.  ``verify_theorem`` builds each standard filling of a shape
+once as a validated ``Multitableau``, reads its statistics off its methods
+once, and uses the same list for the P side and the Q side: leaf k of P's
+walk has Q = filling k.  Per leaf it calls the kernel (``_kernels``) for
+inv(sigma) and the color sum, and once per shape it maps one leaf with
+the validated ``rs_map`` and compares the pair with (P, filling k).
+``verify_admissible`` gets every element's P and Q as row lists, and
+builds validated tableau objects only for an element whose P rows or Q
+rows are new to its class's store (``rs._parts``), so each distinct P and
+Q is built, validated and read once per class.  It sweeps one admissible
+class at a time, on one-line ``(perm, colors)`` tuples: each admissible
+move is an index swap whose image, a member of the same class, is looked
+up in the class's table.  It builds a ``GroupElement`` only for each
+class's ascending-element check, for a first-sight ``rs_map`` call and
+for a counterexample.  The sweeps hand the report a counterexample's
+tuples, and the report builds the element only if it keeps it.
 
 The three sweeps share one frame, ``_sweep``: it refuses a sweep above its
 cap before any work, builds the ``VerificationReport``, times the walk and
@@ -49,14 +51,13 @@ from dataclasses import dataclass, field
 from inspect import cleandoc
 from math import factorial
 
-from ._kernels import get_kernel
+from ._kernels import get_kernel, mapped_pair
 from .errors import CapExceeded, IndexOutOfRange, NotAscending, ShapeMismatch
 from .group import (
     DEFAULT_CAP,
     GroupElement,
     GroupParams,
     OneDimValue,
-    _element_tuples,
     inversions,
     require_within_cap,
 )
@@ -75,6 +76,7 @@ from .rs import (
 from .tableaux import (
     ComponentRows,
     Multitableau,
+    StandardTableau,
     _standard_fillings,
     multipartitions,
     rows_even_row_boxes,
@@ -204,9 +206,9 @@ class VerificationReport:
 
 
 # A sweep's work per element grows with r, not only its element count: every
-# element's image has r components in P and in Q, and the theorem kernel's
-# store keeps up to r distinct P of r components each.  G(100000,1,1) has 10^5
-# elements but would take hours and exhaust memory.  So above SWEEP_R a
+# element's image has r components in P and in Q, and each step of a removal
+# walk scans all r components for corners.  G(100000,1,1) has 10^5 elements
+# but would take hours.  So above SWEEP_R a
 # sweep's element cap is scaled down by SWEEP_R / r; at or below it the
 # element cap decides alone.
 SWEEP_R = 8
@@ -250,31 +252,71 @@ def _sweep(walk):
     return sweep
 
 
+def _fillings(shape) -> list[tuple[Multitableau, int, int, int]]:
+    """Every standard filling of a shape, in ``_standard_fillings`` order,
+    as a validated ``Multitableau`` with its e, inv and twice_spin, each
+    read off its methods once."""
+    out = []
+    for rows in _standard_fillings(shape):
+        T = Multitableau(tuple(StandardTableau(comp) for comp in rows))
+        out.append((T, T.even_row_boxes(), T.inversions(), T.twice_spin()))
+    return out
+
+
 @_sweep
 def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int, int]:
     """Check the sign formula for every element of G(r,p,n) and every i.
 
-    The sweep takes the elements' one-line data in lexicographic order
-    (``group._element_tuples``, the order of ``enumerate_group``) and makes
-    one call per element to a kernel fresh for this sweep.  The kernel runs
-    the insertion pass and looks P's and Q's statistics up in its store,
-    building and validating the ``rs_map`` pair only for an element whose P
-    or Q the sweep has not met before.  An element is a counterexample
-    when its defect is not (0, 0), and is then reported at each i where the
-    character's value (expected) and the formula's (got) differ.  A
-    ``GroupElement`` is built only for a counterexample the report keeps,
-    and counterexamples come in ``enumerate_group`` order."""
+    The sweep walks the group by shape, then by P, then in removal order,
+    as ``verify_membership`` does.  A shape is skipped unless p divides its
+    color sum, sum of k * |lambda_k|: every leaf of the shape has that color
+    sum, so the leaves of the kept shapes are G(r,p,n), each once.  Each
+    standard filling of a kept shape is built once, as a validated
+    ``Multitableau`` whose e, inv and twice_spin are read once
+    (``_fillings``), and the one list is the P side and the Q side: leaf k
+    of ``rs._removal_walk(P)`` is ``rs_inverse(RSPair(P, filling k))``.
+
+    Per leaf the kernel gives inv(sigma) and the color sum.  A leaf is a
+    counterexample when its defect is not (0, 0), and is then reported at
+    each i where the character's value (expected) and the formula's (got)
+    differ.  With defect (0, 0) a leaf is still a counterexample, reported
+    once at i = 0, when its color sum is not exactly twice_spin(P), which a
+    walk that puts a value in the wrong component would give.  Once per
+    shape one leaf, which rotates with the shape's index, is mapped with
+    the validated ``rs_map`` and must give (P, filling k); a mismatch is a
+    counterexample ``(w, 0, walk's pair, rs_map's pair)``, each pair as
+    text.  A ``GroupElement``
+    is built only for that leaf and for a counterexample the report keeps,
+    and counterexamples come by shape, then by P, then in walk order."""
     kernel = get_kernel()
-    r = params.r
-    for checked, (perm, colors) in enumerate(_element_tuples(params), 1):
-        inv_sigma, color_sum, e_p, inv_p, inv_q, ts_p, ts_q = kernel(perm, colors, r)
-        perm_sign = -1 if inv_sigma & 1 else 1
-        sign, spin_sum = _sign_data(e_p, inv_p + inv_q, ts_p + ts_q)
-        parity, shift = _defect(perm_sign, color_sum, sign, spin_sum, r)
-        if (parity or shift) and not report.full:
-            for i in _disagreeing(parity, shift, r):
-                expected = OneDimValue(perm_sign, i * color_sum % r, r)
-                report.record((perm, colors), i, expected, OneDimValue(sign, i * spin_sum % r, r))
+    r, p, n = params.r, params.p, params.n
+    checked = 0
+    for index, shape in enumerate(multipartitions(n, r)):
+        if sum(k * sum(lam) for k, lam in enumerate(shape)) % p:
+            continue
+        fillings = _fillings(shape)
+        mapped_p, mapped_k = divmod(index % len(fillings) ** 2, len(fillings))
+        for a, (P, e_p, inv_p, ts_p) in enumerate(fillings):
+            p_rows = [[list(row) for row in t.rows] for t in P.components]
+            mapped = mapped_k if a == mapped_p else -1
+            leaves = zip(_removal_walk(p_rows), fillings, strict=True)
+            for k, ((perm, colors), (Q, _, inv_q, ts_q)) in enumerate(leaves):
+                checked += 1
+                inv_sigma, color_sum = kernel(perm, colors, r)
+                perm_sign = -1 if inv_sigma & 1 else 1
+                sign, spin_sum = _sign_data(e_p, inv_p + inv_q, ts_p + ts_q)
+                parity, shift = _defect(perm_sign, color_sum, sign, spin_sum, r)
+                if parity or shift:
+                    if not report.full:
+                        for i in _disagreeing(parity, shift, r):
+                            expected = OneDimValue(perm_sign, i * color_sum % r, r)
+                            report.record((perm, colors), i, expected, OneDimValue(sign, i * spin_sum % r, r))
+                elif color_sum != ts_p:
+                    report.record((perm, colors), 0, f"color sum {ts_p}", f"color sum {color_sum}")
+                if k == mapped:
+                    pair = mapped_pair(perm, colors, r)
+                    if (pair.P, pair.Q) != (P, Q):
+                        report.record((perm, colors), 0, f"{P} {Q}", f"{pair.P} {pair.Q}")
     return checked, checked * r
 
 

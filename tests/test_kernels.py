@@ -1,15 +1,17 @@
-"""The theorem sweep's kernel against the independent oracles of
+"""The theorem sweep's per-leaf data against the independent oracles of
 test_reference: pairwise inversion counts, and the component-by-component
 statistics of the image built one entry at a time by test_reference's
 ``row_insert``, a Schensted insertion on row lists by linear scan.
 
-A kernel keeps a store of the statistics of every distinct multitableau it
-has met, and the last permutation it was called with and its inv(sigma).
-So a fresh kernel per element tests only the path that builds and
-validates the tableaux, and one kernel across many elements tests the
-store and the reuse of inv(sigma) as well: in lexicographic order, where
-neighbours mostly share the permutation, in shuffled order, across
-changes of r and n, and on an input buffer the caller mutates in place."""
+The sweep reads each leaf's group side, (inv(sigma), color sum), from the
+kernel, which keeps no state, and its tableaux side from the statistics of
+the filling that is its P and the filling that is its Q (``signs._fillings``,
+read off ``Multitableau`` methods).  So the whole-group tests check the
+kernel and the fillings' statistics together, leaf by leaf, in the walk's
+order and in shuffled order, and the random tests up to rank 64 check the
+kernel and the same ``Multitableau`` methods on ``rs_map`` pairs.  The
+sweep maps one leaf per shape with the validated ``rs_map``; the last tests
+check which leaf, and that a pair it cannot validate stops the sweep."""
 
 import random
 
@@ -20,20 +22,58 @@ from grpn import signs
 from grpn._kernels import BACKENDS, _fallback, get_kernel
 from grpn.errors import InvalidTableau, ShapeMismatch
 from grpn.group import GroupElement, GroupParams, enumerate_group
-from grpn.tableaux import Multitableau, StandardTableau
-from test_reference import object_stats, pairwise_inversions, random_element, row_insert_image
+from grpn.rs import _removal_walk, rs_map
+from grpn.tableaux import Multitableau, StandardTableau, multipartitions
+from test_reference import (
+    object_stats,
+    pairwise_inversions,
+    random_element,
+    row_insert_image,
+    shape_criterion,
+    theorem_leaves,
+)
 
 
 def oracle_stats(w):
     """(inv_sigma, color_sum, e_P, inv_P, inv_Q, twice_spin_P, twice_spin_Q)
-    of w, without the kernel's insertion loop or inversion count."""
+    of w, without the library's insertion loop or inversion count."""
     P, Q = (Multitableau(tuple(map(StandardTableau, comps))) for comps in row_insert_image(w))
     (e_p, inv_p, ts_p), (_, inv_q, ts_q) = object_stats(P), object_stats(Q)
     return (pairwise_inversions(w.perm), sum(w.colors), e_p, inv_p, inv_q, ts_p, ts_q)
 
 
+def method_stats(w, kernel=None):
+    """The same seven numbers from the kernel and the ``Multitableau``
+    methods the sweep reads each filling's statistics with, on w's
+    validated ``rs_map`` pair."""
+    pair = rs_map(w)
+    P, Q = pair.P, pair.Q
+    inv_sigma, color_sum = (kernel or get_kernel())(w.perm, w.colors, w.params.r)
+    return (inv_sigma, color_sum, P.even_row_boxes(), P.inversions(), Q.inversions(), P.twice_spin(), Q.twice_spin())
+
+
 def check_kernel(w):
-    assert get_kernel()(w.perm, w.colors, w.params.r) == oracle_stats(w), str(w)
+    assert get_kernel()(w.perm, w.colors, w.params.r) == oracle_stats(w)[:2], str(w)
+
+
+def check_method_stats(w, kernel=None):
+    assert method_stats(w, kernel) == oracle_stats(w), str(w)
+
+
+def leaf_stats(params):
+    """(w, the seven numbers) for every leaf of G(r,1,n), in the sweep's
+    walk order, as the sweep reads them: the kernel's pair on the walk's
+    live buffers, then the ``_fillings`` statistics of filling a as P and of
+    filling k as Q, for leaf k of the walk of filling a."""
+    r, n = params.r, params.n
+    kernel = get_kernel()
+    for shape in multipartitions(n, r):
+        fillings = signs._fillings(shape)
+        for P, e_p, inv_p, ts_p in fillings:
+            p_rows = [[list(row) for row in t.rows] for t in P.components]
+            for (perm, colors), (_, _, inv_q, ts_q) in zip(_removal_walk(p_rows), fillings, strict=True):
+                stats = (*kernel(perm, colors, r), e_p, inv_p, inv_q, ts_p, ts_q)
+                yield GroupElement(params, perm, colors), stats
 
 
 def test_python_backend_always_available():
@@ -46,9 +86,8 @@ def test_unknown_backend_rejected():
 
 
 def test_stats_shape():
-    out = get_kernel()((2, 1), (1, 0), 2)
-    inv_sigma, color_sum, e_p, inv_p, inv_q, ts_p, ts_q = out
-    assert inv_sigma == 1 and color_sum == 1 and ts_p == ts_q
+    assert get_kernel()((2, 1), (1, 0), 2) == (1, 1)
+    assert get_kernel("python") is get_kernel() is _fallback.theorem_stats
 
 
 @pytest.mark.parametrize("r,n", [(2, 4), (3, 3), (4, 3), (1, 5)])
@@ -59,20 +98,32 @@ def test_kernel_matches_oracle_exhaustive(r, n):
 
 @pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4), (1, 6)])
 def test_one_kernel_matches_oracle_over_whole_groups(r, n):
-    kernel = get_kernel()
-    for w in enumerate_group(GroupParams(r, 1, n)):
-        assert kernel(w.perm, w.colors, r) == oracle_stats(w), str(w)
+    """Every leaf's seven numbers, as the sweep reads them, equal the
+    oracle's, and the leaves are the whole group, each once."""
+    params = GroupParams(r, 1, n)
+    seen = set()
+    for w, stats in leaf_stats(params):
+        assert stats == oracle_stats(w), str(w)
+        seen.add(w)
+    assert len(seen) == params.order
 
 
 @pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4)])
 def test_one_kernel_matches_oracle_in_shuffled_order(r, n):
-    """Neighbours in a shuffled order rarely share the permutation, so the
-    kernel recounts inv(sigma) on most calls."""
+    """In shuffled order, each element's P and Q are looked up among its
+    shape's ``_fillings`` by their rows, not reached by the walk: the
+    statistics stored with each filling are the oracle's on both sides."""
     elements = list(enumerate_group(GroupParams(r, 1, n)))
     random.Random(r * 10 + n).shuffle(elements)
     kernel = get_kernel()
+    tables = {}
     for w in elements:
-        assert kernel(w.perm, w.colors, r) == oracle_stats(w), str(w)
+        pair = rs_map(w)
+        if pair.P.shape not in tables:
+            tables[pair.P.shape] = {T: stats for T, *stats in signs._fillings(pair.P.shape)}
+        (e_p, inv_p, ts_p), (_, inv_q, ts_q) = tables[pair.P.shape][pair.P], tables[pair.P.shape][pair.Q]
+        stats = (*kernel(w.perm, w.colors, r), e_p, inv_p, inv_q, ts_p, ts_q)
+        assert stats == oracle_stats(w), str(w)
 
 
 def neighbour(rng, w, r):
@@ -93,7 +144,7 @@ def test_one_kernel_matches_oracle_on_prefix_sharing_neighbours_up_to_rank_64():
         r = rng.randint(1, 8)
         w = random_element(rng, rng.randint(1, 64), r)
         for v in (w, neighbour(rng, w, r), w):
-            assert kernel(v.perm, v.colors, r) == oracle_stats(v), str(v)
+            check_method_stats(v, kernel)
 
 
 def test_one_kernel_across_changes_of_r_and_n():
@@ -111,73 +162,71 @@ def test_one_kernel_across_changes_of_r_and_n():
         (1, (2, 1, 3, 4), (0, 0, 0, 0)),
         (2, (2, 1, 3, 4), (0, 0, 0, 1)),
     ):
-        w = GroupElement(GroupParams(r, 1, len(perm)), perm, colors)
-        assert kernel(perm, colors, r) == oracle_stats(w), str(w)
+        check_method_stats(GroupElement(GroupParams(r, 1, len(perm)), perm, colors), kernel)
 
 
 def test_one_kernel_reads_an_input_buffer_the_caller_mutates():
     """The caller passes the same two lists on every call and changes
-    their last entries in place: the kernel compares against its own copy
-    of the last permutation, not against the caller's list."""
+    their entries in place, as the removal walk does with its live
+    buffers: the kernel reads the lists as they are at the call."""
     params = GroupParams(3, 1, 4)
     kernel = get_kernel()
     perm, colors = [0] * 4, [0] * 4
     for w in enumerate_group(params):
         perm[:], colors[:] = w.perm, w.colors
-        assert kernel(perm, colors, 3) == oracle_stats(w), str(w)
+        assert kernel(perm, colors, 3) == oracle_stats(w)[:2], str(w)
 
 
 def test_one_kernel_matches_oracle_random_up_to_rank_64():
-    """Random elements rarely share a tableau, so the second pass is the
-    one that reads every element's statistics from the store."""
+    """Random elements, twice over, through one kernel."""
     rng = random.Random(43)
     elements = [random_element(rng, rng.randint(1, 64), rng.randint(1, 8)) for _ in range(300)]
     kernel = get_kernel()
     for _ in range(2):
         for w in elements:
-            assert kernel(w.perm, w.colors, w.params.r) == oracle_stats(w), str(w)
+            check_method_stats(w, kernel)
 
 
 def test_kernel_matches_oracle_random_up_to_rank_64():
     rng = random.Random(42)
     for _ in range(300):
-        check_kernel(random_element(rng, rng.randint(1, 64), rng.randint(1, 8)))
+        check_method_stats(random_element(rng, rng.randint(1, 64), rng.randint(1, 8)))
 
 
 def test_kernel_has_no_rank_cap():
-    check_kernel(random_element(random.Random(65), 80, 3))
+    check_method_stats(random_element(random.Random(65), 80, 3))
 
 
-def rows_key(rows):
-    return tuple(tuple(map(tuple, comp)) for comp in rows)
+def mapped_leaves(params):
+    """The leaves the theorem sweep maps with ``rs_map``, in its order: for
+    the shape at index s in ``multipartitions`` order, kept when p divides
+    its color sum and with f fillings, leaf s mod f**2 of the shape in
+    ``theorem_leaves`` order."""
+    by_shape = {}
+    for w, P, _ in theorem_leaves(params):
+        by_shape.setdefault(P.shape, []).append(w)
+    return [
+        by_shape[shape][index % len(by_shape[shape])]
+        for index, shape in enumerate(multipartitions(params.n, params.r))
+        if shape_criterion(shape, params.p)
+    ]
 
 
-def first_sights(params):
-    """The elements, in sweep order, whose P rows or Q rows no earlier
-    element had, by the ``row_insert`` oracle."""
-    seen, new = set(), []
-    for w in enumerate_group(params):
-        keys = {rows_key(rows) for rows in row_insert_image(w)}
-        if not keys <= seen:
-            new.append(w)
-        seen |= keys
-    return new
-
-
-# rs_map calls of one theorem sweep: one per distinct P or Q first seen
-MAPPED = {(2, 1, 5): 312, (4, 2, 4): 368, (3, 3, 4): 90}
+# rs_map calls of one theorem sweep: one per shape whose color sum p divides
+MAPPED = {(2, 1, 5): 36, (4, 2, 4): 65, (3, 3, 4): 17}
 
 
 @pytest.mark.parametrize("r,p,n", sorted(MAPPED))
 def test_sweep_maps_each_first_sight_once(monkeypatch, r, p, n):
-    """A sweep maps with ``rs_map`` exactly the elements whose P rows or Q
-    rows are new to it, and a second sweep maps them again: no state
-    carries from one sweep to the next."""
+    """A sweep maps with ``rs_map`` one leaf of each shape it keeps, the
+    first time it meets the shape: the leaf whose number in the shape
+    rotates with the shape's index.  A second sweep maps them again: no
+    state carries from one sweep to the next."""
     params = GroupParams(r, p, n)
     mapped = []
     real = _fallback.rs_map
     monkeypatch.setattr(_fallback, "rs_map", lambda w: mapped.append(w) or real(w))
-    expected = first_sights(params)
+    expected = mapped_leaves(params)
     assert len(expected) == MAPPED[r, p, n]
     for _ in range(2):
         mapped.clear()
@@ -186,32 +235,25 @@ def test_sweep_maps_each_first_sight_once(monkeypatch, r, p, n):
 
 
 def patch_insertion(monkeypatch, fake):
-    """Replace the insertion pass both where the kernel and where ``rs_map``
-    call it: ``fake(perm, colors, r, real)`` returns (P rows, Q rows)."""
+    """Replace the insertion pass where ``rs_map`` calls it: ``fake(perm,
+    colors, r, real)`` returns (P rows, Q rows)."""
     real = rs_module._insertion_rows
-    for module in (_fallback, rs_module):
-        monkeypatch.setattr(module, "_insertion_rows", lambda *a: fake(*a, real))
+    monkeypatch.setattr(rs_module, "_insertion_rows", lambda *a: fake(*a, real))
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["P", "Q"])
 def test_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
-    """Non-standard rows from the insertion pass, for an element whose true
-    rows repeat earlier elements' rows, are never looked up as if valid:
-    they are new to the store, so the element is mapped with ``rs_map`` and
-    its tableau validation raises."""
+    """Non-standard rows from the insertion pass for a leaf the sweep maps
+    are never compared as if valid: ``rs_map`` validates the pair it
+    builds, and its tableau validation raises."""
     params = GroupParams(2, 1, 4)
-    new = first_sights(params)
-    target = next(
-        w
-        for w in reversed(list(enumerate_group(params)))
-        if w not in new and any(c and len(c[0]) > 1 for c in row_insert_image(w)[side])
-    )
 
     def fake(perm, colors, r, real):
         rows = real(perm, colors, r)
-        if (perm, colors) == (target.perm, target.colors):
-            comp = next(c for c in rows[side] if c and len(c[0]) > 1)
-            comp[0].reverse()
+        for comp in rows[side]:
+            if comp and len(comp[0]) > 1:
+                comp[0].reverse()
+                break
         return rows
 
     patch_insertion(monkeypatch, fake)
@@ -219,22 +261,31 @@ def test_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
         signs.verify_theorem(params)
 
 
+def test_sweep_validates_every_filling(monkeypatch):
+    """A filling that is not standard, from the corner search, raises when
+    the sweep builds it, before it is used as a P or a Q."""
+    real = signs._standard_fillings
+
+    def fillings(shape):
+        for rows in real(shape):
+            comp = next((c for c in rows if c and len(c[0]) > 1), None)
+            if comp is not None:
+                comp[0].reverse()
+            yield rows
+
+    monkeypatch.setattr(signs, "_standard_fillings", fillings)
+    with pytest.raises(InvalidTableau):
+        signs.verify_theorem(GroupParams(2, 1, 3))
+
+
 def test_sweep_checks_the_pair_shape(monkeypatch):
-    """Two stored, validated tableaux of different shapes given as one
-    element's pair are a ``ShapeMismatch``, as ``RSPair`` raises for them."""
+    """A mapped leaf whose insertion gives P rows of another shape than its
+    Q rows is a ``ShapeMismatch``, as ``RSPair`` raises for it."""
     params = GroupParams(2, 1, 3)
-    elements = list(enumerate_group(params))
-    new = first_sights(params)
-    # the last element whose P rows and Q rows earlier elements had
-    target = next(w for w in reversed(elements) if w not in new)
-    shape = rs_module.rs_map(target).P.shape
-    earlier = elements[: elements.index(target)]
-    decoy = next(w for w in earlier if rs_module.rs_map(w).P.shape != shape)
+    decoy = GroupElement(params, (1, 2, 3), (0, 0, 0))  # P is one row of three
 
     def fake(perm, colors, r, real):
-        if (perm, colors) == (target.perm, target.colors):
-            return real(decoy.perm, decoy.colors, r)[0], real(perm, colors, r)[1]
-        return real(perm, colors, r)
+        return real(decoy.perm, decoy.colors, r)[0], real(perm, colors, r)[1]
 
     patch_insertion(monkeypatch, fake)
     with pytest.raises(ShapeMismatch):

@@ -7,7 +7,7 @@ Schensted row insertion by a linear scan (``row_insert``), OneDimValue
 canonical forms, move-by-move replay of the ascending moves, and the
 tableau-object route to the sign formula's statistics and to the
 admissible-move checks, per-pair ``rs_inverse`` and ``enumerate_group``
-for the removal walk, every arrangement of the labels for the standard
+for the removal walk and the theorem sweep's order, every arrangement of the labels for the standard
 fillings, and the two invariants of a move (color content and within-color
 orders) for the admissible classes.
 """
@@ -205,7 +205,8 @@ def test_ascending_representative_replays_its_moves():
 
 def test_sweep_reports_a_broken_kernel(monkeypatch):
     """A kernel with the wrong sign of the permutation must fail the sweep
-    at every i, with the counterexamples still given as values."""
+    at every i, with the counterexamples still given as values, in the
+    sweep's order."""
     kernel = signs.get_kernel()
 
     def flipped(perm, colors, r):
@@ -219,8 +220,8 @@ def test_sweep_reports_a_broken_kernel(monkeypatch):
     assert report.elements_checked == params.order
     assert report.i_values_checked == params.order * params.r
     assert len(report.counterexamples) == 10
-    first = next(enumerate_group(params))
-    assert [c[:2] for c in report.counterexamples[:3]] == [(first, 0), (first, 1), (first, 2)]
+    first, second, *_ = (w for w, _, _ in theorem_leaves(params))
+    assert [c[:2] for c in report.counterexamples[:4]] == [(first, 0), (first, 1), (first, 2), (second, 0)]
     for w, i, expected, got in report.counterexamples:
         assert isinstance(expected, OneDimValue) and isinstance(got, OneDimValue)
         assert got == w.one_dim(i, 1)
@@ -229,6 +230,47 @@ def test_sweep_reports_a_broken_kernel(monkeypatch):
     assert [f["i"] for f in data["failures"]] == [i for _, i, _, _ in report.counterexamples]
     assert data["failures"][0]["expected"] == {"sign": -1, "exponent": 0}
     assert data["failures"][0]["got"] == {"sign": 1, "exponent": 0}
+
+
+def test_sweep_reports_a_color_sum_off_by_r(monkeypatch):
+    """A color sum off by exactly r leaves every defect at (0, 0), and is
+    still a counterexample: once per leaf, at i = 0, against twice_spin(P)."""
+    kernel = signs.get_kernel()
+
+    def off_by_r(perm, colors, r):
+        inv_sigma, color_sum = kernel(perm, colors, r)
+        return inv_sigma, color_sum + r
+
+    monkeypatch.setattr(signs, "get_kernel", lambda: off_by_r)
+    params = GroupParams(4, 2, 3)
+    report = signs.verify_theorem(params, max_counterexamples=10**4)
+    assert report.elements_checked == params.order
+    assert report.counterexamples == [
+        (w, 0, f"color sum {P.twice_spin()}", f"color sum {P.twice_spin() + 4}")
+        for w, P, _ in theorem_leaves(params)
+    ]
+
+
+def test_sweep_reports_a_round_trip_that_disagrees(monkeypatch):
+    """The one leaf per shape that goes through ``rs_map``: a pair other
+    than (P, filling k) is a counterexample naming both pairs, and it is the
+    only one."""
+    params = GroupParams(2, 1, 3)
+    mapped, real = [], signs.mapped_pair
+
+    def swapped(perm, colors, r):
+        pair = real(perm, colors, r)
+        mapped.append((GroupElement(params, perm, colors), pair))
+        return RSPair(pair.Q, pair.P)
+
+    monkeypatch.setattr(signs, "mapped_pair", swapped)
+    report = signs.verify_theorem(params, max_counterexamples=100)
+    assert report.elements_checked == params.order
+    assert len(mapped) == len(list(multipartitions(3, 2)))
+    assert report.counterexamples == [
+        (w, 0, f"{pair.P} {pair.Q}", f"{pair.Q} {pair.P}") for w, pair in mapped if pair.P != pair.Q
+    ]
+    assert report.counterexamples
 
 
 def test_sweep_reports_only_the_failing_i(monkeypatch):
@@ -300,6 +342,22 @@ def membership_leaves(params, walk=_removal_walk):
                 yield GroupElement(full, tuple(perm), tuple(colors)), shape_criterion(shape, p)
 
 
+def theorem_leaves(params):
+    """(w, P, Q) for every element of G(r,p,n) in the theorem sweep's order,
+    without the removal walk: shapes in ``multipartitions`` order, kept when
+    p divides their color sum; then P and, within each P, Q in
+    ``standard_multitableaux`` order; w is ``rs_inverse(RSPair(P, Q))``."""
+    r, p, n = params.r, params.p, params.n
+    full = GroupParams(r, 1, n)
+    for shape in multipartitions(n, r):
+        if shape_criterion(shape, p):
+            tableaux = list(standard_multitableaux(shape, cap=n))
+            for P in tableaux:
+                for Q in tableaux:
+                    w = rs_inverse(RSPair(P, Q), full)
+                    yield GroupElement(params, w.perm, w.colors), P, Q
+
+
 @pytest.mark.parametrize("r,n", [(1, 6), (2, 5), (3, 4), (4, 3), (4, 4)])
 def test_removal_walk_covers_the_group(r, n):
     """Over every filling of every shape, the removal walk's leaves are
@@ -331,6 +389,27 @@ def test_removal_walk_matches_rs_inverse(r, max_n):
                 images = [rs_inverse(RSPair(P, Q), full) for Q in tableaux]
                 assert set(leaves) == {(w.perm, w.colors) for w in images}, str(P)
                 assert len(set(leaves)) == len(leaves) == count_standard_multitableaux(shape)
+
+
+@pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4)])
+def test_removal_walk_leaf_k_is_filling_k(r, n):
+    """For every P of G(r,1,n), leaf k of P's removal walk is
+    ``rs_inverse(RSPair(P, filling k))`` and inserts back to P and filling
+    k: the order the theorem sweep pairs each leaf with its Q by."""
+    full = GroupParams(r, 1, n)
+    count = 0
+    for shape in multipartitions(n, r):
+        tableaux = list(standard_multitableaux(shape, cap=n))
+        for p_rows in _standard_fillings(shape):
+            P = Multitableau(StandardTableau(rows) for rows in p_rows)
+            leaves = removal_leaves(p_rows)
+            assert len(leaves) == len(tableaux)
+            for (perm, colors), Q in zip(leaves, tableaux):
+                w = rs_inverse(RSPair(P, Q), full)
+                assert (perm, colors) == (w.perm, w.colors), (str(P), str(Q))
+                assert rs_module._insertion_rows(perm, colors, r) == (rows_of(P), rows_of(Q))
+                count += 1
+    assert count == full.order
 
 
 def brute_force_fillings(shape):

@@ -31,6 +31,7 @@ from grpn.signs import (
     verify_theorem,
 )
 from grpn.tableaux import Multitableau
+from test_reference import theorem_leaves
 
 
 class TestPiFromTableaux:
@@ -225,29 +226,30 @@ class TestVerifyTheorem:
 
     @pytest.mark.parametrize("limit", [10**6, 7])
     def test_counterexamples_match_an_element_by_element_comparison(self, monkeypatch, limit):
-        """A kernel whose spin is off on some elements: the sweep, which
-        compares codes once per distinct statistics, reports exactly the
-        (element, i) an element-by-element comparison of ``OneDimValue``
-        objects finds, in ``enumerate_group`` order."""
+        """A kernel whose sign and color sum are off on some elements: the
+        sweep, which compares defects, reports exactly the (element, i) an
+        element-by-element comparison of ``OneDimValue`` objects finds, the
+        tableaux side read off each (P, Q) by ``pi_from_tableaux``, in the
+        sweep's order (``test_reference.theorem_leaves``)."""
         get_kernel = signs.get_kernel
 
         def skewed():
             kernel = get_kernel()
 
             def stats(perm, colors, r):
-                inv_sigma, color_sum, e_p, inv_p, inv_q, ts_p, ts_q = kernel(perm, colors, r)
-                return inv_sigma, color_sum, e_p, inv_p + (perm[0] == 2), inv_q, ts_p, ts_q + 2 * perm[-1]
+                inv_sigma, color_sum = kernel(perm, colors, r)
+                return inv_sigma + (perm[0] == 2), color_sum + 2 * (perm[-1] == 3)
 
             return stats
 
         monkeypatch.setattr(signs, "get_kernel", skewed)
         params = GroupParams(4, 2, 3)
         kernel, expected = skewed(), []
-        for w in enumerate_group(params):
-            inv_sigma, color_sum, e_p, inv_p, inv_q, ts_p, ts_q = kernel(w.perm, w.colors, 4)
+        for w, P, Q in theorem_leaves(params):
+            inv_sigma, color_sum = kernel(w.perm, w.colors, 4)
             for i in range(4):
                 group = OneDimValue((-1) ** inv_sigma, i * color_sum % 4, 4)
-                tableaux = OneDimValue((-1) ** (e_p + inv_p + inv_q), i * ((ts_p + ts_q) // 2) % 4, 4)
+                tableaux = pi_from_tableaux(P, Q, i, 4)
                 if group != tableaux:
                     expected.append((w, i, group, tableaux))
         assert 7 < len(expected) < params.order * 4
@@ -340,7 +342,7 @@ class TestVerifyAdmissible:
 @pytest.mark.parametrize(
     "verify,walk",
     [
-        (verify_theorem, "_element_tuples"),
+        (verify_theorem, "multipartitions"),
         (verify_membership, "multipartitions"),
         (verify_admissible, "_admissible_classes"),
     ],
