@@ -2,7 +2,8 @@
 
 ``verify_theorem`` reads P's and Q's statistics off validated
 ``Multitableau`` objects, once per filling of a shape, and walks each P's
-leaves with ``rs._removal_walk``.  What is left per leaf is the group side:
+leaves with ``rs._removal_walk``, which replays the shape's corner search
+(built once per shape) on P's rows.  What is left per leaf is the group side:
 inv(sigma) and the color sum, which ``theorem_stats`` counts afresh on
 every call, with no store.  ``mapped_pair`` is the sweep's round trip: it
 maps one leaf per shape with the validated ``rs_map``, through this

@@ -6,8 +6,9 @@ created by the entry at position i, the absolute position i itself.
 ``_parts`` gives the statistics the admissible sweep reads of an
 element's P and Q from a store keyed by rows, building and validating the
 ``rs_map`` pair only for rows new to the store.  ``_removal_walk`` runs
-the inverse for every Q of one P at once, as a corner-removal search over
-P's row lists.
+the inverse for every Q of one P at once, replaying the corner search of
+P's shape (``tableaux._corner_steps``, built once per shape) on P's row
+lists.
 The admissible operators L_i / R_i, their classes and the ascending
 canonical representative of each class live here as well, each written
 once on one-line data ``(perm, colors)`` (``_left_move``, ``_right_move``,
@@ -18,12 +19,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
 from typing import Iterator
 
 from .errors import IndexOutOfRange, InvalidTableau, NotAdmissible, ShapeMismatch
 from .group import GroupElement, GroupParams, _bubble, require_member
-from .tableaux import Multitableau, StandardTableau, tableau_inversions
+from .tableaux import CornerSteps, Multitableau, StandardTableau, tableau_inversions
 
 
 @dataclass(frozen=True)
@@ -64,40 +65,63 @@ def _rs_rows(w: GroupElement) -> tuple[list[list[list[int]]], list[list[list[int
     return _insertion_rows(w.perm, w.colors, w.params.r)
 
 
-def _removal_walk(p_rows: list[list[list[int]]]) -> Iterator[tuple[list[int], list[int]]]:
+def _removal_walk(p_rows: list[list[list[int]]], steps: CornerSteps) -> Iterator[tuple[list[int], list[int]]]:
     """``rs_inverse(RSPair(P, Q), G(r,1,n))`` for every standard Q of P's
     shape, each once, as ``(perm, colors)``; P is given as one row list per
-    component.
+    component, and ``steps`` is the corner search of P's shape
+    (``tableaux._corner_steps``).
 
-    A depth-first search over recording labels n, n-1, ..., 1 that shares
-    removal prefixes: at label j it tries every corner box of every
-    component, pops it, reverse-bumps its value up through the rows above
-    and records the bump positions; on the way back it undoes the bumps in
-    reverse order and puts the box back.  So each step costs one reverse
-    bump, not n, and no recording multitableau is built.  Label 1's box is
-    then the only one left, so it is read off without a search step.
+    The walk replays the search's leaves on P's rows: leaf k is the element
+    whose Q is the k-th standard filling (``_standard_fillings`` of the same
+    steps).  It undoes the previous leaf's removals that this leaf does not
+    keep, then makes this leaf's further removals, labels n-keep down to 2:
+    each pops the last box of its (component, row), reverse-bumps its value
+    up through the rows above and logs the bump positions; an undo bumps
+    back in reverse order and puts the box back.  So each step costs one
+    reverse bump, not n, with no corner scan and no recording multitableau.
+    Label 1's box is then the only one left, the first box of the leaf's
+    ``first`` component, and is read off.
 
-    Order: label n's box first, components in order and each component's
-    corners top to bottom, then label n-1's, and so on.  The yielded lists
-    are live buffers, valid until the next step; copy what must outlive it.
+    P's rows must have the shape the steps were built for, or the walk
+    raises ``ShapeMismatch`` before any removal.  The yielded lists are
+    live buffers, valid until the next step; copy what must outlive it.
     The walk works in ``p_rows`` itself, which must hold n >= 1 boxes, and
     leaves it holding P's rows again, the same row objects, when it ends.
     """
-    n = sum(len(row) for rows in p_rows for row in rows)
+    shape, leaves = steps
+    got = tuple([tuple(map(len, rows)) for rows in p_rows])
+    if got != shape:
+        raise ShapeMismatch(f"P has shape {got}, the steps are for {shape}")
+    n = sum(map(sum, shape))
     perm = [0] * n
     colors = [0] * n
-
-    def descend(j):
-        for k, rows in enumerate(p_rows):
-            colors[j] = k
-            last = len(rows) - 1
-            for t in range(last + 1):
-                row = rows[t]
-                if t < last and len(rows[t + 1]) == len(row):
-                    continue  # not a corner
-                x = row.pop()
-                if not row:
-                    rows.pop()
+    # log[j]: the removal of label j + 1 as (its component's rows, its row,
+    # the bump positions from the row above up, or None from the first row);
+    # labels low + 1, ..., n have a removal in place
+    log = [None] * n
+    low = n
+    # a last leaf that keeps nothing and is not yielded puts P's rows back
+    for keep, moves, first in chain(leaves, [(0, (), None)]):
+        for j in range(low, n - keep):
+            rows, row, bumps = log[j]
+            x = perm[j]
+            if bumps:
+                for above, pos in zip(rows, reversed(bumps)):
+                    x, above[pos] = above[pos], x
+            if not row:  # the pop emptied it: put the same row back
+                rows.append(row)
+            row.append(x)
+        if first is None:
+            return
+        j = n - keep
+        for k, t in moves:
+            rows = p_rows[k]
+            row = rows[t]
+            x = row.pop()
+            if not row:
+                rows.pop()
+            bumps = None
+            if t:
                 bumps = []
                 for upper in range(t - 1, -1, -1):
                     above = rows[upper]
@@ -106,21 +130,12 @@ def _removal_walk(p_rows: list[list[list[int]]]) -> Iterator[tuple[list[int], li
                         raise InvalidTableau("reverse bump fell off the tableau")
                     bumps.append(pos)
                     x, above[pos] = above[pos], x
-                perm[j] = x
-                if j > 1:
-                    yield from descend(j - 1)
-                else:  # at most label 1's box is left: read it off
-                    for c, rest in enumerate(p_rows):
-                        if rest:
-                            perm[0], colors[0] = rest[0][0], c
-                    yield perm, colors
-                for above, pos in zip(rows, reversed(bumps)):
-                    x, above[pos] = above[pos], x
-                if not row:  # the pop emptied it: put the same row back
-                    rows.append(row)
-                row.append(x)
-
-    yield from descend(n - 1)
+            j -= 1
+            perm[j], colors[j] = x, k
+            log[j] = rows, row, bumps
+        low = j
+        perm[0], colors[0] = p_rows[first][0][0], first
+        yield perm, colors
 
 
 def rs_map(w: GroupElement) -> RSPair:

@@ -19,12 +19,15 @@ sweeps compare defects and list those i only for a counterexample.
 
 ``verify_theorem`` and ``verify_membership`` are one walk each: they take
 every P of every shape and reconstruct the elements of each P by one
-prefix-sharing corner-removal search (``rs._removal_walk``), so they visit
+prefix-sharing corner-removal walk (``rs._removal_walk``), so they visit
 the group once, by shape, then by P, then in removal order, without
-inserting.  ``verify_theorem`` builds each standard filling of a shape
-once as a validated ``Multitableau``, reads its statistics off its methods
-once, and uses the same list for the P side and the Q side: leaf k of P's
-walk has Q = filling k.  Per leaf it calls the kernel (``_kernels``) for
+inserting.  Each shape's corner search runs once, into a step list
+(``tableaux._corner_steps``): ``_standard_fillings`` replays it into the
+shape's fillings, and every P's walk replays it on P's rows.
+``verify_theorem`` builds each standard filling of a shape once as a
+validated ``Multitableau``, reads its statistics off its methods once,
+and uses the same list for the P side and the Q side: leaf k of P's walk
+has Q = filling k.  Per leaf it calls the kernel (``_kernels``) for
 inv(sigma) and the color sum, and once per shape it maps one leaf with
 the validated ``rs_map`` and compares the pair with (P, filling k).
 ``verify_admissible`` gets every element's P and Q as row lists, and
@@ -77,6 +80,7 @@ from .tableaux import (
     ComponentRows,
     Multitableau,
     StandardTableau,
+    _corner_steps,
     _standard_fillings,
     multipartitions,
     rows_even_row_boxes,
@@ -205,10 +209,10 @@ class VerificationReport:
         )
 
 
-# A sweep's work per element grows with r, not only its element count: every
-# element's image has r components in P and in Q, and each step of a removal
-# walk scans all r components for corners.  G(100000,1,1) has 10^5 elements
-# but would take hours.  So above SWEEP_R a
+# A sweep's work per element grows with r, not only its element count: each
+# filling is r component tableaux on the P side and on the Q side, and each
+# shape's corner search scans all r components at every label.
+# G(100000,1,1) has 10^5 elements but would take hours.  So above SWEEP_R a
 # sweep's element cap is scaled down by SWEEP_R / r; at or below it the
 # element cap decides alone.
 SWEEP_R = 8
@@ -252,12 +256,12 @@ def _sweep(walk):
     return sweep
 
 
-def _fillings(shape) -> list[tuple[Multitableau, int, int, int]]:
-    """Every standard filling of a shape, in ``_standard_fillings`` order,
-    as a validated ``Multitableau`` with its e, inv and twice_spin, each
-    read off its methods once."""
+def _fillings(steps) -> list[tuple[Multitableau, int, int, int]]:
+    """Every standard filling of a shape, in the order of its corner search
+    ``steps`` (``_standard_fillings``), as a validated ``Multitableau`` with
+    its e, inv and twice_spin, each read off its methods once."""
     out = []
-    for rows in _standard_fillings(shape):
+    for rows in _standard_fillings(steps):
         T = Multitableau(tuple(StandardTableau(comp) for comp in rows))
         out.append((T, T.even_row_boxes(), T.inversions(), T.twice_spin()))
     return out
@@ -271,10 +275,13 @@ def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int
     as ``verify_membership`` does.  A shape is skipped unless p divides its
     color sum, sum of k * |lambda_k|: every leaf of the shape has that color
     sum, so the leaves of the kept shapes are G(r,p,n), each once.  Each
-    standard filling of a kept shape is built once, as a validated
-    ``Multitableau`` whose e, inv and twice_spin are read once
+    kept shape's corner search runs once, into a step list
+    (``tableaux._corner_steps``) that both the fillings and every P's walk
+    replay.  Each standard filling of a kept shape is built once, as a
+    validated ``Multitableau`` whose e, inv and twice_spin are read once
     (``_fillings``), and the one list is the P side and the Q side: leaf k
-    of ``rs._removal_walk(P)`` is ``rs_inverse(RSPair(P, filling k))``.
+    of ``rs._removal_walk(P, steps)`` is ``rs_inverse(RSPair(P, filling
+    k))``.
 
     Per leaf the kernel gives inv(sigma) and the color sum.  A leaf is a
     counterexample when its defect is not (0, 0), and is then reported at
@@ -294,12 +301,13 @@ def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int
     for index, shape in enumerate(multipartitions(n, r)):
         if sum(k * sum(lam) for k, lam in enumerate(shape)) % p:
             continue
-        fillings = _fillings(shape)
+        steps = _corner_steps(shape)
+        fillings = _fillings(steps)
         mapped_p, mapped_k = divmod(index % len(fillings) ** 2, len(fillings))
         for a, (P, e_p, inv_p, ts_p) in enumerate(fillings):
             p_rows = [[list(row) for row in t.rows] for t in P.components]
             mapped = mapped_k if a == mapped_p else -1
-            leaves = zip(_removal_walk(p_rows), fillings, strict=True)
+            leaves = zip(_removal_walk(p_rows, steps), fillings, strict=True)
             for k, ((perm, colors), (Q, _, inv_q, ts_q)) in enumerate(leaves):
                 checked += 1
                 inv_sigma, color_sum = kernel(perm, colors, r)
@@ -326,12 +334,14 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     element of G(r,1,n) lies in G(r,p,n) exactly when p divides twice the
     spin of its insertion multitableau P.
 
-    The sweep is one walk.  For each shape in ``multipartitions`` order and
-    each P of that shape in ``_standard_fillings`` order, given as live row
-    lists, it reads the criterion off P (``rows_twice_spin``) and walks
-    every Q of P's shape as one depth-first corner-removal search
-    (``rs._removal_walk``): each leaf is ``rs_inverse(RSPair(P, Q))`` at the
-    cost of one reverse bump, with no Q built.  The correspondence is a
+    The sweep is one walk.  For each shape in ``multipartitions`` order it
+    runs the shape's corner search once, into a step list
+    (``tableaux._corner_steps``).  For each P of that shape in the order the
+    step list gives (``_standard_fillings``), as live row lists, it reads
+    the criterion off P (``rows_twice_spin``) and walks every Q of P's shape
+    by replaying the same step list on P's rows (``rs._removal_walk``): each
+    leaf is ``rs_inverse(RSPair(P, Q))`` at the cost of one reverse bump,
+    with no Q built.  The correspondence is a
     bijection, so the leaves are G(r,1,n), each once, and each is checked
     against its own P's criterion: a member whose P fails it, or a
     non-member whose P passes it, is a counterexample ``(w, 0, member,
@@ -350,9 +360,10 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     full = GroupParams(r, 1, n)
     checked = values = 0
     for shape in multipartitions(n, r):
-        for p_rows in _standard_fillings(shape):
+        steps = _corner_steps(shape)
+        for p_rows in _standard_fillings(steps):
             criterion = rows_twice_spin(p_rows) % p == 0
-            for perm, colors in _removal_walk(p_rows):
+            for perm, colors in _removal_walk(p_rows, steps):
                 member = sum(colors) % p == 0
                 checked += 1
                 values += 1 + criterion

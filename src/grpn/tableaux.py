@@ -2,10 +2,11 @@
 
 A partition is a plain tuple of weakly decreasing positive integers; a
 multipartition is an r-tuple of partitions.  Multitableaux carry r
-component tableaux jointly labeled by 1..n.  The standard fillings of a
-multipartition come from one depth-first corner search
-(``_standard_fillings``) as plain row lists; ``standard_tableaux`` and
-``standard_multitableaux`` wrap them in validated objects.
+component tableaux jointly labeled by 1..n.  A multipartition's
+depth-first corner search runs once, into a step list (``_corner_steps``).
+``_standard_fillings`` replays it into plain row lists, as
+``rs._removal_walk`` replays it on P's rows; ``standard_tableaux`` and
+``standard_multitableaux`` wrap the fillings in validated objects.
 """
 
 from __future__ import annotations
@@ -265,55 +266,107 @@ class Multitableau:
         return "(" + " | ".join(str(t) for t in self.components) + ")"
 
 
-def _standard_fillings(shape: MultiPartition) -> Iterator[list[list[list[int]]]]:
-    """Every standard filling of a multipartition with 1..n, as one row list
-    per component.
+# One depth-first corner search over a multipartition, as the step list
+# ``_corner_steps`` returns: the shape, then one ``(keep, moves, first)``
+# per leaf.
+CornerSteps = tuple[MultiPartition, list[tuple[int, tuple[tuple[int, int], ...], int | None]]]
 
-    A depth-first corner search: label n goes into each corner box of each
-    component in turn, then label n-1 into each corner of the boxes still
-    empty, and so on down to 1.  Each label is the largest of those still to
-    place, so every row and every column increases.
 
+def _corner_steps(shape: MultiPartition) -> CornerSteps:
+    """The depth-first corner search over a multipartition, run once and
+    kept as a step list for ``_standard_fillings`` and ``rs._removal_walk``
+    to replay.
+
+    The search puts label n into each corner box of each component in turn,
+    then label n-1 into each corner of the boxes still empty, and so on down
+    to label 2; label 1 then has one box left, the first box of some
+    component.  Each label is the largest of those still to place, so every
+    leaf is a standard filling, and every standard filling is one leaf.
+
+    Order: label n's box first, components in order and each component's
+    corners top to bottom, then label n-1's, and so on.  Each leaf is
+    ``(keep, moves, first)``: the leaf keeps the boxes of labels n, n-1, ...
+    of the first ``keep`` of the previous leaf's moves, ``moves`` holds the
+    (component, row) of each further label down to 2, and ``first`` is
+    label 1's component (None for the empty shape).
+    """
+    shape = tuple(map(tuple, shape))
+    # left[k][t]: boxes of row t of component k still without a label
+    left = [list(lam) for lam in shape]
+    path: list[tuple[int, int]] = []
+    leaves = []
+    keep = 0
+
+    def search(j):
+        nonlocal keep
+        if j < 2:
+            first = next((k for k, counts in enumerate(left) if counts and counts[0]), None)
+            leaves.append((keep, tuple(path[keep:]), first))
+            keep = len(path)
+            return
+        for k, counts in enumerate(left):
+            for t, m in enumerate(counts):
+                if not m or (t + 1 < len(counts) and counts[t + 1] == m):
+                    continue  # no box left, or not a corner
+                counts[t] = m - 1
+                path.append((k, t))
+                search(j - 1)
+                path.pop()
+                keep = min(keep, len(path))
+                counts[t] = m
+
+    search(sum(map(sum, shape)))
+    return shape, leaves
+
+
+def _standard_fillings(steps: CornerSteps) -> Iterator[list[list[list[int]]]]:
+    """Every standard filling of the shape ``steps`` was built for, in the
+    order of its corner search (``_corner_steps``), as one row list per
+    component.
+
+    The replay takes back the previous leaf's labels it does not keep, then
+    writes each further label into the last box still empty in its
+    (component, row), and label 1 into the first box of its component.
     Order: label n's box first, components in order and each component's
     corners top to bottom, then label n-1's, and so on (the order of
     ``rs._removal_walk``).  The yielded lists are live buffers, valid until
     the next step; copy what must outlive it.
     """
+    shape, leaves = steps
+    n = sum(map(sum, shape))
     rows = [[[0] * part for part in lam] for lam in shape]
     # left[k][t]: boxes of row t of component k still without a label
     left = [list(lam) for lam in shape]
-
-    def place(j):
-        if not j:
-            yield rows
-            return
-        for comp, counts in zip(rows, left):
-            for t, m in enumerate(counts):
-                if not m or (t + 1 < len(counts) and counts[t + 1] == m):
-                    continue  # no box left, or not a corner
-                counts[t] = m - 1
-                comp[t][m - 1] = j
-                yield from place(j - 1)
-                counts[t] = m
-
-    yield from place(sum(map(sum, shape)))
+    placed = []  # (left[k], t) of labels n, n-1, ... as placed
+    for keep, moves, first in leaves:
+        for counts, t in placed[keep:]:
+            counts[t] += 1
+        del placed[keep:]
+        for k, t in moves:
+            counts = left[k]
+            m = counts[t] = counts[t] - 1
+            rows[k][t][m] = n - len(placed)
+            placed.append((counts, t))
+        if n:
+            rows[first][0][0] = 1
+        yield rows
 
 
 def standard_tableaux(shape: Partition) -> Iterator[StandardTableau]:
     """All standard tableaux of the given shape, filled with 1..n, in the
-    corner-search order of ``_standard_fillings``."""
-    for (filling,) in _standard_fillings((check_partition(shape),)):
+    corner-search order of ``_corner_steps``."""
+    for (filling,) in _standard_fillings(_corner_steps((check_partition(shape),))):
         yield StandardTableau(filling)
 
 
 def standard_multitableaux(shape: MultiPartition, cap: int = DEFAULT_SHAPE_CAP) -> Iterator[Multitableau]:
     """All standard multitableaux of the given multipartition shape, in the
-    corner-search order of ``_standard_fillings``."""
+    corner-search order of ``_corner_steps``."""
     shape = tuple(map(check_partition, shape))
     n = sum(map(sum, shape))
     if n > cap:
         raise CapExceeded(f"rank {n} above cap {cap}")
-    for filling in _standard_fillings(shape):
+    for filling in _standard_fillings(_corner_steps(shape)):
         yield Multitableau(StandardTableau(comp) for comp in filling)
 
 

@@ -23,7 +23,7 @@ from grpn._kernels import BACKENDS, _fallback, get_kernel
 from grpn.errors import InvalidTableau, ShapeMismatch
 from grpn.group import GroupElement, GroupParams, enumerate_group
 from grpn.rs import _removal_walk, rs_map
-from grpn.tableaux import Multitableau, StandardTableau, multipartitions
+from grpn.tableaux import Multitableau, StandardTableau, _corner_steps, count_standard_multitableaux, multipartitions
 from test_reference import (
     object_stats,
     pairwise_inversions,
@@ -68,10 +68,11 @@ def leaf_stats(params):
     r, n = params.r, params.n
     kernel = get_kernel()
     for shape in multipartitions(n, r):
-        fillings = signs._fillings(shape)
+        steps = _corner_steps(shape)
+        fillings = signs._fillings(steps)
         for P, e_p, inv_p, ts_p in fillings:
             p_rows = [[list(row) for row in t.rows] for t in P.components]
-            for (perm, colors), (_, _, inv_q, ts_q) in zip(_removal_walk(p_rows), fillings, strict=True):
+            for (perm, colors), (_, _, inv_q, ts_q) in zip(_removal_walk(p_rows, steps), fillings, strict=True):
                 stats = (*kernel(perm, colors, r), e_p, inv_p, inv_q, ts_p, ts_q)
                 yield GroupElement(params, perm, colors), stats
 
@@ -120,7 +121,7 @@ def test_one_kernel_matches_oracle_in_shuffled_order(r, n):
     for w in elements:
         pair = rs_map(w)
         if pair.P.shape not in tables:
-            tables[pair.P.shape] = {T: stats for T, *stats in signs._fillings(pair.P.shape)}
+            tables[pair.P.shape] = {T: stats for T, *stats in signs._fillings(_corner_steps(pair.P.shape))}
         (e_p, inv_p, ts_p), (_, inv_q, ts_q) = tables[pair.P.shape][pair.P], tables[pair.P.shape][pair.Q]
         stats = (*kernel(w.perm, w.colors, r), e_p, inv_p, inv_q, ts_p, ts_q)
         assert stats == oracle_stats(w), str(w)
@@ -234,6 +235,41 @@ def test_sweep_maps_each_first_sight_once(monkeypatch, r, p, n):
         assert [(w.perm, w.colors) for w in mapped] == [(w.perm, w.colors) for w in expected]
 
 
+# (step lists built, walks) of one sweep: one step list per shape walked,
+# the theorem sweep's kept shapes only, and one walk per P of those shapes
+SEARCHES = {
+    ("theorem", 2, 1, 5): (36, 312),
+    ("theorem", 4, 2, 4): (65, 368),
+    ("theorem", 3, 3, 4): (17, 90),
+    ("membership", 2, 2, 5): (36, 312),
+}
+
+
+@pytest.mark.parametrize("kind,r,p,n", sorted(SEARCHES))
+def test_sweep_runs_the_corner_search_once_per_shape(monkeypatch, kind, r, p, n):
+    """A sweep builds one step list per shape it walks, in
+    ``multipartitions`` order (the theorem sweep only for the shapes it
+    keeps, one per ``rs_map`` call), and hands that same list to every walk
+    of the shape, one walk per P."""
+    built, walked = [], []
+    real_steps, real_walk = signs._corner_steps, signs._removal_walk
+    monkeypatch.setattr(signs, "_corner_steps", lambda shape: built.append(real_steps(shape)) or built[-1])
+
+    def walk(p_rows, steps):
+        walked.append(steps)
+        return real_walk(p_rows, steps)
+
+    monkeypatch.setattr(signs, "_removal_walk", walk)
+    assert getattr(signs, f"verify_{kind}")(GroupParams(r, p, n)).passed
+    assert (len(built), len(walked)) == SEARCHES[kind, r, p, n]
+    shapes = [s for s in multipartitions(n, r) if kind == "membership" or shape_criterion(s, p)]
+    assert [shape for shape, _ in built] == shapes
+    assert len(walked) == sum(map(count_standard_multitableaux, shapes))
+    assert {id(steps) for steps in walked} == {id(steps) for steps in built}
+    if kind == "theorem":
+        assert len(built) == MAPPED[r, p, n]
+
+
 def patch_insertion(monkeypatch, fake):
     """Replace the insertion pass where ``rs_map`` calls it: ``fake(perm,
     colors, r, real)`` returns (P rows, Q rows)."""
@@ -266,8 +302,8 @@ def test_sweep_validates_every_filling(monkeypatch):
     the sweep builds it, before it is used as a P or a Q."""
     real = signs._standard_fillings
 
-    def fillings(shape):
-        for rows in real(shape):
+    def fillings(steps):
+        for rows in real(steps):
             comp = next((c for c in rows if c and len(c[0]) > 1), None)
             if comp is not None:
                 comp[0].reverse()

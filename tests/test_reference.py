@@ -48,6 +48,7 @@ from grpn.signs import pi_from_tableaux
 from grpn.tableaux import (
     Multitableau,
     StandardTableau,
+    _corner_steps,
     _is_standard,
     _standard_fillings,
     count_standard_multitableaux,
@@ -306,12 +307,12 @@ def test_row_route_matches_objects_up_to_rank_64():
         assert list(_rs_rows(w)) == list(row_insert_image(w)), w
 
 
-def removal_leaves(p_rows):
-    """The removal walk's leaves over P's row lists as (perm, colors)
-    tuples; the walk must leave the same row objects, holding P's rows, in
-    ``p_rows``."""
+def removal_leaves(p_rows, steps):
+    """The removal walk's leaves over P's row lists, replaying the step
+    list of P's shape, as (perm, colors) tuples; the walk must leave the
+    same row objects, holding P's rows, in ``p_rows``."""
     before = [[(id(row), list(row)) for row in comp] for comp in p_rows]
-    leaves = [(tuple(perm), tuple(colors)) for perm, colors in _removal_walk(p_rows)]
+    leaves = [(tuple(perm), tuple(colors)) for perm, colors in _removal_walk(p_rows, steps)]
     assert [[(id(row), list(row)) for row in comp] for comp in p_rows] == before
     return leaves
 
@@ -321,7 +322,24 @@ def test_removal_walk_refuses_rows_that_are_not_standard(p_rows):
     """A column that decreases makes a reverse bump find no smaller entry in
     the row above: the walk raises instead of yielding a wrong element."""
     with pytest.raises(InvalidTableau, match="^reverse bump fell off the tableau$"):
-        list(_removal_walk(p_rows))
+        list(_removal_walk(p_rows, _corner_steps(shape_of(p_rows))))
+
+
+@pytest.mark.parametrize(
+    "p_rows",
+    [[[[1, 3]], []], [[[1, 3], [2], [4]], []], [[[1, 3]], [[2]]], [[[1], [2], [3]], []]],
+    ids=["too-few-boxes", "too-many-boxes", "other-component", "other-rows"],
+)
+def test_removal_walk_refuses_rows_of_another_shape(p_rows):
+    """The walk replays a step list built for one shape; rows of any other
+    shape, with fewer boxes or the same boxes arranged otherwise, raise
+    ``ShapeMismatch`` before any removal, and the rows are left as given."""
+    steps = _corner_steps(((2, 1), ()))
+    before = [[list(row) for row in comp] for comp in p_rows]
+    walk = _removal_walk(p_rows, steps)
+    with pytest.raises(ShapeMismatch, match="steps are for"):
+        next(walk)
+    assert p_rows == before
 
 
 def shape_criterion(shape, p):
@@ -337,8 +355,9 @@ def membership_leaves(params, walk=_removal_walk):
     r, p, n = params.r, params.p, params.n
     full = GroupParams(r, 1, n)
     for shape in multipartitions(n, r):
-        for p_rows in _standard_fillings(shape):
-            for perm, colors in walk(p_rows):
+        steps = _corner_steps(shape)
+        for p_rows in _standard_fillings(steps):
+            for perm, colors in walk(p_rows, steps):
                 yield GroupElement(full, tuple(perm), tuple(colors)), shape_criterion(shape, p)
 
 
@@ -366,8 +385,9 @@ def test_removal_walk_covers_the_group(r, n):
     params = GroupParams(r, 1, n)
     leaves = []
     for shape in multipartitions(n, r):
-        for p_rows in _standard_fillings(shape):
-            for perm, colors in removal_leaves(p_rows):
+        steps = _corner_steps(shape)
+        for p_rows in _standard_fillings(steps):
+            for perm, colors in removal_leaves(p_rows, steps):
                 assert _rs_rows(GroupElement(params, perm, colors))[0] == p_rows, (perm, colors)
                 leaves.append((perm, colors))
     assert len(leaves) == len(set(leaves)) == params.order
@@ -383,9 +403,10 @@ def test_removal_walk_matches_rs_inverse(r, max_n):
         full = GroupParams(r, 1, n)
         for shape in multipartitions(n, r):
             tableaux = list(standard_multitableaux(shape, cap=n))
-            for p_rows in _standard_fillings(shape):
+            steps = _corner_steps(shape)
+            for p_rows in _standard_fillings(steps):
                 P = Multitableau(StandardTableau(rows) for rows in p_rows)
-                leaves = removal_leaves(p_rows)
+                leaves = removal_leaves(p_rows, steps)
                 images = [rs_inverse(RSPair(P, Q), full) for Q in tableaux]
                 assert set(leaves) == {(w.perm, w.colors) for w in images}, str(P)
                 assert len(set(leaves)) == len(leaves) == count_standard_multitableaux(shape)
@@ -400,9 +421,10 @@ def test_removal_walk_leaf_k_is_filling_k(r, n):
     count = 0
     for shape in multipartitions(n, r):
         tableaux = list(standard_multitableaux(shape, cap=n))
-        for p_rows in _standard_fillings(shape):
+        steps = _corner_steps(shape)
+        for p_rows in _standard_fillings(steps):
             P = Multitableau(StandardTableau(rows) for rows in p_rows)
-            leaves = removal_leaves(p_rows)
+            leaves = removal_leaves(p_rows, steps)
             assert len(leaves) == len(tableaux)
             for (perm, colors), Q in zip(leaves, tableaux):
                 w = rs_inverse(RSPair(P, Q), full)
@@ -410,6 +432,31 @@ def test_removal_walk_leaf_k_is_filling_k(r, n):
                 assert rs_module._insertion_rows(perm, colors, r) == (rows_of(P), rows_of(Q))
                 count += 1
     assert count == full.order
+
+
+def test_removal_walk_leaf_k_is_filling_k_above_the_exhaustive_ranks():
+    """On seeded random shapes of rank 7 to 9 with r <= 4: the replayed
+    fillings are distinct standard multitableaux, as many as the hook
+    length formula counts, and for sampled P's leaf k of the walk is
+    ``rs_inverse(RSPair(P, filling k))`` at sampled k, the first and last
+    among them, and the walk puts P's rows back."""
+    rng = random.Random(29)
+    for _ in range(12):
+        n, r = rng.randint(7, 9), rng.randint(1, 4)
+        shape = rng.choice(list(multipartitions(n, r)))
+        full = GroupParams(r, 1, n)
+        steps = _corner_steps(shape)
+        fillings = [as_tuples(rows) for rows in _standard_fillings(steps)]
+        count = count_standard_multitableaux(shape)
+        assert len(fillings) == len(set(fillings)) == count, shape
+        tableaux = [Multitableau(StandardTableau(rows) for rows in f) for f in fillings]
+        for a in rng.sample(range(count), min(3, count)):
+            p_rows = [[list(row) for row in comp] for comp in fillings[a]]
+            leaves = removal_leaves(p_rows, steps)
+            assert len(set(leaves)) == len(leaves) == count
+            for k in {0, count - 1, *rng.sample(range(count), min(40, count))}:
+                w = rs_inverse(RSPair(tableaux[a], tableaux[k]), full)
+                assert leaves[k] == (w.perm, w.colors), (shape, a, k)
 
 
 def brute_force_fillings(shape):
@@ -438,7 +485,7 @@ def test_standard_fillings_match_brute_force(r):
     wraps them in the same order."""
     for n in range(6):
         for shape in multipartitions(n, r):
-            fillings = [as_tuples(rows) for rows in _standard_fillings(shape)]
+            fillings = [as_tuples(rows) for rows in _standard_fillings(_corner_steps(shape))]
             assert len(fillings) == len(set(fillings)) == count_standard_multitableaux(shape)
             assert set(fillings) == brute_force_fillings(shape), shape
             assert fillings == [as_tuples(rows_of(T)) for T in standard_multitableaux(shape)]
@@ -490,10 +537,10 @@ def test_membership_backward_pass_reports_a_shifted_color(monkeypatch):
     criterion) counterexample, in shape-then-P-then-walk order, and leave
     the counts alone."""
 
-    def shifted(p_rows):
+    def shifted(p_rows, steps):
         # the value 1 at position 1 gets the next color, an element outside
         # its P's membership verdict for p = 2
-        for perm, colors in _removal_walk(p_rows):
+        for perm, colors in _removal_walk(p_rows, steps):
             yield perm, [(colors[0] + 1) % 2] + colors[1:] if perm[0] == 1 else colors
 
     params, full = GroupParams(2, 2, 4), GroupParams(2, 1, 4)
