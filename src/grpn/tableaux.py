@@ -3,10 +3,12 @@
 A partition is a plain tuple of weakly decreasing positive integers; a
 multipartition is an r-tuple of partitions.  Multitableaux carry r
 component tableaux jointly labeled by 1..n.  A multipartition's
-depth-first corner search runs once, into a step list (``_corner_steps``).
-``_standard_fillings`` replays it into plain row lists, as
-``rs._removal_walk`` replays it on P's rows; ``standard_tableaux`` and
-``standard_multitableaux`` wrap the fillings in validated objects.
+depth-first corner search (``_corner_search``) gives its leaves as steps,
+which a sweep keeps as a list (``_corner_steps``) and runs once per shape.
+``_standard_fillings`` replays them into plain row lists, as
+``rs._removal_walk`` replays them on P's rows; ``standard_tableaux`` and
+``standard_multitableaux`` wrap the fillings in validated objects, one
+leaf at a time.
 """
 
 from __future__ import annotations
@@ -266,16 +268,16 @@ class Multitableau:
         return "(" + " | ".join(str(t) for t in self.components) + ")"
 
 
-# One depth-first corner search over a multipartition, as the step list
-# ``_corner_steps`` returns: the shape, then one ``(keep, moves, first)``
-# per leaf.
-CornerSteps = tuple[MultiPartition, list[tuple[int, tuple[tuple[int, int], ...], int | None]]]
+# One leaf of a multipartition's corner search, as ``_corner_search``
+# yields it, and the search kept as a step list: the shape and its leaves.
+CornerLeaf = tuple[int, tuple[tuple[int, int], ...], int | None]
+CornerSteps = tuple[MultiPartition, list[CornerLeaf]]
 
 
-def _corner_steps(shape: MultiPartition) -> CornerSteps:
-    """The depth-first corner search over a multipartition, run once and
-    kept as a step list for ``_standard_fillings`` and ``rs._removal_walk``
-    to replay.
+def _corner_search(shape: MultiPartition) -> Iterator[CornerLeaf]:
+    """The depth-first corner search over a multipartition, one leaf at a
+    time, as the steps that ``_standard_fillings`` and ``rs._removal_walk``
+    replay.
 
     The search puts label n into each corner box of each component in turn,
     then label n-1 into each corner of the boxes still empty, and so on down
@@ -290,18 +292,16 @@ def _corner_steps(shape: MultiPartition) -> CornerSteps:
     (component, row) of each further label down to 2, and ``first`` is
     label 1's component (None for the empty shape).
     """
-    shape = tuple(map(tuple, shape))
     # left[k][t]: boxes of row t of component k still without a label
     left = [list(lam) for lam in shape]
     path: list[tuple[int, int]] = []
-    leaves = []
     keep = 0
 
     def search(j):
         nonlocal keep
         if j < 2:
             first = next((k for k, counts in enumerate(left) if counts and counts[0]), None)
-            leaves.append((keep, tuple(path[keep:]), first))
+            yield keep, tuple(path[keep:]), first
             keep = len(path)
             return
         for k, counts in enumerate(left):
@@ -310,19 +310,26 @@ def _corner_steps(shape: MultiPartition) -> CornerSteps:
                     continue  # no box left, or not a corner
                 counts[t] = m - 1
                 path.append((k, t))
-                search(j - 1)
+                yield from search(j - 1)
                 path.pop()
                 keep = min(keep, len(path))
                 counts[t] = m
 
-    search(sum(map(sum, shape)))
-    return shape, leaves
+    yield from search(sum(map(sum, shape)))
+
+
+def _corner_steps(shape: MultiPartition) -> CornerSteps:
+    """The corner search of a multipartition, run once and kept as a step
+    list, for a sweep to replay into the shape's fillings and into the
+    removal walk of each P of the shape."""
+    shape = tuple(map(tuple, shape))
+    return shape, list(_corner_search(shape))
 
 
 def _standard_fillings(steps: CornerSteps) -> Iterator[list[list[list[int]]]]:
     """Every standard filling of the shape ``steps`` was built for, in the
-    order of its corner search (``_corner_steps``), as one row list per
-    component.
+    order of its corner search (``_corner_search``), as one row list per
+    component.  The leaves of ``steps`` may be an iterator, for one replay.
 
     The replay takes back the previous leaf's labels it does not keep, then
     writes each further label into the last box still empty in its
@@ -354,19 +361,20 @@ def _standard_fillings(steps: CornerSteps) -> Iterator[list[list[list[int]]]]:
 
 def standard_tableaux(shape: Partition) -> Iterator[StandardTableau]:
     """All standard tableaux of the given shape, filled with 1..n, in the
-    corner-search order of ``_corner_steps``."""
-    for (filling,) in _standard_fillings(_corner_steps((check_partition(shape),))):
+    corner-search order of ``_corner_search``."""
+    shape = (check_partition(shape),)
+    for (filling,) in _standard_fillings((shape, _corner_search(shape))):
         yield StandardTableau(filling)
 
 
 def standard_multitableaux(shape: MultiPartition, cap: int = DEFAULT_SHAPE_CAP) -> Iterator[Multitableau]:
     """All standard multitableaux of the given multipartition shape, in the
-    corner-search order of ``_corner_steps``."""
+    corner-search order of ``_corner_search``."""
     shape = tuple(map(check_partition, shape))
     n = sum(map(sum, shape))
     if n > cap:
         raise CapExceeded(f"rank {n} above cap {cap}")
-    for filling in _standard_fillings(_corner_steps(shape)):
+    for filling in _standard_fillings((shape, _corner_search(shape))):
         yield Multitableau(StandardTableau(comp) for comp in filling)
 
 
