@@ -322,7 +322,6 @@ def _corner_steps(shape: MultiPartition) -> CornerSteps:
     """The corner search of a multipartition, run once and kept as a step
     list, for a sweep to replay into the shape's fillings and into the
     removal walk of each P of the shape."""
-    shape = tuple(map(tuple, shape))
     return shape, list(_corner_search(shape))
 
 
