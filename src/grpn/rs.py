@@ -6,9 +6,9 @@ created by the entry at position i, the absolute position i itself.
 ``_parts`` gives the statistics the admissible sweep reads of an
 element's P and Q from a store keyed by rows, building and validating the
 ``rs_map`` pair only for rows new to the store.  ``_removal_walk`` runs
-the inverse for every Q of one P at once, replaying the corner search of
-P's shape (``tableaux._corner_steps``, built once per shape) on P's row
-lists.
+the inverse for every Q of one P at once, replaying the corner search's
+steps for P's shape (``tableaux._corner_steps``, run once per shape) on
+P's row lists.
 The admissible operators L_i / R_i, their classes and the ascending
 canonical representative of each class live here as well, each written
 once on one-line data ``(perm, colors)`` (``_left_move``, ``_right_move``,
@@ -72,8 +72,8 @@ def _removal_walk(p_rows: list[list[list[int]]], steps: CornerSteps) -> Iterator
     (``tableaux._corner_steps``).
 
     The walk replays the search's leaves on P's rows: leaf k is the element
-    whose Q is the k-th standard filling (``_standard_fillings`` of the same
-    steps).  It undoes the previous leaf's removals that this leaf does not
+    whose Q is the k-th standard filling ``_corner_steps`` gives with the
+    same steps.  It undoes the previous leaf's removals that this leaf does not
     keep, then makes this leaf's further removals, labels n-keep down to 2:
     each pops the last box of its (component, row), reverse-bumps its value
     up through the rows above and logs the bump positions; an undo bumps

@@ -21,9 +21,11 @@ sweeps compare defects and list those i only for a counterexample.
 every P of every shape and reconstruct the elements of each P by one
 prefix-sharing corner-removal walk (``rs._removal_walk``), so they visit
 the group once, by shape, then by P, then in removal order, without
-inserting.  Each shape's corner search runs once, into a step list
-(``tableaux._corner_steps``): ``_standard_fillings`` replays it into the
-shape's fillings, and every P's walk replays it on P's rows.
+inserting.  Each shape's corner search runs once
+(``tableaux._corner_steps``), writing each filling as it goes: it gives
+the shape's fillings as row lists and a step list, and each P's walk
+replays the steps in that P's own filling rows, leaving them as it found
+them.
 ``verify_theorem`` builds each standard filling of a shape once as a
 validated ``Multitableau``, reads its statistics off its methods once,
 and uses the same list for the P side and the Q side: leaf k of P's walk
@@ -81,7 +83,6 @@ from .tableaux import (
     Multitableau,
     StandardTableau,
     _corner_steps,
-    _standard_fillings,
     multipartitions,
     rows_even_row_boxes,
     rows_inversions,
@@ -256,12 +257,12 @@ def _sweep(walk):
     return sweep
 
 
-def _fillings(steps) -> list[tuple[Multitableau, int, int, int]]:
-    """Every standard filling of a shape, in the order of its corner search
-    ``steps`` (``_standard_fillings``), as a validated ``Multitableau`` with
-    its e, inv and twice_spin, each read off its methods once."""
+def _fillings(fillings: list) -> list[tuple[Multitableau, int, int, int]]:
+    """The row-list fillings of a shape (``tableaux._corner_steps``), each
+    as a validated ``Multitableau`` with its e, inv and twice_spin, each
+    read off its methods once."""
     out = []
-    for rows in _standard_fillings(steps):
+    for rows in fillings:
         T = Multitableau(tuple(StandardTableau(comp) for comp in rows))
         out.append((T, T.even_row_boxes(), T.inversions(), T.twice_spin()))
     return out
@@ -275,13 +276,13 @@ def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int
     as ``verify_membership`` does.  A shape is skipped unless p divides its
     color sum, sum of k * |lambda_k|: every leaf of the shape has that color
     sum, so the leaves of the kept shapes are G(r,p,n), each once.  Each
-    kept shape's corner search runs once, into a step list
-    (``tableaux._corner_steps``) that both the fillings and every P's walk
-    replay.  Each standard filling of a kept shape is built once, as a
-    validated ``Multitableau`` whose e, inv and twice_spin are read once
-    (``_fillings``), and the one list is the P side and the Q side: leaf k
-    of ``rs._removal_walk(P, steps)`` is ``rs_inverse(RSPair(P, filling
-    k))``.
+    kept shape's corner search runs once (``tableaux._corner_steps``), for
+    the shape's fillings as row lists and the step list every P's walk
+    replays.  Each filling is built once, as a validated ``Multitableau``
+    whose e, inv and twice_spin are read once (``_fillings``), and the one
+    list is the P side and the Q side: leaf k of ``rs._removal_walk(P,
+    steps)``, walked in P's own filling rows, is ``rs_inverse(RSPair(P,
+    filling k))``.
 
     Per leaf the kernel gives inv(sigma) and the color sum.  A leaf is a
     counterexample when its defect is not (0, 0), and is then reported at
@@ -301,11 +302,10 @@ def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int
     for index, shape in enumerate(multipartitions(n, r)):
         if sum(k * sum(lam) for k, lam in enumerate(shape)) % p:
             continue
-        steps = _corner_steps(shape)
-        fillings = _fillings(steps)
+        steps, rows = _corner_steps(shape)
+        fillings = _fillings(rows)
         mapped_p, mapped_k = divmod(index % len(fillings) ** 2, len(fillings))
-        for a, (P, e_p, inv_p, ts_p) in enumerate(fillings):
-            p_rows = [[list(row) for row in t.rows] for t in P.components]
+        for a, ((P, e_p, inv_p, ts_p), p_rows) in enumerate(zip(fillings, rows)):
             mapped = mapped_k if a == mapped_p else -1
             leaves = zip(_removal_walk(p_rows, steps), fillings, strict=True)
             for k, ((perm, colors), (Q, _, inv_q, ts_q)) in enumerate(leaves):
@@ -335,11 +335,12 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     spin of its insertion multitableau P.
 
     The sweep is one walk.  For each shape in ``multipartitions`` order it
-    runs the shape's corner search once, into a step list
-    (``tableaux._corner_steps``).  For each P of that shape in the order the
-    step list gives (``_standard_fillings``), as live row lists, it reads
-    the criterion off P (``rows_twice_spin``) and walks every Q of P's shape
-    by replaying the same step list on P's rows (``rs._removal_walk``): each
+    runs the shape's corner search once (``tableaux._corner_steps``), for
+    the shape's fillings as row lists and its step list.  For each P of
+    that shape, in search order, it reads the criterion off P's rows
+    (``rows_twice_spin``) and walks every Q of P's shape by replaying the
+    step list in those rows (``rs._removal_walk``), which it leaves as it
+    found them: each
     leaf is ``rs_inverse(RSPair(P, Q))`` at the cost of one reverse bump,
     with no Q built.  The correspondence is a
     bijection, so the leaves are G(r,1,n), each once, and each is checked
@@ -360,8 +361,8 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     full = GroupParams(r, 1, n)
     checked = values = 0
     for shape in multipartitions(n, r):
-        steps = _corner_steps(shape)
-        for p_rows in _standard_fillings(steps):
+        steps, fillings = _corner_steps(shape)
+        for p_rows in fillings:
             criterion = rows_twice_spin(p_rows) % p == 0
             for perm, colors in _removal_walk(p_rows, steps):
                 member = sum(colors) % p == 0

@@ -3,12 +3,12 @@
 A partition is a plain tuple of weakly decreasing positive integers; a
 multipartition is an r-tuple of partitions.  Multitableaux carry r
 component tableaux jointly labeled by 1..n.  A multipartition's
-depth-first corner search (``_corner_search``) gives its leaves as steps,
-which a sweep keeps as a list (``_corner_steps``) and runs once per shape.
-``_standard_fillings`` replays them into plain row lists, as
-``rs._removal_walk`` replays them on P's rows; ``standard_tableaux`` and
-``standard_multitableaux`` wrap the fillings in validated objects, one
-leaf at a time.
+depth-first corner search (``_corner_search``) gives each leaf as steps
+together with its filling, written as the search places each label.  A
+sweep runs it once per shape (``_corner_steps``), keeping the steps for
+``rs._removal_walk`` and a row-list copy of each filling;
+``standard_tableaux`` and ``standard_multitableaux`` wrap the search's
+fillings in validated objects, one leaf at a time.
 """
 
 from __future__ import annotations
@@ -269,15 +269,17 @@ class Multitableau:
 
 
 # One leaf of a multipartition's corner search, as ``_corner_search``
-# yields it, and the search kept as a step list: the shape and its leaves.
+# yields it, the search kept as a step list (the shape and its leaves), and
+# one standard filling as a row list per component.
 CornerLeaf = tuple[int, tuple[tuple[int, int], ...], int | None]
 CornerSteps = tuple[MultiPartition, list[CornerLeaf]]
+Filling = list[list[list[int]]]
 
 
-def _corner_search(shape: MultiPartition) -> Iterator[CornerLeaf]:
+def _corner_search(shape: MultiPartition) -> Iterator[tuple[CornerLeaf, Filling]]:
     """The depth-first corner search over a multipartition, one leaf at a
-    time, as the steps that ``_standard_fillings`` and ``rs._removal_walk``
-    replay.
+    time: the leaf's steps, which ``rs._removal_walk`` replays, and its
+    standard filling.
 
     The search puts label n into each corner box of each component in turn,
     then label n-1 into each corner of the boxes still empty, and so on down
@@ -291,78 +293,67 @@ def _corner_search(shape: MultiPartition) -> Iterator[CornerLeaf]:
     of the first ``keep`` of the previous leaf's moves, ``moves`` holds the
     (component, row) of each further label down to 2, and ``first`` is
     label 1's component (None for the empty shape).
+
+    The search writes each label into its box as it places it: label j,
+    placed in a row of component k with m boxes still empty, at
+    ``rows[k][t][m - 1]``, and label 1 at ``rows[first][0][0]``.  The
+    filling yielded with a leaf is that live buffer, valid until the next
+    leaf; copy what must outlive it.  The search keeps its own stack, so
+    any rank works.
     """
-    # left[k][t]: boxes of row t of component k still without a label
-    left = [list(lam) for lam in shape]
-    path: list[tuple[int, int]] = []
-    keep = 0
-
-    def search(j):
-        nonlocal keep
-        if j < 2:
-            first = next((k for k, counts in enumerate(left) if counts and counts[0]), None)
-            yield keep, tuple(path[keep:]), first
-            keep = len(path)
-            return
-        for k, counts in enumerate(left):
-            for t, m in enumerate(counts):
-                if not m or (t + 1 < len(counts) and counts[t + 1] == m):
-                    continue  # no box left, or not a corner
-                counts[t] = m - 1
-                path.append((k, t))
-                yield from search(j - 1)
-                path.pop()
-                keep = min(keep, len(path))
-                counts[t] = m
-
-    yield from search(sum(map(sum, shape)))
-
-
-def _corner_steps(shape: MultiPartition) -> CornerSteps:
-    """The corner search of a multipartition, run once and kept as a step
-    list, for a sweep to replay into the shape's fillings and into the
-    removal walk of each P of the shape."""
-    return shape, list(_corner_search(shape))
-
-
-def _standard_fillings(steps: CornerSteps) -> Iterator[list[list[list[int]]]]:
-    """Every standard filling of the shape ``steps`` was built for, in the
-    order of its corner search (``_corner_search``), as one row list per
-    component.  The leaves of ``steps`` may be an iterator, for one replay.
-
-    The replay takes back the previous leaf's labels it does not keep, then
-    writes each further label into the last box still empty in its
-    (component, row), and label 1 into the first box of its component.
-    Order: label n's box first, components in order and each component's
-    corners top to bottom, then label n-1's, and so on (the order of
-    ``rs._removal_walk``).  The yielded lists are live buffers, valid until
-    the next step; copy what must outlive it.
-    """
-    shape, leaves = steps
-    n = sum(map(sum, shape))
     rows = [[[0] * part for part in lam] for lam in shape]
-    # left[k][t]: boxes of row t of component k still without a label
-    left = [list(lam) for lam in shape]
-    placed = []  # (left[k], t) of labels n, n-1, ... as placed
-    for keep, moves, first in leaves:
-        for counts, t in placed[keep:]:
-            counts[t] += 1
-        del placed[keep:]
-        for k, t in moves:
-            counts = left[k]
-            m = counts[t] = counts[t] - 1
-            rows[k][t][m] = n - len(placed)
-            placed.append((counts, t))
-        if n:
-            rows[first][0][0] = 1
-        yield rows
+    flat = [row for comp in rows for row in comp]
+    # cells[i]: the (component, row) of flat row i; left[i]: its boxes still
+    # without a label, then a 0; under[i]: the flat row below it in its
+    # component, or that 0
+    cells = [(k, t) for k, lam in enumerate(shape) for t in range(len(lam))]
+    left = [part for lam in shape for part in lam] + [0]
+    under = [i + 1 if t + 1 < len(shape[k]) else len(cells) for i, (k, t) in enumerate(cells)]
+    n = sum(left)
+    path: list[int] = []  # the flat row of labels n, n-1, ... as placed
+    keep = 0
+    i = 0  # where the scan for label n - len(path) resumes
+    while True:
+        if len(path) < n - 1:
+            # the next corner: a row with more boxes left than the row below
+            while i < len(cells) and left[i] <= left[under[i]]:
+                i += 1
+            if i < len(cells):
+                m = left[i] = left[i] - 1
+                flat[i][m] = n - len(path)
+                path.append(i)
+                i = 0
+                continue
+        else:
+            first = None
+            if n:  # label 1 takes the one box left
+                first = cells[left.index(1)][0]
+                rows[first][0][0] = 1
+            yield (keep, tuple([cells[j] for j in path[keep:]]), first), rows
+            keep = len(path)
+        if not path:
+            return
+        i = path.pop()
+        left[i] += 1
+        keep = min(keep, len(path))
+        i += 1
+
+
+def _corner_steps(shape: MultiPartition) -> tuple[CornerSteps, list[Filling]]:
+    """The corner search of a multipartition, run once: its step list, for
+    the removal walk of each P of the shape, and a fresh row-list copy of
+    each standard filling, in search order."""
+    leaves, fillings = [], []
+    for leaf, rows in _corner_search(shape):
+        leaves.append(leaf)
+        fillings.append([[row[:] for row in comp] for comp in rows])
+    return (shape, leaves), fillings
 
 
 def standard_tableaux(shape: Partition) -> Iterator[StandardTableau]:
     """All standard tableaux of the given shape, filled with 1..n, in the
     corner-search order of ``_corner_search``."""
-    shape = (check_partition(shape),)
-    for (filling,) in _standard_fillings((shape, _corner_search(shape))):
+    for _, (filling,) in _corner_search((check_partition(shape),)):
         yield StandardTableau(filling)
 
 
@@ -373,7 +364,7 @@ def standard_multitableaux(shape: MultiPartition, cap: int = DEFAULT_SHAPE_CAP) 
     n = sum(map(sum, shape))
     if n > cap:
         raise CapExceeded(f"rank {n} above cap {cap}")
-    for filling in _standard_fillings((shape, _corner_search(shape))):
+    for _, filling in _corner_search(shape):
         yield Multitableau(StandardTableau(comp) for comp in filling)
 
 

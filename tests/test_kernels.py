@@ -70,14 +70,14 @@ def leaf_stats(params):
     """(w, the seven numbers) for every leaf of G(r,1,n), in the sweep's
     walk order, as the sweep reads them: the kernel's pair on the walk's
     live buffers, then the ``_fillings`` statistics of filling a as P and of
-    filling k as Q, for leaf k of the walk of filling a."""
+    filling k as Q, for leaf k of the walk of filling a in filling a's own
+    rows."""
     r, n = params.r, params.n
     kernel = get_kernel()
     for shape in multipartitions(n, r):
-        steps = _corner_steps(shape)
-        fillings = signs._fillings(steps)
-        for P, e_p, inv_p, ts_p in fillings:
-            p_rows = [[list(row) for row in t.rows] for t in P.components]
+        steps, rows = _corner_steps(shape)
+        fillings = signs._fillings(rows)
+        for (_, e_p, inv_p, ts_p), p_rows in zip(fillings, rows, strict=True):
             for (perm, colors), (_, _, inv_q, ts_q) in zip(_removal_walk(p_rows, steps), fillings, strict=True):
                 stats = (*kernel(perm, colors, r), e_p, inv_p, inv_q, ts_p, ts_q)
                 yield GroupElement(params, perm, colors), stats
@@ -127,7 +127,7 @@ def test_one_kernel_matches_oracle_in_shuffled_order(r, n):
     for w in elements:
         pair = rs_map(w)
         if pair.P.shape not in tables:
-            tables[pair.P.shape] = {T: stats for T, *stats in signs._fillings(_corner_steps(pair.P.shape))}
+            tables[pair.P.shape] = {T: stats for T, *stats in signs._fillings(_corner_steps(pair.P.shape)[1])}
         (e_p, inv_p, ts_p), (_, inv_q, ts_q) = tables[pair.P.shape][pair.P], tables[pair.P.shape][pair.Q]
         stats = (*kernel(w.perm, w.colors, r), e_p, inv_p, inv_q, ts_p, ts_q)
         assert stats == oracle_stats(w), str(w)
@@ -256,22 +256,24 @@ def test_sweep_runs_the_corner_search_once_per_shape(monkeypatch, kind, r, p, n)
     """A sweep builds one step list per shape it walks, in
     ``multipartitions`` order (the theorem sweep only for the shapes it
     keeps, one per ``rs_map`` call), and hands that same list to every walk
-    of the shape, one walk per P."""
+    of the shape, one walk per P, each in the rows of P's own filling as
+    the search handed it out, in search order."""
     built, walked = [], []
     real_steps, real_walk = signs._corner_steps, signs._removal_walk
     monkeypatch.setattr(signs, "_corner_steps", lambda shape: built.append(real_steps(shape)) or built[-1])
 
     def walk(p_rows, steps):
-        walked.append(steps)
+        walked.append((steps, p_rows))
         return real_walk(p_rows, steps)
 
     monkeypatch.setattr(signs, "_removal_walk", walk)
     assert getattr(signs, f"verify_{kind}")(GroupParams(r, p, n)).passed
     assert (len(built), len(walked)) == SEARCHES[kind, r, p, n]
     shapes = [s for s in multipartitions(n, r) if kind == "membership" or shape_criterion(s, p)]
-    assert [shape for shape, _ in built] == shapes
+    assert [shape for (shape, _), _ in built] == shapes
     assert len(walked) == sum(map(count_standard_multitableaux, shapes))
-    assert {id(steps) for steps in walked} == {id(steps) for steps in built}
+    assert {id(steps) for steps, _ in walked} == {id(steps) for steps, _ in built}
+    assert [id(rows) for _, rows in walked] == [id(rows) for _, fillings in built for rows in fillings]
 
 
 def patch_insertion(monkeypatch, fake):
@@ -304,16 +306,17 @@ def test_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
 def test_sweep_validates_every_filling(monkeypatch):
     """A filling that is not standard, from the corner search, raises when
     the sweep builds it, before it is used as a P or a Q."""
-    real = signs._standard_fillings
+    real = signs._corner_steps
 
-    def fillings(steps):
-        for rows in real(steps):
+    def corner_steps(shape):
+        steps, fillings = real(shape)
+        for rows in fillings:
             comp = next((c for c in rows if c and len(c[0]) > 1), None)
             if comp is not None:
                 comp[0].reverse()
-            yield rows
+        return steps, fillings
 
-    monkeypatch.setattr(signs, "_standard_fillings", fillings)
+    monkeypatch.setattr(signs, "_corner_steps", corner_steps)
     with pytest.raises(InvalidTableau):
         signs.verify_theorem(GroupParams(2, 1, 3))
 

@@ -12,6 +12,7 @@ fillings, and the two invariants of a move (color content and within-color
 orders) for the admissible classes.
 """
 
+import copy
 import random
 import sys
 from itertools import chain, combinations, islice, permutations, product
@@ -48,9 +49,9 @@ from grpn.signs import pi_from_tableaux
 from grpn.tableaux import (
     Multitableau,
     StandardTableau,
+    _corner_search,
     _corner_steps,
     _is_standard,
-    _standard_fillings,
     count_standard_multitableaux,
     multipartitions,
     rows_even_row_boxes,
@@ -309,8 +310,8 @@ def test_row_route_matches_objects_up_to_rank_64():
 
 def removal_leaves(p_rows, steps):
     """The removal walk's leaves over P's row lists, replaying the step
-    list of P's shape, as (perm, colors) tuples; the walk must leave the
-    same row objects, holding P's rows, in ``p_rows``."""
+    list of P's shape in those rows, as (perm, colors) tuples; the walk
+    must leave the same row objects, holding P's rows, in ``p_rows``."""
     before = [[(id(row), list(row)) for row in comp] for comp in p_rows]
     leaves = [(tuple(perm), tuple(colors)) for perm, colors in _removal_walk(p_rows, steps)]
     assert [[(id(row), list(row)) for row in comp] for comp in p_rows] == before
@@ -322,7 +323,7 @@ def test_removal_walk_refuses_rows_that_are_not_standard(p_rows):
     """A column that decreases makes a reverse bump find no smaller entry in
     the row above: the walk raises instead of yielding a wrong element."""
     with pytest.raises(InvalidTableau, match="^reverse bump fell off the tableau$"):
-        list(_removal_walk(p_rows, _corner_steps(shape_of(p_rows))))
+        list(_removal_walk(p_rows, _corner_steps(shape_of(p_rows))[0]))
 
 
 @pytest.mark.parametrize(
@@ -334,7 +335,7 @@ def test_removal_walk_refuses_rows_of_another_shape(p_rows):
     """The walk replays a step list built for one shape; rows of any other
     shape, with fewer boxes or the same boxes arranged otherwise, raise
     ``ShapeMismatch`` before any removal, and the rows are left as given."""
-    steps = _corner_steps(((2, 1), ()))
+    steps = _corner_steps(((2, 1), ()))[0]
     before = [[list(row) for row in comp] for comp in p_rows]
     walk = _removal_walk(p_rows, steps)
     with pytest.raises(ShapeMismatch, match="steps are for"):
@@ -349,14 +350,14 @@ def shape_criterion(shape, p):
 
 def membership_leaves(params, walk=_removal_walk):
     """(w, criterion) for every leaf of the membership sweep, in its order:
-    shapes in ``multipartitions`` order, each P in ``_standard_fillings``
-    order, then the removal walk's order; the criterion is read off the
-    shape."""
+    shapes in ``multipartitions`` order, each P in the order of the fillings
+    ``_corner_steps`` gives, then the removal walk's order in P's own
+    filling rows; the criterion is read off the shape."""
     r, p, n = params.r, params.p, params.n
     full = GroupParams(r, 1, n)
     for shape in multipartitions(n, r):
-        steps = _corner_steps(shape)
-        for p_rows in _standard_fillings(steps):
+        steps, fillings = _corner_steps(shape)
+        for p_rows in fillings:
             for perm, colors in walk(p_rows, steps):
                 yield GroupElement(full, tuple(perm), tuple(colors)), shape_criterion(shape, p)
 
@@ -385,8 +386,8 @@ def test_removal_walk_covers_the_group(r, n):
     params = GroupParams(r, 1, n)
     leaves = []
     for shape in multipartitions(n, r):
-        steps = _corner_steps(shape)
-        for p_rows in _standard_fillings(steps):
+        steps, fillings = _corner_steps(shape)
+        for p_rows in fillings:
             for perm, colors in removal_leaves(p_rows, steps):
                 assert _rs_rows(GroupElement(params, perm, colors))[0] == p_rows, (perm, colors)
                 leaves.append((perm, colors))
@@ -403,8 +404,8 @@ def test_removal_walk_matches_rs_inverse(r, max_n):
         full = GroupParams(r, 1, n)
         for shape in multipartitions(n, r):
             tableaux = list(standard_multitableaux(shape, cap=n))
-            steps = _corner_steps(shape)
-            for p_rows in _standard_fillings(steps):
+            steps, fillings = _corner_steps(shape)
+            for p_rows in fillings:
                 P = Multitableau(StandardTableau(rows) for rows in p_rows)
                 leaves = removal_leaves(p_rows, steps)
                 images = [rs_inverse(RSPair(P, Q), full) for Q in tableaux]
@@ -421,8 +422,8 @@ def test_removal_walk_leaf_k_is_filling_k(r, n):
     count = 0
     for shape in multipartitions(n, r):
         tableaux = list(standard_multitableaux(shape, cap=n))
-        steps = _corner_steps(shape)
-        for p_rows in _standard_fillings(steps):
+        steps, fillings = _corner_steps(shape)
+        for p_rows in fillings:
             P = Multitableau(StandardTableau(rows) for rows in p_rows)
             leaves = removal_leaves(p_rows, steps)
             assert len(leaves) == len(tableaux)
@@ -435,7 +436,7 @@ def test_removal_walk_leaf_k_is_filling_k(r, n):
 
 
 def test_removal_walk_leaf_k_is_filling_k_above_the_exhaustive_ranks():
-    """On seeded random shapes of rank 7 to 9 with r <= 4: the replayed
+    """On seeded random shapes of rank 7 to 9 with r <= 4: the search's
     fillings are distinct standard multitableaux, as many as the hook
     length formula counts, and for sampled P's leaf k of the walk is
     ``rs_inverse(RSPair(P, filling k))`` at sampled k, the first and last
@@ -445,8 +446,8 @@ def test_removal_walk_leaf_k_is_filling_k_above_the_exhaustive_ranks():
         n, r = rng.randint(7, 9), rng.randint(1, 4)
         shape = rng.choice(list(multipartitions(n, r)))
         full = GroupParams(r, 1, n)
-        steps = _corner_steps(shape)
-        fillings = [as_tuples(rows) for rows in _standard_fillings(steps)]
+        steps, rows = _corner_steps(shape)
+        fillings = [as_tuples(f) for f in rows]
         count = count_standard_multitableaux(shape)
         assert len(fillings) == len(set(fillings)) == count, shape
         tableaux = [Multitableau(StandardTableau(rows) for rows in f) for f in fillings]
@@ -457,6 +458,23 @@ def test_removal_walk_leaf_k_is_filling_k_above_the_exhaustive_ranks():
             for k in {0, count - 1, *rng.sample(range(count), min(40, count))}:
                 w = rs_inverse(RSPair(tableaux[a], tableaux[k]), full)
                 assert leaves[k] == (w.perm, w.colors), (shape, a, k)
+
+
+@pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4)])
+def test_walks_in_place_leave_the_fillings_as_they_were(r, n):
+    """The sweeps walk each P in its own filling's rows, with no copy: after
+    every P of a shape is walked in place, the fillings ``_corner_steps``
+    handed out equal a deep copy taken before the walks, and no two of them
+    share a row object."""
+    for shape in multipartitions(n, r):
+        steps, fillings = _corner_steps(shape)
+        before = copy.deepcopy(fillings)
+        for p_rows in fillings:
+            for _ in _removal_walk(p_rows, steps):
+                pass
+        assert fillings == before, shape
+        rows = [id(row) for filling in fillings for comp in filling for row in comp]
+        assert len(rows) == len(set(rows)), shape
 
 
 def brute_force_fillings(shape):
@@ -481,11 +499,13 @@ def brute_force_fillings(shape):
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_standard_fillings_match_brute_force(r):
     """Every multishape up to rank 5: the corner search yields exactly the
-    increasing arrangements, each once, and ``standard_multitableaux``
-    wraps them in the same order."""
+    increasing arrangements, each once, with the same fillings live as
+    ``_corner_steps`` copies, and ``standard_multitableaux`` wraps them in
+    the same order."""
     for n in range(6):
         for shape in multipartitions(n, r):
-            fillings = [as_tuples(rows) for rows in _standard_fillings(_corner_steps(shape))]
+            fillings = [as_tuples(rows) for rows in _corner_steps(shape)[1]]
+            assert fillings == [as_tuples(rows) for _, rows in _corner_search(shape)]
             assert len(fillings) == len(set(fillings)) == count_standard_multitableaux(shape)
             assert set(fillings) == brute_force_fillings(shape), shape
             assert fillings == [as_tuples(rows_of(T)) for T in standard_multitableaux(shape)]
@@ -514,7 +534,7 @@ def test_membership_cap_matches_enumerate_group():
     assert str(sweep.value) == "G(4,1,3) has 384 elements, above cap 191"
     with pytest.raises(CapExceeded, match="G\\(2,1,5\\) has 3840 elements, above cap 100"):
         signs.verify_membership(GroupParams(2, 2, 5), cap=100)
-    # refused before any work: the first filling of rank 10**6 would recurse past the limit
+    # refused before any work, at a rank whose group no sweep could walk
     with pytest.raises(CapExceeded, match="G\\(2,1,1000000\\) has more than 10"):
         signs.verify_membership(GroupParams(2, 2, 10**6))
     assert signs.verify_membership(GroupParams(3, 1, 4), cap=1944).elements_checked == 1944

@@ -199,6 +199,16 @@ class TestEnumeration:
             assert all(T.shape == shape for T in out), shape
             assert len({str(T) for T in out}) == len(out) == count_standard_tableaux(shape), shape
 
+    def test_one_row_above_the_recursion_limit(self):
+        """The corner search keeps its own stack, so a rank above the
+        interpreter's recursion limit still gives its one filling."""
+        assert [T.rows for T in standard_tableaux((1200,))] == [(tuple(range(1, 1201)),)]
+
+    def test_two_rows_above_the_recursion_limit(self):
+        out = list(standard_tableaux((1100, 1)))
+        assert all(T.shape == (1100, 1) for T in out)
+        assert len({T.rows for T in out}) == len(out) == count_standard_tableaux((1100, 1))
+
     def test_hook_lengths_known_values(self):
         assert count_standard_tableaux((2, 1)) == 2
         assert count_standard_tableaux((3, 2)) == 5
