@@ -4,8 +4,9 @@ For an element w of G(r,1,n) the values with color k are Schensted-inserted
 in position order to build the component P_k, while Q_k records, in the box
 created by the entry at position i, the absolute position i itself.
 ``_parts`` gives the statistics the admissible sweep reads of an
-element's P and Q from a store keyed by rows, building and validating the
-``rs_map`` pair only for rows new to the store.  ``_removal_walk`` runs
+element's P and Q from a store keyed by rows, one per color content,
+building and validating the ``rs_map`` pair only for rows new to the
+store.  ``_removal_walk`` runs
 the inverse for every Q of one P at once, replaying the corner search's
 steps for P's shape (``tableaux._corner_steps``, run once per shape) on
 P's row lists.
@@ -178,7 +179,12 @@ def _parts(p_rows: list, q_rows: list, store: dict, mapped) -> tuple[tuple, tupl
     tableaux into ``store``.  Otherwise both were built and validated with
     exactly these rows, and are joined with the pair-shape check ``RSPair``
     makes.  Rows that are not a standard tableau are never in ``store``, so
-    they always reach ``mapped()``, whose validation raises."""
+    they always reach ``mapped()``, whose validation raises.
+
+    The caller decides the store's scope.  The admissible sweep keeps one
+    per color content (n_0, ..., n_{r-1}): component k of every P and Q of
+    that content holds n_k labels, so no key of one content's store can
+    come up in another's."""
     p_part = store.get(_rows_key(p_rows))
     q_part = store.get(_rows_key(q_rows))
     if p_part is None or q_part is None:
@@ -228,16 +234,23 @@ def rs_inverse(pair: RSPair, params: GroupParams) -> GroupElement:
     return w
 
 
-def is_ascending_element(w: GroupElement) -> bool:
-    """Colors weakly increase along positions and the values of each color
-    class sit entirely below those of every later nonempty class."""
-    if any(a > b for a, b in zip(w.colors, w.colors[1:])):
+def _is_ascending(perm, colors, r: int) -> bool:
+    """``is_ascending_element`` on one-line data ``(perm, colors)`` with
+    colors in [0, r): nothing is built or validated."""
+    if any(a > b for a, b in zip(colors, colors[1:])):
         return False
-    classes = [[] for _ in range(w.params.r)]
-    for value, k in zip(w.perm, w.colors):
+    classes = [[] for _ in range(r)]
+    for value, k in zip(perm, colors):
         classes[k].append(value)
     nonempty = [c for c in classes if c]
     return all(max(a) < min(b) for a, b in zip(nonempty, nonempty[1:]))
+
+
+def is_ascending_element(w: GroupElement) -> bool:
+    """Colors weakly increase along positions and the values of each color
+    class sit entirely below those of every later nonempty class
+    (``_is_ascending`` on w's one-line data)."""
+    return _is_ascending(w.perm, w.colors, w.params.r)
 
 
 def _left_move(perm: tuple, position, i: int) -> tuple:

@@ -34,14 +34,16 @@ inv(sigma) and the color sum, and once per shape it maps one leaf with
 the validated ``rs_map`` and compares the pair with (P, filling k).
 ``verify_admissible`` gets every element's P and Q as row lists, and
 builds validated tableau objects only for an element whose P rows or Q
-rows are new to its class's store (``rs._parts``), so each distinct P and
-Q is built, validated and read once per class.  It sweeps one admissible
-class at a time, on one-line ``(perm, colors)`` tuples: each admissible
-move is an index swap whose image, a member of the same class, is looked
-up in the class's table.  It builds a ``GroupElement`` only for each
-class's ascending-element check, for a first-sight ``rs_map`` call and
-for a counterexample.  The sweeps hand the report a counterexample's
-tuples, and the report builds the element only if it keeps it.
+rows are new to the store of its color content (``rs._parts``), which
+every class of that content shares, so each distinct P and Q is built,
+validated and read once per sweep.  It sweeps one admissible class at a
+time, on one-line ``(perm, colors)`` tuples: each admissible move is an
+index swap whose image, a member of the same class, is looked up in the
+class's table, and each class's leader is checked for being ascending on
+its tuples (``rs._is_ascending``).  It builds a ``GroupElement`` only for
+a first-sight ``rs_map`` call and for a counterexample.  The sweeps hand
+the report a counterexample's tuples, and the report builds the element
+only if it keeps it.
 
 The three sweeps share one frame, ``_sweep``: it refuses a sweep above its
 cap before any work, builds the ``VerificationReport``, times the walk and
@@ -70,6 +72,7 @@ from .rs import (
     _admissible_classes,
     _ascend,
     _insertion_rows,
+    _is_ascending,
     _left_move,
     _parts,
     _removal_walk,
@@ -373,22 +376,25 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     return checked, values
 
 
-def _class_table(params: GroupParams, members: list[tuple[tuple, tuple]]) -> dict:
+def _class_table(params: GroupParams, members: list[tuple[tuple, tuple]], store: dict) -> dict:
     """What the admissible sweep keeps of every member of one admissible
     class, given as one-line data ``(perm, colors)`` and keyed by it: for
     P, then for Q, its rows, inversion count and per-component counts; then
     the member's (sign, spin_sum).
 
+    ``store`` is the tableau store of the class's color content, which the
+    caller shares between every class of that content and adds to here.
     Every member goes through the insertion pass ``_insertion_rows``, and
-    ``rs._parts`` gives its P's and Q's statistics from the class's store:
-    only a member whose P rows or Q rows are not yet there is built as a
+    ``rs._parts`` gives its P's and Q's statistics from the store: only a
+    member whose P rows or Q rows are not yet there is built as a
     ``GroupElement`` and mapped with the validated ``rs_map``, and every
     other member's entry is joined from the stored parts of tableaux that
     were built and validated with exactly its rows.  P depends only on the
     value-color word and Q only on the position-color word, so a class of
     M**2 members has M distinct P's and M distinct Q's: ``rs_map`` runs on
-    at most 2M - 1 members, and each tableau's statistics are read once."""
-    store: dict = {}
+    at most 2M - 1 members, fewer when an earlier class of the content
+    already stored some of them, and each tableau's statistics are read
+    once per store."""
     table = {}
     for perm, colors in members:
         p_rows, q_rows = _insertion_rows(perm, colors, params.r)
@@ -431,20 +437,27 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
     first, and works on one-line data ``(perm, colors)`` throughout: the
     moves are ``rs._right_move`` and ``rs._left_move`` and the
     representative is ``rs._ascend``, the routines ``right_admissible``,
-    ``left_admissible`` and ``ascending_representative`` wrap.  A
-    ``GroupElement`` is built only for rho's ascending check, for a member
-    ``rs_map`` must map, and for a counterexample the report keeps.
-    Moves stay inside a class, so it keeps every member's entry
-    in a table keyed by (perm, colors) (``_class_table``); each move's image
-    is then looked up there, and an image outside the table has left its
-    class, which the move must not do.  Within a class P depends only on the
-    value-color word and Q only on the position-color word.  So the table
-    runs the insertion pass on every member but the validated ``rs_map``
-    only on a member whose P rows or Q rows are new to the class: each
-    distinct P and Q is built as a validated ``Multitableau`` and its
-    statistics read once, and every other member's entry is joined from
-    those of its two tableaux.  The table holds one class at a time, at
-    most multinomial(n; n_k)**2 elements, never the whole group.  The
+    ``left_admissible`` and ``ascending_representative`` wrap, and rho's
+    ascending check is ``rs._is_ascending``.  A ``GroupElement`` is built
+    only for a member ``rs_map`` must map and for a counterexample the
+    report keeps.  Moves stay inside a class, so it keeps every member's
+    entry in a table keyed by (perm, colors) (``_class_table``); each move's
+    image is then looked up there, and an image outside the table has left
+    its class, which the move must not do.  Within a class P depends only
+    on the value-color word and Q only on the position-color word.  So the
+    table runs the insertion pass on every member but the validated
+    ``rs_map`` only on a member whose P rows or Q rows are new to the
+    store of its color content, the sorted color word every member of a
+    class shares: each distinct P and Q is built as a validated
+    ``Multitableau`` and its statistics read once per sweep, and every
+    other member's entry is joined from those of its two tableaux.  The
+    store is replaced whenever the content changes, which is safe because
+    component k of every P and Q of one content holds exactly n_k labels,
+    so a multitableau never comes up in two contents; and the classes of
+    one content come together (``rs._admissible_classes``), so none is
+    built twice.  The table holds one class at a time, at most
+    multinomial(n; n_k)**2 elements, and the store one content's
+    multitableaux, never the whole group.  The
     agreement of formula and character is compared through defects, read
     off inv(sigma) and the color sum: only
     a member whose defect differs from rho's has its ``_disagreeing`` i
@@ -458,10 +471,13 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
     r, n = params.r, params.n
     checked = values = 0
     position = [0] * (n + 1)  # position[v]: the 0-based position of value v
+    content = store = None
     for members in _admissible_classes(params):
-        table = _class_table(params, members)
         rho = members[0]
-        if not is_ascending_element(GroupElement(params, *rho)):
+        if sorted(rho[1]) != content:  # each content's classes come together
+            content, store = sorted(rho[1]), {}
+        table = _class_table(params, members, store)
+        if not _is_ascending(*rho, r):
             report.record(rho, 0, "ascending representative", "not ascending")
         rho_defect = _defect((-1) ** inversions(rho[0]), sum(rho[1]), *table[rho][2], r)
         for perm, colors in members:

@@ -15,6 +15,7 @@ orders) for the admissible classes.
 import copy
 import random
 import sys
+from functools import cache
 from itertools import chain, combinations, islice, permutations, product
 from math import factorial, prod
 
@@ -692,7 +693,7 @@ def test_move_images_on_rows_match_objects(r, n):
                 assert on_rows == on_objects, (str(w), str(moved), f)
                 outcomes.add(on_rows)
                 key, image_key = (w.perm, w.colors), (moved.perm, moved.colors)
-                table = signs._class_table(params, [key, image_key])
+                table = signs._class_table(params, [key, image_key], {})
                 ok = signs._move_kept(table, table[key], image_key, f)
                 assert ok == all(on_objects), (str(w), str(moved), f)
     assert (True, True, True) in outcomes and any(not all(o) for o in outcomes)
@@ -747,31 +748,42 @@ def object_entry(pair):
 
 
 # rs_map calls of the admissible sweep: the members whose P rows or Q rows
-# are new to their class's store
-MAPPED = {(2, 1, 4): 132, (3, 1, 3): 60, (4, 2, 3): 60, (2, 1, 5): 904}
+# are new to the store of their color content
+MAPPED = {(2, 1, 4): 76, (3, 1, 3): 54, (4, 2, 3): 56, (2, 1, 5): 312}
+
+
+def color_content(members):
+    """The color content (n_0, ..., n_{r-1}) every member of a class shares,
+    as its sorted color word."""
+    return sorted(members[0][1])
 
 
 @pytest.mark.parametrize("r,p,n", [(2, 1, 4), (3, 1, 3), (4, 2, 3), (2, 1, 5)])
 def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
-    """The sweep's per-class table, built from the insertion pass's row
-    lists, against each member's entry in a table of its own and against the
-    tableau objects; the class has as many distinct P's as Q's, its
-    members' square root.  The table maps with ``rs_map`` exactly the
-    members whose P rows or Q rows no earlier member of the class had."""
+    """The sweep's per-class tables, built from the insertion pass's row
+    lists with one store per color content, against each member's entry in
+    a table of its own with a store of its own and against the tableau
+    objects; each class has as many distinct P's as Q's, its members'
+    square root.  The tables map with ``rs_map`` exactly the members whose
+    P rows or Q rows no earlier member of the same content had, and the
+    sweep maps the same members in the same order."""
     params = GroupParams(r, p, n)
     mapped = []
     monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or rs_map(w))
-    total = 0
+    everything = []
+    content = None
     for members in _admissible_classes(params):
+        if color_content(members) != content:
+            content, store, seen = color_content(members), {}, set()
         mapped.clear()
-        table = signs._class_table(params, members)
+        table = signs._class_table(params, members, store)
         calls = list(mapped)
         assert list(table) == members
-        p_rows, q_rows, seen, new = set(), set(), set(), []
+        p_rows, q_rows, new = set(), set(), []
         for key in members:
             w = GroupElement(params, *key)
             pair = rs_map(w)
-            fresh = signs._class_table(params, [key])[key]
+            fresh = signs._class_table(params, [key], {})[key]
             assert table[key] == fresh == object_entry(pair), str(w)
             p_rows.add(fresh[0][0])
             q_rows.add(fresh[1][0])
@@ -781,8 +793,115 @@ def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
             seen |= rows
         assert len(p_rows) ** 2 == len(q_rows) ** 2 == len(members)
         assert calls == new
-        total += len(new)
-    assert total == MAPPED[r, p, n]
+        everything += new
+    assert len(everything) == MAPPED[r, p, n]
+    mapped.clear()
+    assert signs.verify_admissible(params).passed
+    assert mapped == everything
+
+
+def content_multitableaux(r, p, n):
+    """The rows of every standard multitableau of rank n with r components
+    whose color sum, sum of k * n_k, p divides: what the admissible sweep's
+    stores hold between them."""
+    return {
+        tuple(t.rows for t in T.components)
+        for shape in multipartitions(n, r)
+        if sum(k * sum(lam) for k, lam in enumerate(shape)) % p == 0
+        for T in standard_multitableaux(shape)
+    }
+
+
+# member orders of each class: as built, reversed (every leader of a class
+# of more than one member then has its content's last color word, so is not
+# ascending), and shuffled (leaders with differing color words)
+CLASS_ORDERS = {
+    "ascending-first": lambda members, index: members,
+    "reversed": lambda members, index: members[::-1],
+    "shuffled": lambda members, index: random.Random(index).sample(members, len(members)),
+}
+
+
+@pytest.mark.parametrize("order", sorted(CLASS_ORDERS))
+@pytest.mark.parametrize("r,p,n", [(2, 1, 4), (3, 1, 3), (4, 2, 3)])
+def test_admissible_store_holds_one_color_content(monkeypatch, r, p, n, order):
+    """The sweep's tableau store, seen at every ``_class_table`` call: each
+    stored multitableau's component k holds n_k labels of its class's color
+    content, the store is empty when a new content begins and carried over
+    within one, and each standard multitableau of a swept content enters it
+    once per sweep.  With each class's members reordered, so that leaders
+    are not ascending, the reuse is the same."""
+    params = GroupParams(r, p, n)
+    classes = [CLASS_ORDERS[order](m, i) for i, m in enumerate(_admissible_classes(params))]
+    monkeypatch.setattr(signs, "_admissible_classes", lambda params: iter(classes))
+    real = signs._class_table
+    seen = []
+
+    def spy(params, members, store):
+        before = set(store)
+        table = real(params, members, store)
+        seen.append((members, store, before, set(store)))
+        return table
+
+    monkeypatch.setattr(signs, "_class_table", spy)
+    mapped = []
+    monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or rs_map(w))
+    report = signs.verify_admissible(params, max_counterexamples=10**4)
+    assert report.elements_checked == params.order
+    leaders = [GroupElement(params, *m[0]) for m in classes]
+    not_ascending = [w for w, _, _, got in report.counterexamples if got == "not ascending"]
+    assert not_ascending == [w for w in leaders if not is_ascending_element(w)]
+    assert report.passed == (order == "ascending-first")
+    entered = []
+    content = last = None
+    for members, store, before, after in seen:
+        counts = [color_content(members).count(k) for k in range(r)]
+        if counts != content:
+            assert not before, counts
+            content = counts
+        else:
+            assert store is last[0] and before == last[1]
+        last = store, after
+        assert before <= after
+        for rows in after:
+            assert [sum(map(len, comp)) for comp in rows] == counts
+        entered += after - before
+    assert len(entered) == len(set(entered))
+    assert set(entered) == content_multitableaux(r, p, n)
+    # rs_map maps exactly the members whose P or Q no earlier member of
+    # their content had, and each such call stores a new multitableau
+    first_sight, content = [], None
+    for members in classes:
+        if color_content(members) != content:
+            content, known = color_content(members), set()
+        for key in members:
+            pair = rs_map(GroupElement(params, *key))
+            rows = {tuple(t.rows for t in T.components) for T in (pair.P, pair.Q)}
+            if not rows <= known:
+                first_sight.append(pair)
+            known |= rows
+    assert [rs_map(w) for w in mapped] == first_sight
+    assert len(mapped) <= len(entered)
+    if order != "shuffled":
+        assert len(mapped) == MAPPED[r, p, n]
+
+
+def test_admissible_sweep_builds_elements_only_to_map_them(monkeypatch):
+    """A passing sweep builds a ``GroupElement`` only for each first-sight
+    ``rs_map`` call: each class leader's ascending check reads its one-line
+    data."""
+    built = []
+
+    class Counted(GroupElement):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(signs, "GroupElement", Counted)
+    mapped = []
+    monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or rs_map(w))
+    assert signs.verify_admissible(GroupParams(2, 1, 4)).passed
+    assert len(built) == len(mapped) == MAPPED[2, 1, 4]
 
 
 def patch_insertion_rows(monkeypatch, fake):
@@ -811,7 +930,7 @@ def test_admissible_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
     target = members[-1]
     mapped = []
     monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or rs_map(w))
-    signs._class_table(params, members)
+    assert signs.verify_admissible(params).passed
     assert GroupElement(params, *target) not in mapped  # its true rows repeat
     monkeypatch.setattr(signs, "rs_map", rs_map)
 
@@ -1079,8 +1198,8 @@ def test_admissible_sweep_compares_the_disagreeing_i_not_the_defects(monkeypatch
     agrees, so none when the disagreeing i are the same."""
     real = signs._class_table
 
-    def skewed(params, members):
-        table = real(params, members)
+    def skewed(params, members, store):
+        table = real(params, members, store)
         rho = members[0]
         for key, (kept_p, kept_q, (sign, spin_sum)) in table.items():
             table[key] = kept_p, kept_q, (sign, spin_sum + (1 if key == rho else member_shift))
@@ -1160,10 +1279,12 @@ def as_tuples(components):
     return tuple(tuple(tuple(row) for row in rows) for rows in components)
 
 
+@cache
 def validation_corpus():
     """Component row lists of rs_map images up to rank 64 and of every
     standard multitableau up to rank 6, as tuples; one list of (P, Q) pairs
-    and one of multitableaux."""
+    and one of multitableaux.  Built on first use, once per session, so a
+    fault in the enumeration fails the tests that use it, not the import."""
     rng = random.Random(29)
     pairs = []
     for _ in range(200):
@@ -1178,8 +1299,10 @@ def validation_corpus():
     return pairs, multis
 
 
-PAIRS, MULTIS = validation_corpus()
-TABLEAUX = sorted({rows for comps in MULTIS for rows in comps})
+@cache
+def corpus_tableaux():
+    """Every component of ``validation_corpus``'s multitableaux, each once."""
+    return sorted({rows for comps in validation_corpus()[1] for rows in comps})
 
 
 def bottom_up_filling(rows):
@@ -1223,8 +1346,8 @@ def corrupted_tableaux(rows):
 
 
 def test_valid_tableaux_pass_in_one_pass():
-    assert len(TABLEAUX) > 1000
-    for rows in TABLEAUX:
+    assert len(corpus_tableaux()) > 1000
+    for rows in corpus_tableaux():
         assert oracle_tableau(rows) is None
         if rows:
             assert _is_standard(rows), rows
@@ -1234,7 +1357,7 @@ def test_valid_tableaux_pass_in_one_pass():
 
 def test_corrupted_tableaux_name_the_first_failing_check():
     seen = set()
-    for rows in TABLEAUX:
+    for rows in corpus_tableaux():
         if not rows:
             continue
         for bad in corrupted_tableaux(rows):
@@ -1268,7 +1391,7 @@ def corrupted_label_sets(components):
 
 
 def test_multitableau_labels_match_the_oracle():
-    for comps in MULTIS:
+    for comps in validation_corpus()[1]:
         assert oracle_multitableau(comps) is None
         T = Multitableau(StandardTableau(rows) for rows in comps)
         assert as_tuples(rows_of(T)) == comps
@@ -1281,7 +1404,8 @@ def test_multitableau_labels_match_the_oracle():
 def test_rs_pair_shapes_match_the_oracle():
     rng = random.Random(31)
     mismatches = 0
-    for p_comps, q_comps in PAIRS:
+    pairs = validation_corpus()[0]
+    for p_comps, q_comps in pairs:
         assert oracle_pair(p_comps, q_comps) is None
         n = sum(len(row) for rows in p_comps for row in rows)
         # a Q of the same rank and r but another element's shape, and Q's
@@ -1293,4 +1417,4 @@ def test_rs_pair_shapes_match_the_oracle():
             P = Multitableau([StandardTableau(rows) for rows in p_comps])
             Q = Multitableau([StandardTableau(rows) for rows in bad_q])
             assert outcome(lambda: RSPair(P, Q)) == expected, (p_comps, bad_q)
-    assert mismatches > len(PAIRS)
+    assert mismatches > len(pairs)
