@@ -3,16 +3,13 @@
 For an element w of G(r,1,n) the values with color k are Schensted-inserted
 in position order to build the component P_k, while Q_k records, in the box
 created by the entry at position i, the absolute position i itself.
-``_parts`` gives the statistics the admissible sweep reads of an
-element's P and Q from a store keyed by rows, one per color content,
-building and validating the ``rs_map`` pair only for rows new to the
-store.  ``_removal_walk`` runs
-the inverse for every Q of one P at once, replaying the corner search's
-steps for P's shape (``tableaux._corner_steps``, run once per shape) on
-P's row lists.
-The admissible operators L_i / R_i, their classes and the ascending
-canonical representative of each class live here as well, each written
-once on one-line data ``(perm, colors)`` (``_left_move``, ``_right_move``,
+``_removal_walk`` runs the inverse for every Q of one P at once, replaying
+the corner search's steps for P's shape (``tableaux._corner_steps``, run
+once per shape) on P's row lists; the sweeps walk the group this way, one
+shape block at a time.
+The admissible operators L_i / R_i and the ascending canonical
+representative of each class live here as well, each written once on
+one-line data ``(perm, colors)`` (``_left_move``, ``_right_move``,
 ``_ascend``) and wrapped for ``GroupElement``s.
 """
 
@@ -20,12 +17,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, permutations, product
+from itertools import chain
 from typing import Iterator
 
 from .errors import IndexOutOfRange, InvalidTableau, NotAdmissible, ShapeMismatch
 from .group import GroupElement, GroupParams, _bubble, require_member
-from .tableaux import CornerSteps, Multitableau, StandardTableau, tableau_inversions
+from .tableaux import CornerSteps, Multitableau, StandardTableau
 
 
 @dataclass(frozen=True)
@@ -144,55 +141,6 @@ def rs_map(w: GroupElement) -> RSPair:
     P = Multitableau(tuple(StandardTableau(rs) for rs in p_rows))
     Q = Multitableau(tuple(StandardTableau(rs) for rs in q_rows))
     return RSPair(P, Q)
-
-
-def _rows_key(components: list[list[list[int]]]) -> tuple:
-    """The ``_part`` store key of a multitableau given as per-component row
-    lists: the rows tuple its ``Multitableau`` would hold."""
-    return tuple([tuple(map(tuple, comp)) for comp in components])
-
-
-def _part(T: Multitableau, store: dict) -> tuple:
-    """What the admissible sweep keeps of one multitableau: (its rows, its
-    inversion count, its per-component counts), then e(T), twice its spin
-    and its shape.  Each is a function of the rows alone, so they are read
-    off T only the first time its rows appear in ``store``, which P's and
-    Q's share; ``_rows_key`` gives the same key from row lists."""
-    rows = tuple([t.rows for t in T.components])
-    part = store.get(rows)
-    if part is None:
-        part = store[rows] = (
-            (rows, T.inversions(), [tableau_inversions(comp) for comp in rows]),
-            T.even_row_boxes(),
-            T.twice_spin(),
-            T.shape,
-        )
-    return part
-
-
-def _parts(p_rows: list, q_rows: list, store: dict, mapped) -> tuple[tuple, tuple]:
-    """The ``_part`` of P and of Q, given as one element's insertion-pass
-    row lists, each built and validated once per distinct rows in ``store``.
-
-    If P's rows or Q's rows are new to ``store``, ``mapped()`` must return
-    the element's validated ``rs_map`` pair, and both parts are read off its
-    tableaux into ``store``.  Otherwise both were built and validated with
-    exactly these rows, and are joined with the pair-shape check ``RSPair``
-    makes.  Rows that are not a standard tableau are never in ``store``, so
-    they always reach ``mapped()``, whose validation raises.
-
-    The caller decides the store's scope.  The admissible sweep keeps one
-    per color content (n_0, ..., n_{r-1}): component k of every P and Q of
-    that content holds n_k labels, so no key of one content's store can
-    come up in another's."""
-    p_part = store.get(_rows_key(p_rows))
-    q_part = store.get(_rows_key(q_rows))
-    if p_part is None or q_part is None:
-        pair = mapped()
-        return _part(pair.P, store), _part(pair.Q, store)
-    if p_part[3] != q_part[3]:
-        raise ShapeMismatch(f"{p_part[3]} != {q_part[3]}")
-    return p_part, q_part
 
 
 def rs_inverse(pair: RSPair, params: GroupParams) -> GroupElement:
@@ -349,48 +297,3 @@ def apply_moves(w: GroupElement, moves: list[tuple[str, int]]) -> GroupElement:
 def ascending_representative(w: GroupElement) -> GroupElement:
     """The ascending element ``apply_moves(w, ascending_moves(w))``."""
     return GroupElement(w.params, *_ascend(w.perm, w.colors)[2])
-
-
-def _admissible_classes(params: GroupParams) -> Iterator[list[tuple[tuple, tuple]]]:
-    """The elements of G(r,p,n), one admissible class at a time, each class
-    a list of one-line data ``(perm, colors)`` with its ascending element
-    first.  No ``GroupElement`` is built, and nothing is validated.
-
-    Admissible moves keep two things: the color content (n_0, ..., n_{r-1})
-    and, for each color k, the relative order of the values at the positions
-    of color k.  A class is every element with one content and one tuple of
-    within-color orders: each position-color word paired with each
-    value-color word, multinomial(n; n_0, ..., n_{r-1})**2 elements.  The
-    classes are built from these two invariants, not by applying moves, so a
-    broken move cannot change them.  Moves keep the content, so a class lies
-    wholly inside G(r,p,n) or wholly outside it: for p > 1 only the contents
-    whose color sum p divides are kept.
-
-    Order: contents by their sorted color word, lexicographically, so
-    (n, 0, ..., 0) comes first; then within-color orders lexicographically
-    (the least color's first); then position words and, within each, value
-    words lexicographically.  The least word puts each color in one block,
-    so the class's ascending element comes first.  A content's color words
-    are the distinct orderings of its least word, taken from its n!
-    permutations.  Work per content grows with n, not with r.  The caller
-    bounds the sweep's size.
-    """
-    p, n = params.p, params.n
-    for least in combinations_with_replacement(range(params.r), n):
-        if sum(least) % p:
-            continue
-        used = sorted(set(least))
-        counts = [least.count(k) for k in used]
-        words = sorted(set(permutations(least)))
-        # per word, the indices (positions, or values - 1) of each used color
-        blocks = [[[j for j, c in enumerate(word) if c == k] for k in used] for word in words]
-        for orders in product(*(permutations(range(m)) for m in counts)):
-            members = []
-            for colors, positions in zip(words, blocks):
-                for values in blocks:
-                    perm = [0] * n
-                    for at, vals, order in zip(positions, values, orders):
-                        for j, rank in zip(at, order):
-                            perm[j] = vals[rank] + 1
-                    members.append((tuple(perm), colors))
-            yield members

@@ -17,33 +17,34 @@ mod 2 and shift is (spin(P) + spin(Q) - color sum) mod r.  The i at which
 the two sides disagree depend on the defect alone (``_disagreeing``), so the
 sweeps compare defects and list those i only for a counterexample.
 
-``verify_theorem`` and ``verify_membership`` are one walk each: they take
-every P of every shape and reconstruct the elements of each P by one
-prefix-sharing corner-removal walk (``rs._removal_walk``), so they visit
-the group once, by shape, then by P, then in removal order, without
-inserting.  Each shape's corner search runs once
-(``tableaux._corner_steps``), writing each filling as it goes: it gives
-the shape's fillings as row lists and a step list, and each P's walk
-replays the steps in that P's own filling rows, leaving them as it found
-them.
-``verify_theorem`` builds each standard filling of a shape once as a
-validated ``Multitableau``, reads its statistics off its methods once,
-and uses the same list for the P side and the Q side: leaf k of P's walk
-has Q = filling k.  Per leaf it calls the kernel (``_kernels``) for
-inv(sigma) and the color sum, and once per shape it maps one leaf with
-the validated ``rs_map`` and compares the pair with (P, filling k).
-``verify_admissible`` gets every element's P and Q as row lists, and
-builds validated tableau objects only for an element whose P rows or Q
-rows are new to the store of its color content (``rs._parts``), which
-every class of that content shares, so each distinct P and Q is built,
-validated and read once per sweep.  It sweeps one admissible class at a
-time, on one-line ``(perm, colors)`` tuples: each admissible move is an
-index swap whose image, a member of the same class, is looked up in the
-class's table, and each class's leader is checked for being ascending on
-its tuples (``rs._is_ascending``).  It builds a ``GroupElement`` only for
-a first-sight ``rs_map`` call and for a counterexample.  The sweeps hand
-the report a counterexample's tuples, and the report builds the element
-only if it keeps it.
+All three sweeps are one walk each: they take every P of every shape and
+reconstruct the elements of each P by one prefix-sharing corner-removal
+walk (``rs._removal_walk``), so they visit their elements once, by shape,
+then by P, then in removal order, without inserting.  Each shape's corner
+search runs once (``tableaux._corner_steps``), writing each filling as it
+goes: it gives the shape's fillings as row lists and a step list, and each
+P's walk replays the steps in that P's own filling rows, leaving them as
+it found them.  Each sweep checks the search's filling count against the
+hook-length formula (``_checked_steps``), and its element count against
+the order of the set it covers, since its coverage rests on the walk
+being a bijection.
+``verify_theorem`` and ``verify_admissible`` share their per-shape
+preparation (``_kept_shapes``): the shapes whose color sum p divides, each
+standard filling built once as a validated ``Multitableau`` whose
+statistics are read off its methods once, and one leaf per shape mapped
+with the validated ``rs_map`` and compared with (P, filling k)
+(``_round_trip``).  The one list of fillings is the P side and the Q side:
+leaf k of P's walk has Q = filling k.  ``verify_theorem`` calls the kernel
+(``_kernels``) per leaf for inv(sigma) and the color sum.
+``verify_admissible`` keys every leaf of one shape block (``_shape_block``:
+the elements whose P and Q have one shape, which holds every admissible
+class and move image of the shape) to its (a, k, defect), with P filling
+a and Q filling k; each admissible move is then an index swap on one-line
+``(perm, colors)`` tuples whose image is looked up in the block and
+compared by filling index, and each representative (``rs._ascend``) is
+compared with the class leader built from the element's own invariants.
+The sweeps hand the report a counterexample's tuples, and the report
+builds the element only if it keeps it.
 
 The three sweeps share one frame, ``_sweep``: it refuses a sweep above its
 cap before any work, builds the ``VerificationReport``, times the walk and
@@ -68,24 +69,18 @@ from .group import (
     inversions,
     require_within_cap,
 )
-from .rs import (
-    _admissible_classes,
-    _ascend,
-    _insertion_rows,
-    _is_ascending,
-    _left_move,
-    _parts,
-    _removal_walk,
-    _right_move,
-    _rs_rows,
-    is_ascending_element,
-    rs_map,
-)
+from .rs import _ascend, _left_move, _removal_walk, _right_move, _rs_rows, is_ascending_element
+
+# The sweeps reach ``rs_map`` only through ``_kernels.mapped_pair``; the name
+# stays bound here because perfbench's tracer test checks that it wraps
+# ``signs.rs_map``.
+from .rs import rs_map  # noqa: F401
 from .tableaux import (
     ComponentRows,
     Multitableau,
     StandardTableau,
     _corner_steps,
+    count_standard_multitableaux,
     multipartitions,
     rows_even_row_boxes,
     rows_inversions,
@@ -180,8 +175,9 @@ class VerificationReport:
 
     def record(self, w, i, expected, got) -> None:
         """Keep one counterexample, unless the report is full.  ``w`` is an
-        element, or the one-line data ``(perm, colors)`` of one of
-        ``params``, which is then built as a ``GroupElement`` only if kept."""
+        element, the one-line data ``(perm, colors)`` of one of ``params``,
+        which is then built as a ``GroupElement`` only if kept, or a text
+        naming what a coverage check found short (a shape or a group)."""
         if not self.full:
             w = GroupElement(self.params, *w) if isinstance(w, tuple) else w
             self.counterexamples.append((w, i, expected, got))
@@ -233,7 +229,10 @@ def _sweep(walk):
     The walk checks every element, records its counterexamples in
     ``report`` and returns (elements checked, value checks).  The frame
     refuses a sweep above its cap before any work, builds the report, times
-    the walk and sets the report's counts and elapsed time.  It is a plain
+    the walk and sets the report's counts and elapsed time.  A count of
+    elements checked other than the order of the set the sweep covers,
+    G(r,1,n) for membership and G(r,p,n) otherwise, is a counterexample
+    ``("G(r,p,n)", 0, "<order> elements", "<checked> checked")``.  It is a plain
     function with its own signature and the walk's docstring, so
     ``inspect.signature`` and ``help`` show the public call."""
     kind = walk.__name__.removeprefix("verify_")
@@ -252,6 +251,10 @@ def _sweep(walk):
         report = VerificationReport(params, kind, max_counterexamples=max_counterexamples)
         start = time.perf_counter()
         report.elements_checked, report.i_values_checked = walk(params, report)
+        # the set the sweep covers: G(r,1,n) for membership, else G(r,p,n)
+        p = 1 if kind == "membership" else params.p
+        if report.elements_checked != order // p:
+            report.record(f"G({r},{p},{n})", 0, f"{order // p} elements", f"{report.elements_checked} checked")
         report.elapsed = time.perf_counter() - start
         return report
 
@@ -271,16 +274,57 @@ def _fillings(fillings: list) -> list[tuple[Multitableau, int, int, int]]:
     return out
 
 
+def _checked_steps(shape, report: VerificationReport):
+    """``tableaux._corner_steps(shape)``, each sweep's one corner search of
+    a shape, with its filling count checked against the hook-length count
+    ``count_standard_multitableaux(shape)``, which does not use the search.
+    Every sweep's coverage rests on the walk being a bijection, so on a
+    mismatch this records a counterexample naming the shape and gives no
+    fillings, and the sweep skips the shape."""
+    steps, rows = _corner_steps(shape)
+    count = count_standard_multitableaux(shape)
+    if len(rows) != count:
+        report.record(f"shape {shape}", 0, f"{count} standard fillings", f"{len(rows)} from the corner search")
+        rows = []
+    return steps, rows
+
+
+def _kept_shapes(params: GroupParams, report: VerificationReport):
+    """The per-shape preparation of the theorem and admissible sweeps.  For
+    each shape in ``multipartitions`` order whose color sum, sum of k *
+    |lambda_k|, p divides, it yields the shape's corner search
+    (``_checked_steps``): its step list and its fillings as row lists; the
+    fillings as ``_fillings`` builds them; and the (a, k) of the round-trip
+    leaf, leaf k of P = filling a, which rotates with the shape's index
+    (index mod f**2 for f fillings).  Every leaf of a kept shape has its
+    color sum, so the leaves of the kept shapes are G(r,p,n), each once."""
+    r, p, n = params.r, params.p, params.n
+    for index, shape in enumerate(multipartitions(n, r)):
+        if sum(k * sum(lam) for k, lam in enumerate(shape)) % p:
+            continue
+        steps, rows = _checked_steps(shape, report)
+        if rows:
+            fillings = _fillings(rows)
+            yield steps, rows, fillings, divmod(index % len(fillings) ** 2, len(fillings))
+
+
+def _round_trip(report: VerificationReport, perm, colors, r: int, P: Multitableau, Q: Multitableau) -> None:
+    """Map the leaf ``(perm, colors)`` with the validated ``rs_map``: a pair
+    other than the walk's (P, Q) is a counterexample ``(w, 0, walk's pair,
+    rs_map's pair)``, each pair as text."""
+    pair = mapped_pair(perm, colors, r)
+    if (pair.P, pair.Q) != (P, Q):
+        report.record((perm, colors), 0, f"{P} {Q}", f"{pair.P} {pair.Q}")
+
+
 @_sweep
 def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int, int]:
     """Check the sign formula for every element of G(r,p,n) and every i.
 
     The sweep walks the group by shape, then by P, then in removal order,
-    as ``verify_membership`` does.  A shape is skipped unless p divides its
-    color sum, sum of k * |lambda_k|: every leaf of the shape has that color
-    sum, so the leaves of the kept shapes are G(r,p,n), each once.  Each
-    kept shape's corner search runs once (``tableaux._corner_steps``), for
-    the shape's fillings as row lists and the step list every P's walk
+    as ``verify_membership`` does, over the shapes ``_kept_shapes`` keeps.
+    Each kept shape's corner search runs once (``tableaux._corner_steps``),
+    for the shape's fillings as row lists and the step list every P's walk
     replays.  Each filling is built once, as a validated ``Multitableau``
     whose e, inv and twice_spin are read once (``_fillings``), and the one
     list is the P side and the Q side: leaf k of ``rs._removal_walk(P,
@@ -294,20 +338,14 @@ def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int
     once at i = 0, when its color sum is not exactly twice_spin(P), which a
     walk that puts a value in the wrong component would give.  Once per
     shape one leaf, which rotates with the shape's index, is mapped with
-    the validated ``rs_map`` and must give (P, filling k); a mismatch is a
-    counterexample ``(w, 0, walk's pair, rs_map's pair)``, each pair as
-    text.  A ``GroupElement``
-    is built only for that leaf and for a counterexample the report keeps,
-    and counterexamples come by shape, then by P, then in walk order."""
+    the validated ``rs_map`` and must give (P, filling k)
+    (``_round_trip``).  A ``GroupElement`` is built only for that leaf and
+    for a counterexample the report keeps, and counterexamples come by
+    shape, then by P, then in walk order."""
     kernel = get_kernel()
-    r, p, n = params.r, params.p, params.n
+    r = params.r
     checked = 0
-    for index, shape in enumerate(multipartitions(n, r)):
-        if sum(k * sum(lam) for k, lam in enumerate(shape)) % p:
-            continue
-        steps, rows = _corner_steps(shape)
-        fillings = _fillings(rows)
-        mapped_p, mapped_k = divmod(index % len(fillings) ** 2, len(fillings))
+    for steps, rows, fillings, (mapped_p, mapped_k) in _kept_shapes(params, report):
         for a, ((P, e_p, inv_p, ts_p), p_rows) in enumerate(zip(fillings, rows)):
             mapped = mapped_k if a == mapped_p else -1
             leaves = zip(_removal_walk(p_rows, steps), fillings, strict=True)
@@ -325,9 +363,7 @@ def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int
                 elif color_sum != ts_p:
                     report.record((perm, colors), 0, f"color sum {ts_p}", f"color sum {color_sum}")
                 if k == mapped:
-                    pair = mapped_pair(perm, colors, r)
-                    if (pair.P, pair.Q) != (P, Q):
-                        report.record((perm, colors), 0, f"{P} {Q}", f"{pair.P} {pair.Q}")
+                    _round_trip(report, perm, colors, r, P, Q)
     return checked, checked * r
 
 
@@ -338,9 +374,9 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     spin of its insertion multitableau P.
 
     The sweep is one walk.  For each shape in ``multipartitions`` order it
-    runs the shape's corner search once (``tableaux._corner_steps``), for
-    the shape's fillings as row lists and its step list.  For each P of
-    that shape, in search order, it reads the criterion off P's rows
+    runs the shape's corner search once (``_checked_steps``), for the
+    shape's fillings as row lists and its step list.  For each P of that
+    shape, in search order, it reads the criterion off P's rows
     (``rows_twice_spin``) and walks every Q of P's shape by replaying the
     step list in those rows (``rs._removal_walk``), which it leaves as it
     found them: each
@@ -364,7 +400,7 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     full = GroupParams(r, 1, n)
     checked = values = 0
     for shape in multipartitions(n, r):
-        steps, fillings = _corner_steps(shape)
+        steps, fillings = _checked_steps(shape, report)
         for p_rows in fillings:
             criterion = rows_twice_spin(p_rows) % p == 0
             for perm, colors in _removal_walk(p_rows, steps):
@@ -376,49 +412,33 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     return checked, values
 
 
-def _class_table(params: GroupParams, members: list[tuple[tuple, tuple]], store: dict) -> dict:
-    """What the admissible sweep keeps of every member of one admissible
-    class, given as one-line data ``(perm, colors)`` and keyed by it: for
-    P, then for Q, its rows, inversion count and per-component counts; then
-    the member's (sign, spin_sum).
-
-    ``store`` is the tableau store of the class's color content, which the
-    caller shares between every class of that content and adds to here.
-    Every member goes through the insertion pass ``_insertion_rows``, and
-    ``rs._parts`` gives its P's and Q's statistics from the store: only a
-    member whose P rows or Q rows are not yet there is built as a
-    ``GroupElement`` and mapped with the validated ``rs_map``, and every
-    other member's entry is joined from the stored parts of tableaux that
-    were built and validated with exactly its rows.  P depends only on the
-    value-color word and Q only on the position-color word, so a class of
-    M**2 members has M distinct P's and M distinct Q's: ``rs_map`` runs on
-    at most 2M - 1 members, fewer when an earlier class of the content
-    already stored some of them, and each tableau's statistics are read
-    once per store."""
-    table = {}
-    for perm, colors in members:
-        p_rows, q_rows = _insertion_rows(perm, colors, params.r)
-        (kept_p, e_p, ts_p, _), (kept_q, _, ts_q, _) = _parts(
-            p_rows, q_rows, store, lambda: rs_map(GroupElement(params, perm, colors))
-        )
-        table[perm, colors] = kept_p, kept_q, _sign_data(e_p, kept_p[1] + kept_q[1], ts_p + ts_q)
-    return table
+def _shape_block(steps, rows: list, fillings: list, r: int) -> dict:
+    """The shape block of a kept shape: every element whose P and Q have
+    the shape, walked by ``rs._removal_walk`` from each P in turn and keyed
+    by its one-line data ``(perm, colors)``, as tuples, to ``(a, k,
+    defect)``: P is filling a, Q is filling k, and the defect is read off
+    inv(sigma), the color sum and the two fillings' statistics.  The dict
+    keeps the walk's order, by P and then by leaf."""
+    block = {}
+    for a, ((_, e_p, inv_p, ts_p), p_rows) in enumerate(zip(fillings, rows)):
+        leaves = zip(_removal_walk(p_rows, steps), fillings, strict=True)
+        for k, ((perm, colors), (_, _, inv_q, ts_q)) in enumerate(leaves):
+            sign, spin_sum = _sign_data(e_p, inv_p + inv_q, ts_p + ts_q)
+            perm_sign = -1 if inversions(perm) & 1 else 1
+            block[tuple(perm), tuple(colors)] = a, k, _defect(perm_sign, sum(colors), sign, spin_sum, r)
+    return block
 
 
-def _move_kept(table: dict, entry: tuple, moved: tuple, fixed: int) -> bool:
-    """An admissible move, from the member whose ``_class_table`` entry is
-    ``entry`` to the one-line data ``moved``: ``moved`` is in the class's
-    table, the multitableau ``fixed`` (0 for P, 1 for Q) is unchanged, the
-    other one's inversion count moves by exactly one, and each of its
-    components keeps its count."""
-    image = table.get(moved)
-    changed = 1 - fixed
-    return (
-        image is not None
-        and image[fixed][0] == entry[fixed][0]
-        and abs(image[changed][1] - entry[changed][1]) == 1
-        and image[changed][2] == entry[changed][2]
-    )
+def _move_kept(entry: tuple, image: tuple | None, fixed: int, invs: list, comps: list) -> bool:
+    """An admissible move from the block entry ``entry`` = (a, k, defect)
+    to the block entry ``image`` of its image, None when the image is
+    outside the block: the filling at ``fixed`` (0 for P, 1 for Q) is
+    unchanged, and the other filling's inversion count (``invs``) moves by
+    exactly one while each of its components keeps its count (``comps``)."""
+    if image is None or image[fixed] != entry[fixed]:
+        return False
+    before, after = entry[1 - fixed], image[1 - fixed]
+    return abs(invs[after] - invs[before]) == 1 and comps[after] == comps[before]
 
 
 @_sweep
@@ -432,77 +452,76 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
     counterexample gives the representative it got), and that the
     formula-vs-character agreement boolean is the same for both.
 
-    The sweep takes G(r,p,n) one admissible class at a time
-    (``rs._admissible_classes``), with the class's ascending element rho
-    first, and works on one-line data ``(perm, colors)`` throughout: the
-    moves are ``rs._right_move`` and ``rs._left_move`` and the
-    representative is ``rs._ascend``, the routines ``right_admissible``,
-    ``left_admissible`` and ``ascending_representative`` wrap, and rho's
-    ascending check is ``rs._is_ascending``.  A ``GroupElement`` is built
-    only for a member ``rs_map`` must map and for a counterexample the
-    report keeps.  Moves stay inside a class, so it keeps every member's
-    entry in a table keyed by (perm, colors) (``_class_table``); each move's
-    image is then looked up there, and an image outside the table has left
-    its class, which the move must not do.  Within a class P depends only
-    on the value-color word and Q only on the position-color word.  So the
-    table runs the insertion pass on every member but the validated
-    ``rs_map`` only on a member whose P rows or Q rows are new to the
-    store of its color content, the sorted color word every member of a
-    class shares: each distinct P and Q is built as a validated
-    ``Multitableau`` and its statistics read once per sweep, and every
-    other member's entry is joined from those of its two tableaux.  The
-    store is replaced whenever the content changes, which is safe because
-    component k of every P and Q of one content holds exactly n_k labels,
-    so a multitableau never comes up in two contents; and the classes of
-    one content come together (``rs._admissible_classes``), so none is
-    built twice.  The table holds one class at a time, at most
-    multinomial(n; n_k)**2 elements, and the store one content's
-    multitableaux, never the whole group.  The
-    agreement of formula and character is compared through defects, read
-    off inv(sigma) and the color sum: only
-    a member whose defect differs from rho's has its ``_disagreeing`` i
-    compared with rho's, and each i where exactly one of the two agrees is
-    a counterexample ``(w, i, agrees_w, agrees_rho)``.
+    A right move fixes P and a left move fixes Q, so every admissible
+    class, and every move's image, lies in one shape block: the f**2
+    elements whose P and Q have the shape, for f fillings.  The sweep takes
+    the shapes ``_kept_shapes`` keeps, as ``verify_theorem`` does, and
+    walks each block once (``_shape_block``), keying every leaf's one-line
+    data to its (a, k, defect): P is filling a and Q is filling k of the
+    shape's validated fillings, whose inversion counts, per-component
+    counts and other statistics are read once per shape.  A right move's
+    image (``rs._right_move``) must then be (a, k') with |inv Q_k' - inv
+    Q_k| = 1 and equal per-component counts, and a left move's
+    (``rs._left_move``) (a', k) with the same conditions on P; an image
+    outside the block has changed P's or Q's shape.  Each failing move is a
+    counterexample ``(w, i, "R-move invariants" or "L-move invariants",
+    "violated")``.
 
-    Counterexamples come by class and then in member order, not in
-    ``enumerate_group`` order; a class whose first element is not ascending
-    reports that before its members.
+    The representative check does not trust the walk: ``rs._ascend``'s
+    element must equal the class leader built from w's own invariants, its
+    color content and the order of each color's values along its positions
+    (positions stably sorted by color, then values stably sorted by
+    color), and that leader must be in the block: a representative other
+    than the leader is a counterexample ``(w, 0, "ascending
+    representative", representative)``, and a leader outside the block
+    ``(w, 0, "class leader in the shape block", leader)``.  The agreement
+    of formula and character is compared through the two defects: a member
+    whose defect differs from its leader's has its ``_disagreeing`` i
+    compared with the leader's, and each i where exactly one of the two
+    agrees is a counterexample ``(w, i, agrees_w, agrees_leader)``.  Once
+    per shape the rotating leaf goes through the validated ``rs_map``
+    (``_round_trip``).  The sweep holds one block at a time, and builds a
+    ``GroupElement`` only for that leaf and for a counterexample the report
+    keeps.  Counterexamples come by shape, then by P, then in walk order.
     """
     r, n = params.r, params.n
     checked = values = 0
     position = [0] * (n + 1)  # position[v]: the 0-based position of value v
-    content = store = None
-    for members in _admissible_classes(params):
-        rho = members[0]
-        if sorted(rho[1]) != content:  # each content's classes come together
-            content, store = sorted(rho[1]), {}
-        table = _class_table(params, members, store)
-        if not _is_ascending(*rho, r):
-            report.record(rho, 0, "ascending representative", "not ascending")
-        rho_defect = _defect((-1) ** inversions(rho[0]), sum(rho[1]), *table[rho][2], r)
-        for perm, colors in members:
-            checked += 1
-            entry = table[perm, colors]
+    rank = [0] * (n + 1)  # rank[v]: value v's value in the class leader
+    for steps, rows, fillings, trip in _kept_shapes(params, report):
+        invs = [inv for _, _, inv, _ in fillings]
+        comps = [[t.inversions() for t in T.components] for T, *_ in fillings]
+        block = _shape_block(steps, rows, fillings, r)
+        checked += len(block)
+        for (perm, colors), entry in block.items():
+            a, k, defect = entry
+            if (a, k) == trip:
+                _round_trip(report, perm, colors, r, fillings[a][0], fillings[k][0])
             for p, v in enumerate(perm):
                 position[v] = p
             for i in range(1, n):
                 if colors[i - 1] != colors[i]:
                     values += 1
-                    if not _move_kept(table, entry, _right_move(perm, colors, i), 0):
+                    if not _move_kept(entry, block.get(_right_move(perm, colors, i)), 0, invs, comps):
                         report.record((perm, colors), i, "R-move invariants", "violated")
                 if colors[position[i]] != colors[position[i + 1]]:
                     values += 1
-                    if not _move_kept(table, entry, (_left_move(perm, position, i), colors), 1):
+                    if not _move_kept(entry, block.get((_left_move(perm, position, i), colors)), 1, invs, comps):
                         report.record((perm, colors), i, "L-move invariants", "violated")
-            rep = _ascend(perm, colors)[2]
-            if rep != rho and not report.full:
-                report.record((perm, colors), 0, "ascending representative", str(GroupElement(params, *rep)))
             values += r
-            defect = _defect((-1) ** inversions(perm), sum(colors), *entry[2], r)
-            if defect != rho_defect:
-                bad, rho_bad = _disagreeing(*defect, r), _disagreeing(*rho_defect, r)
-                for i in sorted(set(bad).symmetric_difference(rho_bad)):
-                    report.record((perm, colors), i, i not in bad, i not in rho_bad)
+            for j, v in enumerate(sorted(range(1, n + 1), key=lambda v: colors[position[v]]), start=1):
+                rank[v] = j
+            leader = tuple([rank[perm[p]] for p in sorted(range(n), key=colors.__getitem__)]), tuple(sorted(colors))
+            rep = _ascend(perm, colors)[2]
+            if rep != leader and not report.full:
+                report.record((perm, colors), 0, "ascending representative", str(GroupElement(params, *rep)))
+            lead = block.get(leader)
+            if lead is None:
+                report.record((perm, colors), 0, "class leader in the shape block", str(GroupElement(params, *leader)))
+            elif lead[2] != defect:
+                bad, lead_bad = _disagreeing(*defect, r), _disagreeing(*lead[2], r)
+                for i in sorted(set(bad).symmetric_difference(lead_bad)):
+                    report.record((perm, colors), i, i not in bad, i not in lead_bad)
     return checked, values
 
 

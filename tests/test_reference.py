@@ -16,13 +16,15 @@ import copy
 import random
 import sys
 from functools import cache
-from itertools import chain, combinations, islice, permutations, product
+from itertools import chain, combinations, combinations_with_replacement, islice, permutations, product
 from math import factorial, prod
 
 import pytest
 
 from grpn import rs as rs_module
 from grpn import signs
+from grpn import tableaux as tableaux_module
+from grpn._kernels import _fallback
 from grpn.errors import CapExceeded, GrpnError, InvalidTableau, ShapeMismatch
 from grpn.group import (
     GroupElement,
@@ -34,7 +36,6 @@ from grpn.group import (
 )
 from grpn.rs import (
     RSPair,
-    _admissible_classes,
     _removal_walk,
     _rs_rows,
     apply_moves,
@@ -663,19 +664,37 @@ def row_move_check(fixed, fixed_before, changed, changed_before):
     )
 
 
+def filling_indices(shape):
+    """What the admissible sweep reads of a shape's fillings: each filling's
+    index, keyed by its ``Multitableau``, its inversion count and its
+    per-component counts, all indexed by filling."""
+    fillings = signs._fillings(_corner_steps(shape)[1])
+    return (
+        {T: a for a, (T, *_) in enumerate(fillings)},
+        [inv for _, _, inv, _ in fillings],
+        [[t.inversions() for t in T.components] for T, *_ in fillings],
+    )
+
+
 @pytest.mark.parametrize("r,n", [(2, 4), (3, 3), (4, 3)])
 def test_move_images_on_rows_match_objects(r, n):
     """Every admissible move's image: its row lists are the rows of its
     ``rs_map`` pair, and each invariant reads the same on rows as on
     objects, both for the side the move fixes (true) and the side it does
-    not (mostly false).  The sweep's comparison of the two members'
-    ``_class_table`` entries holds exactly when all three hold on objects."""
+    not (mostly false).  The sweep's comparison of the two members' shape
+    block entries, by filling index (``_move_kept``), holds exactly when all
+    three hold on objects."""
     params = GroupParams(r, 1, n)
+    shapes = {}
     outcomes = set()
     for w in enumerate_group(params):
         pair = rs_map(w)
         w_objs = pair.P, pair.Q
         w_rows = rows_of(pair.P), rows_of(pair.Q)
+        if pair.P.shape not in shapes:
+            shapes[pair.P.shape] = filling_indices(pair.P.shape)
+        index, invs, comps = shapes[pair.P.shape]
+        entry = index[pair.P], index[pair.Q], None
         moves = [right_admissible(w, i) for i in range(1, n) if w.colors[i - 1] != w.colors[i]]
         moves += [
             left_admissible(w, i)
@@ -687,14 +706,14 @@ def test_move_images_on_rows_match_objects(r, n):
             image = rs_map(moved)
             objs = image.P, image.Q
             assert list(rows) == [rows_of(image.P), rows_of(image.Q)], (str(w), str(moved))
+            in_block = image.P.shape == pair.P.shape
+            image_entry = (index[image.P], index[image.Q], None) if in_block else None
             for f, c in ((0, 1), (1, 0)):  # P fixed (R-move check), Q fixed (L-move check)
                 on_objects = object_move_check(objs[f], w_objs[f], objs[c], w_objs[c])
                 on_rows = row_move_check(rows[f], w_rows[f], rows[c], w_rows[c])
                 assert on_rows == on_objects, (str(w), str(moved), f)
                 outcomes.add(on_rows)
-                key, image_key = (w.perm, w.colors), (moved.perm, moved.colors)
-                table = signs._class_table(params, [key, image_key], {})
-                ok = signs._move_kept(table, table[key], image_key, f)
+                ok = signs._move_kept(entry, image_entry, f, invs, comps)
                 assert ok == all(on_objects), (str(w), str(moved), f)
     assert (True, True, True) in outcomes and any(not all(o) for o in outcomes)
 
@@ -732,8 +751,9 @@ def test_admissible_report_counts_are_pinned(r, p, n, checked, values):
 
 
 def object_entry(pair):
-    """A ``_class_table`` entry read straight off the tableau objects,
-    method by method."""
+    """What the admissible sweep compares of one element, read straight off
+    its tableau objects, method by method: for P, then for Q, its rows,
+    inversion count and per-component counts; then its (sign, spin_sum)."""
 
     def kept(T):
         return (
@@ -747,63 +767,217 @@ def object_entry(pair):
     return kept(P), kept(Q), (sign, (P.twice_spin() + Q.twice_spin()) // 2)
 
 
-# rs_map calls of the admissible sweep: the members whose P rows or Q rows
-# are new to the store of their color content
-MAPPED = {(2, 1, 4): 76, (3, 1, 3): 54, (4, 2, 3): 56, (2, 1, 5): 312}
+def object_defect(key, entry, r):
+    """The defect of the element with one-line data ``key`` from its
+    ``object_entry``."""
+    perm, colors = key
+    return signs._defect((-1) ** inversions(perm), sum(colors), *entry[2], r)
 
 
-def color_content(members):
-    """The color content (n_0, ..., n_{r-1}) every member of a class shares,
-    as its sorted color word."""
-    return sorted(members[0][1])
+# The admissible sweep as it ran one admissible class at a time, kept as an
+# oracle for the shape-block sweep: the classes are built from the two
+# invariants of a move (color content and within-color orders), and every
+# statistic is read off each member's own ``rs_map`` pair.
+
+
+def admissible_classes(params):
+    """The elements of G(r,p,n), one admissible class at a time, each class
+    a list of one-line data ``(perm, colors)`` with its ascending element
+    first.
+
+    Admissible moves keep two things: the color content (n_0, ..., n_{r-1})
+    and, for each color k, the relative order of the values at the positions
+    of color k.  A class is every element with one content and one tuple of
+    within-color orders: each position-color word paired with each
+    value-color word, multinomial(n; n_0, ..., n_{r-1})**2 elements.  The
+    classes are built from these two invariants, not by applying moves, so a
+    broken move cannot change them.  Moves keep the content, so a class lies
+    wholly inside G(r,p,n) or wholly outside it: for p > 1 only the contents
+    whose color sum p divides are kept.
+
+    Order: contents by their sorted color word, lexicographically; then
+    within-color orders lexicographically (the least color's first); then
+    position words and, within each, value words lexicographically.  The
+    least word puts each color in one block, so the class's ascending
+    element comes first.
+    """
+    p, n = params.p, params.n
+    for least in combinations_with_replacement(range(params.r), n):
+        if sum(least) % p:
+            continue
+        used = sorted(set(least))
+        counts = [least.count(k) for k in used]
+        words = sorted(set(permutations(least)))
+        # per word, the indices (positions, or values - 1) of each used color
+        blocks = [[[j for j, c in enumerate(word) if c == k] for k in used] for word in words]
+        for orders in product(*(permutations(range(m)) for m in counts)):
+            members = []
+            for colors, positions in zip(words, blocks):
+                for values in blocks:
+                    perm = [0] * n
+                    for at, vals, order in zip(positions, values, orders):
+                        for j, rank in zip(at, order):
+                            perm[j] = vals[rank] + 1
+                    members.append((tuple(perm), colors))
+            yield members
+
+
+def class_move_kept(table, entry, moved, fixed):
+    """An admissible move between two ``object_entry`` values of one class's
+    table: the image is in the table, the multitableau ``fixed`` (0 for P, 1
+    for Q) is unchanged, the other one's inversion count moves by exactly
+    one, and each of its components keeps its count."""
+    image = table.get(moved)
+    changed = 1 - fixed
+    return (
+        image is not None
+        and image[fixed][0] == entry[fixed][0]
+        and abs(image[changed][1] - entry[changed][1]) == 1
+        and image[changed][2] == entry[changed][2]
+    )
+
+
+def class_sweep(params, max_counterexamples=10):
+    """The admissible checks one class at a time (``admissible_classes``),
+    with a table of each class's ``object_entry`` values: each move's image
+    is looked up in its class's table, each member's representative must be
+    the class's first element, and each member's disagreeing i are compared
+    with that element's.  The moves and the representative are the sweep's
+    own (``signs._right_move``, ``signs._left_move``, ``signs._ascend``), so
+    a patch there reaches both sweeps; the report has the sweep's counts and
+    counterexample forms, in class order."""
+    r, n = params.r, params.n
+    report = signs.VerificationReport(params, "admissible", max_counterexamples=max_counterexamples)
+    position = [0] * (n + 1)
+    for members in admissible_classes(params):
+        table = {key: object_entry(rs_map(GroupElement(params, *key))) for key in members}
+        rho = members[0]
+        rho_defect = object_defect(rho, table[rho], r)
+        for perm, colors in members:
+            report.elements_checked += 1
+            entry = table[perm, colors]
+            for p, v in enumerate(perm):
+                position[v] = p
+            for i in range(1, n):
+                if colors[i - 1] != colors[i]:
+                    report.i_values_checked += 1
+                    if not class_move_kept(table, entry, signs._right_move(perm, colors, i), 0):
+                        report.record((perm, colors), i, "R-move invariants", "violated")
+                if colors[position[i]] != colors[position[i + 1]]:
+                    report.i_values_checked += 1
+                    if not class_move_kept(table, entry, (signs._left_move(perm, position, i), colors), 1):
+                        report.record((perm, colors), i, "L-move invariants", "violated")
+            rep = signs._ascend(perm, colors)[2]
+            if rep != rho:
+                report.record((perm, colors), 0, "ascending representative", str(GroupElement(params, *rep)))
+            report.i_values_checked += r
+            defect = object_defect((perm, colors), entry, r)
+            if defect != rho_defect:
+                bad, rho_bad = signs._disagreeing(*defect, r), signs._disagreeing(*rho_defect, r)
+                for i in sorted(set(bad).symmetric_difference(rho_bad)):
+                    report.record((perm, colors), i, i not in bad, i not in rho_bad)
+    return report
+
+
+def without_elapsed(report):
+    data = report.to_json()
+    del data["elapsed_ms"]
+    return data
+
+
+@pytest.mark.parametrize("r,p,n", [(2, 1, 4), (3, 1, 3), (4, 2, 3), (2, 2, 4), (2, 1, 5)])
+def test_block_sweep_report_equals_the_class_sweep(r, p, n):
+    params = GroupParams(r, p, n)
+    report = signs.verify_admissible(params)
+    assert report.passed
+    assert without_elapsed(report) == without_elapsed(class_sweep(params))
+
+
+def recolor(perm, colors, i):
+    """An R-move that swaps the two colors but leaves the values in place."""
+    colors = list(colors)
+    colors[i - 1], colors[i] = colors[i], colors[i - 1]
+    return perm, tuple(colors)
+
+
+def skew_label_one(real):
+    """A per-component count one too high on the component holding label 1."""
+    return lambda rows: real(rows) + any(1 in row for row in rows)
+
+
+# (module, attribute, replacement given the real one)
+SWEEP_MUTANTS = {
+    "right-move-returns-its-input": (signs, "_right_move", lambda real: lambda perm, colors, i: (perm, colors)),
+    "recoloring-right-move": (signs, "_right_move", lambda real: recolor),
+    "component-count-skew": (tableaux_module, "tableau_inversions", skew_label_one),
+    "ascend-returns-its-input": (signs, "_ascend", lambda real: lambda perm, colors: ([], [], (perm, colors))),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(SWEEP_MUTANTS))
+@pytest.mark.parametrize("r,p,n", [(2, 1, 4), (3, 1, 3), (4, 2, 3)])
+def test_block_sweep_counterexamples_equal_the_class_sweep(monkeypatch, mutant, r, p, n):
+    """Under each mutant both sweeps fail, with the same counts and the same
+    set of counterexamples; only their order differs."""
+    module, name, replace = SWEEP_MUTANTS[mutant]
+    monkeypatch.setattr(module, name, replace(getattr(module, name)))
+    params = GroupParams(r, p, n)
+    report = signs.verify_admissible(params, max_counterexamples=10**6)
+    oracle = class_sweep(params, max_counterexamples=10**6)
+    assert (report.elements_checked, report.i_values_checked) == (oracle.elements_checked, oracle.i_values_checked)
+    assert report.counterexamples
+    assert len(report.counterexamples) == len(oracle.counterexamples)
+    assert set(report.counterexamples) == set(oracle.counterexamples)
+
+
+# rs_map calls of the admissible sweep: one round trip per kept shape
+MAPPED = {(2, 1, 4): 20, (3, 1, 3): 22, (4, 2, 3): 20, (2, 1, 5): 36}
 
 
 @pytest.mark.parametrize("r,p,n", [(2, 1, 4), (3, 1, 3), (4, 2, 3), (2, 1, 5)])
 def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
-    """The sweep's per-class tables, built from the insertion pass's row
-    lists with one store per color content, against each member's entry in
-    a table of its own with a store of its own and against the tableau
-    objects; each class has as many distinct P's as Q's, its members'
-    square root.  The tables map with ``rs_map`` exactly the members whose
-    P rows or Q rows no earlier member of the same content had, and the
-    sweep maps the same members in the same order."""
+    """The sweep's shape blocks (``_shape_block``), built by the removal
+    walk, against each member's fresh ``rs_map`` pair: every element of
+    G(r,p,n) is in the block of its shape once, keyed to the fillings that
+    are its P and Q, with the inversion counts and the defect its tableau
+    objects give (``object_entry``); a block of f fillings has f**2
+    members, f distinct P's and f distinct Q's.  The sweep maps with
+    ``rs_map`` exactly the rotating round-trip leaf of each kept shape, in
+    shape order."""
     params = GroupParams(r, p, n)
-    mapped = []
-    monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or rs_map(w))
-    everything = []
-    content = None
-    for members in _admissible_classes(params):
-        if color_content(members) != content:
-            content, store, seen = color_content(members), {}, set()
-        mapped.clear()
-        table = signs._class_table(params, members, store)
-        calls = list(mapped)
-        assert list(table) == members
-        p_rows, q_rows, new = set(), set(), []
-        for key in members:
+    report = signs.VerificationReport(params, "admissible")
+    everything, trips = [], []
+    for steps, rows, fillings, trip in signs._kept_shapes(params, report):
+        block = signs._shape_block(steps, rows, fillings, r)
+        f = len(fillings)
+        assert len(block) == f * f
+        assert {a for a, _, _ in block.values()} == {k for _, k, _ in block.values()} == set(range(f))
+        for key, (a, k, defect) in block.items():
             w = GroupElement(params, *key)
             pair = rs_map(w)
-            fresh = signs._class_table(params, [key], {})[key]
-            assert table[key] == fresh == object_entry(pair), str(w)
-            p_rows.add(fresh[0][0])
-            q_rows.add(fresh[1][0])
-            rows = {fresh[0][0], fresh[1][0]}
-            if not rows <= seen:
-                new.append(w)
-            seen |= rows
-        assert len(p_rows) ** 2 == len(q_rows) ** 2 == len(members)
-        assert calls == new
-        everything += new
-    assert len(everything) == MAPPED[r, p, n]
-    mapped.clear()
+            entry = object_entry(pair)
+            assert (fillings[a][0], fillings[k][0]) == (pair.P, pair.Q), str(w)
+            assert (fillings[a][2], fillings[k][2]) == (entry[0][1], entry[1][1]), str(w)
+            assert defect == object_defect(key, entry, r), str(w)
+            if (a, k) == trip:
+                trips.append(w)
+        everything += block
+    assert report.passed
+    assert len(everything) == len(set(everything)) == params.order
+    assert {GroupElement(params, *key) for key in everything} == set(enumerate_group(params))
+    assert len(trips) == MAPPED[r, p, n]
+    mapped, real = [], signs.mapped_pair
+    monkeypatch.setattr(
+        signs, "mapped_pair", lambda perm, colors, r: mapped.append(GroupElement(params, perm, colors)) or real(perm, colors, r)
+    )
     assert signs.verify_admissible(params).passed
-    assert mapped == everything
+    assert mapped == trips
 
 
 def content_multitableaux(r, p, n):
     """The rows of every standard multitableau of rank n with r components
-    whose color sum, sum of k * n_k, p divides: what the admissible sweep's
-    stores hold between them."""
+    whose color sum, sum of k * n_k, p divides: the fillings the admissible
+    sweep builds between its shapes."""
     return {
         tuple(t.rows for t in T.components)
         for shape in multipartitions(n, r)
@@ -812,84 +986,60 @@ def content_multitableaux(r, p, n):
     }
 
 
-# member orders of each class: as built, reversed (every leader of a class
-# of more than one member then has its content's last color word, so is not
-# ascending), and shuffled (leaders with differing color words)
-CLASS_ORDERS = {
-    "ascending-first": lambda members, index: members,
-    "reversed": lambda members, index: members[::-1],
-    "shuffled": lambda members, index: random.Random(index).sample(members, len(members)),
+# member orders of each shape block: its ascending elements (the class
+# leaders) first, reversed, and shuffled
+BLOCK_ORDERS = {
+    "ascending-first": lambda keys, index, r: sorted(keys, key=lambda key: not rs_module._is_ascending(*key, r)),
+    "reversed": lambda keys, index, r: keys[::-1],
+    "shuffled": lambda keys, index, r: random.Random(index).sample(keys, len(keys)),
 }
 
 
-@pytest.mark.parametrize("order", sorted(CLASS_ORDERS))
+@pytest.mark.parametrize("order", sorted(BLOCK_ORDERS))
 @pytest.mark.parametrize("r,p,n", [(2, 1, 4), (3, 1, 3), (4, 2, 3)])
 def test_admissible_store_holds_one_color_content(monkeypatch, r, p, n, order):
-    """The sweep's tableau store, seen at every ``_class_table`` call: each
-    stored multitableau's component k holds n_k labels of its class's color
-    content, the store is empty when a new content begins and carried over
-    within one, and each standard multitableau of a swept content enters it
-    once per sweep.  With each class's members reordered, so that leaders
-    are not ascending, the reuse is the same."""
+    """What the sweep holds at each shape: the shape's fillings and its
+    block.  Every member of a block has the color content (n_0, ...,
+    n_{r-1}) of the shape's component sizes, and so does each filling; each
+    standard multitableau of a kept shape is built once per sweep, and the
+    one round trip of a shape maps a member of its block.  With each
+    block's members in another order the report is the same: each member's
+    checks look its images and its leader up in the block, whatever their
+    place in it."""
     params = GroupParams(r, p, n)
-    classes = [CLASS_ORDERS[order](m, i) for i, m in enumerate(_admissible_classes(params))]
-    monkeypatch.setattr(signs, "_admissible_classes", lambda params: iter(classes))
-    real = signs._class_table
-    seen = []
+    expected = without_elapsed(signs.verify_admissible(params))
+    real_block, real_fillings, real_trip = signs._shape_block, signs._fillings, signs.mapped_pair
+    seen, built, mapped = [], [], []
 
-    def spy(params, members, store):
-        before = set(store)
-        table = real(params, members, store)
-        seen.append((members, store, before, set(store)))
-        return table
+    def reordered(steps, rows, fillings, r):
+        block = real_block(steps, rows, fillings, r)
+        keys = BLOCK_ORDERS[order](list(block), len(seen), r)
+        seen.append((steps[0], fillings, set(keys)))
+        return {key: block[key] for key in keys}
 
-    monkeypatch.setattr(signs, "_class_table", spy)
-    mapped = []
-    monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or rs_map(w))
-    report = signs.verify_admissible(params, max_counterexamples=10**4)
-    assert report.elements_checked == params.order
-    leaders = [GroupElement(params, *m[0]) for m in classes]
-    not_ascending = [w for w, _, _, got in report.counterexamples if got == "not ascending"]
-    assert not_ascending == [w for w in leaders if not is_ascending_element(w)]
-    assert report.passed == (order == "ascending-first")
-    entered = []
-    content = last = None
-    for members, store, before, after in seen:
-        counts = [color_content(members).count(k) for k in range(r)]
-        if counts != content:
-            assert not before, counts
-            content = counts
-        else:
-            assert store is last[0] and before == last[1]
-        last = store, after
-        assert before <= after
-        for rows in after:
-            assert [sum(map(len, comp)) for comp in rows] == counts
-        entered += after - before
+    monkeypatch.setattr(signs, "_shape_block", reordered)
+    monkeypatch.setattr(signs, "_fillings", lambda rows: built.append(real_fillings(rows)) or built[-1])
+    monkeypatch.setattr(
+        signs, "mapped_pair", lambda perm, colors, r: mapped.append((tuple(perm), tuple(colors))) or real_trip(perm, colors, r)
+    )
+    assert without_elapsed(signs.verify_admissible(params)) == expected
+    assert [fillings for _, fillings, _ in seen] == built
+    entered = [tuple(t.rows for t in T.components) for fillings in built for T, *_ in fillings]
     assert len(entered) == len(set(entered))
     assert set(entered) == content_multitableaux(r, p, n)
-    # rs_map maps exactly the members whose P or Q no earlier member of
-    # their content had, and each such call stores a new multitableau
-    first_sight, content = [], None
-    for members in classes:
-        if color_content(members) != content:
-            content, known = color_content(members), set()
-        for key in members:
-            pair = rs_map(GroupElement(params, *key))
-            rows = {tuple(t.rows for t in T.components) for T in (pair.P, pair.Q)}
-            if not rows <= known:
-                first_sight.append(pair)
-            known |= rows
-    assert [rs_map(w) for w in mapped] == first_sight
-    assert len(mapped) <= len(entered)
-    if order != "shuffled":
-        assert len(mapped) == MAPPED[r, p, n]
+    assert len(mapped) == len(seen)
+    for (shape, fillings, keys), trip in zip(seen, mapped):
+        counts = [sum(lam) for lam in shape]
+        assert all([colors.count(k) for k in range(r)] == counts for _, colors in keys), shape
+        assert all([t.size for t in T.components] == counts for T, *_ in fillings), shape
+        assert len(keys) == len(fillings) ** 2
+        assert trip in keys
 
 
 def test_admissible_sweep_builds_elements_only_to_map_them(monkeypatch):
-    """A passing sweep builds a ``GroupElement`` only for each first-sight
-    ``rs_map`` call: each class leader's ascending check reads its one-line
-    data."""
+    """A passing sweep builds a ``GroupElement`` only for each ``rs_map``
+    call, one per kept shape: each element's moves, representative and
+    leader are read on its one-line data."""
     built = []
 
     class Counted(GroupElement):
@@ -898,87 +1048,69 @@ def test_admissible_sweep_builds_elements_only_to_map_them(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(signs, "GroupElement", Counted)
-    mapped = []
-    monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or rs_map(w))
+    monkeypatch.setattr(_fallback, "GroupElement", Counted)
+    mapped, real = [], _fallback.rs_map
+    monkeypatch.setattr(_fallback, "rs_map", lambda w: mapped.append(w) or real(w))
     assert signs.verify_admissible(GroupParams(2, 1, 4)).passed
     assert len(built) == len(mapped) == MAPPED[2, 1, 4]
 
 
-def patch_insertion_rows(monkeypatch, fake):
-    """Replace the insertion pass both where ``rs_map`` and where the sweep
-    call it: ``fake(key, real)`` returns the (P rows, Q rows) of the
-    one-line data ``key`` = (perm, colors), and ``real(key)`` the true ones."""
-    real = rs_module._insertion_rows
-    for module in (rs_module, signs):
-        monkeypatch.setattr(
-            module,
-            "_insertion_rows",
-            lambda perm, colors, r: fake((tuple(perm), tuple(colors)), lambda key: real(*key, r)),
-        )
-
-
 @pytest.mark.parametrize("side", [0, 1], ids=["P", "Q"])
 def test_admissible_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
-    """Non-standard rows from the insertion pass, for a member whose true
-    rows repeat earlier members' rows, are never looked up as if valid:
-    they are new to the store, so the member is mapped with ``rs_map`` and
-    its tableau validation raises."""
-    params = GroupParams(2, 1, 4)
-    for members in _admissible_classes(params):
-        if len(members) > 1:
-            break
-    target = members[-1]
-    mapped = []
-    monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or rs_map(w))
-    assert signs.verify_admissible(params).passed
-    assert GroupElement(params, *target) not in mapped  # its true rows repeat
-    monkeypatch.setattr(signs, "rs_map", rs_map)
+    """Non-standard rows from the insertion pass, for a leaf the sweep
+    maps, are never compared as if valid: ``rs_map`` validates the pair it
+    builds, and its tableau validation raises."""
+    real = rs_module._insertion_rows
 
-    def fake(key, real):
-        rows = real(key)
-        if key == target:
-            comp = next(c for c in rows[side] if c and len(c[0]) > 1)
+    def fake(perm, colors, r):
+        rows = real(perm, colors, r)
+        comp = next((c for c in rows[side] if c and len(c[0]) > 1), None)
+        if comp is not None:
             comp[0].reverse()
         return rows
 
-    patch_insertion_rows(monkeypatch, fake)
+    monkeypatch.setattr(rs_module, "_insertion_rows", fake)
     with pytest.raises(InvalidTableau):
-        signs.verify_admissible(params)
+        signs.verify_admissible(GroupParams(2, 1, 4))
 
 
 def test_admissible_sweep_checks_the_pair_shape(monkeypatch):
-    """Two stored, validated tableaux of different shapes given as one
-    member's pair are a ``ShapeMismatch``, as ``RSPair`` raises for them."""
-    params = GroupParams(2, 1, 3)
-    for members in _admissible_classes(params):
-        if len(members) > 4:
-            break
-    shape = rs_map(GroupElement(params, *members[0])).P.shape
-    other = next((x.perm, x.colors) for x in enumerate_group(params) if rs_map(x).P.shape != shape)
-    decoy, target = members[1], members[-1]
-
-    def fake(key, real):
-        if key == decoy:
-            return real(other)
-        if key == target:
-            return real(other)[0], real(key)[1]
-        return real(key)
-
-    patch_insertion_rows(monkeypatch, fake)
+    """A mapped leaf whose insertion gives P rows of another shape than its
+    Q rows is a ``ShapeMismatch``, as ``RSPair`` raises for it."""
+    decoy = (1, 2, 3), (0, 0, 0)  # P is one row of three in component 0
+    real = rs_module._insertion_rows
+    monkeypatch.setattr(
+        rs_module, "_insertion_rows", lambda perm, colors, r: (real(*decoy, r)[0], real(perm, colors, r)[1])
+    )
     with pytest.raises(ShapeMismatch):
-        signs.verify_admissible(params)
+        signs.verify_admissible(GroupParams(2, 1, 3))
+
+
+def test_admissible_sweep_validates_every_filling(monkeypatch):
+    """A filling that is not standard, from the corner search, raises when
+    the sweep builds it, before it is used as a P or a Q."""
+    real = signs._corner_steps
+
+    def corner_steps(shape):
+        steps, fillings = real(shape)
+        for rows in fillings:
+            comp = next((c for c in rows if c and len(c[0]) > 1), None)
+            if comp is not None:
+                comp[0].reverse()
+        return steps, fillings
+
+    monkeypatch.setattr(signs, "_corner_steps", corner_steps)
+    with pytest.raises(InvalidTableau):
+        signs.verify_admissible(GroupParams(2, 1, 3))
 
 
 def test_admissible_sweep_reports_a_wrong_component_count(monkeypatch):
-    """Both sides of a move read their per-component counts with
-    ``rs.tableau_inversions`` (in ``rs._part``).  A count one too high on the
-    component holding label 1 changes exactly where a move carries label 1
-    to another component: R_1 moves it in Q and L_1 in P.  Those moves, and
-    nothing else, must be reported."""
-    real = rs_module.tableau_inversions
-    monkeypatch.setattr(
-        rs_module, "tableau_inversions", lambda rows: real(rows) + any(1 in row for row in rows)
-    )
+    """Both sides of a move read their per-component counts off the
+    fillings' component tableaux (``tableaux.tableau_inversions``).  A count
+    one too high on the component holding label 1 changes exactly where a
+    move carries label 1 to another component: R_1 moves it in Q and L_1 in
+    P.  Those moves, and nothing else, must be reported."""
+    monkeypatch.setattr(tableaux_module, "tableau_inversions", skew_label_one(tableaux_module.tableau_inversions))
     params = GroupParams(2, 1, 4)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
     assert {(i, expected) for _, i, expected, _ in report.counterexamples} == {
@@ -995,12 +1127,6 @@ def test_admissible_sweep_reports_a_wrong_component_count(monkeypatch):
 def test_admissible_sweep_reports_an_r_move_that_changes_p(monkeypatch):
     """An R-move that swaps the two colors but leaves the values in place
     moves a value to another component of P."""
-
-    def recolor(perm, colors, i):
-        colors = list(colors)
-        colors[i - 1], colors[i] = colors[i], colors[i - 1]
-        return perm, tuple(colors)
-
     monkeypatch.setattr(signs, "_right_move", recolor)
     params = GroupParams(2, 1, 3)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
@@ -1009,6 +1135,86 @@ def test_admissible_sweep_reports_an_r_move_that_changes_p(monkeypatch):
         w.colors[i - 1] != w.colors[i] for w in enumerate_group(params) for i in range(1, params.n)
     )
     assert len(report.counterexamples) == r_moves
+
+
+def test_admissible_sweep_reports_a_round_trip_that_disagrees(monkeypatch):
+    """The one leaf per kept shape that goes through ``rs_map``: a pair
+    other than (P, filling k) is a counterexample naming the walk's pair
+    and ``rs_map``'s, and it is the only one."""
+    params = GroupParams(2, 1, 3)
+    mapped, real = [], signs.mapped_pair
+
+    def swapped(perm, colors, r):
+        pair = real(perm, colors, r)
+        mapped.append((GroupElement(params, perm, colors), pair))
+        return RSPair(pair.Q, pair.P)
+
+    monkeypatch.setattr(signs, "mapped_pair", swapped)
+    report = signs.verify_admissible(params, max_counterexamples=100)
+    assert report.elements_checked == params.order
+    assert len(mapped) == len(list(multipartitions(3, 2)))
+    assert report.counterexamples == [
+        (w, 0, f"{pair.P} {pair.Q}", f"{pair.Q} {pair.P}") for w, pair in mapped if pair.P != pair.Q
+    ]
+    assert report.counterexamples
+
+
+def test_admissible_sweep_reports_a_representative_of_another_class(monkeypatch):
+    """An ``_ascend`` that gives an ascending element of the wrong class,
+    here the leader of another class in the same shape block, is reported
+    once for each member it gets wrong, and for no other: the check compares
+    it with the leader built from w's own invariants, not with what the walk
+    found, so finding it in the block is not enough."""
+    params = GroupParams(2, 1, 4)
+    leaders = {}  # shape -> the ascending elements whose P has that shape
+    for w in enumerate_group(params):
+        if is_ascending_element(w):
+            leaders.setdefault(rs_map(w).P.shape, []).append((w.perm, w.colors))
+    other = {}
+    for same_shape in leaders.values():
+        for j, key in enumerate(same_shape):
+            other[key] = same_shape[(j + 1) % len(same_shape)]
+    real = signs._ascend
+    monkeypatch.setattr(signs, "_ascend", lambda perm, colors: ([], [], other[real(perm, colors)[2]]))
+    report = signs.verify_admissible(params, max_counterexamples=10**6)
+    wrong = {}
+    for w in enumerate_group(params):
+        rho = ascending_representative(w)
+        given = GroupElement(params, *other[rho.perm, rho.colors])
+        if given != rho:
+            wrong[w] = str(given)
+    assert 0 < len(wrong) < params.order
+    assert len(report.counterexamples) == len(wrong)
+    assert {(w, got) for w, i, expected, got in report.counterexamples} == set(wrong.items())
+    assert {(i, expected) for _, i, expected, _ in report.counterexamples} == {(0, "ascending representative")}
+
+
+def test_admissible_sweep_reports_a_leader_missing_from_its_block(monkeypatch):
+    """A block that lacks one class leader, as a walk that skipped a leaf
+    would give: each other member of that class reports its leader missing,
+    with the leader it looked for, and the sweep is one element short."""
+    params = GroupParams(2, 1, 3)
+    real = signs._shape_block
+    dropped = []
+
+    def short(steps, rows, fillings, r):
+        block = real(steps, rows, fillings, r)
+        # the first leader of a class of more than one element: two colors
+        leaders = [key for key in block if rs_module._is_ascending(*key, r) and len(set(key[1])) > 1]
+        if leaders and not dropped:
+            dropped.append(leaders[0])
+            del block[leaders[0]]
+        return block
+
+    monkeypatch.setattr(signs, "_shape_block", short)
+    report = signs.verify_admissible(params, max_counterexamples=10**6)
+    leader = GroupElement(params, *dropped[0])
+    members = {w for w in enumerate_group(params) if ascending_representative(w) == leader and w != leader}
+    missing = [(w, i, got) for w, i, expected, got in report.counterexamples if expected == "class leader in the shape block"]
+    assert members and len(missing) == len(members)
+    assert set(missing) == {(w, 0, str(leader)) for w in members}
+    assert report.elements_checked == params.order - 1
+    assert report.counterexamples[-1] == ("G(2,1,3)", 0, "48 elements", "47 checked")
 
 
 # Admissible classes against their definition: one color content and, for
@@ -1036,14 +1242,14 @@ def multinomial(content):
 
 @pytest.mark.parametrize("r,n", [(1, 4), (2, 1), (2, 4), (3, 3), (4, 3), (5, 2)])
 def test_admissible_classes_partition_the_group(r, n):
-    """Each class is one signature with multinomial**2 members, its first
-    member is ascending and is every member's ascending representative, and
-    the classes cover G(r,1,n) once.  Every yielded (perm, colors) is a pair
-    of tuples that makes a valid ``GroupElement``; ``_admissible_classes``
-    builds none, so this is where its output is validated."""
+    """Each class of the oracle is one signature with multinomial**2
+    members, its first member is ascending and is every member's ascending
+    representative, and the classes cover G(r,1,n) once.  Every yielded
+    (perm, colors) is a pair of tuples that makes a valid
+    ``GroupElement``."""
     params = GroupParams(r, 1, n)
     seen, signatures = [], set()
-    for keys in _admissible_classes(params):
+    for keys in admissible_classes(params):
         assert all(type(perm) is type(colors) is tuple for perm, colors in keys)
         members = [GroupElement(params, *key) for key in keys]
         rho = members[0]
@@ -1063,7 +1269,7 @@ def test_admissible_classes_partition_the_group(r, n):
 @pytest.mark.parametrize("r,p,n", [(4, 2, 3), (6, 3, 2), (2, 2, 4), (3, 3, 3)])
 def test_admissible_classes_cover_exactly_the_subgroup(r, p, n):
     params = GroupParams(r, p, n)
-    seen = [GroupElement(params, *key) for keys in _admissible_classes(params) for key in keys]
+    seen = [GroupElement(params, *key) for keys in admissible_classes(params) for key in keys]
     assert len(seen) == params.order
     assert set(seen) == set(enumerate_group(params))
 
@@ -1073,7 +1279,7 @@ def test_admissible_classes_of_a_large_r():
     time, so an r above the recursion limit works: one class per color."""
     r = 2 * sys.getrecursionlimit()
     params = GroupParams(r, 1, 1)
-    assert list(_admissible_classes(params)) == [[((1,), (k,))] for k in range(r)]
+    assert list(admissible_classes(params)) == [[((1,), (k,))] for k in range(r)]
 
 
 def move_oracle_elements():
@@ -1130,18 +1336,19 @@ def test_one_line_moves_and_ascend_match_products_and_the_element_api():
 
 def test_admissible_counterexamples_come_in_class_walk_order(monkeypatch):
     """With R-moves patched to the identity every admissible R-move fails,
-    and the first 10 are reported by class and then in member order."""
+    and each is reported by shape, then by P, then in walk order: the order
+    ``theorem_leaves`` builds without the walk."""
     monkeypatch.setattr(signs, "_right_move", lambda perm, colors, i: (perm, colors))
     params = GroupParams(3, 1, 3)
-    report = signs.verify_admissible(params)
-    walk = (
-        (GroupElement(params, perm, colors), i, "R-move invariants", "violated")
-        for members in _admissible_classes(params)
-        for perm, colors in members
+    report = signs.verify_admissible(params, max_counterexamples=10**4)
+    walk = [
+        (w, i, "R-move invariants", "violated")
+        for w, _, _ in theorem_leaves(params)
         for i in range(1, params.n)
-        if colors[i - 1] != colors[i]
-    )
-    assert report.counterexamples == list(islice(walk, 10))
+        if w.colors[i - 1] != w.colors[i]
+    ]
+    assert report.counterexamples == walk
+    assert signs.verify_admissible(params).counterexamples == walk[:10]
 
 
 def test_admissible_sweep_reports_a_wrong_ascending_representative(monkeypatch):
@@ -1192,20 +1399,21 @@ def test_admissible_sweep_reports_broken_sign_data(monkeypatch):
 @pytest.mark.parametrize("member_shift,recorded", [(3, set()), (2, {(2, True, False)})])
 def test_admissible_sweep_compares_the_disagreeing_i_not_the_defects(monkeypatch, member_shift, recorded):
     """At r = 4 the defects (0, 1) and (0, 3) both disagree at i = 1, 2, 3,
-    and (0, 2) at i = 1, 3.  Spin sums skewed by 1 on each class's ascending
-    element and by ``member_shift`` on its other members give differing
-    defects; a counterexample is each i where exactly one of the two
-    agrees, so none when the disagreeing i are the same."""
-    real = signs._class_table
+    and (0, 2) at i = 1, 3.  Shifts skewed by 1 on each class's ascending
+    element and by ``member_shift`` on its other members, in the shape
+    blocks, give differing defects; a counterexample is each i where
+    exactly one of the two agrees, so none when the disagreeing i are the
+    same."""
+    real = signs._shape_block
 
-    def skewed(params, members, store):
-        table = real(params, members, store)
-        rho = members[0]
-        for key, (kept_p, kept_q, (sign, spin_sum)) in table.items():
-            table[key] = kept_p, kept_q, (sign, spin_sum + (1 if key == rho else member_shift))
-        return table
+    def skewed(steps, rows, fillings, r):
+        block = real(steps, rows, fillings, r)
+        for key, (a, k, (parity, shift)) in block.items():
+            skew = 1 if rs_module._is_ascending(*key, r) else member_shift
+            block[key] = a, k, (parity, (shift + skew) % r)
+        return block
 
-    monkeypatch.setattr(signs, "_class_table", skewed)
+    monkeypatch.setattr(signs, "_shape_block", skewed)
     params = GroupParams(4, 1, 3)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
     assert report.elements_checked == params.order

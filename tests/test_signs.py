@@ -8,6 +8,7 @@ import threading
 import pytest
 
 from grpn import signs
+from grpn._kernels import _fallback
 from grpn.cli import main
 from grpn.errors import CapExceeded, IndexOutOfRange, NotAscending, ShapeMismatch
 from grpn.group import (
@@ -20,7 +21,7 @@ from grpn.group import (
     identity,
     parse_element,
 )
-from grpn.rs import _admissible_classes, ascending_representative, is_ascending_element, rs_map
+from grpn.rs import ascending_representative, is_ascending_element, rs_map
 from grpn.signs import (
     VerificationReport,
     decompose_ascending,
@@ -30,7 +31,7 @@ from grpn.signs import (
     verify_membership,
     verify_theorem,
 )
-from grpn.tableaux import Multitableau
+from grpn.tableaux import Multitableau, count_standard_multitableaux, multipartitions
 from test_reference import theorem_leaves
 
 
@@ -110,7 +111,8 @@ def _element(rng, r, n):
 
 def _count_insertions(monkeypatch):
     """Record each element ``signs`` runs the insertion pass on, whether
-    through ``rs_map`` or straight through the row-list pass."""
+    through ``rs_map`` (which ``signs`` reaches through
+    ``_kernels.mapped_pair``) or straight through the row-list pass."""
     calls = []
 
     def counting(f):
@@ -120,7 +122,7 @@ def _count_insertions(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(signs, "rs_map", counting(rs_map))
+    monkeypatch.setattr(_fallback, "rs_map", counting(rs_map))
     monkeypatch.setattr(signs, "_rs_rows", counting(signs._rs_rows))
     return calls
 
@@ -326,17 +328,32 @@ class TestVerifyAdmissible:
         assert {expected for _, _, expected, _ in report.counterexamples} == {violation}
 
     def test_reports_a_class_not_led_by_its_ascending_element(self, monkeypatch):
-        def reversed_classes(params):
-            return (members[::-1] for members in _admissible_classes(params))
+        """A representative of the right class that is not its ascending
+        element (its color blocks in decreasing color order) is reported
+        for every member of each class with two or more colors, with the
+        representative it got, and for no other."""
+        real = signs._ascend
 
-        monkeypatch.setattr(signs, "_admissible_classes", reversed_classes)
+        def descending(perm, colors):
+            _, _, (rep, rep_colors) = real(perm, colors)
+            blocks = [[v for v, c in zip(rep, rep_colors) if c == k] for k in sorted(set(rep_colors), reverse=True)]
+            out = []
+            for block in blocks:
+                out += [v - min(block) + 1 + len(out) for v in block]
+            return [], [], (tuple(out), tuple(sorted(colors, reverse=True)))
+
+        monkeypatch.setattr(signs, "_ascend", descending)
         params = GroupParams(2, 1, 3)
         report = verify_admissible(params, max_counterexamples=10**4)
-        leaders = [GroupElement(params, *members[0]) for members in reversed_classes(params)]
-        assert sum(not is_ascending_element(w) for w in leaders) > 3
-        assert [(w, i, expected) for w, i, expected, got in report.counterexamples if got == "not ascending"] == [
-            (w, 0, "ascending representative") for w in leaders if not is_ascending_element(w)
-        ]
+        expected = {}
+        for w in enumerate_group(params):
+            if len(set(w.colors)) > 1:
+                got = GroupElement(params, *descending(w.perm, w.colors)[2])
+                assert not is_ascending_element(got) and ascending_representative(got) == ascending_representative(w)
+                expected[w] = (w, 0, "ascending representative", str(got))
+        assert len(expected) > 3
+        assert len(report.counterexamples) == len(expected)
+        assert set(report.counterexamples) == set(expected.values())
 
 
 @pytest.mark.parametrize(
@@ -344,7 +361,7 @@ class TestVerifyAdmissible:
     [
         (verify_theorem, "multipartitions"),
         (verify_membership, "multipartitions"),
-        (verify_admissible, "_admissible_classes"),
+        (verify_admissible, "multipartitions"),
     ],
 )
 def test_sweep_cap_scales_with_r_before_any_work(monkeypatch, verify, walk):
@@ -364,6 +381,45 @@ def test_sweep_cap_scales_with_r_before_any_work(monkeypatch, verify, walk):
     monkeypatch.undo()
     assert verify(GroupParams(9, 1, 2), cap=183).elements_checked == 162
     assert verify(GroupParams(8, 1, 2), cap=128).elements_checked == 128
+
+
+def drop_last_filling(real):
+    """``_corner_steps`` that drops each shape's last filling, and its
+    leaf, wherever the shape has more than one."""
+
+    def corner_steps(shape):
+        (shape, leaves), fillings = real(shape)
+        return (shape, leaves[: max(1, len(leaves) - 1)]), fillings[: max(1, len(fillings) - 1)]
+
+    return corner_steps
+
+
+@pytest.mark.parametrize("kind", ["theorem", "membership", "admissible"])
+def test_sweeps_fail_on_a_corner_search_that_drops_a_filling(monkeypatch, capsys, kind):
+    """A corner search short of fillings shrinks the walk and the fillings
+    together, so nothing inside a shape notices: without a count from
+    outside the search, the theorem sweep of G(2,1,5) passed with 3,256 of
+    its 3,840 elements.  Each sweep compares every shape's filling count
+    with the hook-length formula, skipping a shape that fails it, and its
+    element count with the order of the set it covers; each mismatch is a
+    named counterexample, so the sweep fails with exit 1 and the same JSON
+    keys, not a PASS or a traceback."""
+    monkeypatch.setattr(signs, "_corner_steps", drop_last_filling(signs._corner_steps))
+    params = GroupParams(2, 1, 5)
+    report = getattr(signs, f"verify_{kind}")(params, max_counterexamples=10**4)
+    short = [
+        (f"shape {shape}", 0, f"{count} standard fillings", f"{count - 1} from the corner search")
+        for shape in multipartitions(5, 2)
+        if (count := count_standard_multitableaux(shape)) > 1
+    ]
+    kept = sum(1 for shape in multipartitions(5, 2) if count_standard_multitableaux(shape) == 1)
+    assert report.elements_checked == kept
+    assert report.counterexamples == [*short, ("G(2,1,5)", 0, "3840 elements", f"{kept} checked")]
+    code = main(["verify", kind, "--r", "2", "--n", "5", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert set(data) == {"params", "kind", "checked", "i_values_checked", "failures", "elapsed_ms"}
+    assert data["failures"][0] == {"element": short[0][0], "i": 0, "expected": short[0][2], "got": short[0][3]}
 
 
 @pytest.mark.parametrize("verify", [verify_theorem, verify_membership, verify_admissible])
