@@ -381,12 +381,12 @@ def count_standard_tableaux(shape: Partition) -> int:
 
 
 def count_standard_multitableaux(shape: MultiPartition) -> int:
-    """Multinomial label split times the per-component hook length counts."""
-    sizes = [sum(lam) for lam in shape]
-    n = sum(sizes)
-    total = factorial(n)
-    for m in sizes:
-        total //= factorial(m)
+    """Multinomial label split times the per-component hook length counts.
+    An empty component adds 1 to both, so it is skipped: every sweep counts
+    each shape it walks this way, and most shapes at larger r have several
+    empty components."""
+    total = factorial(sum(map(sum, shape)))
     for lam in shape:
-        total *= count_standard_tableaux(lam)
+        if lam:
+            total = total // factorial(sum(lam)) * count_standard_tableaux(lam)
     return total
