@@ -369,15 +369,17 @@ def standard_multitableaux(shape: MultiPartition, cap: int = DEFAULT_SHAPE_CAP) 
 
 
 def count_standard_tableaux(shape: Partition) -> int:
-    """Hook length formula for a single shape."""
+    """Hook length formula for a single shape, in one pass over the rows
+    from the bottom up: box j of a row of length m has hook length m - j
+    plus the boxes below it, counted per column as the rows go by."""
     shape = check_partition(shape)
-    n = sum(shape)
-    conj = [sum(1 for part in shape if part > j) for j in range(shape[0] if shape else 0)]
     hooks = 1
-    for i, part in enumerate(shape):
+    below = [0] * (shape[0] if shape else 0)
+    for part in reversed(shape):
         for j in range(part):
-            hooks *= (part - j) + (conj[j] - i) - 1
-    return factorial(n) // hooks
+            hooks *= part - j + below[j]
+            below[j] += 1
+    return factorial(sum(shape)) // hooks
 
 
 def count_standard_multitableaux(shape: MultiPartition) -> int:

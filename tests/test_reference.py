@@ -55,7 +55,9 @@ from grpn.tableaux import (
     _corner_steps,
     _is_standard,
     count_standard_multitableaux,
+    count_standard_tableaux,
     multipartitions,
+    partitions,
     rows_even_row_boxes,
     rows_inversions,
     rows_twice_spin,
@@ -477,6 +479,29 @@ def test_walks_in_place_leave_the_fillings_as_they_were(r, n):
         assert fillings == before, shape
         rows = [id(row) for filling in fillings for comp in filling for row in comp]
         assert len(rows) == len(set(rows)), shape
+
+
+def hook_length_count(shape):
+    """The hook length formula box by box: the hook of box (i, j) is the
+    boxes right of it in its row, below it in its column, and itself."""
+    conj = [sum(1 for part in shape if part > j) for j in range(shape[0] if shape else 0)]
+    hooks = prod((part - j) + (conj[j] - i) - 1 for i, part in enumerate(shape) for j in range(part))
+    return factorial(sum(shape)) // hooks
+
+
+def test_tableau_counts_match_the_hook_length_formula_box_by_box():
+    """``count_standard_tableaux`` walks the rows once from the bottom up;
+    every partition up to rank 14 against the formula read box by box, and
+    ``count_standard_multitableaux`` against the multinomial times those
+    counts, empty components included."""
+    for m in range(15):
+        for shape in partitions(m):
+            assert count_standard_tableaux(shape) == hook_length_count(shape), shape
+    for n, r in ((5, 3), (4, 4), (6, 2)):
+        for shape in multipartitions(n, r):
+            expected = factorial(n) // prod(factorial(sum(lam)) for lam in shape)
+            expected *= prod(hook_length_count(lam) for lam in shape)
+            assert count_standard_multitableaux(shape) == expected, shape
 
 
 def brute_force_fillings(shape):
