@@ -384,9 +384,9 @@ def count_standard_tableaux(shape: Partition) -> int:
 
 def count_standard_multitableaux(shape: MultiPartition) -> int:
     """Multinomial label split times the per-component hook length counts.
-    An empty component adds 1 to both, so it is skipped: every sweep counts
-    each shape it walks this way, and most shapes at larger r have several
-    empty components."""
+    An empty component is a factor of 1 in both, so it is skipped: every
+    sweep counts each shape it walks, and at r = 3 or 4 most shapes have
+    several empty components."""
     total = factorial(sum(map(sum, shape)))
     for lam in shape:
         if lam:
