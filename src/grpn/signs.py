@@ -509,6 +509,7 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
                     if not _move_kept(entry, block.get((_left_move(perm, position, i), colors)), 1, invs, comps):
                         report.record((perm, colors), i, "L-move invariants", "violated")
             values += r
+            # w's class leader from its invariants: values, then positions, stably by color
             for j, v in enumerate(sorted(range(1, n + 1), key=lambda v: colors[position[v]]), start=1):
                 rank[v] = j
             leader = tuple([rank[perm[p]] for p in sorted(range(n), key=colors.__getitem__)]), tuple(sorted(colors))
