@@ -1,4 +1,5 @@
-"""The per-leaf kernel of the theorem sweep.
+"""The per-leaf kernel of the sweeps' leaf stream (``signs._blocks``),
+which the theorem and admissible sweeps read.
 
 There is one kernel, the pure-Python ``_fallback.theorem_stats``: it gives
 one leaf's (inv(sigma), color sum) and keeps no state, so ``get_kernel()``
@@ -6,7 +7,7 @@ returns the same function every time.  The package stays, with
 ``BACKEND``, ``BACKENDS`` and ``get_kernel(name)``, because the
 ``perfbench`` harness reads them: it records ``BACKEND`` in a run's
 environment, times a kernel of every name in ``BACKENDS``, and counts the
-sweep's kernel calls by wrapping ``signs.get_kernel``.  They go once the
+sweeps' kernel calls by wrapping ``signs.get_kernel``.  They go once the
 benchmark declares its per-layer metrics by stage rather than by function.
 """
 

@@ -338,20 +338,19 @@ EXACT_ORDER_DIGITS = 4300
 
 
 def require_within_cap(params: GroupParams, cap: int) -> None:
-    """Raise ``CapExceeded`` if G(r,1,n), which every sweep walks, has more
-    than cap elements.
+    """Raise ``CapExceeded`` if G(r,p,n) has more than cap elements.
 
     The order's size is read off its logarithm first, so a group of more
     than ``EXACT_ORDER_DIGITS`` digits is refused as "more than 10^d
-    elements" without computing r^n * n!; a smaller one is named with its
-    exact order."""
-    r, n = params.r, params.n
-    log10_order = n * log10(r) + lgamma(n + 1) / log(10)
+    elements" without computing r^n * n! / p; a smaller one is named with
+    its exact order."""
+    r, p, n = params.r, params.p, params.n
+    log10_order = n * log10(r) + lgamma(n + 1) / log(10) - log10(p)
     if log10_order > EXACT_ORDER_DIGITS and log10_order > cap.bit_length() * log10(2) + 1:
-        raise CapExceeded(f"G({r},1,{n}) has more than 10^{int(log10_order)} elements, above cap {cap}")
-    total = r**n * factorial(n)
+        raise CapExceeded(f"G({r},{p},{n}) has more than 10^{int(log10_order)} elements, above cap {cap}")
+    total = params.order
     if total > cap:
-        raise CapExceeded(f"G({r},1,{n}) has {total} elements, above cap {cap}")
+        raise CapExceeded(f"G({r},{p},{n}) has {total} elements, above cap {cap}")
 
 
 def _element_tuples(params: GroupParams) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -378,7 +377,7 @@ def enumerate_group(params: GroupParams, cap: int = DEFAULT_CAP) -> Iterator[Gro
     """Yield every element of G(r,p,n) exactly once, in the lexicographic
     order of ``_element_tuples``: permutations lexicographically, then
     colors lexicographically within each permutation.  Raises
-    ``CapExceeded`` before the first element if G(r,1,n) is above ``cap``.
+    ``CapExceeded`` before the first element if G(r,p,n) is above ``cap``.
     """
     require_within_cap(params, cap)
     for perm, colors in _element_tuples(params):

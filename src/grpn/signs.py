@@ -17,39 +17,44 @@ mod 2 and shift is (spin(P) + spin(Q) - color sum) mod r.  The i at which
 the two sides disagree depend on the defect alone (``_disagreeing``), so the
 sweeps compare defects and list those i only for a counterexample.
 
-All three sweeps are one walk each: they take every P of every shape and
-reconstruct the elements of each P by one prefix-sharing corner-removal
-walk (``rs._removal_walk``), so they visit their elements once, by shape,
-then by P, then in removal order, without inserting.  Each shape's corner
-search runs once (``tableaux._corner_steps``), writing each filling as it
-goes: it gives the shape's fillings as row lists and a step list, and each
-P's walk replays the steps in that P's own filling rows, leaving them as
-it found them.  Each sweep checks the search's filling count against the
-hook-length formula (``_checked_steps``), and its element count against
-the order of the set it covers, since its coverage rests on the walk
-being a bijection.
-``verify_theorem`` and ``verify_admissible`` share their per-shape
-preparation (``_kept_shapes``): the shapes whose color sum p divides, each
-standard filling built once as a validated ``Multitableau`` whose
-statistics are read off its methods once, and one leaf per shape mapped
-with the validated ``rs_map`` and compared with (P, filling k)
-(``_round_trip``).  The one list of fillings is the P side and the Q side:
-leaf k of P's walk has Q = filling k.  ``verify_theorem`` calls the kernel
-(``_kernels``) per leaf for inv(sigma) and the color sum.
-``verify_admissible`` keys every leaf of one shape block (``_shape_block``:
-the elements whose P and Q have one shape, which holds every admissible
-class and move image of the shape) to its (a, k, defect), with P filling
-a and Q filling k; each admissible move is then an index swap on one-line
-``(perm, colors)`` tuples whose image is looked up in the block and
-compared by filling index, and each representative (``rs._ascend``) is
-compared with the class leader built from the element's own invariants.
-The sweeps hand the report a counterexample's tuples, and the report
-builds the element only if it keeps it.
+The sweeps' traversal is written once.  The shape iterator ``_shapes``
+takes the shapes in ``multipartitions`` order, skips a shape unless p
+divides its color sum (the membership sweep, which covers G(r,1,n),
+passes p = 1), runs each kept shape's corner search once
+(``tableaux._corner_steps``: the fillings as row lists and a step list)
+and checks the filling count against the hook-length formula, since every
+sweep's coverage rests on the walk being a bijection.  For each P a
+prefix-sharing corner-removal walk (``rs._removal_walk``) replays the
+steps in P's own filling rows, leaving them as it found them, and
+reconstructs every element with that P without inserting: leaf k has
+Q = filling k.  So every sweep visits its elements once, by shape, then
+by P, then in walk order.
 
-The three sweeps share one frame, ``_sweep``: it refuses a sweep above its
-cap before any work, builds the ``VerificationReport``, times the walk and
-sets the report's element and value-check counts.  Each sweep's own body
-only walks its elements, records counterexamples and returns those counts.
+``verify_theorem`` and ``verify_admissible`` read one leaf stream,
+``_blocks``: for each kept shape, its fillings, each built once as a
+validated ``Multitableau`` whose statistics are read off its methods once
+(``_fillings``); the (a, k) of the one leaf per shape mapped with the
+validated ``rs_map`` and compared with (P, Q) (``_round_trip``); and its
+leaves, each ``(a, k, perm, colors, color_sum, parity, shift)`` with P
+filling a and Q filling k, inv(sigma) and the color sum from the kernel
+(``_kernels``) and the defect computed in one place (``_leaves``).
+``verify_theorem`` compares each leaf's defect with (0, 0).
+``verify_admissible`` keys the leaves of one shape block (the elements
+whose P and Q have one shape, which holds every admissible class and move
+image of the shape) to (a, k, parity, shift); each admissible move is then
+an index swap on one-line ``(perm, colors)`` tuples whose image is looked
+up in the block and compared by filling index, and each representative
+(``rs._ascend``) is compared with the class leader built from the
+element's own invariants.  The sweeps hand the report a counterexample's
+tuples, and the report builds the element only if it keeps it.
+
+The three sweeps share one frame, ``_sweep``: it refuses a
+``max_counterexamples`` below 1 and a sweep above its cap, counted on the
+set the sweep covers, before any work, builds the ``VerificationReport``,
+times the walk, sets the report's element and value-check counts and
+checks the element count against the covered set's order.  Each sweep's
+own body only walks its elements, records counterexamples and returns
+those counts.
 """
 
 from __future__ import annotations
@@ -57,7 +62,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from inspect import cleandoc
-from math import factorial
 
 from ._kernels import get_kernel, mapped_pair
 from .errors import CapExceeded, IndexOutOfRange, NotAscending, ShapeMismatch
@@ -66,7 +70,6 @@ from .group import (
     GroupElement,
     GroupParams,
     OneDimValue,
-    inversions,
     require_within_cap,
 )
 from .rs import _ascend, _left_move, _removal_walk, _right_move, _rs_rows, is_ascending_element
@@ -101,13 +104,6 @@ def _rows_data(p_rows: ComponentRows, q_rows: ComponentRows) -> tuple[int, int]:
         rows_inversions(p_rows) + rows_inversions(q_rows),
         rows_twice_spin(p_rows) + rows_twice_spin(q_rows),
     )
-
-
-def _defect(perm_sign: int, color_sum: int, sign: int, spin_sum: int, r: int) -> tuple[int, int]:
-    """(parity, shift) of the tableaux side's ``_sign_data`` (sign, spin_sum)
-    against the group side's (-1)^inv(sigma) and color sum: (0, 0) exactly
-    when the two sides agree for every i."""
-    return int(sign != perm_sign), (spin_sum - color_sum) % r
 
 
 def _disagreeing(parity: int, shift: int, r: int) -> list[int]:
@@ -218,7 +214,10 @@ class VerificationReport:
 SWEEP_R = 8
 
 
-_CAP_DOC = "Raises ``CapExceeded`` before any work if the sweep is above its cap (``_sweep``)."
+_CAP_DOC = (
+    "Raises ``ValueError`` if ``max_counterexamples`` is below 1.  "
+    "Raises ``CapExceeded`` before any work if the sweep is above its cap (``_sweep``)."
+)
 
 
 def _sweep(walk):
@@ -228,10 +227,12 @@ def _sweep(walk):
 
     The walk checks every element, records its counterexamples in
     ``report`` and returns (elements checked, value checks).  The frame
-    refuses a sweep above its cap before any work, builds the report, times
-    the walk and sets the report's counts and elapsed time.  A count of
-    elements checked other than the order of the set the sweep covers,
-    G(r,1,n) for membership and G(r,p,n) otherwise, is a counterexample
+    refuses a ``max_counterexamples`` below 1, and a sweep above its cap,
+    before any work; the cap counts the set the sweep covers, G(r,1,n) for
+    membership and G(r,p,n) otherwise.  It builds the report, times the
+    walk and sets the report's counts and elapsed time.  A count of
+    elements checked other than the order of the covered set is a
+    counterexample
     ``("G(r,p,n)", 0, "<order> elements", "<checked> checked")``.  It is a plain
     function with its own signature and the walk's docstring, so
     ``inspect.signature`` and ``help`` show the public call."""
@@ -240,21 +241,24 @@ def _sweep(walk):
     def sweep(
         params: GroupParams, cap: int = DEFAULT_CAP, max_counterexamples: int = 10
     ) -> VerificationReport:
-        require_within_cap(params, cap)
-        r, n = params.r, params.n
-        order, scaled = r**n * factorial(n), cap * SWEEP_R // r
+        if max_counterexamples < 1:
+            # a report that keeps no counterexample would read PASS on a failing sweep
+            raise ValueError(f"max_counterexamples={max_counterexamples} is below 1")
+        # the set the sweep covers: G(r,1,n) for membership, else G(r,p,n)
+        covered = GroupParams(params.r, 1, params.n) if kind == "membership" else params
+        require_within_cap(covered, cap)
+        r, p, n = covered.r, covered.p, covered.n
+        order, scaled = covered.order, cap * SWEEP_R // r
         if r > SWEEP_R and order > scaled:
             raise CapExceeded(
-                f"G({r},1,{n}) has {order} elements, above cap {scaled} "
+                f"G({r},{p},{n}) has {order} elements, above cap {scaled} "
                 f"for a sweep at r={r} (cap {cap} times {SWEEP_R}/r)"
             )
         report = VerificationReport(params, kind, max_counterexamples=max_counterexamples)
         start = time.perf_counter()
         report.elements_checked, report.i_values_checked = walk(params, report)
-        # the set the sweep covers: G(r,1,n) for membership, else G(r,p,n)
-        p = 1 if kind == "membership" else params.p
-        if report.elements_checked != order // p:
-            report.record(f"G({r},{p},{n})", 0, f"{order // p} elements", f"{report.elements_checked} checked")
+        if report.elements_checked != order:
+            report.record(f"G({r},{p},{n})", 0, f"{order} elements", f"{report.elements_checked} checked")
         report.elapsed = time.perf_counter() - start
         return report
 
@@ -274,38 +278,55 @@ def _fillings(fillings: list) -> list[tuple[Multitableau, int, int, int]]:
     return out
 
 
-def _checked_steps(shape, report: VerificationReport):
-    """``tableaux._corner_steps(shape)``, each sweep's one corner search of
-    a shape, with its filling count checked against the hook-length count
-    ``count_standard_multitableaux(shape)``, which does not use the search.
-    Every sweep's coverage rests on the walk being a bijection, so on a
-    mismatch this records a counterexample naming the shape and gives no
-    fillings, and the sweep skips the shape."""
-    steps, rows = _corner_steps(shape)
-    count = count_standard_multitableaux(shape)
-    if len(rows) != count:
-        report.record(f"shape {shape}", 0, f"{count} standard fillings", f"{len(rows)} from the corner search")
-        rows = []
-    return steps, rows
+def _shapes(params: GroupParams, report: VerificationReport, p: int):
+    """The shapes a sweep walks: each shape of ``multipartitions(n, r)``
+    whose color sum, sum of k * |lambda_k|, p divides, in that order, as
+    (its index in that order, the step list of its corner search, its
+    fillings as row lists), from one ``tableaux._corner_steps`` call.
 
-
-def _kept_shapes(params: GroupParams, report: VerificationReport):
-    """The per-shape preparation of the theorem and admissible sweeps.  For
-    each shape in ``multipartitions`` order whose color sum, sum of k *
-    |lambda_k|, p divides, it yields the shape's corner search
-    (``_checked_steps``): its step list and its fillings as row lists; the
-    fillings as ``_fillings`` builds them; and the (a, k) of the round-trip
-    leaf, leaf k of P = filling a, which rotates with the shape's index
-    (index mod f**2 for f fillings).  Every leaf of a kept shape has its
-    color sum, so the leaves of the kept shapes are G(r,p,n), each once."""
-    r, p, n = params.r, params.p, params.n
-    for index, shape in enumerate(multipartitions(n, r)):
+    Every sweep's coverage rests on the walk being a bijection, so the
+    search's filling count is checked against the hook-length count
+    ``count_standard_multitableaux(shape)``, which does not use the search:
+    on a mismatch this records a counterexample naming the shape and skips
+    the shape."""
+    for index, shape in enumerate(multipartitions(params.n, params.r)):
         if sum(k * sum(lam) for k, lam in enumerate(shape)) % p:
             continue
-        steps, rows = _checked_steps(shape, report)
-        if rows:
-            fillings = _fillings(rows)
-            yield steps, rows, fillings, divmod(index % len(fillings) ** 2, len(fillings))
+        steps, rows = _corner_steps(shape)
+        count = count_standard_multitableaux(shape)
+        if len(rows) != count:
+            report.record(f"shape {shape}", 0, f"{count} standard fillings", f"{len(rows)} from the corner search")
+            continue
+        yield index, steps, rows
+
+
+def _leaves(steps, rows: list, fillings: list, r: int, kernel):
+    """Every element whose P and Q have one shape, by P and then in walk
+    order, as ``(a, k, perm, colors, color_sum, parity, shift)``: P is
+    filling a, Q is filling k, ``perm`` and ``colors`` are the walk's live
+    buffers, the kernel gives inv(sigma) and the color sum, and (parity,
+    shift) is the defect."""
+    for a, ((_, e_p, inv_p, ts_p), p_rows) in enumerate(zip(fillings, rows)):
+        leaves = zip(_removal_walk(p_rows, steps), fillings, strict=True)
+        for k, ((perm, colors), (_, _, inv_q, ts_q)) in enumerate(leaves):
+            inv_sigma, color_sum = kernel(perm, colors, r)
+            parity, shift = (inv_sigma + e_p + inv_p + inv_q) & 1, ((ts_p + ts_q) // 2 - color_sum) % r
+            yield a, k, perm, colors, color_sum, parity, shift
+
+
+def _blocks(params: GroupParams, report: VerificationReport):
+    """The leaf stream of the theorem and admissible sweeps.  For each shape
+    ``_shapes`` keeps at p, it yields the shape's fillings as ``_fillings``
+    builds them; the (a, k) of its round-trip leaf, leaf k of P = filling
+    a, which rotates with the shape's index (index mod f**2 for f
+    fillings); and its leaves (``_leaves``).  Every leaf of a kept shape
+    has its color sum, so the leaves of the kept shapes are G(r,p,n), each
+    once."""
+    kernel = get_kernel()
+    for index, steps, rows in _shapes(params, report, params.p):
+        fillings = _fillings(rows)
+        trip = divmod(index % len(fillings) ** 2, len(fillings))
+        yield fillings, trip, _leaves(steps, rows, fillings, params.r, kernel)
 
 
 def _round_trip(report: VerificationReport, perm, colors, r: int, P: Multitableau, Q: Multitableau) -> None:
@@ -321,49 +342,35 @@ def _round_trip(report: VerificationReport, perm, colors, r: int, P: Multitablea
 def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int, int]:
     """Check the sign formula for every element of G(r,p,n) and every i.
 
-    The sweep walks the group by shape, then by P, then in removal order,
-    as ``verify_membership`` does, over the shapes ``_kept_shapes`` keeps.
-    Each kept shape's corner search runs once (``tableaux._corner_steps``),
-    for the shape's fillings as row lists and the step list every P's walk
-    replays.  Each filling is built once, as a validated ``Multitableau``
-    whose e, inv and twice_spin are read once (``_fillings``), and the one
-    list is the P side and the Q side: leaf k of ``rs._removal_walk(P,
-    steps)``, walked in P's own filling rows, is ``rs_inverse(RSPair(P,
-    filling k))``.
-
-    Per leaf the kernel gives inv(sigma) and the color sum.  A leaf is a
-    counterexample when its defect is not (0, 0), and is then reported at
-    each i where the character's value (expected) and the formula's (got)
-    differ.  With defect (0, 0) a leaf is still a counterexample, reported
-    once at i = 0, when its color sum is not exactly twice_spin(P), which a
-    walk that puts a value in the wrong component would give.  Once per
-    shape one leaf, which rotates with the shape's index, is mapped with
-    the validated ``rs_map`` and must give (P, filling k)
-    (``_round_trip``).  A ``GroupElement`` is built only for that leaf and
-    for a counterexample the report keeps, and counterexamples come by
-    shape, then by P, then in walk order."""
-    kernel = get_kernel()
+    The sweep reads the leaf stream (``_blocks``): by shape, then by P,
+    then in removal-walk order, each leaf with its P and Q fillings and
+    its defect.  A leaf is a counterexample when its defect is not (0, 0),
+    and is then reported at each i where the character's value (expected)
+    and the formula's (got) differ.  With defect (0, 0) a leaf is still a
+    counterexample, reported once at i = 0, when its color sum is not
+    exactly twice_spin(P), which a walk that puts a value in the wrong
+    component would give.  Once per shape one leaf, which rotates with the
+    shape's index, is mapped with the validated ``rs_map`` and must give
+    (P, filling k) (``_round_trip``).  A ``GroupElement`` is built only for
+    that leaf and for a counterexample the report keeps, and
+    counterexamples come by shape, then by P, then in walk order."""
     r = params.r
     checked = 0
-    for steps, rows, fillings, (mapped_p, mapped_k) in _kept_shapes(params, report):
-        for a, ((P, e_p, inv_p, ts_p), p_rows) in enumerate(zip(fillings, rows)):
-            mapped = mapped_k if a == mapped_p else -1
-            leaves = zip(_removal_walk(p_rows, steps), fillings, strict=True)
-            for k, ((perm, colors), (Q, _, inv_q, ts_q)) in enumerate(leaves):
-                checked += 1
-                inv_sigma, color_sum = kernel(perm, colors, r)
-                perm_sign = -1 if inv_sigma & 1 else 1
-                sign, spin_sum = _sign_data(e_p, inv_p + inv_q, ts_p + ts_q)
-                parity, shift = _defect(perm_sign, color_sum, sign, spin_sum, r)
-                if parity or shift:
-                    if not report.full:
-                        for i in _disagreeing(parity, shift, r):
-                            expected = OneDimValue(perm_sign, i * color_sum % r, r)
-                            report.record((perm, colors), i, expected, OneDimValue(sign, i * spin_sum % r, r))
-                elif color_sum != ts_p:
-                    report.record((perm, colors), 0, f"color sum {ts_p}", f"color sum {color_sum}")
-                if k == mapped:
-                    _round_trip(report, perm, colors, r, P, Q)
+    for fillings, (trip_a, trip_k), leaves in _blocks(params, report):
+        for a, k, perm, colors, color_sum, parity, shift in leaves:
+            checked += 1
+            if parity or shift:
+                if not report.full:
+                    (_, e_p, inv_p, ts_p), (_, _, inv_q, ts_q) = fillings[a], fillings[k]
+                    sign, spin_sum = _sign_data(e_p, inv_p + inv_q, ts_p + ts_q)
+                    perm_sign = -sign if parity else sign
+                    for i in _disagreeing(parity, shift, r):
+                        expected = OneDimValue(perm_sign, i * color_sum % r, r)
+                        report.record((perm, colors), i, expected, OneDimValue(sign, i * spin_sum % r, r))
+            elif color_sum != fillings[a][3]:
+                report.record((perm, colors), 0, f"color sum {fillings[a][3]}", f"color sum {color_sum}")
+            if k == trip_k and a == trip_a:
+                _round_trip(report, perm, colors, r, fillings[a][0], fillings[k][0])
     return checked, checked * r
 
 
@@ -373,15 +380,12 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     element of G(r,1,n) lies in G(r,p,n) exactly when p divides twice the
     spin of its insertion multitableau P.
 
-    The sweep is one walk.  For each shape in ``multipartitions`` order it
-    runs the shape's corner search once (``_checked_steps``), for the
-    shape's fillings as row lists and its step list.  For each P of that
-    shape, in search order, it reads the criterion off P's rows
-    (``rows_twice_spin``) and walks every Q of P's shape by replaying the
-    step list in those rows (``rs._removal_walk``), which it leaves as it
-    found them: each
-    leaf is ``rs_inverse(RSPair(P, Q))`` at the cost of one reverse bump,
-    with no Q built.  The correspondence is a
+    The sweep is one walk over every shape (``_shapes`` at p = 1).  For
+    each P of a shape, in search order, it reads the criterion off P's
+    rows (``rows_twice_spin``) and walks every Q of P's shape by replaying
+    the step list in those rows (``rs._removal_walk``), which it leaves as
+    it found them: each leaf is ``rs_inverse(RSPair(P, Q))`` at the cost
+    of one reverse bump, with no Q built.  The correspondence is a
     bijection, so the leaves are G(r,1,n), each once, and each is checked
     against its own P's criterion: a member whose P fails it, or a
     non-member whose P passes it, is a counterexample ``(w, 0, member,
@@ -399,8 +403,7 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     r, p, n = params.r, params.p, params.n
     full = GroupParams(r, 1, n)
     checked = values = 0
-    for shape in multipartitions(n, r):
-        steps, fillings = _checked_steps(shape, report)
+    for _, steps, fillings in _shapes(params, report, 1):
         for p_rows in fillings:
             criterion = rows_twice_spin(p_rows) % p == 0
             for perm, colors in _removal_walk(p_rows, steps):
@@ -412,27 +415,10 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     return checked, values
 
 
-def _shape_block(steps, rows: list, fillings: list, r: int) -> dict:
-    """The shape block of a kept shape: every element whose P and Q have
-    the shape, walked by ``rs._removal_walk`` from each P in turn and keyed
-    by its one-line data ``(perm, colors)``, as tuples, to ``(a, k,
-    defect)``: P is filling a, Q is filling k, and the defect is read off
-    inv(sigma), the color sum and the two fillings' statistics.  The dict
-    keeps the walk's order, by P and then by leaf."""
-    block = {}
-    for a, ((_, e_p, inv_p, ts_p), p_rows) in enumerate(zip(fillings, rows)):
-        leaves = zip(_removal_walk(p_rows, steps), fillings, strict=True)
-        for k, ((perm, colors), (_, _, inv_q, ts_q)) in enumerate(leaves):
-            sign, spin_sum = _sign_data(e_p, inv_p + inv_q, ts_p + ts_q)
-            perm_sign = -1 if inversions(perm) & 1 else 1
-            block[tuple(perm), tuple(colors)] = a, k, _defect(perm_sign, sum(colors), sign, spin_sum, r)
-    return block
-
-
 def _move_kept(entry: tuple, image: tuple | None, fixed: int, invs: list, comps: list) -> bool:
-    """An admissible move from the block entry ``entry`` = (a, k, defect)
-    to the block entry ``image`` of its image, None when the image is
-    outside the block: the filling at ``fixed`` (0 for P, 1 for Q) is
+    """An admissible move from the block entry ``entry`` = (a, k, parity,
+    shift) to the block entry ``image`` of its image, None when the image
+    is outside the block: the filling at ``fixed`` (0 for P, 1 for Q) is
     unchanged, and the other filling's inversion count (``invs``) moves by
     exactly one while each of its components keeps its count (``comps``)."""
     if image is None or image[fixed] != entry[fixed]:
@@ -454,18 +440,18 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
 
     A right move fixes P and a left move fixes Q, so every admissible
     class, and every move's image, lies in one shape block: the f**2
-    elements whose P and Q have the shape, for f fillings.  The sweep takes
-    the shapes ``_kept_shapes`` keeps, as ``verify_theorem`` does, and
-    walks each block once (``_shape_block``), keying every leaf's one-line
-    data to its (a, k, defect): P is filling a and Q is filling k of the
-    shape's validated fillings, whose inversion counts, per-component
-    counts and other statistics are read once per shape.  A right move's
-    image (``rs._right_move``) must then be (a, k') with |inv Q_k' - inv
-    Q_k| = 1 and equal per-component counts, and a left move's
-    (``rs._left_move``) (a', k) with the same conditions on P; an image
-    outside the block has changed P's or Q's shape.  Each failing move is a
-    counterexample ``(w, i, "R-move invariants" or "L-move invariants",
-    "violated")``.
+    elements whose P and Q have the shape, for f fillings.  The sweep reads
+    the leaf stream (``_blocks``), as ``verify_theorem`` does, and keys
+    each shape's leaves, its block, by one-line data to (a, k, parity,
+    shift): P is filling a and Q is filling k of the shape's validated
+    fillings, whose inversion counts and per-component counts are read
+    once per shape, and the block shares one colors tuple per color word.
+    A right move's image (``rs._right_move``) must then be (a, k') with
+    |inv Q_k' - inv Q_k| = 1 and equal per-component counts, and a left
+    move's (``rs._left_move``) (a', k) with the same conditions on P; an
+    image outside the block has changed P's or Q's shape.  Each failing
+    move is a counterexample ``(w, i, "R-move invariants" or "L-move
+    invariants", "violated")``.
 
     The representative check does not trust the walk: ``rs._ascend``'s
     element must equal the class leader built from w's own invariants, its
@@ -488,13 +474,16 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
     checked = values = 0
     position = [0] * (n + 1)  # position[v]: the 0-based position of value v
     rank = [0] * (n + 1)  # rank[v]: value v's value in the class leader
-    for steps, rows, fillings, trip in _kept_shapes(params, report):
+    for fillings, trip, leaves in _blocks(params, report):
         invs = [inv for _, _, inv, _ in fillings]
         comps = [[t.inversions() for t in T.components] for T, *_ in fillings]
-        block = _shape_block(steps, rows, fillings, r)
+        block, words = {}, {}
+        for a, k, perm, colors, _, parity, shift in leaves:
+            colors = tuple(colors)
+            block[tuple(perm), words.setdefault(colors, colors)] = a, k, parity, shift
         checked += len(block)
         for (perm, colors), entry in block.items():
-            a, k, defect = entry
+            a, k, parity, shift = entry
             if (a, k) == trip:
                 _round_trip(report, perm, colors, r, fillings[a][0], fillings[k][0])
             for p, v in enumerate(perm):
@@ -519,8 +508,8 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
             lead = block.get(leader)
             if lead is None:
                 report.record((perm, colors), 0, "class leader in the shape block", str(GroupElement(params, *leader)))
-            elif lead[2] != defect:
-                bad, lead_bad = _disagreeing(*defect, r), _disagreeing(*lead[2], r)
+            elif lead[2:] != entry[2:]:
+                bad, lead_bad = _disagreeing(parity, shift, r), _disagreeing(*lead[2:], r)
                 for i in sorted(set(bad).symmetric_difference(lead_bad)):
                     report.record((perm, colors), i, i not in bad, i not in lead_bad)
     return checked, values

@@ -552,13 +552,21 @@ def test_membership_sweep_reports_a_wrong_twice_spin(monkeypatch):
 
 
 def test_membership_cap_matches_enumerate_group():
+    """The membership sweep walks G(r,1,n) whatever p, so it is refused as
+    ``enumerate_group`` refuses G(r,1,n), also at a cap that G(r,p,n)
+    would fit; ``enumerate_group`` caps the group it yields, G(r,p,n)."""
     for params in (GroupParams(3, 1, 4), GroupParams(4, 2, 3)):
-        with pytest.raises(CapExceeded) as sweep:
-            signs.verify_membership(params, cap=params.order - 1)
-        with pytest.raises(CapExceeded) as enum:
-            next(enumerate_group(params, cap=params.order - 1))
-        assert str(sweep.value) == str(enum.value)
-    assert str(sweep.value) == "G(4,1,3) has 384 elements, above cap 191"
+        full = GroupParams(params.r, 1, params.n)
+        for cap in (params.order - 1, full.order - 1):
+            with pytest.raises(CapExceeded) as sweep:
+                signs.verify_membership(params, cap=cap)
+            with pytest.raises(CapExceeded) as enum:
+                next(enumerate_group(full, cap=cap))
+            assert str(sweep.value) == str(enum.value)
+    assert str(sweep.value) == "G(4,1,3) has 384 elements, above cap 383"
+    with pytest.raises(CapExceeded, match=r"^G\(4,2,3\) has 192 elements, above cap 191$"):
+        next(enumerate_group(GroupParams(4, 2, 3), cap=191))
+    assert len(list(enumerate_group(GroupParams(4, 2, 3), cap=192))) == 192
     with pytest.raises(CapExceeded, match="G\\(2,1,5\\) has 3840 elements, above cap 100"):
         signs.verify_membership(GroupParams(2, 2, 5), cap=100)
     # refused before any work, at a rank whose group no sweep could walk
@@ -601,6 +609,14 @@ def test_membership_backward_pass_reports_a_shifted_color(monkeypatch):
     assert report.counterexamples == [(w, 0, not criterion, criterion) for w, criterion in failing[:10]]
 
 
+def value_defect(expected, got):
+    """(parity, shift) of two values at i = 1, as they were computed: the
+    group side's ``expected`` and the formula's ``got``.  Parity is whether
+    their signs differ, shift how far the formula's exponent is ahead,
+    mod r."""
+    return int(got.sign != expected.sign), (got.exponent - expected.exponent) % expected.modulus
+
+
 @pytest.mark.parametrize("r,n", [(2, 4), (3, 3)])
 def test_disagreeing_matches_value_comparison(r, n):
     """``_disagreeing`` of the defect against ``OneDimValue`` == ``one_dim``
@@ -611,7 +627,7 @@ def test_disagreeing_matches_value_comparison(r, n):
         sign, spin_sum = signs._rows_data(*_rs_rows(w))
         for s, spin in ((sign, spin_sum), (-sign, spin_sum), (sign, spin_sum + 1), (-sign, 0)):
             expected = [i for i in range(r) if OneDimValue(s, (i * spin) % r, r) != w.one_dim(i, 1)]
-            defect = signs._defect(w.perm_sign, w.color_sum(), s, spin, r)
+            defect = value_defect(w.one_dim(1, 1), OneDimValue(s, spin % r, r))
             assert signs._disagreeing(*defect, r) == expected, (str(w), s, spin)
             outcomes.update(i in expected for i in range(r))
     assert outcomes == {True, False}
@@ -623,7 +639,7 @@ def test_disagreeing_is_empty_exactly_at_defect_zero(r):
     two sides' ``OneDimValue`` objects differ at the i ``_disagreeing``
     lists, and at none exactly when the defect is (0, 0)."""
     for perm_sign, sign, color_sum, spin_sum in product((1, -1), (1, -1), range(r), range(r)):
-        defect = signs._defect(perm_sign, color_sum, sign, spin_sum, r)
+        defect = value_defect(OneDimValue(perm_sign, color_sum, r), OneDimValue(sign, spin_sum, r))
         bad = signs._disagreeing(*defect, r)
         assert bad == [
             i
@@ -796,7 +812,8 @@ def object_defect(key, entry, r):
     """The defect of the element with one-line data ``key`` from its
     ``object_entry``."""
     perm, colors = key
-    return signs._defect((-1) ** inversions(perm), sum(colors), *entry[2], r)
+    sign, spin_sum = entry[2]
+    return value_defect(OneDimValue((-1) ** inversions(perm), sum(colors) % r, r), OneDimValue(sign, spin_sum % r, r))
 
 
 # The admissible sweep as it ran one admissible class at a time, kept as an
@@ -961,29 +978,33 @@ MAPPED = {(2, 1, 4): 20, (3, 1, 3): 22, (4, 2, 3): 20, (2, 1, 5): 36}
 
 @pytest.mark.parametrize("r,p,n", [(2, 1, 4), (3, 1, 3), (4, 2, 3), (2, 1, 5)])
 def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
-    """The sweep's shape blocks (``_shape_block``), built by the removal
-    walk, against each member's fresh ``rs_map`` pair: every element of
-    G(r,p,n) is in the block of its shape once, keyed to the fillings that
-    are its P and Q, with the inversion counts and the defect its tableau
-    objects give (``object_entry``); a block of f fillings has f**2
-    members, f distinct P's and f distinct Q's.  The sweep maps with
-    ``rs_map`` exactly the rotating round-trip leaf of each kept shape, in
-    shape order."""
+    """The sweep's shape blocks, the leaf stream's leaves of each kept
+    shape (``_blocks``), built by the removal walk, against each member's
+    fresh ``rs_map`` pair: every element of G(r,p,n) is in the block of its
+    shape once, with the fillings that are its P and Q, the inversion
+    counts and the defect its tableau objects give (``object_entry``) and
+    its own color sum; a block of f fillings has f**2 members, f distinct
+    P's and f distinct Q's.  The sweep maps with ``rs_map`` exactly the
+    rotating round-trip leaf of each kept shape, in shape order."""
     params = GroupParams(r, p, n)
     report = signs.VerificationReport(params, "admissible")
     everything, trips = [], []
-    for steps, rows, fillings, trip in signs._kept_shapes(params, report):
-        block = signs._shape_block(steps, rows, fillings, r)
+    for fillings, trip, leaves in signs._blocks(params, report):
+        block = {
+            (tuple(perm), tuple(colors)): (a, k, color_sum, parity, shift)
+            for a, k, perm, colors, color_sum, parity, shift in leaves
+        }
         f = len(fillings)
         assert len(block) == f * f
-        assert {a for a, _, _ in block.values()} == {k for _, k, _ in block.values()} == set(range(f))
-        for key, (a, k, defect) in block.items():
+        assert {a for a, *_ in block.values()} == {k for _, k, *_ in block.values()} == set(range(f))
+        for key, (a, k, color_sum, parity, shift) in block.items():
             w = GroupElement(params, *key)
             pair = rs_map(w)
             entry = object_entry(pair)
             assert (fillings[a][0], fillings[k][0]) == (pair.P, pair.Q), str(w)
             assert (fillings[a][2], fillings[k][2]) == (entry[0][1], entry[1][1]), str(w)
-            assert defect == object_defect(key, entry, r), str(w)
+            assert color_sum == w.color_sum(), str(w)
+            assert (parity, shift) == object_defect(key, entry, r), str(w)
             if (a, k) == trip:
                 trips.append(w)
         everything += block
@@ -999,6 +1020,42 @@ def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
     assert mapped == trips
 
 
+@pytest.mark.parametrize("r,p,n", [(2, 1, 5), (4, 2, 4), (3, 3, 4)])
+def test_leaf_stream_defect_matches_the_two_sides(r, p, n):
+    """On every leaf of the stream the theorem and admissible sweeps read
+    (``_blocks``), (parity, shift) is the defect of the formula's value at
+    i = 1, ``pi_from_tableaux`` on the leaf's own ``rs_map`` pair, against
+    the character's, ``GroupElement.one_dim``, and the color sum is the
+    element's; the leaves are G(r,p,n), each once."""
+    params = GroupParams(r, p, n)
+    report = signs.VerificationReport(params, "theorem")
+    seen = set()
+    for _, _, leaves in signs._blocks(params, report):
+        for _, _, perm, colors, color_sum, parity, shift in leaves:
+            w = GroupElement(params, tuple(perm), tuple(colors))
+            pair = rs_map(w)
+            got = pi_from_tableaux(pair.P, pair.Q, 1, r)
+            assert (parity, shift) == value_defect(w.one_dim(1, 1), got), str(w)
+            assert color_sum == w.color_sum(), str(w)
+            seen.add(w)
+    assert report.passed
+    assert len(seen) == params.order
+
+
+def patch_leaves(monkeypatch, change):
+    """Patch the leaf stream (``_blocks``): each kept shape's leaves, their
+    one-line data copied to tuples, become ``change(index, leaves, r)``
+    for the shape's index among the kept shapes."""
+    real = signs._blocks
+
+    def blocks(params, report):
+        for index, (fillings, trip, leaves) in enumerate(real(params, report)):
+            copied = [(a, k, tuple(perm), tuple(colors), *rest) for a, k, perm, colors, *rest in leaves]
+            yield fillings, trip, change(index, copied, params.r)
+
+    monkeypatch.setattr(signs, "_blocks", blocks)
+
+
 def content_multitableaux(r, p, n):
     """The rows of every standard multitableau of rank n with r components
     whose color sum, sum of k * n_k, p divides: the fillings the admissible
@@ -1011,12 +1068,14 @@ def content_multitableaux(r, p, n):
     }
 
 
-# member orders of each shape block: its ascending elements (the class
+# leaf orders of each shape block: its ascending elements (the class
 # leaders) first, reversed, and shuffled
 BLOCK_ORDERS = {
-    "ascending-first": lambda keys, index, r: sorted(keys, key=lambda key: not rs_module._is_ascending(*key, r)),
-    "reversed": lambda keys, index, r: keys[::-1],
-    "shuffled": lambda keys, index, r: random.Random(index).sample(keys, len(keys)),
+    "ascending-first": lambda leaves, index, r: sorted(
+        leaves, key=lambda leaf: not rs_module._is_ascending(*leaf[2:4], r)
+    ),
+    "reversed": lambda leaves, index, r: leaves[::-1],
+    "shuffled": lambda leaves, index, r: random.Random(index).sample(leaves, len(leaves)),
 }
 
 
@@ -1028,21 +1087,20 @@ def test_admissible_store_holds_one_color_content(monkeypatch, r, p, n, order):
     n_{r-1}) of the shape's component sizes, and so does each filling; each
     standard multitableau of a kept shape is built once per sweep, and the
     one round trip of a shape maps a member of its block.  With each
-    block's members in another order the report is the same: each member's
-    checks look its images and its leader up in the block, whatever their
-    place in it."""
+    block's leaves in another order in the leaf stream the report is the
+    same: each member's checks look its images and its leader up in the
+    block, whatever their place in it."""
     params = GroupParams(r, p, n)
     expected = without_elapsed(signs.verify_admissible(params))
-    real_block, real_fillings, real_trip = signs._shape_block, signs._fillings, signs.mapped_pair
+    real_fillings, real_trip = signs._fillings, signs.mapped_pair
     seen, built, mapped = [], [], []
 
-    def reordered(steps, rows, fillings, r):
-        block = real_block(steps, rows, fillings, r)
-        keys = BLOCK_ORDERS[order](list(block), len(seen), r)
-        seen.append((steps[0], fillings, set(keys)))
-        return {key: block[key] for key in keys}
+    def reordered(index, leaves, r):
+        leaves = BLOCK_ORDERS[order](leaves, index, r)
+        seen.append((built[-1][0][0].shape, built[-1], {(perm, colors) for _, _, perm, colors, *_ in leaves}))
+        return leaves
 
-    monkeypatch.setattr(signs, "_shape_block", reordered)
+    patch_leaves(monkeypatch, reordered)
     monkeypatch.setattr(signs, "_fillings", lambda rows: built.append(real_fillings(rows)) or built[-1])
     monkeypatch.setattr(
         signs, "mapped_pair", lambda perm, colors, r: mapped.append((tuple(perm), tuple(colors))) or real_trip(perm, colors, r)
@@ -1219,19 +1277,17 @@ def test_admissible_sweep_reports_a_leader_missing_from_its_block(monkeypatch):
     would give: each other member of that class reports its leader missing,
     with the leader it looked for, and the sweep is one element short."""
     params = GroupParams(2, 1, 3)
-    real = signs._shape_block
     dropped = []
 
-    def short(steps, rows, fillings, r):
-        block = real(steps, rows, fillings, r)
+    def short(index, leaves, r):
         # the first leader of a class of more than one element: two colors
-        leaders = [key for key in block if rs_module._is_ascending(*key, r) and len(set(key[1])) > 1]
+        leaders = [leaf for leaf in leaves if rs_module._is_ascending(*leaf[2:4], r) and len(set(leaf[3])) > 1]
         if leaders and not dropped:
-            dropped.append(leaders[0])
-            del block[leaders[0]]
-        return block
+            dropped.append(leaders[0][2:4])
+            leaves.remove(leaders[0])
+        return leaves
 
-    monkeypatch.setattr(signs, "_shape_block", short)
+    patch_leaves(monkeypatch, short)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
     leader = GroupElement(params, *dropped[0])
     members = {w for w in enumerate_group(params) if ascending_representative(w) == leader and w != leader}
@@ -1425,20 +1481,19 @@ def test_admissible_sweep_reports_broken_sign_data(monkeypatch):
 def test_admissible_sweep_compares_the_disagreeing_i_not_the_defects(monkeypatch, member_shift, recorded):
     """At r = 4 the defects (0, 1) and (0, 3) both disagree at i = 1, 2, 3,
     and (0, 2) at i = 1, 3.  Shifts skewed by 1 on each class's ascending
-    element and by ``member_shift`` on its other members, in the shape
-    blocks, give differing defects; a counterexample is each i where
+    element and by ``member_shift`` on its other members, in the leaf
+    stream, give differing defects; a counterexample is each i where
     exactly one of the two agrees, so none when the disagreeing i are the
     same."""
-    real = signs._shape_block
 
-    def skewed(steps, rows, fillings, r):
-        block = real(steps, rows, fillings, r)
-        for key, (a, k, (parity, shift)) in block.items():
-            skew = 1 if rs_module._is_ascending(*key, r) else member_shift
-            block[key] = a, k, (parity, (shift + skew) % r)
-        return block
+    def skewed(index, leaves, r):
+        out = []
+        for a, k, perm, colors, color_sum, parity, shift in leaves:
+            skew = 1 if rs_module._is_ascending(perm, colors, r) else member_shift
+            out.append((a, k, perm, colors, color_sum, parity, (shift + skew) % r))
+        return out
 
-    monkeypatch.setattr(signs, "_shape_block", skewed)
+    patch_leaves(monkeypatch, skewed)
     params = GroupParams(4, 1, 3)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
     assert report.elements_checked == params.order

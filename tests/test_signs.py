@@ -263,12 +263,24 @@ class TestVerifyTheorem:
         ]
 
     def test_cap_is_checked_before_any_work(self, monkeypatch):
-        """As ``enumerate_group`` refuses, and before a kernel is built."""
+        """As ``enumerate_group`` refuses, and before a kernel is built: the
+        cap counts G(r,p,n), the set the sweep visits, also on the path that
+        reads the order off its logarithm and above ``SWEEP_R``."""
         monkeypatch.setattr(signs, "get_kernel", lambda: pytest.fail("kernel built"))
-        with pytest.raises(CapExceeded, match=r"^G\(4,1,3\) has 384 elements, above cap 191$"):
+        with pytest.raises(CapExceeded, match=r"^G\(4,2,3\) has 192 elements, above cap 191$"):
             verify_theorem(GroupParams(4, 2, 3), cap=191)
         with pytest.raises(CapExceeded, match=r"^G\(2,1,1000000\) has more than 10\^"):
             verify_theorem(GroupParams(2, 1, 10**6))
+        with pytest.raises(CapExceeded, match=r"^G\(2,2,1000000\) has more than 10\^"):
+            verify_theorem(GroupParams(2, 2, 10**6))
+        with pytest.raises(CapExceeded, match=r"^G\(10,2,2\) has 100 elements, above cap 96 for a sweep at r=10 "):
+            verify_theorem(GroupParams(10, 2, 2), cap=120)
+
+    def test_cap_counts_the_subgroup(self):
+        """G(4,2,3) has 192 elements: a cap of 192 lets the sweep run,
+        although G(4,1,3) has 384."""
+        report = verify_theorem(GroupParams(4, 2, 3), cap=192)
+        assert report.passed and report.elements_checked == 192
 
     def test_report_serialization(self):
         report = verify_theorem(GroupParams(2, 1, 2))
@@ -420,6 +432,19 @@ def test_sweeps_fail_on_a_corner_search_that_drops_a_filling(monkeypatch, capsys
     assert code == 1
     assert set(data) == {"params", "kind", "checked", "i_values_checked", "failures", "elapsed_ms"}
     assert data["failures"][0] == {"element": short[0][0], "i": 0, "expected": short[0][2], "got": short[0][3]}
+
+
+@pytest.mark.parametrize("verify", [verify_theorem, verify_membership, verify_admissible])
+def test_sweeps_refuse_to_keep_no_counterexample(monkeypatch, verify):
+    """A report that keeps no counterexample reads PASS on a failing sweep,
+    so a ``max_counterexamples`` below 1 raises ``ValueError`` before any
+    work, even for a group above the cap."""
+    monkeypatch.setattr(signs, "multipartitions", lambda *args, **kwargs: pytest.fail("sweep started"))
+    for limit in (0, -1):
+        with pytest.raises(ValueError, match=f"^max_counterexamples={limit} is below 1$"):
+            verify(GroupParams(2, 1, 2), max_counterexamples=limit)
+        with pytest.raises(ValueError):
+            verify(GroupParams(2, 1, 10**6), max_counterexamples=limit)
 
 
 @pytest.mark.parametrize("verify", [verify_theorem, verify_membership, verify_admissible])
