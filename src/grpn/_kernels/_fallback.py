@@ -2,9 +2,10 @@
 
 The leaf stream (``signs._blocks``), which ``verify_theorem`` and
 ``verify_admissible`` read, takes P's and Q's statistics off validated
-``Multitableau`` objects, once per filling of a shape, and walks each P's
-leaves with ``rs._removal_walk`` in that filling's own rows, replaying
-the steps of the shape's corner search (run once per shape).  What is
+``Multitableau`` objects, inv once per filling of a shape and e and
+twice_spin once per shape, and walks each P's leaves with
+``rs._removal_walk`` in that filling's own rows, replaying the steps of
+the shape's corner search (run once per shape).  What is
 left per leaf is the group side: inv(sigma) and the color sum, which
 ``theorem_stats`` counts afresh on every call, with no store.
 ``mapped_pair`` is the sweeps' round trip: it maps one leaf per shape

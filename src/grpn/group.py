@@ -129,12 +129,15 @@ def inversions(keys: Sequence) -> int:
     """Number of pairs a < b with keys[a] > keys[b]; equal keys do not count.
 
     Works on any sequence of mutually comparable keys (a permutation in
-    one-line notation, the row of each label of a tableau) with
-    O(n log n) comparisons: each key counts the keys before it that are
-    larger, by bisecting a sorted list of those keys.  Each ``list.insert``
-    still moves O(n) entries, so the time grows as n^2: on a random
-    permutation, n = 10^5 takes 1.2 s and n = 2 * 10^5 takes 4.8 s (2-core
-    x86-64 Xeon, Python 3.11).
+    one-line notation, a tableau's reading word) with O(n log n)
+    comparisons: each key counts the keys before it that are larger, by
+    bisecting a sorted list of those keys.  Each ``list.insert`` still moves
+    O(n) entries, so the time grows as n^2: on a random permutation,
+    n = 10^5 takes 1.2 s and n = 2 * 10^5 takes 4.8 s (2-core x86-64 Xeon,
+    Python 3.11).  Only the exact counts pay it: the sweeps' inv(sigma)
+    (``_kernels``), the tableau and multitableau inversion counts
+    (``tableaux.rows_inversions``) and so ``grpn stats``.  A sign needs
+    only the parity, which ``parity`` gives in O(n).
     """
     seen: list = []
     total = 0
@@ -143,6 +146,24 @@ def inversions(keys: Sequence) -> int:
         total += k - pos
         seen.insert(pos, x)
     return total
+
+
+def parity(perm: Sequence[int]) -> int:
+    """``inversions(perm) % 2`` for a permutation of 1..n, in O(n): a
+    permutation with c cycles is a product of n - c transpositions, and
+    each transposition changes the inversion count by an odd number.
+    ``perm`` is not checked."""
+    n = len(perm)
+    seen = [False] * n
+    cycles = 0
+    for start in range(n):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j] - 1
+    return (n - cycles) & 1
 
 
 def _bubble(keys: list, carried: list) -> list[int]:
@@ -242,10 +263,11 @@ class GroupElement:
 
     @functools.cached_property
     def perm_sign(self) -> int:
-        """(-1)^inv of the permutation, counted once per element object.
-        Kept in the instance ``__dict__``, outside the fields, so ``==``,
-        ``hash`` and ``repr`` do not see it."""
-        return (-1) ** inversions(self.perm)
+        """(-1)^inv of the permutation, read off its cycle count
+        (``parity``) in O(n), once per element object.  Kept in the
+        instance ``__dict__``, outside the fields, so ``==``, ``hash`` and
+        ``repr`` do not see it."""
+        return -1 if parity(self.perm) else 1
 
     def word(self) -> list[int]:
         """A word in the generators s_0..s_{n-1} whose product is this element.
@@ -385,25 +407,36 @@ def enumerate_group(params: GroupParams, cap: int = DEFAULT_CAP) -> Iterator[Gro
 
 
 # one item: whitespace may stand around a number, never inside one
-_SPACED_ITEM_RE = re.compile(r"\s*(?:z\s*(\d+)\s*\*\s*)?(\d+)\s*")
+_ITEM = r"\s*(?:z\s*(\d+)\s*\*\s*)?(\d+)\s*"
+_SPACED_ITEM_RE = re.compile(_ITEM)
+# one item and its comma, without the groups, which are not read.  A body
+# with a comma appended is well formed exactly when deleting every match
+# leaves nothing.  One fullmatch of a repeated item pattern over the whole
+# body would keep backtracking state for every item, about 800 bytes each.
+_ITEM_COMMA_RE = re.compile(_ITEM.replace(r"(\d+)", r"\d+") + ",")
 
 
-def parse_element(text: str, r: int, p: int = 1) -> GroupElement:
-    """Parse one-line notation like ``[z1*5,1,z2*3,6]``; rank is inferred.
-    Whitespace may stand around brackets, commas, ``z`` and ``*``, but not
-    between two digits.  Raises ``NotAMember`` if the element lies outside
-    G(r,p,n)."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"element must be bracketed: {''.join(text.split())!r}")
-    body = text[1:-1]
-    if not body or body.isspace():
-        raise ParseError("empty element")
-    items = body.split(",")
-    # checked first: the colors below are reduced mod r
-    params = GroupParams(r, p, len(items))
+def _numbers(body: str) -> list[int] | None:
+    """Every number of a well-formed body in one conversion, as color,
+    value, color, value, ..., with color 0 written in before a bare value;
+    None if the body is not a comma-separated list of items or a number is
+    above Python's integer-string limit."""
+    if _ITEM_COMMA_RE.sub("", body + ","):
+        return None
+    # the items allow whitespace only around numbers, so it can all go
+    text = ("," + "".join(body.split())).replace(",", ",0*").replace("0*z", "")
+    try:
+        return list(map(int, text[1:].replace(",", "*").split("*")))
+    except ValueError:
+        return None
+
+
+def _parse_items(body: str, r: int) -> tuple[list[int], list[int]]:
+    """The permutation and colors of a body, item by item; raises
+    ``ParseError`` naming the first bad item or the first number above
+    Python's integer-string limit."""
     perm, colors = [], []
-    for item in items:
+    for item in body.split(","):
         m = _SPACED_ITEM_RE.fullmatch(item)
         if not m:
             raise ParseError(f"bad item {item.strip()!r}")
@@ -415,6 +448,31 @@ def parse_element(text: str, r: int, p: int = 1) -> GroupElement:
             digits = max(len(exp or ""), len(val))
             limit = sys.get_int_max_str_digits()
             raise ParseError(f"number too long: {digits} digits, above the limit of {limit}") from None
+    return perm, colors
+
+
+def parse_element(text: str, r: int, p: int = 1) -> GroupElement:
+    """Parse one-line notation like ``[z1*5,1,z2*3,6]``; rank is inferred.
+    Whitespace may stand around brackets, commas, ``z`` and ``*``, but not
+    between two digits.  Raises ``NotAMember`` if the element lies outside
+    G(r,p,n).
+
+    One regex pass checks the whole body and one conversion reads every
+    number (``_numbers``); only a body that fails either is parsed item by
+    item (``_parse_items``), to name the offending item or number."""
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ParseError(f"element must be bracketed: {''.join(text.split())!r}")
+    body = text[1:-1]
+    if not body or body.isspace():
+        raise ParseError("empty element")
+    # checked first: the colors below are reduced mod r
+    params = GroupParams(r, p, body.count(",") + 1)
+    numbers = _numbers(body)
+    if numbers is None:
+        perm, colors = _parse_items(body, r)
+    else:
+        perm, colors = numbers[1::2], [c % r for c in numbers[0::2]]
     w = GroupElement(params, tuple(perm), tuple(colors))
     if p != 1:
         require_member(w)

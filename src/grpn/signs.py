@@ -5,11 +5,12 @@ its Robinson-Schensted image alone:
 
     (-1)^{e(P)} * (z^i)^{spin(P)+spin(Q)} * sign(P) * sign(Q)
 
-The group route (``GroupElement.one_dim``) evaluates it from the inversion
-count and color sum.  The sweeps check the two routes against each other
-over entire groups.  Only e(P), inv(P) + inv(Q) and spin(P) + spin(Q)
-enter, so ``pi`` reads them off the insertion pass's row lists where no
-tableau object is needed.
+The group route (``GroupElement.one_dim``) evaluates it from the parity of
+the inversion count and the color sum.  The sweeps check the two routes
+against each other over entire groups.  Only e(P), the parity of
+inv(P) + inv(Q) and spin(P) + spin(Q) enter, so ``pi`` reads them off the
+insertion pass's row lists where no tableau object is needed, the parity
+from the cycle counts of P's and Q's reading words.
 
 Both sides agree for every i exactly when an element's *defect*
 (parity, shift) is (0, 0): parity is (inv(sigma) + e(P) + inv(P) + inv(Q))
@@ -32,9 +33,10 @@ by P, then in walk order.
 
 ``verify_theorem`` and ``verify_admissible`` read one leaf stream,
 ``_blocks``: for each kept shape, its fillings, each built once as a
-validated ``Multitableau`` whose statistics are read off its methods once
-(``_fillings``); the (a, k) of the one leaf per shape mapped with the
-validated ``rs_map`` and compared with (P, Q) (``_round_trip``); and its
+validated ``Multitableau`` whose inversion count is read off its method,
+with e and twice_spin, which depend on the shape alone, read once per
+shape (``_fillings``); the (a, k) of the one leaf per shape mapped with
+the validated ``rs_map`` and compared with (P, Q) (``_round_trip``); and its
 leaves, each ``(a, k, perm, colors, color_sum, parity, shift)`` with P
 filling a and Q filling k, inv(sigma) and the color sum from the kernel
 (``_kernels``) and the defect computed in one place (``_leaves``).
@@ -72,6 +74,8 @@ from .group import (
     OneDimValue,
     require_within_cap,
 )
+# renamed: in the sweeps ``parity`` is a leaf's defect parity
+from .group import parity as perm_parity
 from .rs import _ascend, _left_move, _removal_walk, _right_move, _rs_rows, is_ascending_element
 
 # The sweeps reach ``rs_map`` only through ``_kernels.mapped_pair``; the name
@@ -85,23 +89,29 @@ from .tableaux import (
     _corner_steps,
     count_standard_multitableaux,
     multipartitions,
+    reading_word,
     rows_even_row_boxes,
-    rows_inversions,
     rows_twice_spin,
 )
 
 
 def _sign_data(e_p: int, inv_sum: int, twice_spin_sum: int) -> tuple[int, int]:
     """(sign, spin_sum) from e(P), inv(P) + inv(Q) and 2 (spin(P) + spin(Q)):
-    all the sign formula reads; just the exponent i * spin_sum depends on i."""
+    all the sign formula reads; just the exponent i * spin_sum depends on i.
+    Only the parity of ``inv_sum`` enters, so any integer with that parity
+    will do."""
     return (-1 if (e_p + inv_sum) & 1 else 1), twice_spin_sum // 2
 
 
 def _rows_data(p_rows: ComponentRows, q_rows: ComponentRows) -> tuple[int, int]:
-    """``_sign_data`` of a same-shape pair given as per-component row lists."""
+    """``_sign_data`` of a same-shape pair given as per-component row lists,
+    each labeled by 1..n.  The parity of inv(P) + inv(Q) suffices, and it
+    is read off the cycle counts of the two reading words
+    (``group.parity`` of ``tableaux.reading_word``) in O(n), with no
+    inversion count."""
     return _sign_data(
         rows_even_row_boxes(p_rows),
-        rows_inversions(p_rows) + rows_inversions(q_rows),
+        perm_parity(reading_word(p_rows)) + perm_parity(reading_word(q_rows)),
         rows_twice_spin(p_rows) + rows_twice_spin(q_rows),
     )
 
@@ -269,13 +279,12 @@ def _sweep(walk):
 
 def _fillings(fillings: list) -> list[tuple[Multitableau, int, int, int]]:
     """The row-list fillings of a shape (``tableaux._corner_steps``), each
-    as a validated ``Multitableau`` with its e, inv and twice_spin, each
-    read off its methods once."""
-    out = []
-    for rows in fillings:
-        T = Multitableau(tuple(StandardTableau(comp) for comp in rows))
-        out.append((T, T.even_row_boxes(), T.inversions(), T.twice_spin()))
-    return out
+    as a validated ``Multitableau`` with its e, inv and twice_spin.  Each
+    filling's inv is read off its method; e and twice_spin depend on the
+    shape alone, so they are read once, off the first filling's methods."""
+    built = [Multitableau(tuple(StandardTableau(comp) for comp in rows)) for rows in fillings]
+    e, twice_spin = built[0].even_row_boxes(), built[0].twice_spin()
+    return [(T, e, T.inversions(), twice_spin) for T in built]
 
 
 def _shapes(params: GroupParams, report: VerificationReport, p: int):

@@ -141,8 +141,9 @@ class StandardTableau:
         return {x for row in self.rows for x in row}
 
     def inversions(self) -> int:
-        """Pairs (i, j), j > i, with the box of i in a strictly lower row
-        (see ``tableau_inversions``)."""
+        """Pairs (i, j), j > i, with the box of i in a strictly lower row:
+        the inversions of the reading word, the rows read top to bottom
+        (``tableau_inversions``)."""
         return tableau_inversions(self.rows)
 
     def even_row_boxes(self) -> int:
@@ -160,25 +161,30 @@ class StandardTableau:
 ComponentRows = Sequence[Sequence[Sequence[int]]]
 
 
+def reading_word(components: ComponentRows) -> list[int]:
+    """The labels read row by row, components in order and each
+    component's rows top to bottom.  Rows increase, so a pair of labels
+    i < j is an inversion of the word exactly when i's row comes after j's
+    in (component, row) order: the word's inversions are the multitableau's
+    (``rows_inversions``), and for a multitableau, whose labels are 1..n,
+    the parity of its inversion count is the word's ``group.parity``."""
+    return list(chain.from_iterable(chain.from_iterable(components)))
+
+
 def tableau_inversions(rows: Sequence[Sequence[int]]) -> int:
-    """Inversions of one component given as its row list: the inversions of
-    the row numbers read in label order."""
+    """Inversions of one component given as its row list: pairs (i, j),
+    j > i, with the box of i in a strictly lower row, counted as the
+    inversions of its ``reading_word``."""
     if len(rows) < 2:  # no two boxes in different rows
         return 0
-    boxes = sorted((x, t) for t, row in enumerate(rows) for x in row)
-    return inversions([t for _, t in boxes])
+    return rows_inversions((rows,))
 
 
 def rows_inversions(components: ComponentRows) -> int:
-    """Multitableau inversions: the inversions of the (component, row) keys
-    read in label order, counted in one pass."""
-    rows = list(chain.from_iterable(components))
-    # a row's place in this list orders it by (component, row)
-    keys = [0] * sum(map(len, rows))
-    for row_no, row in enumerate(rows):
-        for x in row:
-            keys[x - 1] = row_no
-    return inversions(keys)
+    """Multitableau inversions: pairs of labels i < j with i's row after
+    j's in (component, row) order, counted as the inversions of the
+    ``reading_word`` (``group.inversions``, O(n^2) in the worst case)."""
+    return inversions(reading_word(components))
 
 
 def rows_even_row_boxes(components: ComponentRows) -> int:
@@ -234,7 +240,11 @@ class Multitableau:
         """Pairs (i, j) of labels, i < j, where i sits in a later component
         than j, or in the same component and a strictly lower row: the sum
         of the component inversions plus, over every pair of components,
-        the label pairs split between them (see ``rows_inversions``)."""
+        the label pairs split between them.  Counted as the inversions of
+        the reading word, the components' rows read in (component, row)
+        order (``rows_inversions``).  sign(T) is ``(-1) ** T.inversions()``;
+        for the sign alone, ``group.parity`` of the word gives the parity in
+        O(n), as ``signs.pi`` reads it."""
         return rows_inversions([t.rows for t in self.components])
 
     def even_row_boxes(self) -> int:

@@ -374,6 +374,18 @@ def test_over_long_integers_are_usage_errors(capsys, int_digit_limit, argv):
     assert err.startswith("error: number too long: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [(f"[{LONG},x]", "number too long: 5000 digits"), (f"[x,{LONG}]", "bad item 'x'"), (f"[1,z{LONG}*2,y]", "number too long")],
+    ids=["long-then-bad", "bad-then-long", "long-color-then-bad"],
+)
+def test_first_failing_item_is_named(capsys, int_digit_limit, text, message):
+    """A body that fails the one-pass parse is read item by item, and the
+    first failing item, bad or over-long, names the error."""
+    code, out, err = run(capsys, "rs", "--r", "2", text)
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["stats", "inverse-rs"])
 def test_json_nested_too_deeply_is_a_usage_error(capsys, command):
     # far past the recursion limit json.loads checks on any supported Python

@@ -24,6 +24,8 @@ from grpn.group import (
     GroupElement,
     GroupParams,
     OneDimValue,
+    _numbers,
+    _parse_items,
     enumerate_group,
     evaluate_word,
     generator,
@@ -402,6 +404,24 @@ class TestParse:
     def test_whitespace_between_digits_is_refused(self, text, item):
         with pytest.raises(ParseError, match=re.escape(f"bad item {item!r}")):
             parse_element(text, 4)
+
+    def test_one_pass_matches_item_by_item(self):
+        """The one-pass, one-conversion parse (``_numbers``) against the
+        item-by-item parse (``_parse_items``) on random elements up to rank
+        64: colors below, at and above r, color 0 written out or left
+        bare, and whitespace around brackets, commas, ``z`` and ``*``."""
+        rng = random.Random(17)
+        for _ in range(500):
+            n, r = rng.randint(1, 64), rng.choice((1, 2, 4, 8))
+            perm = rng.sample(range(1, n + 1), n)
+            colors = [rng.randrange(3 * r) for _ in range(n)]
+            items = [f"z{c}*{v}" if c or rng.random() < 0.2 else str(v) for v, c in zip(perm, colors)]
+            items = [f" {item}\t".replace("z", "z ").replace("*", "\n* ") if rng.random() < 0.3 else item for item in items]
+            body = ",".join(items)
+            assert _numbers(body) is not None, body
+            w = parse_element(f" [{body}] ", r)
+            assert (list(w.perm), list(w.colors)) == _parse_items(body, r), body
+            assert w.perm == tuple(perm) and w.colors == tuple(c % r for c in colors), body
 
     def test_inversions_helper(self):
         assert inversions((1, 2, 3)) == 0

@@ -21,10 +21,12 @@ from math import factorial, prod
 
 import pytest
 
+from grpn import group as group_module
 from grpn import rs as rs_module
 from grpn import signs
 from grpn import tableaux as tableaux_module
 from grpn._kernels import _fallback
+from grpn.cli import main as cli_main
 from grpn.errors import CapExceeded, GrpnError, InvalidTableau, ShapeMismatch
 from grpn.group import (
     GroupElement,
@@ -33,6 +35,7 @@ from grpn.group import (
     enumerate_group,
     generator,
     inversions,
+    parity,
 )
 from grpn.rs import (
     RSPair,
@@ -668,6 +671,57 @@ def test_perm_sign_is_cached_per_element():
         assert "perm_sign" not in vars(twin)
         assert twin == w and hash(twin) == hash(w) and repr(twin) == repr(w)
         assert twin.perm_sign == expected
+
+
+def test_parity_matches_inversions_on_every_small_permutation():
+    for n in range(8):
+        for perm in permutations(range(1, n + 1)):
+            assert parity(perm) == inversions(perm) % 2, perm
+
+
+def test_parity_matches_inversions_up_to_rank_10_000():
+    rng = random.Random(29)
+    for n in (8, 9, 63, 64, 65, 100, 999, 1000, 9999, 10**4):
+        for _ in range(3):
+            perm = rng.sample(range(1, n + 1), n)
+            assert parity(perm) == inversions(perm) % 2 == parity(tuple(perm)), n
+
+
+def test_signs_are_read_without_inversion_counts(monkeypatch, capsys):
+    """``perm_sign``, ``pi``, ``grpn sgn`` and ``grpn pi`` take every sign
+    from a cycle count (``group.parity``): with each module's binding of
+    ``group.inversions`` raising, they still give the pairwise oracle's
+    sign, the object route's values and the same command output."""
+    rng = random.Random(31)
+    cases = []
+    for _ in range(60):
+        w = random_element(rng, rng.randint(1, 64), rng.choice((1, 2, 4, 8)))
+        r, pair = w.params.r, rs_map(w)
+        sign = (-1) ** (pair.P.even_row_boxes() + pair.P.inversions() + pair.Q.inversions())
+        spin_sum = (pair.P.twice_spin() + pair.Q.twice_spin()) // 2
+        values = [OneDimValue(sign, i * spin_sum % r, r) for i in range(r)]
+        outputs = [cli_output(capsys, command, "--r", str(r), str(w)) for command in ("sgn", "pi")]
+        cases.append((w, (-1) ** pairwise_inversions(w.perm), values, outputs))
+
+    def refuse(keys):
+        raise AssertionError("an inversion count on a sign route")
+
+    for module in (group_module, tableaux_module, _fallback):
+        monkeypatch.setattr(module, "inversions", refuse)
+    with pytest.raises(AssertionError):
+        rs_map(cases[0][0]).P.inversions()
+    for w, perm_sign, values, outputs in cases:
+        fresh = GroupElement(w.params, w.perm, w.colors)
+        assert fresh.perm_sign == perm_sign, str(w)
+        assert [signs.pi(fresh, i) for i in range(w.params.r)] == values, str(w)
+        assert [fresh.one_dim(i, 1) for i in range(w.params.r)] == values, str(w)
+        assert [cli_output(capsys, command, "--r", str(w.params.r), str(w)) for command in ("sgn", "pi")] == outputs
+
+
+def cli_output(capsys, *argv):
+    """Exit code and standard output of one ``grpn`` command, run in-process."""
+    code = cli_main(list(argv))
+    return code, capsys.readouterr().out
 
 
 def test_tableau_inversions_match_pairwise_on_rs_images_up_to_rank_64():
@@ -1457,12 +1511,16 @@ def test_admissible_sweep_reports_broken_sign_data(monkeypatch):
     """e(P) one too high wherever value 1 has color 0 flips the sign on
     those elements only.  A class with color 0 has such an ascending element
     and members without, whose agreements then differ for every i; a class
-    without color 0 has neither.  Only those agreements may be reported."""
-    real = Multitableau.even_row_boxes
+    without color 0 has neither.  Only those agreements may be reported.
+    e(P) depends on the shape alone, so the fault goes into each filling's
+    e as ``signs._fillings`` hands it out."""
+    real = signs._fillings
     monkeypatch.setattr(
-        Multitableau,
-        "even_row_boxes",
-        lambda self: real(self) + any(1 in row for row in self.components[0].rows),
+        signs,
+        "_fillings",
+        lambda rows: [
+            (T, e + any(1 in row for row in T.components[0].rows), inv, ts) for T, e, inv, ts in real(rows)
+        ],
     )
     params = GroupParams(2, 1, 4)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
