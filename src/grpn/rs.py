@@ -22,7 +22,7 @@ from typing import Iterator
 
 from .errors import IndexOutOfRange, InvalidTableau, NotAdmissible, ShapeMismatch
 from .group import GroupElement, GroupParams, _bubble, require_member
-from .tableaux import CornerSteps, Multitableau, StandardTableau
+from .tableaux import CornerSteps, Multitableau, ascending_blocks
 
 
 @dataclass(frozen=True)
@@ -138,9 +138,7 @@ def _removal_walk(p_rows: list[list[list[int]]], steps: CornerSteps) -> Iterator
 
 def rs_map(w: GroupElement) -> RSPair:
     p_rows, q_rows = _rs_rows(w)
-    P = Multitableau(tuple(StandardTableau(rs) for rs in p_rows))
-    Q = Multitableau(tuple(StandardTableau(rs) for rs in q_rows))
-    return RSPair(P, Q)
+    return RSPair(Multitableau.from_rows(p_rows), Multitableau.from_rows(q_rows))
 
 
 def rs_inverse(pair: RSPair, params: GroupParams) -> GroupElement:
@@ -190,8 +188,7 @@ def _is_ascending(perm, colors, r: int) -> bool:
     classes = [[] for _ in range(r)]
     for value, k in zip(perm, colors):
         classes[k].append(value)
-    nonempty = [c for c in classes if c]
-    return all(max(a) < min(b) for a, b in zip(nonempty, nonempty[1:]))
+    return ascending_blocks(classes)
 
 
 def is_ascending_element(w: GroupElement) -> bool:

@@ -8,15 +8,19 @@ its Robinson-Schensted image alone:
 The group route (``GroupElement.one_dim``) evaluates it from the parity of
 the inversion count and the color sum.  The sweeps check the two routes
 against each other over entire groups.  Only e(P), the parity of
-inv(P) + inv(Q) and spin(P) + spin(Q) enter, so ``pi`` reads them off the
-insertion pass's row lists where no tableau object is needed, the parity
-from the cycle counts of P's and Q's reading words.
+inv(P) + inv(Q) and spin(P) + spin(Q) enter.  P and Q share one shape, so
+e(P) is one number per shape, and so is spin(P) + spin(Q), which is the
+shape's twice_spin, sum of k * |lambda_k|.  ``pi`` reads them off the
+insertion pass's row lists where no tableau object is needed, e and
+twice_spin off P's rows and the parity from the cycle counts of P's and
+Q's reading words.
 
 Both sides agree for every i exactly when an element's *defect*
 (parity, shift) is (0, 0): parity is (inv(sigma) + e(P) + inv(P) + inv(Q))
-mod 2 and shift is (spin(P) + spin(Q) - color sum) mod r.  The i at which
-the two sides disagree depend on the defect alone (``_disagreeing``), so the
-sweeps compare defects and list those i only for a counterexample.
+mod 2 and shift is (twice_spin - color sum) mod r, with the twice_spin of
+the pair's shape.  The i at which the two sides disagree depend on the
+defect alone (``_disagreeing``), so the sweeps compare defects and list
+those i only for a counterexample.
 
 The sweeps' traversal is written once.  The shape iterator ``_shapes``
 takes the shapes in ``multipartitions`` order, skips a shape unless p
@@ -32,14 +36,16 @@ Q = filling k.  So every sweep visits its elements once, by shape, then
 by P, then in walk order.
 
 ``verify_theorem`` and ``verify_admissible`` read one leaf stream,
-``_blocks``: for each kept shape, its fillings, each built once as a
-validated ``Multitableau`` whose inversion count is read off its method,
-with e and twice_spin, which depend on the shape alone, read once per
-shape (``_fillings``); the (a, k) of the one leaf per shape mapped with
-the validated ``rs_map`` and compared with (P, Q) (``_round_trip``); and its
-leaves, each ``(a, k, perm, colors, color_sum, parity, shift)`` with P
-filling a and Q filling k, inv(sigma) and the color sum from the kernel
-(``_kernels``) and the defect computed in one place (``_leaves``).
+``_blocks``: for each kept shape, its one record ``(tableaux, invs, e,
+twice_spin)`` (``_fillings``), which holds its fillings, each built once
+as a validated ``Multitableau`` (``Multitableau.from_rows``), their
+inversion counts, read off their methods, and e and twice_spin, which
+depend on the shape alone, read once; the (a, k) of the one leaf per
+shape mapped with the validated ``rs_map`` and compared with (P, Q)
+(``_round_trip``); and its leaves, each ``(a, k, perm, colors, color_sum,
+parity, shift)`` with P filling a and Q filling k, inv(sigma) and the
+color sum from the kernel (``_kernels``) and the defect computed in one
+place (``_leaves``), which reads the record's numbers as they are.
 ``verify_theorem`` compares each leaf's defect with (0, 0).
 ``verify_admissible`` keys the leaves of one shape block (the elements
 whose P and Q have one shape, which holds every admissible class and move
@@ -85,7 +91,6 @@ from .rs import rs_map  # noqa: F401
 from .tableaux import (
     ComponentRows,
     Multitableau,
-    StandardTableau,
     _corner_steps,
     count_standard_multitableaux,
     multipartitions,
@@ -95,24 +100,26 @@ from .tableaux import (
 )
 
 
-def _sign_data(e_p: int, inv_sum: int, twice_spin_sum: int) -> tuple[int, int]:
-    """(sign, spin_sum) from e(P), inv(P) + inv(Q) and 2 (spin(P) + spin(Q)):
-    all the sign formula reads; just the exponent i * spin_sum depends on i.
+def _sign_data(e_p: int, inv_sum: int, twice_spin: int) -> tuple[int, int]:
+    """(sign, spin_sum) from e(P), inv(P) + inv(Q) and twice_spin of the
+    pair's shape: all the sign formula reads; just the exponent
+    i * spin_sum depends on i.  P and Q share one shape, so
+    spin(P) + spin(Q) is that shape's twice_spin, sum of k * |lambda_k|.
     Only the parity of ``inv_sum`` enters, so any integer with that parity
     will do."""
-    return (-1 if (e_p + inv_sum) & 1 else 1), twice_spin_sum // 2
+    return (-1 if (e_p + inv_sum) & 1 else 1), twice_spin
 
 
 def _rows_data(p_rows: ComponentRows, q_rows: ComponentRows) -> tuple[int, int]:
     """``_sign_data`` of a same-shape pair given as per-component row lists,
-    each labeled by 1..n.  The parity of inv(P) + inv(Q) suffices, and it
-    is read off the cycle counts of the two reading words
-    (``group.parity`` of ``tableaux.reading_word``) in O(n), with no
-    inversion count."""
+    each labeled by 1..n.  e and twice_spin are read off P's rows, since Q
+    has P's shape.  The parity of inv(P) + inv(Q) suffices, and it is read
+    off the cycle counts of the two reading words (``group.parity`` of
+    ``tableaux.reading_word``) in O(n), with no inversion count."""
     return _sign_data(
         rows_even_row_boxes(p_rows),
         perm_parity(reading_word(p_rows)) + perm_parity(reading_word(q_rows)),
-        rows_twice_spin(p_rows) + rows_twice_spin(q_rows),
+        rows_twice_spin(p_rows),
     )
 
 
@@ -277,14 +284,14 @@ def _sweep(walk):
     return sweep
 
 
-def _fillings(fillings: list) -> list[tuple[Multitableau, int, int, int]]:
-    """The row-list fillings of a shape (``tableaux._corner_steps``), each
-    as a validated ``Multitableau`` with its e, inv and twice_spin.  Each
-    filling's inv is read off its method; e and twice_spin depend on the
-    shape alone, so they are read once, off the first filling's methods."""
-    built = [Multitableau(tuple(StandardTableau(comp) for comp in rows)) for rows in fillings]
-    e, twice_spin = built[0].even_row_boxes(), built[0].twice_spin()
-    return [(T, e, T.inversions(), twice_spin) for T in built]
+def _fillings(rows: list) -> tuple[list[Multitableau], list[int], int, int]:
+    """One record per shape, ``(tableaux, invs, e, twice_spin)``, from its
+    row-list fillings (``tableaux._corner_steps``): ``tableaux[a]`` is
+    filling a as a validated ``Multitableau`` and ``invs[a]`` its inversion
+    count, read off its method.  e and twice_spin depend on the shape
+    alone, so they are read once, off the first filling's methods."""
+    tableaux = [Multitableau.from_rows(filling) for filling in rows]
+    return tableaux, [T.inversions() for T in tableaux], tableaux[0].even_row_boxes(), tableaux[0].twice_spin()
 
 
 def _shapes(params: GroupParams, report: VerificationReport, p: int):
@@ -309,33 +316,35 @@ def _shapes(params: GroupParams, report: VerificationReport, p: int):
         yield index, steps, rows
 
 
-def _leaves(steps, rows: list, fillings: list, r: int, kernel):
+def _leaves(steps, rows: list, invs: list[int], e: int, twice_spin: int, r: int, kernel):
     """Every element whose P and Q have one shape, by P and then in walk
     order, as ``(a, k, perm, colors, color_sum, parity, shift)``: P is
     filling a, Q is filling k, ``perm`` and ``colors`` are the walk's live
     buffers, the kernel gives inv(sigma) and the color sum, and (parity,
-    shift) is the defect."""
-    for a, ((_, e_p, inv_p, ts_p), p_rows) in enumerate(zip(fillings, rows)):
-        leaves = zip(_removal_walk(p_rows, steps), fillings, strict=True)
-        for k, ((perm, colors), (_, _, inv_q, ts_q)) in enumerate(leaves):
+    shift) is the defect.  The shape's e and twice_spin, which is
+    spin(P) + spin(Q), enter as they are; only inv(P) and inv(Q) are read
+    per filling, from ``invs``."""
+    for a, (inv_p, p_rows) in enumerate(zip(invs, rows)):
+        leaves = zip(_removal_walk(p_rows, steps), invs, strict=True)
+        for k, ((perm, colors), inv_q) in enumerate(leaves):
             inv_sigma, color_sum = kernel(perm, colors, r)
-            parity, shift = (inv_sigma + e_p + inv_p + inv_q) & 1, ((ts_p + ts_q) // 2 - color_sum) % r
+            parity, shift = (inv_sigma + e + inv_p + inv_q) & 1, (twice_spin - color_sum) % r
             yield a, k, perm, colors, color_sum, parity, shift
 
 
 def _blocks(params: GroupParams, report: VerificationReport):
     """The leaf stream of the theorem and admissible sweeps.  For each shape
-    ``_shapes`` keeps at p, it yields the shape's fillings as ``_fillings``
-    builds them; the (a, k) of its round-trip leaf, leaf k of P = filling
-    a, which rotates with the shape's index (index mod f**2 for f
-    fillings); and its leaves (``_leaves``).  Every leaf of a kept shape
-    has its color sum, so the leaves of the kept shapes are G(r,p,n), each
-    once."""
+    ``_shapes`` keeps at p, it yields the shape's record ``(tableaux,
+    invs, e, twice_spin)`` as ``_fillings`` builds it; the (a, k) of its
+    round-trip leaf, leaf k of P = filling a, which rotates with the
+    shape's index (index mod f**2 for f fillings); and its leaves
+    (``_leaves``).  Every leaf of a kept shape has its color sum, so the
+    leaves of the kept shapes are G(r,p,n), each once."""
     kernel = get_kernel()
     for index, steps, rows in _shapes(params, report, params.p):
-        fillings = _fillings(rows)
-        trip = divmod(index % len(fillings) ** 2, len(fillings))
-        yield fillings, trip, _leaves(steps, rows, fillings, params.r, kernel)
+        _, invs, e, twice_spin = fillings = _fillings(rows)
+        trip = divmod(index % len(rows) ** 2, len(rows))
+        yield fillings, trip, _leaves(steps, rows, invs, e, twice_spin, params.r, kernel)
 
 
 def _round_trip(report: VerificationReport, perm, colors, r: int, P: Multitableau, Q: Multitableau) -> None:
@@ -357,29 +366,28 @@ def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int
     and is then reported at each i where the character's value (expected)
     and the formula's (got) differ.  With defect (0, 0) a leaf is still a
     counterexample, reported once at i = 0, when its color sum is not
-    exactly twice_spin(P), which a walk that puts a value in the wrong
-    component would give.  Once per shape one leaf, which rotates with the
+    exactly the shape's twice_spin, which a walk that puts a value in the
+    wrong component would give.  Once per shape one leaf, which rotates with the
     shape's index, is mapped with the validated ``rs_map`` and must give
     (P, filling k) (``_round_trip``).  A ``GroupElement`` is built only for
     that leaf and for a counterexample the report keeps, and
     counterexamples come by shape, then by P, then in walk order."""
     r = params.r
     checked = 0
-    for fillings, (trip_a, trip_k), leaves in _blocks(params, report):
+    for (tableaux, invs, e, twice_spin), (trip_a, trip_k), leaves in _blocks(params, report):
         for a, k, perm, colors, color_sum, parity, shift in leaves:
             checked += 1
             if parity or shift:
                 if not report.full:
-                    (_, e_p, inv_p, ts_p), (_, _, inv_q, ts_q) = fillings[a], fillings[k]
-                    sign, spin_sum = _sign_data(e_p, inv_p + inv_q, ts_p + ts_q)
+                    sign, spin_sum = _sign_data(e, invs[a] + invs[k], twice_spin)
                     perm_sign = -sign if parity else sign
                     for i in _disagreeing(parity, shift, r):
                         expected = OneDimValue(perm_sign, i * color_sum % r, r)
                         report.record((perm, colors), i, expected, OneDimValue(sign, i * spin_sum % r, r))
-            elif color_sum != fillings[a][3]:
-                report.record((perm, colors), 0, f"color sum {fillings[a][3]}", f"color sum {color_sum}")
+            elif color_sum != twice_spin:
+                report.record((perm, colors), 0, f"color sum {twice_spin}", f"color sum {color_sum}")
             if k == trip_k and a == trip_a:
-                _round_trip(report, perm, colors, r, fillings[a][0], fillings[k][0])
+                _round_trip(report, perm, colors, r, tableaux[a], tableaux[k])
     return checked, checked * r
 
 
@@ -483,9 +491,8 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
     checked = values = 0
     position = [0] * (n + 1)  # position[v]: the 0-based position of value v
     rank = [0] * (n + 1)  # rank[v]: value v's value in the class leader
-    for fillings, trip, leaves in _blocks(params, report):
-        invs = [inv for _, _, inv, _ in fillings]
-        comps = [[t.inversions() for t in T.components] for T, *_ in fillings]
+    for (tableaux, invs, _, _), trip, leaves in _blocks(params, report):
+        comps = [[t.inversions() for t in T.components] for T in tableaux]
         block, words = {}, {}
         for a, k, perm, colors, _, parity, shift in leaves:
             colors = tuple(colors)
@@ -494,7 +501,7 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
         for (perm, colors), entry in block.items():
             a, k, parity, shift = entry
             if (a, k) == trip:
-                _round_trip(report, perm, colors, r, fillings[a][0], fillings[k][0])
+                _round_trip(report, perm, colors, r, tableaux[a], tableaux[k])
             for p, v in enumerate(perm):
                 position[v] = p
             for i in range(1, n):

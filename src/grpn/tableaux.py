@@ -147,8 +147,9 @@ class StandardTableau:
         return tableau_inversions(self.rows)
 
     def even_row_boxes(self) -> int:
-        """Boxes in rows 2, 4, 6, ... (rows are 1-indexed)."""
-        return sum(map(len, self.rows[1::2]))
+        """Boxes in rows 2, 4, 6, ... (rows are 1-indexed):
+        ``rows_even_row_boxes`` of the one component."""
+        return rows_even_row_boxes((self.rows,))
 
     def __str__(self):
         return "/".join(",".join(map(str, row)) for row in self.rows) or "-"
@@ -195,6 +196,13 @@ def rows_even_row_boxes(components: ComponentRows) -> int:
 def rows_twice_spin(components: ComponentRows) -> int:
     """Twice the spin: sum of k * (boxes of component k)."""
     return sum([k * sum(map(len, comp)) for k, comp in enumerate(components) if k])
+
+
+def ascending_blocks(classes: Sequence[Sequence[int]]) -> bool:
+    """Whether the labels of each nonempty class lie entirely below those
+    of the next nonempty class; empty classes are skipped."""
+    nonempty = [c for c in classes if c]
+    return all(max(a) < min(b) for a, b in zip(nonempty, nonempty[1:]))
 
 
 def is_component_list(data) -> bool:
@@ -257,11 +265,18 @@ class Multitableau:
     def is_ascending(self) -> bool:
         """Labels of each nonempty component lie entirely below those of the
         next nonempty component; empty components are skipped."""
-        nonempty = [t.labels() for t in self.components if t.size]
-        return all(max(a) < min(b) for a, b in zip(nonempty, nonempty[1:]))
+        return ascending_blocks([t.labels() for t in self.components])
 
     def to_json(self) -> list:
         return [[list(row) for row in t.rows] for t in self.components]
+
+    @classmethod
+    def from_rows(cls, components: ComponentRows) -> "Multitableau":
+        """The validated multitableau with one row list per component: each
+        component is checked as a ``StandardTableau``, in order, then the
+        labels of all of them together.  Every multitableau built from row
+        lists is built here."""
+        return cls(tuple(map(StandardTableau, components)))
 
     @classmethod
     def from_json(cls, data: list) -> "Multitableau":
@@ -272,7 +287,7 @@ class Multitableau:
         for label in chain.from_iterable(chain.from_iterable(data)):
             if not isinstance(label, int) or isinstance(label, bool):
                 raise InvalidTableau(f"labels must be integers, got {label!r}")
-        return cls(tuple(StandardTableau(comp) for comp in data))
+        return cls.from_rows(data)
 
     def __str__(self):
         return "(" + " | ".join(str(t) for t in self.components) + ")"
@@ -375,7 +390,7 @@ def standard_multitableaux(shape: MultiPartition, cap: int = DEFAULT_SHAPE_CAP) 
     if n > cap:
         raise CapExceeded(f"rank {n} above cap {cap}")
     for _, filling in _corner_search(shape):
-        yield Multitableau(StandardTableau(comp) for comp in filling)
+        yield Multitableau.from_rows(filling)
 
 
 def count_standard_tableaux(shape: Partition) -> int:

@@ -4,14 +4,15 @@ statistics of the image built one entry at a time by test_reference's
 ``row_insert``, a Schensted insertion on row lists by linear scan.
 
 The sweep reads each leaf's group side, (inv(sigma), color sum), from the
-kernel, which keeps no state, and its tableaux side from the statistics of
-the filling that is its P and the filling that is its Q (``signs._fillings``,
-read off ``Multitableau`` methods).  So the whole-group tests check the
-kernel and the fillings' statistics together, leaf by leaf, in the walk's
-order and in shuffled order, and the random tests up to rank 64 check the
-kernel and the same ``Multitableau`` methods on ``rs_map`` pairs.  The
-sweep maps one leaf per shape with the validated ``rs_map``; the last tests
-check which leaf, and that a pair it cannot validate stops the sweep."""
+kernel, which keeps no state, and its tableaux side from its shape's record
+(``signs._fillings``, read off ``Multitableau`` methods): the inversion
+counts of the filling that is its P and the filling that is its Q, and the
+shape's e and twice_spin.  So the whole-group tests check the kernel and
+the record together, leaf by leaf, in the walk's order and in shuffled
+order, and the random tests up to rank 64 check the kernel and the same
+``Multitableau`` methods on ``rs_map`` pairs.  The sweep maps one leaf per
+shape with the validated ``rs_map``; the last tests check which leaf, and
+that a pair it cannot validate stops the sweep."""
 
 import random
 
@@ -69,17 +70,18 @@ def check_method_stats(w, kernel=None):
 def leaf_stats(params):
     """(w, the seven numbers) for every leaf of G(r,1,n), in the sweep's
     walk order, as the sweep reads them: the kernel's pair on the walk's
-    live buffers, then the ``_fillings`` statistics of filling a as P and of
-    filling k as Q, for leaf k of the walk of filling a in filling a's own
-    rows."""
+    live buffers, then the shape's e, the ``_fillings`` inversion counts of
+    filling a as P and of filling k as Q, and the shape's twice_spin as
+    twice_spin(P) and as twice_spin(Q), for leaf k of the walk of filling a
+    in filling a's own rows."""
     r, n = params.r, params.n
     kernel = get_kernel()
     for shape in multipartitions(n, r):
         steps, rows = _corner_steps(shape)
-        fillings = signs._fillings(rows)
-        for (_, e_p, inv_p, ts_p), p_rows in zip(fillings, rows, strict=True):
-            for (perm, colors), (_, _, inv_q, ts_q) in zip(_removal_walk(p_rows, steps), fillings, strict=True):
-                stats = (*kernel(perm, colors, r), e_p, inv_p, inv_q, ts_p, ts_q)
+        _, invs, e, ts = signs._fillings(rows)
+        for inv_p, p_rows in zip(invs, rows, strict=True):
+            for (perm, colors), inv_q in zip(_removal_walk(p_rows, steps), invs, strict=True):
+                stats = (*kernel(perm, colors, r), e, inv_p, inv_q, ts, ts)
                 yield GroupElement(params, perm, colors), stats
 
 
@@ -119,7 +121,8 @@ def test_one_kernel_matches_oracle_over_whole_groups(r, n):
 def test_one_kernel_matches_oracle_in_shuffled_order(r, n):
     """In shuffled order, each element's P and Q are looked up among its
     shape's ``_fillings`` by their rows, not reached by the walk: the
-    statistics stored with each filling are the oracle's on both sides."""
+    inversion count stored with each filling, and the shape's e and
+    twice_spin, are the oracle's on both sides."""
     elements = list(enumerate_group(GroupParams(r, 1, n)))
     random.Random(r * 10 + n).shuffle(elements)
     kernel = get_kernel()
@@ -127,9 +130,10 @@ def test_one_kernel_matches_oracle_in_shuffled_order(r, n):
     for w in elements:
         pair = rs_map(w)
         if pair.P.shape not in tables:
-            tables[pair.P.shape] = {T: stats for T, *stats in signs._fillings(_corner_steps(pair.P.shape)[1])}
-        (e_p, inv_p, ts_p), (_, inv_q, ts_q) = tables[pair.P.shape][pair.P], tables[pair.P.shape][pair.Q]
-        stats = (*kernel(w.perm, w.colors, r), e_p, inv_p, inv_q, ts_p, ts_q)
+            tableaux, invs, e, ts = signs._fillings(_corner_steps(pair.P.shape)[1])
+            tables[pair.P.shape] = dict(zip(tableaux, invs, strict=True)), e, ts
+        index, e, ts = tables[pair.P.shape]
+        stats = (*kernel(w.perm, w.colors, r), e, index[pair.P], index[pair.Q], ts, ts)
         assert stats == oracle_stats(w), str(w)
 
 

@@ -763,11 +763,11 @@ def filling_indices(shape):
     """What the admissible sweep reads of a shape's fillings: each filling's
     index, keyed by its ``Multitableau``, its inversion count and its
     per-component counts, all indexed by filling."""
-    fillings = signs._fillings(_corner_steps(shape)[1])
+    tableaux, invs, _, _ = signs._fillings(_corner_steps(shape)[1])
     return (
-        {T: a for a, (T, *_) in enumerate(fillings)},
-        [inv for _, _, inv, _ in fillings],
-        [[t.inversions() for t in T.components] for T, *_ in fillings],
+        {T: a for a, T in enumerate(tableaux)},
+        invs,
+        [[t.inversions() for t in T.components] for T in tableaux],
     )
 
 
@@ -1043,20 +1043,21 @@ def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
     params = GroupParams(r, p, n)
     report = signs.VerificationReport(params, "admissible")
     everything, trips = [], []
-    for fillings, trip, leaves in signs._blocks(params, report):
+    for (tableaux, invs, _, _), trip, leaves in signs._blocks(params, report):
         block = {
             (tuple(perm), tuple(colors)): (a, k, color_sum, parity, shift)
             for a, k, perm, colors, color_sum, parity, shift in leaves
         }
-        f = len(fillings)
+        f = len(tableaux)
+        assert len(invs) == f
         assert len(block) == f * f
         assert {a for a, *_ in block.values()} == {k for _, k, *_ in block.values()} == set(range(f))
         for key, (a, k, color_sum, parity, shift) in block.items():
             w = GroupElement(params, *key)
             pair = rs_map(w)
             entry = object_entry(pair)
-            assert (fillings[a][0], fillings[k][0]) == (pair.P, pair.Q), str(w)
-            assert (fillings[a][2], fillings[k][2]) == (entry[0][1], entry[1][1]), str(w)
+            assert (tableaux[a], tableaux[k]) == (pair.P, pair.Q), str(w)
+            assert (invs[a], invs[k]) == (entry[0][1], entry[1][1]), str(w)
             assert color_sum == w.color_sum(), str(w)
             assert (parity, shift) == object_defect(key, entry, r), str(w)
             if (a, k) == trip:
@@ -1161,15 +1162,15 @@ def test_admissible_store_holds_one_color_content(monkeypatch, r, p, n, order):
     )
     assert without_elapsed(signs.verify_admissible(params)) == expected
     assert [fillings for _, fillings, _ in seen] == built
-    entered = [tuple(t.rows for t in T.components) for fillings in built for T, *_ in fillings]
+    entered = [tuple(t.rows for t in T.components) for tableaux, *_ in built for T in tableaux]
     assert len(entered) == len(set(entered))
     assert set(entered) == content_multitableaux(r, p, n)
     assert len(mapped) == len(seen)
-    for (shape, fillings, keys), trip in zip(seen, mapped):
+    for (shape, (tableaux, *_), keys), trip in zip(seen, mapped):
         counts = [sum(lam) for lam in shape]
         assert all([colors.count(k) for k in range(r)] == counts for _, colors in keys), shape
-        assert all([t.size for t in T.components] == counts for T, *_ in fillings), shape
-        assert len(keys) == len(fillings) ** 2
+        assert all([t.size for t in T.components] == counts for T in tableaux), shape
+        assert len(keys) == len(tableaux) ** 2
         assert trip in keys
 
 
@@ -1512,16 +1513,23 @@ def test_admissible_sweep_reports_broken_sign_data(monkeypatch):
     those elements only.  A class with color 0 has such an ascending element
     and members without, whose agreements then differ for every i; a class
     without color 0 has neither.  Only those agreements may be reported.
-    e(P) depends on the shape alone, so the fault goes into each filling's
-    e as ``signs._fillings`` hands it out."""
+    e(P) depends on the shape alone and is read once per shape, so the fault
+    flips the parity of each leaf in the leaf stream whose P, filling a of
+    the shape's ``_fillings``, holds label 1 in component 0."""
     real = signs._fillings
-    monkeypatch.setattr(
-        signs,
-        "_fillings",
-        lambda rows: [
-            (T, e + any(1 in row for row in T.components[0].rows), inv, ts) for T, e, inv, ts in real(rows)
-        ],
-    )
+    built = []
+    monkeypatch.setattr(signs, "_fillings", lambda rows: built.append(real(rows)) or built[-1])
+
+    def flipped(index, leaves, r):
+        tableaux = built[-1][0]
+        out = []
+        for a, k, perm, colors, color_sum, parity, shift in leaves:
+            if any(1 in row for row in tableaux[a].components[0].rows):
+                parity ^= 1
+            out.append((a, k, perm, colors, color_sum, parity, shift))
+        return out
+
+    patch_leaves(monkeypatch, flipped)
     params = GroupParams(2, 1, 4)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
     expected = {
@@ -1745,6 +1753,43 @@ def test_multitableau_labels_match_the_oracle():
             expected = oracle_multitableau(bad)
             assert expected is not None and "exactly 1..n" in expected[1], bad
             assert outcome(lambda: Multitableau([StandardTableau(rows) for rows in bad])) == expected
+
+
+def test_from_rows_matches_the_component_by_component_build():
+    """``Multitableau.from_rows``, the one row-list builder, against the
+    multitableau built component by component.  On every invalid row list
+    of the validation corpus (each corrupted tableau as a component alone
+    and after a valid component, and each corrupted label set) it raises
+    that build's exception class and message, which are the oracle's and
+    ``from_json``'s on the same lists.  On every standard multitableau of
+    rank <= 5 at r <= 3, found by brute force, it gives that build's
+    object."""
+
+    def by_components(comps):
+        return Multitableau(tuple(StandardTableau(rows) for rows in comps))
+
+    invalid = []
+    for rows in corpus_tableaux():
+        if rows:
+            for bad in corrupted_tableaux(rows):
+                invalid += [(bad,), (rows, bad)]
+    for comps in validation_corpus()[1]:
+        invalid += corrupted_label_sets(comps)
+    for bad in invalid:
+        expected = outcome(lambda: by_components(bad))
+        assert expected is not None and expected == oracle_multitableau(bad), bad
+        assert outcome(lambda: Multitableau.from_rows(bad)) == expected, bad
+        assert outcome(lambda: Multitableau.from_json([[list(row) for row in rows] for rows in bad])) == expected, bad
+    built = 0
+    for r in (1, 2, 3):
+        for n in range(6):
+            for shape in multipartitions(n, r):
+                for comps in brute_force_fillings(shape):
+                    T = Multitableau.from_rows(comps)
+                    assert T == by_components(comps), comps
+                    assert as_tuples(rows_of(T)) == comps
+                    built += 1
+    assert built > 1000
 
 
 def test_rs_pair_shapes_match_the_oracle():
