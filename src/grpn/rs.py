@@ -5,12 +5,14 @@ in position order to build the component P_k, while Q_k records, in the box
 created by the entry at position i, the absolute position i itself.
 ``_removal_walk`` runs the inverse for every Q of one P at once, replaying
 the corner search's steps for P's shape (``tableaux._corner_steps``, run
-once per shape) on P's row lists; the sweeps walk the group this way, one
-shape block at a time.
+once per shape) on P's row objects, laid out in one flat list, with no row
+popped or put back; the sweeps walk the group this way, one shape block at
+a time.
 The admissible operators L_i / R_i and the ascending canonical
 representative of each class live here as well, each written once on
-one-line data ``(perm, colors)`` (``_left_move``, ``_right_move``,
-``_ascend``) and wrapped for ``GroupElement``s.
+one-line data ``(perm, colors)`` (``_left_move``, ``_right_move``; the
+moves to the representative, ``_ascend``; the representative alone, two
+stable sorts, ``_class_leader``) and wrapped for ``GroupElement``s.
 """
 
 from __future__ import annotations
@@ -71,14 +73,18 @@ def _removal_walk(p_rows: list[list[list[int]]], steps: CornerSteps) -> Iterator
 
     The walk replays the search's leaves on P's rows: leaf k is the element
     whose Q is the k-th standard filling ``_corner_steps`` gives with the
-    same steps.  It undoes the previous leaf's removals that this leaf does not
-    keep, then makes this leaf's further removals, labels n-keep down to 2:
-    each pops the last box of its (component, row), reverse-bumps its value
-    up through the rows above and logs the bump positions; an undo bumps
-    back in reverse order and puts the box back.  So each step costs one
-    reverse bump, not n, with no corner scan and no recording multitableau.
-    Label 1's box is then the only one left, the first box of the leaf's
-    ``first`` component, and is read off.
+    same steps.  It first lays P's row objects out in one flat list,
+    components in order and each component's rows top to bottom, so the
+    step (k, t) is flat row ``base[k] + t`` and its reverse bump runs
+    through the t flat rows above it.  Each leaf undoes the previous leaf's
+    removals that it does not keep, then makes its further removals,
+    labels n-keep down to 2: each pops the last box of its row, leaving an
+    emptied row in place, reverse-bumps its value up through the rows above
+    and logs its row and the (row above, position) pair of each bump; an
+    undo replays those pairs top down and appends the last value to the
+    same row.  So each step costs one reverse bump, not n, with no corner
+    scan and no recording multitableau.  Label 1's box is then the only one
+    left, the first box of the leaf's ``first`` component, and is read off.
 
     P's rows must have the shape the steps were built for, or the walk
     raises ``ShapeMismatch`` before any removal.  The yielded lists are
@@ -91,48 +97,48 @@ def _removal_walk(p_rows: list[list[list[int]]], steps: CornerSteps) -> Iterator
     if got != shape:
         raise ShapeMismatch(f"P has shape {got}, the steps are for {shape}")
     n = sum(map(sum, shape))
-    perm = [0] * n
-    colors = [0] * n
-    # log[j]: the removal of label j + 1 as (its component's rows, its row,
-    # the bump positions from the row above up, or None from the first row);
-    # labels low + 1, ..., n have a removal in place
-    log = [None] * n
-    low = n
+    perm, colors = [0] * n, [0] * n
+    # flat: P's row objects, component by component; row t of component k
+    # is flat[base[k] + t]
+    flat, base = [], []
+    for rows in p_rows:
+        base.append(len(flat))
+        flat += rows
+    # log[j]: the removal of label j + 1 as (its row, the (row, position)
+    # of each bump from the row above up, () from a first row); labels
+    # low + 1, ..., n have a removal in place
+    log, low = [None] * n, n
     # a last leaf that keeps nothing and is not yielded puts P's rows back
     for keep, moves, first in chain(leaves, [(0, (), None)]):
         for j in range(low, n - keep):
-            rows, row, bumps = log[j]
+            row, bumps = log[j]
             x = perm[j]
             if bumps:
-                for above, pos in zip(rows, reversed(bumps)):
+                for above, pos in reversed(bumps):
                     x, above[pos] = above[pos], x
-            if not row:  # the pop emptied it: put the same row back
-                rows.append(row)
             row.append(x)
         if first is None:
             return
         j = n - keep
         for k, t in moves:
-            rows = p_rows[k]
-            row = rows[t]
+            i = base[k] + t
+            row = flat[i]
             x = row.pop()
-            if not row:
-                rows.pop()
-            bumps = None
-            if t:
-                bumps = []
-                for upper in range(t - 1, -1, -1):
-                    above = rows[upper]
-                    pos = bisect_right(above, x) - 1
-                    if pos < 0:
-                        raise InvalidTableau("reverse bump fell off the tableau")
-                    bumps.append(pos)
-                    x, above[pos] = above[pos], x
+            bumps = [] if t else ()
+            while t:
+                t -= 1
+                i -= 1
+                above = flat[i]
+                pos = bisect_right(above, x) - 1
+                if pos < 0:
+                    raise InvalidTableau("reverse bump fell off the tableau")
+                bumps.append((above, pos))
+                x, above[pos] = above[pos], x
             j -= 1
             perm[j], colors[j] = x, k
-            log[j] = rows, row, bumps
+            log[j] = row, bumps
         low = j
-        perm[0], colors[0] = p_rows[first][0][0], first
+        perm[0], colors[0] = flat[base[first]][0], first
         yield perm, colors
 
 
@@ -163,8 +169,6 @@ def rs_inverse(pair: RSPair, params: GroupParams) -> GroupElement:
     for label in range(n, 0, -1):
         rows, t = p_rows[comp_of[label]], row_of[label]
         x = rows[t].pop()
-        if not rows[t]:
-            rows.pop()
         for upper in range(t - 1, -1, -1):
             row = rows[upper]
             pos = bisect_right(row, x) - 1
@@ -172,7 +176,7 @@ def rs_inverse(pair: RSPair, params: GroupParams) -> GroupElement:
                 raise InvalidTableau("reverse bump fell off the tableau")
             x, row[pos] = row[pos], x
         perm[label - 1] = x
-    if any(p_rows):
+    if any(chain.from_iterable(p_rows)):
         raise InvalidTableau("recording tableau does not exhaust the shape")
     w = GroupElement(params, tuple(perm), tuple(comp_of[1:]))
     if params.p != 1:
@@ -291,6 +295,20 @@ def apply_moves(w: GroupElement, moves: list[tuple[str, int]]) -> GroupElement:
     return cur
 
 
+def _class_leader(perm, colors, position) -> tuple[tuple, tuple]:
+    """The ascending element of the class of ``(perm, colors)``, its class
+    leader, from the element's own invariants by two stable sorts, with no
+    move: positions by color, then values by the color at their position.
+    ``position[v]`` is the 0-based position of value v, for v in 1..n."""
+    n = len(perm)
+    rank = [0] * (n + 1)  # rank[v]: value v's value in the leader
+    for j, v in enumerate(sorted(range(1, n + 1), key=lambda v: colors[position[v]]), start=1):
+        rank[v] = j
+    return tuple([rank[perm[p]] for p in sorted(range(n), key=colors.__getitem__)]), tuple(sorted(colors))
+
+
 def ascending_representative(w: GroupElement) -> GroupElement:
-    """The ascending element ``apply_moves(w, ascending_moves(w))``."""
-    return GroupElement(w.params, *_ascend(w.perm, w.colors)[2])
+    """The ascending element ``apply_moves(w, ascending_moves(w))``, built
+    by ``_class_leader`` in O(n log n) without the moves."""
+    position = {v: p for p, v in enumerate(w.perm)}
+    return GroupElement(w.params, *_class_leader(w.perm, w.colors, position))

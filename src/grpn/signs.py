@@ -30,10 +30,10 @@ passes p = 1), runs each kept shape's corner search once
 and checks the filling count against the hook-length formula, since every
 sweep's coverage rests on the walk being a bijection.  For each P a
 prefix-sharing corner-removal walk (``rs._removal_walk``) replays the
-steps in P's own filling rows, leaving them as it found them, and
-reconstructs every element with that P without inserting: leaf k has
-Q = filling k.  So every sweep visits its elements once, by shape, then
-by P, then in walk order.
+steps in P's own filling rows, laid out in one flat list of row objects,
+leaving them as it found them, and reconstructs every element with that
+P without inserting: leaf k has Q = filling k.  So every sweep visits its
+elements once, by shape, then by P, then in walk order.
 
 ``verify_theorem`` and ``verify_admissible`` read one leaf stream,
 ``_blocks``: for each kept shape, its one record ``(tableaux, invs, e,
@@ -53,8 +53,9 @@ image of the shape) to (a, k, parity, shift); each admissible move is then
 an index swap on one-line ``(perm, colors)`` tuples whose image is looked
 up in the block and compared by filling index, and each representative
 (``rs._ascend``) is compared with the class leader built from the
-element's own invariants.  The sweeps hand the report a counterexample's
-tuples, and the report builds the element only if it keeps it.
+element's own invariants (``rs._class_leader``).  The sweeps hand the
+report a counterexample's tuples, and the report builds the element only
+if it keeps it.
 
 The three sweeps share one frame, ``_sweep``: it refuses a
 ``max_counterexamples`` below 1 and a sweep above its cap, counted on the
@@ -82,7 +83,7 @@ from .group import (
 )
 # renamed: in the sweeps ``parity`` is a leaf's defect parity
 from .group import parity as perm_parity
-from .rs import _ascend, _left_move, _removal_walk, _right_move, _rs_rows, is_ascending_element
+from .rs import _ascend, _class_leader, _left_move, _removal_walk, _right_move, _rs_rows, is_ascending_element
 
 # The sweeps reach ``rs_map`` only through ``_kernels.mapped_pair``; the name
 # stays bound here because perfbench's tracer test checks that it wraps
@@ -400,10 +401,11 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     The sweep is one walk over every shape (``_shapes`` at p = 1).  For
     each P of a shape, in search order, it reads the criterion off P's
     rows (``rows_twice_spin``) and walks every Q of P's shape by replaying
-    the step list in those rows (``rs._removal_walk``), which it leaves as
-    it found them: each leaf is ``rs_inverse(RSPair(P, Q))`` at the cost
-    of one reverse bump, with no Q built.  The correspondence is a
-    bijection, so the leaves are G(r,1,n), each once, and each is checked
+    the step list in those rows (``rs._removal_walk``, on one flat list of
+    P's row objects), which it leaves as it found them, the same row
+    objects: each leaf is ``rs_inverse(RSPair(P, Q))`` at the cost of one
+    reverse bump, with no Q built and no row popped.  The correspondence is
+    a bijection, so the leaves are G(r,1,n), each once, and each is checked
     against its own P's criterion: a member whose P fails it, or a
     non-member whose P passes it, is a counterexample ``(w, 0, member,
     criterion)``.  A ``GroupElement`` is built only for a counterexample, so
@@ -473,11 +475,13 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
     The representative check does not trust the walk: ``rs._ascend``'s
     element must equal the class leader built from w's own invariants, its
     color content and the order of each color's values along its positions
-    (positions stably sorted by color, then values stably sorted by
-    color), and that leader must be in the block: a representative other
-    than the leader is a counterexample ``(w, 0, "ascending
-    representative", representative)``, and a leader outside the block
-    ``(w, 0, "class leader in the shape block", leader)``.  The agreement
+    (``rs._class_leader``: positions stably sorted by color, then values
+    stably sorted by the color at their position, read through the
+    sweep's own value-to-position array), and that leader must be in the
+    block: a representative other than the leader is a counterexample
+    ``(w, 0, "ascending representative", representative)``, and a leader
+    outside the block ``(w, 0, "class leader in the shape block",
+    leader)``.  The agreement
     of formula and character is compared through the two defects: a member
     whose defect differs from its leader's has its ``_disagreeing`` i
     compared with the leader's, and each i where exactly one of the two
@@ -490,7 +494,6 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
     r, n = params.r, params.n
     checked = values = 0
     position = [0] * (n + 1)  # position[v]: the 0-based position of value v
-    rank = [0] * (n + 1)  # rank[v]: value v's value in the class leader
     for (tableaux, invs, _, _), trip, leaves in _blocks(params, report):
         comps = [[t.inversions() for t in T.components] for T in tableaux]
         block, words = {}, {}
@@ -514,10 +517,7 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
                     if not _move_kept(entry, block.get((_left_move(perm, position, i), colors)), 1, invs, comps):
                         report.record((perm, colors), i, "L-move invariants", "violated")
             values += r
-            # w's class leader from its invariants: values, then positions, stably by color
-            for j, v in enumerate(sorted(range(1, n + 1), key=lambda v: colors[position[v]]), start=1):
-                rank[v] = j
-            leader = tuple([rank[perm[p]] for p in sorted(range(n), key=colors.__getitem__)]), tuple(sorted(colors))
+            leader = _class_leader(perm, colors, position)
             rep = _ascend(perm, colors)[2]
             if rep != leader and not report.full:
                 report.record((perm, colors), 0, "ascending representative", str(GroupElement(params, *rep)))

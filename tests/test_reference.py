@@ -212,6 +212,30 @@ def test_ascending_representative_replays_its_moves():
         assert ascending_representative(w) == apply_moves(w, ascending_moves(w)), w
 
 
+def leader_oracle_elements():
+    """Every element of G(2,1,5), G(3,1,4) and G(4,2,4), then 60 seeded
+    random elements of rank 64."""
+    for params in (GroupParams(2, 1, 5), GroupParams(3, 1, 4), GroupParams(4, 2, 4)):
+        yield from enumerate_group(params)
+    rng = random.Random(41)
+    for _ in range(60):
+        yield random_element(rng, 64, rng.choice((2, 4, 8)))
+
+
+def test_class_leader_is_where_the_ascending_moves_lead():
+    """``rs._class_leader``, two stable sorts with no move, against the
+    replay of w's ascending moves, and ``ascending_representative``, which
+    returns its element."""
+    for w in leader_oracle_elements():
+        position = [0] * (w.params.n + 1)
+        for p, v in enumerate(w.perm):
+            position[v] = p
+        leader = rs_module._class_leader(w.perm, w.colors, position)
+        assert type(leader[0]) is type(leader[1]) is tuple
+        rho = apply_moves(w, ascending_moves(w))
+        assert leader == (rho.perm, rho.colors) and ascending_representative(w) == rho, str(w)
+
+
 def test_sweep_reports_a_broken_kernel(monkeypatch):
     """A kernel with the wrong sign of the permutation must fail the sweep
     at every i, with the counterexamples still given as values, in the
@@ -482,6 +506,41 @@ def test_walks_in_place_leave_the_fillings_as_they_were(r, n):
         assert fillings == before, shape
         rows = [id(row) for filling in fillings for comp in filling for row in comp]
         assert len(rows) == len(set(rows)), shape
+
+
+def one_leaf_steps(Q):
+    """A step list with one leaf, read off the recording multitableau Q:
+    the (component, row) of labels n down to 2 as its moves, and label 1's
+    component as its ``first``."""
+    where = {x: (k, t) for k, comp in enumerate(Q.components) for t, row in enumerate(comp.rows) for x in row}
+    return Q.shape, [(0, tuple([where[x] for x in range(len(where), 1, -1)]), where[1][0])]
+
+
+def test_removal_walk_matches_the_insertion_up_to_rank_64():
+    """For seeded random elements w of rank up to 64, r in 1, 2, 4 and 8:
+    the walk of ``rs_map(w)``'s P on the one-leaf step list of its Q
+    yields exactly w's one-line data, and leaves P's rows as given, as the
+    same row objects."""
+    rng = random.Random(31)
+    for _ in range(300):
+        w = random_element(rng, rng.randint(1, 64), rng.choice((1, 2, 4, 8)))
+        pair = rs_map(w)
+        p_rows = rows_of(pair.P)
+        assert removal_leaves(p_rows, one_leaf_steps(pair.Q)) == [(w.perm, w.colors)], str(w)
+        assert p_rows == rows_of(pair.P)
+
+
+def test_removal_walk_refuses_a_corrupted_rank_64_p():
+    """A rank-64 P whose second row of a component starts with 0, below
+    every entry of the row above: carrying the 0 up, the reverse bump falls
+    off the tableau."""
+    rng = random.Random(37)
+    w = random_element(rng, 64, 2)
+    pair = rs_map(w)
+    p_rows = rows_of(pair.P)
+    next(rows for rows in p_rows if len(rows) > 1)[1][0] = 0
+    with pytest.raises(InvalidTableau, match="^reverse bump fell off the tableau$"):
+        list(_removal_walk(p_rows, one_leaf_steps(pair.Q)))
 
 
 def hook_length_count(shape):
