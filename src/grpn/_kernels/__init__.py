@@ -11,7 +11,7 @@ sweeps' kernel calls by wrapping ``signs.get_kernel``.  They go once the
 benchmark declares its per-layer metrics by stage rather than by function.
 """
 
-from ._fallback import mapped_pair, theorem_stats
+from ._fallback import theorem_stats
 
 BACKEND = "python"
 BACKENDS = {BACKEND: theorem_stats}

@@ -3,6 +3,11 @@
 Elements use the one-line grammar ``[z1*5,1,z2*3,6]`` (a bare value means
 color 0); multitableaux use the nested JSON list layout, e.g.
 ``[[[1,3],[2]],[[4],[5]],[]]``.  Pass ``-`` to read the input from stdin.
+
+Exit codes: 0 on success, 1 when a sweep finds counterexamples, 2 with
+one ``error: ...`` line on bad input, and 3 with the traceback on any
+other exception, a fault of the program, such as an error a sweep raises
+after its arguments passed every check.
 """
 
 from __future__ import annotations
@@ -11,15 +16,17 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 
 from .errors import GrpnError, ParseError, ShapeMismatch
 from .group import DEFAULT_CAP, GroupParams, parse_element
 from .rs import RSPair, _ascend_element, rs_inverse, rs_map
-from .signs import pi, verify_admissible, verify_membership, verify_theorem
+from .signs import _require_sweepable, pi, verify_admissible, verify_membership, verify_theorem
 from .tableaux import Multitableau, is_component_list
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+INTERNAL_ERROR = 3
 
 
 def _read(text: str) -> str:
@@ -168,7 +175,12 @@ VERIFIERS = {
 
 def cmd_verify(args):
     params = GroupParams(args.r, args.p, args.n)
-    report = VERIFIERS[args.which](params, cap=args.cap)
+    _require_sweepable(args.which, params, args.cap)
+    try:
+        report = VERIFIERS[args.which](params, cap=args.cap)
+    except GrpnError as exc:
+        # the arguments passed every check above: not bad input but a fault
+        raise RuntimeError(f"verify {args.which} raised {type(exc).__name__} after its argument checks") from exc
     _emit(args, [report.summary()], report.to_json())
     return 0 if report.passed else VERIFY_FAILURE
 
@@ -178,7 +190,7 @@ COMMANDS = (
     ("rs", cmd_rs, "element", True, "Robinson-Schensted image of an element"),
     ("inverse-rs", cmd_inverse_rs, "pair", False, "element from a JSON pair [P, Q]"),
     ("stats", cmd_stats, "input", False, "statistics of an element or multitableau"),
-    ("sgn", cmd_sgn, "element", True, "all 2r one-dimensional values, group side"),
+    ("sgn", cmd_sgn, "element", True, "values of the 2r characters tau_i^eps, group side"),
     ("pi", cmd_pi, "element", True, "tableaux-side sign values for all i"),
     ("ascend", cmd_ascend, "element", True, "ascending representative and move sequence"),
 )
@@ -220,6 +232,9 @@ def main(argv=None) -> int:
     except (GrpnError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -6,8 +6,10 @@ created by the entry at position i, the absolute position i itself.
 ``_removal_walk`` runs the inverse for every Q of one P at once, replaying
 the corner search's steps for P's shape (``tableaux._corner_steps``, run
 once per shape) on P's row objects, laid out in one flat list, with no row
-popped or put back; the sweeps walk the group this way, one shape block at
-a time.
+popped or put back, and undoes a removal by inserting its value back; the
+sweeps walk the group this way, one shape block at a time, and
+``rs_inverse`` is its one-leaf case, with the step list read off Q.  So
+the library has one reverse bump.
 The admissible operators L_i / R_i and the ascending canonical
 representative of each class live here as well, each written once on
 one-line data ``(perm, colors)`` (``_left_move``, ``_right_move``; the
@@ -77,20 +79,25 @@ def _removal_walk(p_rows: list[list[list[int]]], steps: CornerSteps) -> Iterator
     components in order and each component's rows top to bottom, so the
     step (k, t) is flat row ``base[k] + t`` and its reverse bump runs
     through the t flat rows above it.  Each leaf undoes the previous leaf's
-    removals that it does not keep, then makes its further removals,
-    labels n-keep down to 2: each pops the last box of its row, leaving an
-    emptied row in place, reverse-bumps its value up through the rows above
-    and logs its row and the (row above, position) pair of each bump; an
-    undo replays those pairs top down and appends the last value to the
-    same row.  So each step costs one reverse bump, not n, with no corner
-    scan and no recording multitableau.  Label 1's box is then the only one
-    left, the first box of the leaf's ``first`` component, and is read off.
+    removals that it does not keep, latest first, then makes its further
+    removals, labels n-keep down to 2: each pops the last box of its row,
+    leaving an emptied row in place, and reverse-bumps its value up through
+    the rows above.  A removal is undone by Schensted-inserting its value
+    back into its component, from the component's first row: the insertion
+    inverts the reverse bump, so it ends in the row the removal popped,
+    where an emptied row takes the value.  The walk's state is P's rows and
+    the yielded buffers, with no log of the bumps.  So each step costs one
+    reverse bump, not n, with no corner scan and no recording
+    multitableau.  Label 1's box is then the only one left, the first box
+    of the leaf's ``first`` component, and is read off.
 
-    P's rows must have the shape the steps were built for, or the walk
-    raises ``ShapeMismatch`` before any removal.  The yielded lists are
-    live buffers, valid until the next step; copy what must outlive it.
-    The walk works in ``p_rows`` itself, which must hold n >= 1 boxes, and
-    leaves it holding P's rows again, the same row objects, when it ends.
+    P's rows must be standard, as every caller's are, and have the shape
+    the steps were built for, or the walk raises ``ShapeMismatch`` before
+    any removal; a column that decreases raises ``InvalidTableau``.  The
+    yielded lists are live buffers, valid until the next step, which reads
+    them to undo: copy what must outlive it, and change neither.  The walk
+    works in ``p_rows`` itself, which must hold n >= 1 boxes, and leaves it
+    holding P's rows again, the same row objects, when it ends.
     """
     shape, leaves = steps
     got = tuple([tuple(map(len, rows)) for rows in p_rows])
@@ -104,27 +111,24 @@ def _removal_walk(p_rows: list[list[list[int]]], steps: CornerSteps) -> Iterator
     for rows in p_rows:
         base.append(len(flat))
         flat += rows
-    # log[j]: the removal of label j + 1 as (its row, the (row, position)
-    # of each bump from the row above up, () from a first row); labels
-    # low + 1, ..., n have a removal in place
-    log, low = [None] * n, n
+    # labels low + 1, ..., n have a removal in place
+    low = n
     # a last leaf that keeps nothing and is not yielded puts P's rows back
     for keep, moves, first in chain(leaves, [(0, (), None)]):
         for j in range(low, n - keep):
-            row, bumps = log[j]
-            x = perm[j]
-            if bumps:
-                for above, pos in reversed(bumps):
-                    x, above[pos] = above[pos], x
+            x, i = perm[j], base[colors[j]]
+            row = flat[i]
+            while (pos := bisect_right(row, x)) < len(row):
+                x, row[pos] = row[pos], x
+                i += 1
+                row = flat[i]
             row.append(x)
         if first is None:
             return
         j = n - keep
         for k, t in moves:
             i = base[k] + t
-            row = flat[i]
-            x = row.pop()
-            bumps = [] if t else ()
+            x = flat[i].pop()
             while t:
                 t -= 1
                 i -= 1
@@ -132,11 +136,9 @@ def _removal_walk(p_rows: list[list[list[int]]], steps: CornerSteps) -> Iterator
                 pos = bisect_right(above, x) - 1
                 if pos < 0:
                     raise InvalidTableau("reverse bump fell off the tableau")
-                bumps.append((above, pos))
                 x, above[pos] = above[pos], x
             j -= 1
             perm[j], colors[j] = x, k
-            log[j] = row, bumps
         low = j
         perm[0], colors[0] = flat[base[first]][0], first
         yield perm, colors
@@ -149,36 +151,29 @@ def rs_map(w: GroupElement) -> RSPair:
 
 def rs_inverse(pair: RSPair, params: GroupParams) -> GroupElement:
     """Reverse bumping in decreasing recording label, n down to 1, each
-    label in the component and row where Q holds it.
+    label in the component and row where Q holds it: one leaf of
+    ``_removal_walk``, on a copy of P's rows, whose step list is read off Q.
+    A validated Q holds exactly the labels 1..n in P's shape, so every
+    removal takes a corner and the n removals empty P: no box can be left.
     Raises ``NotAMember`` if the element lies outside G(r,p,n)."""
-    n = pair.P.size
-    if n != params.n or len(pair.P.components) != params.r:
+    P, Q = pair.P, pair.Q
+    n = P.size
+    if n != params.n or len(P.components) != params.r:
         raise ShapeMismatch(
-            f"pair has rank {n} with {len(pair.P.components)} components, expected {params}"
+            f"pair has rank {n} with {len(P.components)} components, expected {params}"
         )
-    # Q's labels are exactly 1..n, and P has Q's shape
-    comp_of = [0] * (n + 1)
-    row_of = [0] * (n + 1)
-    for k, q_comp in enumerate(pair.Q.components):
-        for t, row in enumerate(q_comp.rows):
+    # cells[x]: the (component, row) where Q holds label x, one tuple per row
+    cells, shape = [None] * (n + 1), []
+    for k, comp in enumerate(Q.components):
+        shape.append(tuple(map(len, comp.rows)))
+        for t, row in enumerate(comp.rows):
+            cell = (k, t)
             for label in row:
-                comp_of[label] = k
-                row_of[label] = t
-    p_rows = [[list(row) for row in comp.rows] for comp in pair.P.components]
-    perm = [0] * n
-    for label in range(n, 0, -1):
-        rows, t = p_rows[comp_of[label]], row_of[label]
-        x = rows[t].pop()
-        for upper in range(t - 1, -1, -1):
-            row = rows[upper]
-            pos = bisect_right(row, x) - 1
-            if pos < 0:
-                raise InvalidTableau("reverse bump fell off the tableau")
-            x, row[pos] = row[pos], x
-        perm[label - 1] = x
-    if any(chain.from_iterable(p_rows)):
-        raise InvalidTableau("recording tableau does not exhaust the shape")
-    w = GroupElement(params, tuple(perm), tuple(comp_of[1:]))
+                cells[label] = cell
+    p_rows = [[list(row) for row in comp.rows] for comp in P.components]
+    steps = (tuple(shape), ((0, cells[n:1:-1], cells[1][0]),))
+    perm, colors = next(_removal_walk(p_rows, steps))
+    w = GroupElement(params, tuple(perm), tuple(colors))
     if params.p != 1:
         require_member(w)
     return w

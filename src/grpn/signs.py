@@ -31,9 +31,10 @@ and checks the filling count against the hook-length formula, since every
 sweep's coverage rests on the walk being a bijection.  For each P a
 prefix-sharing corner-removal walk (``rs._removal_walk``) replays the
 steps in P's own filling rows, laid out in one flat list of row objects,
-leaving them as it found them, and reconstructs every element with that
-P without inserting: leaf k has Q = filling k.  So every sweep visits its
-elements once, by shape, then by P, then in walk order.
+undoes each removal by inserting its value back, and so leaves the rows
+as it found them; it reconstructs every element with that P with one
+reverse bump per step: leaf k has Q = filling k.  So every sweep visits
+its elements once, by shape, then by P, then in walk order.
 
 ``verify_theorem`` and ``verify_admissible`` read one leaf stream,
 ``_blocks``: for each kept shape, its one record ``(tableaux, invs, e,
@@ -41,11 +42,12 @@ twice_spin)`` (``_fillings``), which holds its fillings, each built once
 as a validated ``Multitableau`` (``Multitableau.from_rows``), their
 inversion counts, read off their methods, and e and twice_spin, which
 depend on the shape alone, read once; the (a, k) of the one leaf per
-shape mapped with the validated ``rs_map`` and compared with (P, Q)
-(``_round_trip``); and its leaves, each ``(a, k, perm, colors, color_sum,
-parity, shift)`` with P filling a and Q filling k, inv(sigma) and the
-color sum from the kernel (``_kernels``) and the defect computed in one
-place (``_leaves``), which reads the record's numbers as they are.
+shape mapped with the validated ``rs_map`` (``mapped_pair``) and
+compared with (P, Q) (``_round_trip``); and its leaves, each ``(a, k,
+perm, colors, color_sum, parity, shift)`` with P filling a and Q filling
+k, inv(sigma) and the color sum from the kernel (``_kernels``) and the
+defect computed in one place (``_leaves``), which reads the record's
+numbers as they are.
 ``verify_theorem`` compares each leaf's defect with (0, 0).
 ``verify_admissible`` keys the leaves of one shape block (the elements
 whose P and Q have one shape, which holds every admissible class and move
@@ -59,11 +61,13 @@ if it keeps it.
 
 The three sweeps share one frame, ``_sweep``: it refuses a
 ``max_counterexamples`` below 1 and a sweep above its cap, counted on the
-set the sweep covers, before any work, builds the ``VerificationReport``,
-times the walk, sets the report's element and value-check counts and
-checks the element count against the covered set's order.  Each sweep's
-own body only walks its elements, records counterexamples and returns
-those counts.
+set the sweep covers, before any work (``_require_sweepable``, which the
+CLI also runs first, so that it can tell an error raised after these
+checks, a fault of the program, from bad input), builds the
+``VerificationReport``, times the walk, sets the report's element and
+value-check counts and checks the element count against the covered
+set's order.  Each sweep's own body only walks its elements, records
+counterexamples and returns those counts.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ import time
 from dataclasses import dataclass, field
 from inspect import cleandoc
 
-from ._kernels import get_kernel, mapped_pair
+from ._kernels import get_kernel
 from .errors import CapExceeded, IndexOutOfRange, NotAscending, ShapeMismatch
 from .group import (
     DEFAULT_CAP,
@@ -83,12 +87,7 @@ from .group import (
 )
 # renamed: in the sweeps ``parity`` is a leaf's defect parity
 from .group import parity as perm_parity
-from .rs import _ascend, _class_leader, _left_move, _removal_walk, _right_move, _rs_rows, is_ascending_element
-
-# The sweeps reach ``rs_map`` only through ``_kernels.mapped_pair``; the name
-# stays bound here because perfbench's tracer test checks that it wraps
-# ``signs.rs_map``.
-from .rs import rs_map  # noqa: F401
+from .rs import _ascend, _class_leader, _left_move, _removal_walk, _right_move, _rs_rows, is_ascending_element, rs_map
 from .tableaux import (
     ComponentRows,
     Multitableau,
@@ -238,6 +237,28 @@ _CAP_DOC = (
 )
 
 
+def _require_sweepable(kind: str, params: GroupParams, cap: int, max_counterexamples: int = 10) -> GroupParams:
+    """The checks a sweep of ``kind`` makes before any work, and the set it
+    covers: G(r,1,n) for membership, else G(r,p,n).  Raises ``ValueError``
+    for a ``max_counterexamples`` below 1, and ``CapExceeded`` when the
+    covered set is above ``cap``, or, for r above ``SWEEP_R``, above
+    ``cap`` scaled by ``SWEEP_R``/r.  An error a sweep raises after these
+    checks is a fault of the program, not of its arguments."""
+    if max_counterexamples < 1:
+        # a report that keeps no counterexample would read PASS on a failing sweep
+        raise ValueError(f"max_counterexamples={max_counterexamples} is below 1")
+    covered = GroupParams(params.r, 1, params.n) if kind == "membership" else params
+    require_within_cap(covered, cap)
+    r, p, n = covered.r, covered.p, covered.n
+    order, scaled = covered.order, cap * SWEEP_R // r
+    if r > SWEEP_R and order > scaled:
+        raise CapExceeded(
+            f"G({r},{p},{n}) has {order} elements, above cap {scaled} "
+            f"for a sweep at r={r} (cap {cap} times {SWEEP_R}/r)"
+        )
+    return covered
+
+
 def _sweep(walk):
     """The frame of a sweep, written once for all three: ``@_sweep`` on
     ``verify_<kind>(params, report)`` makes the public
@@ -246,8 +267,9 @@ def _sweep(walk):
     The walk checks every element, records its counterexamples in
     ``report`` and returns (elements checked, value checks).  The frame
     refuses a ``max_counterexamples`` below 1, and a sweep above its cap,
-    before any work; the cap counts the set the sweep covers, G(r,1,n) for
-    membership and G(r,p,n) otherwise.  It builds the report, times the
+    before any work (``_require_sweepable``); the cap counts the set the
+    sweep covers, G(r,1,n) for membership and G(r,p,n) otherwise.  It
+    builds the report, times the
     walk and sets the report's counts and elapsed time.  A count of
     elements checked other than the order of the covered set is a
     counterexample
@@ -259,19 +281,8 @@ def _sweep(walk):
     def sweep(
         params: GroupParams, cap: int = DEFAULT_CAP, max_counterexamples: int = 10
     ) -> VerificationReport:
-        if max_counterexamples < 1:
-            # a report that keeps no counterexample would read PASS on a failing sweep
-            raise ValueError(f"max_counterexamples={max_counterexamples} is below 1")
-        # the set the sweep covers: G(r,1,n) for membership, else G(r,p,n)
-        covered = GroupParams(params.r, 1, params.n) if kind == "membership" else params
-        require_within_cap(covered, cap)
-        r, p, n = covered.r, covered.p, covered.n
-        order, scaled = covered.order, cap * SWEEP_R // r
-        if r > SWEEP_R and order > scaled:
-            raise CapExceeded(
-                f"G({r},{p},{n}) has {order} elements, above cap {scaled} "
-                f"for a sweep at r={r} (cap {cap} times {SWEEP_R}/r)"
-            )
+        covered = _require_sweepable(kind, params, cap, max_counterexamples)
+        r, p, n, order = covered.r, covered.p, covered.n, covered.order
         report = VerificationReport(params, kind, max_counterexamples=max_counterexamples)
         start = time.perf_counter()
         report.elements_checked, report.i_values_checked = walk(params, report)
@@ -348,10 +359,17 @@ def _blocks(params: GroupParams, report: VerificationReport):
         yield fillings, trip, _leaves(steps, rows, invs, e, twice_spin, params.r, kernel)
 
 
+def mapped_pair(perm, colors, r):
+    """The validated ``rs_map`` pair, an ``RSPair``, of the element of
+    G(r,1,n) with the given one-line data, which may be live buffers."""
+    return rs_map(GroupElement(GroupParams(r, 1, len(perm)), tuple(perm), tuple(colors)))
+
+
 def _round_trip(report: VerificationReport, perm, colors, r: int, P: Multitableau, Q: Multitableau) -> None:
-    """Map the leaf ``(perm, colors)`` with the validated ``rs_map``: a pair
-    other than the walk's (P, Q) is a counterexample ``(w, 0, walk's pair,
-    rs_map's pair)``, each pair as text."""
+    """Map the leaf ``(perm, colors)`` with the validated ``rs_map``
+    (``mapped_pair``): a pair other than the walk's (P, Q) is a
+    counterexample ``(w, 0, walk's pair, rs_map's pair)``, each pair as
+    text."""
     pair = mapped_pair(perm, colors, r)
     if (pair.P, pair.Q) != (P, Q):
         report.record((perm, colors), 0, f"{P} {Q}", f"{pair.P} {pair.Q}")

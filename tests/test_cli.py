@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import grpn
 from grpn import rs as rs_module
-from grpn.cli import build_parser, main
+from grpn import signs
+from grpn.cli import INTERNAL_ERROR, USAGE_ERROR, VERIFY_FAILURE, build_parser, main
+from grpn.errors import InvalidTableau
 from grpn.group import MAX_R, GroupElement, GroupParams, parse_element
 from grpn.rs import apply_moves, ascending_moves
 
@@ -215,14 +217,36 @@ def test_verify_json(capsys):
     assert code == 0 and data["failures"] == []
 
 
-@pytest.mark.parametrize("r,p,n,order", [(3, 1, 3, 162), (4, 2, 3, 192)])
-def test_verify_admissible_json_checks_the_group_order(capsys, r, p, n, order):
-    code, out, _ = run(
-        capsys, "verify", "admissible", f"--r={r}", f"--p={p}", f"--n={n}", "--format", "json"
-    )
-    data = json.loads(out)
-    assert code == 0 and data["failures"] == []
-    assert data["checked"] == order
+@pytest.mark.parametrize("fault", [IndexError, InvalidTableau])
+@pytest.mark.parametrize("kind", ["theorem", "membership", "admissible"])
+def test_verify_fault_in_the_walk_exits_with_its_own_code(capsys, monkeypatch, kind, fault):
+    """An error raised inside a sweep's walk, after its arguments passed
+    every check, is a fault of the program: exit 3 with the traceback, not
+    1, which means counterexamples, nor 2, which means bad input, even when
+    it is a ``GrpnError``.  Bad arguments still exit 2, and a sweep that
+    finds counterexamples 1."""
+
+    def broken(p_rows, steps):
+        raise fault("walk fault")
+        yield
+
+    argv = ["verify", kind, "--r", "2", "--p", "2", "--n", "3"]
+    real = signs._removal_walk
+    monkeypatch.setattr(signs, "_removal_walk", broken)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (INTERNAL_ERROR, "")
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert f"{fault.__name__}: walk fault" in err
+    code, out, err = run(capsys, *argv, "--cap", "5")
+    assert (code, out) == (USAGE_ERROR, "") and re.fullmatch(r"error: G\(2,[12],3\) has \d+ elements, above cap 5\n", err)
+
+    def recolored(p_rows, steps):
+        for perm, colors in real(p_rows, steps):
+            yield perm, [1 - colors[0], *colors[1:]]
+
+    monkeypatch.setattr(signs, "_removal_walk", recolored)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (VERIFY_FAILURE, "") and "FAIL" in out
 
 
 def test_verify_cap_exit_usage(capsys):

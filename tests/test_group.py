@@ -444,3 +444,71 @@ class TestParse:
         params = GroupParams(4, 2, 2)
         assert not generator(params, 0).is_member(2)
         assert subgroup_generators(params)[0] == generator(params, 0) ** 2
+
+
+def _small_groups(max_order=200, max_r=12):
+    """Every (r, p, n) with r <= ``max_r`` whose G(r,p,n) has at most
+    ``max_order`` elements.  r is bounded too, since G(r,r,1) is trivial
+    for every r."""
+    for r in range(1, max_r + 1):
+        for p in (d for d in range(1, r + 1) if r % d == 0):
+            n = 1
+            while GroupParams(r, p, n).order <= max_order:
+                yield r, p, n
+                n += 1
+
+
+def _abelianization_order(elements, r):
+    """|G/[G,G]| for the group of one-line tuples ``elements``, with its
+    own product ``(s, a)(t, b) = (s o t, a_{t_i} + b_i mod r)``: the
+    commutators g h g^-1 h^-1 of all pairs, closed under multiplication."""
+
+    def mul(x, y):
+        (s, a), (t, b) = x, y
+        return tuple([s[j - 1] for j in t]), tuple([(a[j - 1] + c) % r for j, c in zip(t, b)])
+
+    def inv(x):
+        s, a = x
+        perm, colors = [0] * len(s), [0] * len(s)
+        for i, j in enumerate(s):
+            perm[j - 1], colors[j - 1] = i + 1, -a[i] % r
+        return tuple(perm), tuple(colors)
+
+    inverses = {x: inv(x) for x in elements}
+    commutators = {mul(mul(g, h), mul(inverses[g], inverses[h])) for g in elements for h in elements}
+    closed, frontier = set(commutators), list(commutators)
+    while frontier:
+        frontier = [y for x in frontier for c in commutators if (y := mul(x, c)) not in closed]
+        closed.update(frontier)
+    assert len(elements) % len(closed) == 0
+    return len(elements) // len(closed)
+
+
+def test_the_family_and_psi_give_every_linear_character():
+    """On every G(r,p,n) with r <= 12 of order at most 200, the distinct
+    restrictions of tau_i^eps (i < r, eps in 0, 1), together with their
+    products with psi(w) = (-1)^{c_1}, the color at position 1, when n = 2
+    and p is even, number exactly |G/[G,G]|, the count of linear
+    characters; psi is then a homomorphism.  Everywhere else tau_i^eps
+    alone gives every linear character, and for n = 2 with p even it gives
+    half of them."""
+    halves = []
+    for r, p, n in _small_groups():
+        params = GroupParams(r, p, n)
+        elements = list(enumerate_group(params))
+        twists = (0, 1) if n == 2 and p % 2 == 0 else (0,)
+        # a value +-z^k as its code c, with +-z^k = exp(pi i c / r); psi adds r
+        characters = {
+            (t, tuple([(w.one_dim(i, eps).code + t * r * w.colors[0]) % (2 * r) for w in elements]))
+            for i in range(r)
+            for eps in (0, 1)
+            for t in twists
+        }
+        order = _abelianization_order([(w.perm, w.colors) for w in elements], r)
+        assert len({values for _, values in characters}) == order, (r, p, n)
+        if len(twists) == 2:
+            assert 2 * len({values for t, values in characters if t == 0}) == order, (r, p, n)
+            psi = {w: (-1) ** w.colors[0] for w in elements}
+            assert all(psi[v * w] == psi[v] * psi[w] for v in elements for w in elements), (r, p, n)
+            halves.append((r, p))
+    assert halves == [(2, 2), (4, 2), (4, 4), (6, 2), (6, 6), (8, 2), (8, 4), (8, 8), (10, 2), (10, 10), (12, 2), (12, 4), (12, 6), (12, 12)]

@@ -235,8 +235,8 @@ def test_sweep_maps_each_first_sight_once(monkeypatch, r, p, n):
     state carries from one sweep to the next."""
     params = GroupParams(r, p, n)
     mapped = []
-    real = _fallback.rs_map
-    monkeypatch.setattr(_fallback, "rs_map", lambda w: mapped.append(w) or real(w))
+    real = signs.rs_map
+    monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or real(w))
     expected = mapped_leaves(params)
     assert len(expected) == MAPPED[r, p, n]
     for _ in range(2):

@@ -6,8 +6,9 @@ inversion count, the within-plus-cross multitableau count on row lists,
 Schensted row insertion by a linear scan (``row_insert``), OneDimValue
 canonical forms, move-by-move replay of the ascending moves, and the
 tableau-object route to the sign formula's statistics and to the
-admissible-move checks, per-pair ``rs_inverse`` and ``enumerate_group``
-for the removal walk and the theorem sweep's order, every arrangement of the labels for the standard
+admissible-move checks, per-label reverse bumping by a linear scan
+(``reverse_bump``) and ``enumerate_group`` for the removal walk, for
+``rs_inverse``, its one-leaf case, and for the theorem sweep's order, every arrangement of the labels for the standard
 fillings, and the two invariants of a move (color content and within-color
 orders) for the admissible classes.
 """
@@ -27,7 +28,7 @@ from grpn import signs
 from grpn import tableaux as tableaux_module
 from grpn._kernels import _fallback
 from grpn.cli import main as cli_main
-from grpn.errors import CapExceeded, GrpnError, InvalidTableau, ShapeMismatch
+from grpn.errors import CapExceeded, GrpnError, InvalidTableau, NotAMember, ShapeMismatch
 from grpn.group import (
     GroupElement,
     GroupParams,
@@ -374,6 +375,29 @@ def test_removal_walk_refuses_rows_of_another_shape(p_rows):
     assert p_rows == before
 
 
+def reverse_bump(P, Q):
+    """(perm, colors) of the pair (P, Q) by per-label reverse bumping, with
+    no step list and no walk: for labels n down to 1, the box where Q holds
+    the label is popped from a copy of P, and its value moves up through
+    the rows above, in each taking the place of the largest smaller entry,
+    found by a linear scan, which moves on; the value that leaves the first
+    row is the label's, with its component as color.  The n removals must
+    empty P."""
+    where = {x: (k, t) for k, comp in enumerate(Q.components) for t, row in enumerate(comp.rows) for x in row}
+    p_rows, n = rows_of(P), len(where)
+    perm, colors = [0] * n, [0] * n
+    for label in range(n, 0, -1):
+        k, t = where[label]
+        rows = p_rows[k]
+        x = rows[t].pop()
+        for row in reversed(rows[:t]):
+            j = max(j for j, y in enumerate(row) if y < x)
+            x, row[j] = row[j], x
+        perm[label - 1], colors[label - 1] = x, k
+    assert not any(chain.from_iterable(p_rows)), (str(P), str(Q))
+    return tuple(perm), tuple(colors)
+
+
 def shape_criterion(shape, p):
     """Whether p divides twice the spin of a shape, sum of k * |lambda_k|."""
     return sum(k * sum(lam) for k, lam in enumerate(shape)) % p == 0
@@ -397,16 +421,14 @@ def theorem_leaves(params):
     """(w, P, Q) for every element of G(r,p,n) in the theorem sweep's order,
     without the removal walk: shapes in ``multipartitions`` order, kept when
     p divides their color sum; then P and, within each P, Q in
-    ``standard_multitableaux`` order; w is ``rs_inverse(RSPair(P, Q))``."""
+    ``standard_multitableaux`` order; w is ``reverse_bump(P, Q)``."""
     r, p, n = params.r, params.p, params.n
-    full = GroupParams(r, 1, n)
     for shape in multipartitions(n, r):
         if shape_criterion(shape, p):
             tableaux = list(standard_multitableaux(shape, cap=n))
             for P in tableaux:
                 for Q in tableaux:
-                    w = rs_inverse(RSPair(P, Q), full)
-                    yield GroupElement(params, w.perm, w.colors), P, Q
+                    yield GroupElement(params, *reverse_bump(P, Q)), P, Q
 
 
 @pytest.mark.parametrize("r,n", [(1, 6), (2, 5), (3, 4), (4, 3), (4, 4)])
@@ -428,9 +450,10 @@ def test_removal_walk_covers_the_group(r, n):
 
 @pytest.mark.parametrize("r,max_n", [(1, 6), (2, 6), (3, 5)])
 def test_removal_walk_matches_rs_inverse(r, max_n):
-    """For every P of every shape up to the rank, as row lists: the leaves
-    are exactly the ``rs_inverse`` images of (P, Q) over every Q of P's
-    shape, each once, and the walk puts P's rows back in its buffers."""
+    """For every P of every shape up to the rank, as row lists: leaf k of
+    the walk and ``rs_inverse``'s element of (P, filling k) are both the
+    ``reverse_bump`` oracle's, each leaf once, and the walk puts P's rows
+    back in its buffers."""
     for n in range(1, max_n + 1):
         full = GroupParams(r, 1, n)
         for shape in multipartitions(n, r):
@@ -439,16 +462,64 @@ def test_removal_walk_matches_rs_inverse(r, max_n):
             for p_rows in fillings:
                 P = Multitableau(StandardTableau(rows) for rows in p_rows)
                 leaves = removal_leaves(p_rows, steps)
-                images = [rs_inverse(RSPair(P, Q), full) for Q in tableaux]
-                assert set(leaves) == {(w.perm, w.colors) for w in images}, str(P)
+                expected = [reverse_bump(P, Q) for Q in tableaux]
+                assert leaves == expected, str(P)
+                assert [rs_inverse(RSPair(P, Q), full) for Q in tableaux] == [GroupElement(full, *e) for e in expected]
                 assert len(set(leaves)) == len(leaves) == count_standard_multitableaux(shape)
+
+
+@pytest.mark.parametrize("r,p,n", [(2, 2, 4), (4, 2, 3), (3, 3, 3), (4, 4, 3), (6, 3, 2)])
+def test_rs_inverse_matches_the_reverse_bump_oracle_over_subgroups(r, p, n):
+    """Over every same-shape pair of G(r,1,n) at p > 1: ``rs_inverse`` into
+    G(r,p,n) gives the ``reverse_bump`` oracle's element when p divides the
+    shape's color sum, and raises ``NotAMember`` otherwise, and the walk of
+    P on the one-leaf step list of Q gives the oracle's element in both
+    cases."""
+    params = GroupParams(r, p, n)
+    members = 0
+    for shape in multipartitions(n, r):
+        tableaux = list(standard_multitableaux(shape, cap=n))
+        for P in tableaux:
+            for Q in tableaux:
+                expected = reverse_bump(P, Q)
+                assert removal_leaves(rows_of(P), one_leaf_steps(Q)) == [expected], (str(P), str(Q))
+                if shape_criterion(shape, p):
+                    assert rs_inverse(RSPair(P, Q), params) == GroupElement(params, *expected)
+                    members += 1
+                else:
+                    with pytest.raises(NotAMember):
+                        rs_inverse(RSPair(P, Q), params)
+    assert members == params.order
+
+
+def test_rs_inverse_matches_the_reverse_bump_oracle_up_to_rank_64():
+    """On 300 seeded elements w of G(r,p,n), rank up to 64, r in 1, 2, 4, 8
+    and p any divisor of r: the ``reverse_bump`` oracle, ``rs_inverse`` and
+    the walk of P on the one-leaf step list of Q all give w back from
+    ``rs_map(w)``."""
+    rng = random.Random(41)
+    ps = set()
+    for _ in range(300):
+        r = rng.choice((1, 2, 4, 8))
+        p = rng.choice([d for d in range(1, r + 1) if r % d == 0])
+        w = random_element(rng, rng.randint(1, 64), r)
+        colors = list(w.colors)
+        colors[0] = (colors[0] - sum(colors)) % r  # p divides the color sum
+        params = GroupParams(r, p, len(colors))
+        w = GroupElement(params, w.perm, tuple(colors))
+        pair = rs_map(w)
+        assert reverse_bump(pair.P, pair.Q) == (w.perm, w.colors), str(w)
+        assert rs_inverse(pair, params) == w, str(w)
+        assert removal_leaves(rows_of(pair.P), one_leaf_steps(pair.Q)) == [(w.perm, w.colors)], str(w)
+        ps.add(p)
+    assert ps == {1, 2, 4, 8}
 
 
 @pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4)])
 def test_removal_walk_leaf_k_is_filling_k(r, n):
     """For every P of G(r,1,n), leaf k of P's removal walk is
-    ``rs_inverse(RSPair(P, filling k))`` and inserts back to P and filling
-    k: the order the theorem sweep pairs each leaf with its Q by."""
+    ``reverse_bump(P, filling k)`` and inserts back to P and filling k: the
+    order the theorem sweep pairs each leaf with its Q by."""
     full = GroupParams(r, 1, n)
     count = 0
     for shape in multipartitions(n, r):
@@ -459,8 +530,7 @@ def test_removal_walk_leaf_k_is_filling_k(r, n):
             leaves = removal_leaves(p_rows, steps)
             assert len(leaves) == len(tableaux)
             for (perm, colors), Q in zip(leaves, tableaux):
-                w = rs_inverse(RSPair(P, Q), full)
-                assert (perm, colors) == (w.perm, w.colors), (str(P), str(Q))
+                assert (perm, colors) == reverse_bump(P, Q), (str(P), str(Q))
                 assert rs_module._insertion_rows(perm, colors, r) == (rows_of(P), rows_of(Q))
                 count += 1
     assert count == full.order
@@ -470,13 +540,12 @@ def test_removal_walk_leaf_k_is_filling_k_above_the_exhaustive_ranks():
     """On seeded random shapes of rank 7 to 9 with r <= 4: the search's
     fillings are distinct standard multitableaux, as many as the hook
     length formula counts, and for sampled P's leaf k of the walk is
-    ``rs_inverse(RSPair(P, filling k))`` at sampled k, the first and last
-    among them, and the walk puts P's rows back."""
+    ``reverse_bump(P, filling k)`` at sampled k, the first and last among
+    them, and the walk puts P's rows back."""
     rng = random.Random(29)
     for _ in range(12):
         n, r = rng.randint(7, 9), rng.randint(1, 4)
         shape = rng.choice(list(multipartitions(n, r)))
-        full = GroupParams(r, 1, n)
         steps, rows = _corner_steps(shape)
         fillings = [as_tuples(f) for f in rows]
         count = count_standard_multitableaux(shape)
@@ -487,8 +556,7 @@ def test_removal_walk_leaf_k_is_filling_k_above_the_exhaustive_ranks():
             leaves = removal_leaves(p_rows, steps)
             assert len(set(leaves)) == len(leaves) == count
             for k in {0, count - 1, *rng.sample(range(count), min(40, count))}:
-                w = rs_inverse(RSPair(tableaux[a], tableaux[k]), full)
-                assert leaves[k] == (w.perm, w.colors), (shape, a, k)
+                assert leaves[k] == reverse_bump(tableaux[a], tableaux[k]), (shape, a, k)
 
 
 @pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4)])
@@ -1245,9 +1313,8 @@ def test_admissible_sweep_builds_elements_only_to_map_them(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(signs, "GroupElement", Counted)
-    monkeypatch.setattr(_fallback, "GroupElement", Counted)
-    mapped, real = [], _fallback.rs_map
-    monkeypatch.setattr(_fallback, "rs_map", lambda w: mapped.append(w) or real(w))
+    mapped, real = [], signs.rs_map
+    monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(w) or real(w))
     assert signs.verify_admissible(GroupParams(2, 1, 4)).passed
     assert len(built) == len(mapped) == MAPPED[2, 1, 4]
 

@@ -8,7 +8,6 @@ import threading
 import pytest
 
 from grpn import signs
-from grpn._kernels import _fallback
 from grpn.cli import main
 from grpn.errors import CapExceeded, IndexOutOfRange, NotAscending, ShapeMismatch
 from grpn.group import (
@@ -111,8 +110,8 @@ def _element(rng, r, n):
 
 def _count_insertions(monkeypatch):
     """Record each element ``signs`` runs the insertion pass on, whether
-    through ``rs_map`` (which ``signs`` reaches through
-    ``_kernels.mapped_pair``) or straight through the row-list pass."""
+    through ``rs_map`` (which ``signs`` reaches through its
+    ``mapped_pair``) or straight through the row-list pass."""
     calls = []
 
     def counting(f):
@@ -122,7 +121,7 @@ def _count_insertions(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(_fallback, "rs_map", counting(rs_map))
+    monkeypatch.setattr(signs, "rs_map", counting(rs_map))
     monkeypatch.setattr(signs, "_rs_rows", counting(signs._rs_rows))
     return calls
 
