@@ -130,22 +130,28 @@ def inversions(keys: Sequence) -> int:
 
     Works on any sequence of mutually comparable keys (a permutation in
     one-line notation, a tableau's reading word) with O(n log n)
-    comparisons: each key counts the keys before it that are larger, by
-    bisecting a sorted list of those keys.  Each ``list.insert`` still moves
-    O(n) entries, so the time grows as n^2: on a random permutation,
-    n = 10^5 takes 1.2 s and n = 2 * 10^5 takes 4.8 s (2-core x86-64 Xeon,
-    Python 3.11).  Only the exact counts pay it: the sweeps' inv(sigma)
+    comparisons: each key's ``bisect_right`` position in a sorted list of
+    the keys before it counts those at most it, and the inversions are the
+    n(n-1)/2 pairs less the sum of those positions.  Summing the positions,
+    rather than the larger keys per key, takes 0.83x the time at n = 4-5,
+    the sweeps' ranks, and about 0.9x at n = 36-2000.  Each
+    ``list.insert`` still moves O(n) entries, so the time grows as n^2: on
+    a random permutation, n = 10^5 takes 1.4 s and n = 2 * 10^5 takes
+    4.5 s (2-core x86-64 Xeon, Python 3.11).  Only the exact counts pay
+    it: the sweeps' inv(sigma)
     (``_kernels``), the tableau and multitableau inversion counts
-    (``tableaux.rows_inversions``) and so ``grpn stats``.  A sign needs
+    (``tableaux.rows_inversions``, and the sweeps' per-filling counts) and
+    so ``grpn stats``, and the move count of ``grpn ascend``.  A sign needs
     only the parity, which ``parity`` gives in O(n).
     """
     seen: list = []
-    total = 0
-    for k, x in enumerate(keys):
+    below = 0  # pairs a < b with keys[a] <= keys[b]
+    for x in keys:
         pos = bisect_right(seen, x)
-        total += k - pos
+        below += pos
         seen.insert(pos, x)
-    return total
+    n = len(seen)
+    return n * (n - 1) // 2 - below
 
 
 def parity(perm: Sequence[int]) -> int:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
-from .errors import IndexOutOfRange, InvalidTableau, NotAdmissible, ShapeMismatch
-from .group import GroupElement, GroupParams, _bubble, require_member
+from .errors import CapExceeded, IndexOutOfRange, InvalidTableau, NotAdmissible, ShapeMismatch
+from .group import GroupElement, GroupParams, _bubble, inversions, require_member
 from .tableaux import CornerSteps, Multitableau, ascending_blocks
 
 
@@ -263,6 +263,28 @@ def _ascend(perm, colors) -> tuple[list[int], list[int], tuple[tuple, tuple]]:
     return right, left, (tuple(perm), tuple(colors))
 
 
+# The most moves ``ascending_moves`` and ``grpn ascend`` make.  The moves
+# grow as n^2 (a random element of G(2,1,n) has about n^2 / 4), and so does
+# the time: ``grpn ascend`` at r = 2 took 0.27 s for 249,174 moves (n =
+# 1,000) with text output and 0.73 s with JSON (8.5 MB), against 1.15 s and
+# 3.6 s (35 MB) for 1,008,266 moves at n = 2,000 (in process, 2-core x86-64,
+# Python 3.11).  So every move list within the bound takes under about 1 s.
+MAX_ASCEND_MOVES = 250_000
+
+
+def _move_count(perm, colors) -> int:
+    """The number of moves ``_ascend`` makes, counted in O(n log n)
+    comparisons without making them.  A stable adjacent-swap sort swaps
+    each strictly out-of-order pair once, so the right moves are the
+    inversions of the position-color word and the left moves those of the
+    value-color word, which the right moves leave as it was, since each
+    value keeps its color."""
+    value_colors = [0] * len(perm)
+    for p, v in enumerate(perm):
+        value_colors[v - 1] = colors[p]
+    return inversions(colors) + inversions(value_colors)
+
+
 def ascending_moves(w: GroupElement) -> list[tuple[str, int]]:
     """A sequence of admissible moves ("L"|"R", i) taking w to its canonical
     ascending representative.
@@ -271,14 +293,22 @@ def ascending_moves(w: GroupElement) -> list[tuple[str, int]]:
     left moves then stably renumber values so each color class occupies a
     contiguous block, preserving within-class order on both sides.  The two
     phases are one adjacent-swap sort (``_bubble``), run first on the
-    position-color word and then on the value-color word.
+    position-color word and then on the value-color word.  Raises
+    ``CapExceeded`` before any move if there are more than
+    ``MAX_ASCEND_MOVES``.
     """
     return _ascend_element(w)[0]
 
 
 def _ascend_element(w: GroupElement) -> tuple[list[tuple[str, int]], GroupElement]:
     """``ascending_moves(w)`` and ``ascending_representative(w)`` from one
-    ``_ascend``."""
+    ``_ascend``, after the move count (``_move_count``) is checked against
+    ``MAX_ASCEND_MOVES``."""
+    count = _move_count(w.perm, w.colors)
+    if count > MAX_ASCEND_MOVES:
+        raise CapExceeded(
+            f"ascending an element of rank {w.params.n} takes {count} moves, above cap {MAX_ASCEND_MOVES}"
+        )
     right, left, rep = _ascend(w.perm, w.colors)
     return [("R", i) for i in right] + [("L", i) for i in left], GroupElement(w.params, *rep)
 

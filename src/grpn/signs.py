@@ -37,13 +37,15 @@ reverse bump per step: leaf k has Q = filling k.  So every sweep visits
 its elements once, by shape, then by P, then in walk order.
 
 ``verify_theorem`` and ``verify_admissible`` read one leaf stream,
-``_blocks``: for each kept shape, its one record ``(tableaux, invs, e,
-twice_spin)`` (``_fillings``), which holds its fillings, each built once
-as a validated ``Multitableau`` (``Multitableau.from_rows``), their
-inversion counts, read off their methods, and e and twice_spin, which
-depend on the shape alone, read once; the (a, k) of the one leaf per
-shape mapped with the validated ``rs_map`` (``mapped_pair``) and
-compared with (P, Q) (``_round_trip``); and its leaves, each ``(a, k,
+``_blocks``: for each kept shape, its fillings as row lists with its
+record ``(invs, e, twice_spin)`` (``_fillings``), with no object per
+filling: the fillings are checked together as one block
+(``tableaux.check_fillings``), their inversion counts are those of their
+reading words, and e and twice_spin, which depend on the shape alone, are
+read once, off the first filling built as a validated ``Multitableau``;
+the one leaf per shape mapped with the validated ``rs_map``
+(``mapped_pair``), whose pair's rows are compared with those of (P, Q),
+copied before the walk (``_round_trip``); and its leaves, each ``(a, k,
 perm, colors, color_sum, parity, shift)`` with P filling a and Q filling
 k, inv(sigma) and the color sum from the kernel (``_kernels``) and the
 defect computed in one place (``_leaves``), which reads the record's
@@ -83,6 +85,7 @@ from .group import (
     GroupElement,
     GroupParams,
     OneDimValue,
+    inversions,
     require_within_cap,
 )
 # renamed: in the sweeps ``parity`` is a leaf's defect parity
@@ -92,11 +95,13 @@ from .tableaux import (
     ComponentRows,
     Multitableau,
     _corner_steps,
+    check_fillings,
     count_standard_multitableaux,
     multipartitions,
     reading_word,
     rows_even_row_boxes,
     rows_twice_spin,
+    tableau_inversions,
 )
 
 
@@ -296,14 +301,17 @@ def _sweep(walk):
     return sweep
 
 
-def _fillings(rows: list) -> tuple[list[Multitableau], list[int], int, int]:
-    """One record per shape, ``(tableaux, invs, e, twice_spin)``, from its
-    row-list fillings (``tableaux._corner_steps``): ``tableaux[a]`` is
-    filling a as a validated ``Multitableau`` and ``invs[a]`` its inversion
-    count, read off its method.  e and twice_spin depend on the shape
-    alone, so they are read once, off the first filling's methods."""
-    tableaux = [Multitableau.from_rows(filling) for filling in rows]
-    return tableaux, [T.inversions() for T in tableaux], tableaux[0].even_row_boxes(), tableaux[0].twice_spin()
+def _fillings(shape, rows: list) -> tuple[list[int], int, int]:
+    """One record per shape, ``(invs, e, twice_spin)``, from its row-list
+    fillings (``tableaux._corner_steps``), with no object per filling: the
+    fillings are checked together as one block (``tableaux.check_fillings``,
+    which also refuses a repeated filling), and ``invs[a]`` is the
+    inversion count of filling a's reading word.  e and twice_spin depend on
+    the shape alone, so they are read once, off the first filling built as
+    a validated ``Multitableau``."""
+    invs = list(map(inversions, check_fillings(shape, rows)))
+    first = Multitableau.from_rows(rows[0])
+    return invs, first.even_row_boxes(), first.twice_spin()
 
 
 def _shapes(params: GroupParams, report: VerificationReport, p: int):
@@ -344,19 +352,30 @@ def _leaves(steps, rows: list, invs: list[int], e: int, twice_spin: int, r: int,
             yield a, k, perm, colors, color_sum, parity, shift
 
 
+def _frozen(filling) -> tuple:
+    """A filling's rows as one tuple of row tuples per component, as
+    ``tuple(t.rows for t in T.components)`` gives them for a
+    ``Multitableau`` T."""
+    return tuple([tuple(map(tuple, comp)) for comp in filling])
+
+
 def _blocks(params: GroupParams, report: VerificationReport):
     """The leaf stream of the theorem and admissible sweeps.  For each shape
-    ``_shapes`` keeps at p, it yields the shape's record ``(tableaux,
-    invs, e, twice_spin)`` as ``_fillings`` builds it; the (a, k) of its
-    round-trip leaf, leaf k of P = filling a, which rotates with the
-    shape's index (index mod f**2 for f fillings); and its leaves
-    (``_leaves``).  Every leaf of a kept shape has its color sum, so the
-    leaves of the kept shapes are G(r,p,n), each once."""
+    ``_shapes`` keeps at p, it yields the shape's fillings as row lists
+    with its record, ``(rows, invs, e, twice_spin)``, ``_fillings`` giving
+    the numbers; its round-trip leaf ``(a, k, P rows, Q rows)``, leaf k of
+    P = filling a, which rotates with the shape's index (index mod f**2
+    for f fillings), with the rows of fillings a and k frozen
+    (``_frozen``) before any walk, since the walk works in P's rows in
+    place; and its leaves (``_leaves``).  Every leaf of a kept shape has
+    its color sum, so the leaves of the kept shapes are G(r,p,n), each
+    once."""
     kernel = get_kernel()
     for index, steps, rows in _shapes(params, report, params.p):
-        _, invs, e, twice_spin = fillings = _fillings(rows)
-        trip = divmod(index % len(rows) ** 2, len(rows))
-        yield fillings, trip, _leaves(steps, rows, invs, e, twice_spin, params.r, kernel)
+        invs, e, twice_spin = _fillings(steps[0], rows)
+        a, k = divmod(index % len(rows) ** 2, len(rows))
+        trip = a, k, _frozen(rows[a]), _frozen(rows[k])
+        yield (rows, invs, e, twice_spin), trip, _leaves(steps, rows, invs, e, twice_spin, params.r, kernel)
 
 
 def mapped_pair(perm, colors, r):
@@ -365,14 +384,16 @@ def mapped_pair(perm, colors, r):
     return rs_map(GroupElement(GroupParams(r, 1, len(perm)), tuple(perm), tuple(colors)))
 
 
-def _round_trip(report: VerificationReport, perm, colors, r: int, P: Multitableau, Q: Multitableau) -> None:
+def _round_trip(report: VerificationReport, perm, colors, r: int, p_rows: tuple, q_rows: tuple) -> None:
     """Map the leaf ``(perm, colors)`` with the validated ``rs_map``
-    (``mapped_pair``): a pair other than the walk's (P, Q) is a
+    (``mapped_pair``) and compare the pair's rows with the walk's (P, Q),
+    given as ``_frozen`` rows: a pair other than the walk's is a
     counterexample ``(w, 0, walk's pair, rs_map's pair)``, each pair as
-    text."""
+    text, for which alone the walk's pair is built as objects."""
     pair = mapped_pair(perm, colors, r)
-    if (pair.P, pair.Q) != (P, Q):
-        report.record((perm, colors), 0, f"{P} {Q}", f"{pair.P} {pair.Q}")
+    if (tuple(t.rows for t in pair.P.components), tuple(t.rows for t in pair.Q.components)) != (p_rows, q_rows):
+        walk_pair = f"{Multitableau.from_rows(p_rows)} {Multitableau.from_rows(q_rows)}"
+        report.record((perm, colors), 0, walk_pair, f"{pair.P} {pair.Q}")
 
 
 @_sweep
@@ -387,13 +408,13 @@ def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int
     counterexample, reported once at i = 0, when its color sum is not
     exactly the shape's twice_spin, which a walk that puts a value in the
     wrong component would give.  Once per shape one leaf, which rotates with the
-    shape's index, is mapped with the validated ``rs_map`` and must give
-    (P, filling k) (``_round_trip``).  A ``GroupElement`` is built only for
+    shape's index, is mapped with the validated ``rs_map``, and its pair's
+    rows must be those of (P, filling k) (``_round_trip``).  A ``GroupElement`` is built only for
     that leaf and for a counterexample the report keeps, and
     counterexamples come by shape, then by P, then in walk order."""
     r = params.r
     checked = 0
-    for (tableaux, invs, e, twice_spin), (trip_a, trip_k), leaves in _blocks(params, report):
+    for (_, invs, e, twice_spin), (trip_a, trip_k, *trip_rows), leaves in _blocks(params, report):
         for a, k, perm, colors, color_sum, parity, shift in leaves:
             checked += 1
             if parity or shift:
@@ -406,7 +427,7 @@ def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int
             elif color_sum != twice_spin:
                 report.record((perm, colors), 0, f"color sum {twice_spin}", f"color sum {color_sum}")
             if k == trip_k and a == trip_a:
-                _round_trip(report, perm, colors, r, tableaux[a], tableaux[k])
+                _round_trip(report, perm, colors, r, *trip_rows)
     return checked, checked * r
 
 
@@ -480,9 +501,10 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
     elements whose P and Q have the shape, for f fillings.  The sweep reads
     the leaf stream (``_blocks``), as ``verify_theorem`` does, and keys
     each shape's leaves, its block, by one-line data to (a, k, parity,
-    shift): P is filling a and Q is filling k of the shape's validated
-    fillings, whose inversion counts and per-component counts are read
-    once per shape, and the block shares one colors tuple per color word.
+    shift): P is filling a and Q is filling k of the shape's fillings,
+    checked as one block, whose inversion counts and per-component counts
+    (``tableau_inversions`` on each component's rows) are read once per
+    shape, and the block shares one colors tuple per color word.
     A right move's image (``rs._right_move``) must then be (a, k') with
     |inv Q_k' - inv Q_k| = 1 and equal per-component counts, and a left
     move's (``rs._left_move``) (a', k) with the same conditions on P; an
@@ -512,8 +534,8 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
     r, n = params.r, params.n
     checked = values = 0
     position = [0] * (n + 1)  # position[v]: the 0-based position of value v
-    for (tableaux, invs, _, _), trip, leaves in _blocks(params, report):
-        comps = [[t.inversions() for t in T.components] for T in tableaux]
+    for (rows, invs, _, _), (trip_a, trip_k, *trip_rows), leaves in _blocks(params, report):
+        comps = [list(map(tableau_inversions, filling)) for filling in rows]
         block, words = {}, {}
         for a, k, perm, colors, _, parity, shift in leaves:
             colors = tuple(colors)
@@ -521,8 +543,8 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
         checked += len(block)
         for (perm, colors), entry in block.items():
             a, k, parity, shift = entry
-            if (a, k) == trip:
-                _round_trip(report, perm, colors, r, tableaux[a], tableaux[k])
+            if k == trip_k and a == trip_a:
+                _round_trip(report, perm, colors, r, *trip_rows)
             for p, v in enumerate(perm):
                 position[v] = p
             for i in range(1, n):

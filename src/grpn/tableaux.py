@@ -6,20 +6,21 @@ component tableaux jointly labeled by 1..n.  A multipartition's
 depth-first corner search (``_corner_search``) gives each leaf as steps
 together with its filling, written as the search places each label.  A
 sweep runs it once per shape (``_corner_steps``), keeping the steps for
-``rs._removal_walk`` and a row-list copy of each filling;
-``standard_tableaux`` and ``standard_multitableaux`` wrap the search's
-fillings in validated objects, one leaf at a time.
+``rs._removal_walk`` and a row-list copy of each filling, and checks the
+copies together as one block with no object per filling
+(``check_fillings``); ``standard_tableaux`` and ``standard_multitableaux``
+wrap the search's fillings in validated objects, one leaf at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from math import factorial
 from operator import lt
 from typing import Iterator, Sequence
 
-from .errors import CapExceeded, InvalidTableau
+from .errors import CapExceeded, InvalidTableau, ShapeMismatch
 from .group import inversions
 
 Partition = tuple[int, ...]
@@ -373,6 +374,92 @@ def _corner_steps(shape: MultiPartition) -> tuple[CornerSteps, list[Filling]]:
         leaves.append(leaf)
         fillings.append([[row[:] for row in comp] for comp in rows])
     return (shape, leaves), fillings
+
+
+def _layout(shape: MultiPartition) -> tuple[int, list[int], list[int], list[int], list[int]] | None:
+    """What ``check_fillings`` reads of a shape, in one pass over its rows:
+    n, each component's row count, each row's length, and its cover
+    relations (a box and the box to its right, or a box and the box below
+    it, in one component) as two lists of places in the reading word,
+    ``lows[c] < highs[c]`` for cover c.  None when the shape is not a
+    multipartition: a part below 1, or longer than the part above it."""
+    comp_rows, row_lens, lows, highs = [], [], [], []
+    start = 0
+    for lam in shape:
+        comp_rows.append(len(lam))
+        above = None
+        for part in lam:
+            if part < 1 or (above is not None and part > row_lens[-1]):
+                return None
+            lows += range(start, start + part - 1)
+            highs += range(start + 1, start + part)
+            if above is not None:
+                lows += range(above, above + part)
+                highs += range(start, start + part)
+            row_lens.append(part)
+            above = start
+            start += part
+    return start, comp_rows, row_lens, lows, highs
+
+
+def _block_words(shape: MultiPartition, fillings: Sequence[ComponentRows]) -> list[tuple[int, ...]] | None:
+    """The reading words of ``check_fillings``' block, or None at its first
+    failing check."""
+    layout = _layout(shape)
+    if layout is None:
+        return None
+    n, comp_rows, row_lens, lows, highs = layout
+    f = len(fillings)
+    comps = list(chain.from_iterable(fillings))
+    if list(map(len, fillings)) != [len(shape)] * f or list(map(len, comps)) != comp_rows * f:
+        return None
+    rows = list(chain.from_iterable(comps))
+    if list(map(len, rows)) != row_lens * f:
+        return None
+    # n references to one iterator: tuples of n labels each
+    words = list(zip(*[chain.from_iterable(rows)] * n)) if n else [()] * f
+    labels = list(range(1, n + 1))
+    if not all(map(labels.__eq__, map(sorted, words))):
+        return None
+    if len(set(words)) != f:
+        return None
+    boxes = list(zip(*words))
+    if not all(map(all, map(map, repeat(lt), map(boxes.__getitem__, lows), map(boxes.__getitem__, highs)))):
+        return None
+    return words
+
+
+def check_fillings(shape: MultiPartition, fillings: Sequence[ComponentRows]) -> list[tuple[int, ...]]:
+    """The reading words of a shape's fillings, each given as one row list
+    per component, after checking them together as one block, with no
+    tableau object (``_block_words``): every filling has the shape's
+    component and row lengths, its labels sorted are exactly 1..n (one sort
+    per filling), no two fillings are equal (one set of words), and on the
+    transposed block, one tuple per box across all fillings, every cover
+    relation of the shape (``_layout``) increases, each in one
+    ``all(map(lt, ...))``.  So the fillings are distinct standard
+    multitableaux of the shape, which must be a multipartition.
+
+    On any failure each filling is built in order with
+    ``Multitableau.from_rows``, so the first one that is not a standard
+    multitableau raises its ``InvalidTableau`` with its message; a standard
+    filling of another shape then raises ``ShapeMismatch``, and a repeated
+    filling ``InvalidTableau``, each naming the filling by its index."""
+    try:
+        words = _block_words(shape, fillings)
+    except TypeError:  # labels that do not compare: let the objects name it
+        words = None
+    if words is not None:
+        return words
+    built = [Multitableau.from_rows(filling) for filling in fillings]
+    first = {}
+    for a, T in enumerate(built):
+        if T.shape != shape:
+            raise ShapeMismatch(f"filling {a} has shape {T.shape}, expected {shape}")
+        b = first.setdefault(T, a)
+        if b != a:
+            raise InvalidTableau(f"filling {a} repeats filling {b}")
+    raise InvalidTableau(f"the fillings of {shape} fail the block check")
 
 
 def standard_tableaux(shape: Partition) -> Iterator[StandardTableau]:

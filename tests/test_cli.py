@@ -16,7 +16,7 @@ import grpn
 from grpn import rs as rs_module
 from grpn import signs
 from grpn.cli import INTERNAL_ERROR, USAGE_ERROR, VERIFY_FAILURE, build_parser, main
-from grpn.errors import InvalidTableau
+from grpn.errors import CapExceeded, InvalidTableau
 from grpn.group import MAX_R, GroupElement, GroupParams, parse_element
 from grpn.rs import apply_moves, ascending_moves
 
@@ -172,6 +172,53 @@ def test_ascend_sorts_once(capsys, monkeypatch):
         calls.clear()
         assert run(capsys, "ascend", "--r", "4", "--format", fmt, RUNNING)[0] == 0
         assert len(calls) == 1, fmt
+
+
+def out_of_order_pairs(word, r):
+    """Pairs a < b with word[a] > word[b], for letters in [0, r), counted
+    with one tally per letter: the swaps of a stable adjacent-swap sort."""
+    seen, total = [0] * r, 0
+    for x in word:
+        total += sum(seen[x + 1 :])
+        seen[x] += 1
+    return total
+
+
+def test_ascend_refuses_above_its_move_bound_before_any_move(capsys, monkeypatch):
+    """``grpn ascend`` counts its moves before it makes any and refuses an
+    element above ``MAX_ASCEND_MOVES`` with exit 2 and one ``error:`` line
+    naming the count: the out-of-order pairs of the position-color word plus
+    those of the value-color word."""
+    rng = random.Random(2000)
+    perm = rng.sample(range(1, 2001), 2000)
+    colors = [rng.randrange(2) for _ in perm]
+    value_colors = [colors[perm.index(v)] for v in range(1, 2001)]
+    count = out_of_order_pairs(colors, 2) + out_of_order_pairs(value_colors, 2)
+    assert count > rs_module.MAX_ASCEND_MOVES
+
+    def bubble(keys, carried):
+        raise AssertionError("bubbled above the bound")
+
+    monkeypatch.setattr(rs_module, "_bubble", bubble)
+    w = GroupElement(GroupParams(2, 1, 2000), tuple(perm), tuple(colors))
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "ascend", "--r", "2", "--format", fmt, str(w))
+        assert (code, out) == (USAGE_ERROR, "")
+        assert err == f"error: ascending an element of rank 2000 takes {count} moves, above cap 250000\n"
+
+
+def test_ascend_runs_at_its_move_bound(monkeypatch):
+    """An element with exactly ``MAX_ASCEND_MOVES`` moves is ascended, and
+    with the bound one lower it is refused before any move."""
+    # 250 positions of color 1 before 500 of color 0, values in place: each
+    # word has 250 * 500 out-of-order pairs
+    colors = (1,) * 250 + (0,) * 500
+    w = GroupElement(GroupParams(2, 1, 750), tuple(range(1, 751)), colors)
+    assert len(ascending_moves(w)) == rs_module.MAX_ASCEND_MOVES == 2 * 250 * 500
+    monkeypatch.setattr(rs_module, "MAX_ASCEND_MOVES", rs_module.MAX_ASCEND_MOVES - 1)
+    monkeypatch.setattr(rs_module, "_bubble", lambda keys, carried: pytest.fail("bubbled above the bound"))
+    with pytest.raises(CapExceeded, match="takes 250000 moves, above cap 249999"):
+        ascending_moves(w)
 
 
 # kind, r, p, n, elements checked, i values checked

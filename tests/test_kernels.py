@@ -5,14 +5,16 @@ statistics of the image built one entry at a time by test_reference's
 
 The sweep reads each leaf's group side, (inv(sigma), color sum), from the
 kernel, which keeps no state, and its tableaux side from its shape's record
-(``signs._fillings``, read off ``Multitableau`` methods): the inversion
-counts of the filling that is its P and the filling that is its Q, and the
-shape's e and twice_spin.  So the whole-group tests check the kernel and
-the record together, leaf by leaf, in the walk's order and in shuffled
-order, and the random tests up to rank 64 check the kernel and the same
-``Multitableau`` methods on ``rs_map`` pairs.  The sweep maps one leaf per
-shape with the validated ``rs_map``; the last tests check which leaf, and
-that a pair it cannot validate stops the sweep."""
+(``signs._fillings``: the inversion counts of the fillings' reading words,
+checked as one block, and e and twice_spin off the first filling's
+``Multitableau`` methods): the inversion counts of the filling that is its
+P and the filling that is its Q, and the shape's e and twice_spin.  So the
+whole-group tests check the kernel and the record together, leaf by leaf,
+in the walk's order and in shuffled order, and the random tests up to rank
+64 check the kernel and the same ``Multitableau`` methods on ``rs_map``
+pairs.  The sweep maps one leaf per shape with the validated ``rs_map``;
+the last tests check which leaf, and that a pair it cannot validate stops
+the sweep."""
 
 import random
 
@@ -32,10 +34,12 @@ from grpn.tableaux import (
     multipartitions,
 )
 from test_reference import (
+    as_tuples,
     object_stats,
     pairwise_inversions,
     random_element,
     row_insert_image,
+    rows_of,
     shape_criterion,
     theorem_leaves,
 )
@@ -78,7 +82,7 @@ def leaf_stats(params):
     kernel = get_kernel()
     for shape in multipartitions(n, r):
         steps, rows = _corner_steps(shape)
-        _, invs, e, ts = signs._fillings(rows)
+        invs, e, ts = signs._fillings(shape, rows)
         for inv_p, p_rows in zip(invs, rows, strict=True):
             for (perm, colors), inv_q in zip(_removal_walk(p_rows, steps), invs, strict=True):
                 stats = (*kernel(perm, colors, r), e, inv_p, inv_q, ts, ts)
@@ -120,8 +124,8 @@ def test_one_kernel_matches_oracle_over_whole_groups(r, n):
 @pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4)])
 def test_one_kernel_matches_oracle_in_shuffled_order(r, n):
     """In shuffled order, each element's P and Q are looked up among its
-    shape's ``_fillings`` by their rows, not reached by the walk: the
-    inversion count stored with each filling, and the shape's e and
+    shape's fillings by their rows, not reached by the walk: the inversion
+    count ``_fillings`` gives each filling, and the shape's e and
     twice_spin, are the oracle's on both sides."""
     elements = list(enumerate_group(GroupParams(r, 1, n)))
     random.Random(r * 10 + n).shuffle(elements)
@@ -130,10 +134,12 @@ def test_one_kernel_matches_oracle_in_shuffled_order(r, n):
     for w in elements:
         pair = rs_map(w)
         if pair.P.shape not in tables:
-            tableaux, invs, e, ts = signs._fillings(_corner_steps(pair.P.shape)[1])
-            tables[pair.P.shape] = dict(zip(tableaux, invs, strict=True)), e, ts
+            fillings = _corner_steps(pair.P.shape)[1]
+            invs, e, ts = signs._fillings(pair.P.shape, fillings)
+            tables[pair.P.shape] = dict(zip(map(as_tuples, fillings), invs, strict=True)), e, ts
         index, e, ts = tables[pair.P.shape]
-        stats = (*kernel(w.perm, w.colors, r), e, index[pair.P], index[pair.Q], ts, ts)
+        inv_p, inv_q = (index[as_tuples(rows_of(T))] for T in (pair.P, pair.Q))
+        stats = (*kernel(w.perm, w.colors, r), e, inv_p, inv_q, ts, ts)
         assert stats == oracle_stats(w), str(w)
 
 

@@ -58,10 +58,12 @@ from grpn.tableaux import (
     _corner_search,
     _corner_steps,
     _is_standard,
+    check_fillings,
     count_standard_multitableaux,
     count_standard_tableaux,
     multipartitions,
     partitions,
+    reading_word,
     rows_even_row_boxes,
     rows_inversions,
     rows_twice_spin,
@@ -888,13 +890,15 @@ def row_move_check(fixed, fixed_before, changed, changed_before):
 
 def filling_indices(shape):
     """What the admissible sweep reads of a shape's fillings: each filling's
-    index, keyed by its ``Multitableau``, its inversion count and its
-    per-component counts, all indexed by filling."""
-    tableaux, invs, _, _ = signs._fillings(_corner_steps(shape)[1])
+    index, keyed by its rows (``as_tuples``), its inversion count
+    (``signs._fillings``) and its per-component counts (the sweep's
+    ``tableau_inversions`` on its rows), all indexed by filling."""
+    fillings = _corner_steps(shape)[1]
+    invs, _, _ = signs._fillings(shape, fillings)
     return (
-        {T: a for a, T in enumerate(tableaux)},
+        {as_tuples(rows): a for a, rows in enumerate(fillings)},
         invs,
-        [[t.inversions() for t in T.components] for T in tableaux],
+        [[signs.tableau_inversions(comp) for comp in rows] for rows in fillings],
     )
 
 
@@ -916,7 +920,7 @@ def test_move_images_on_rows_match_objects(r, n):
         if pair.P.shape not in shapes:
             shapes[pair.P.shape] = filling_indices(pair.P.shape)
         index, invs, comps = shapes[pair.P.shape]
-        entry = index[pair.P], index[pair.Q], None
+        entry = index[as_tuples(w_rows[0])], index[as_tuples(w_rows[1])], None
         moves = [right_admissible(w, i) for i in range(1, n) if w.colors[i - 1] != w.colors[i]]
         moves += [
             left_admissible(w, i)
@@ -929,7 +933,7 @@ def test_move_images_on_rows_match_objects(r, n):
             objs = image.P, image.Q
             assert list(rows) == [rows_of(image.P), rows_of(image.Q)], (str(w), str(moved))
             in_block = image.P.shape == pair.P.shape
-            image_entry = (index[image.P], index[image.Q], None) if in_block else None
+            image_entry = (index[as_tuples(rows[0])], index[as_tuples(rows[1])], None) if in_block else None
             for f, c in ((0, 1), (1, 0)):  # P fixed (R-move check), Q fixed (L-move check)
                 on_objects = object_move_check(objs[f], w_objs[f], objs[c], w_objs[c])
                 on_rows = row_move_check(rows[f], w_rows[f], rows[c], w_rows[c])
@@ -1128,12 +1132,18 @@ def skew_label_one(real):
     return lambda rows: real(rows) + any(1 in row for row in rows)
 
 
-# (module, attribute, replacement given the real one)
+# the patches of each mutant, as (module, attribute, replacement given the
+# real one); the per-component counts are patched where the sweep reads
+# them, on the fillings' rows, and where the oracle does, in
+# ``StandardTableau.inversions``
 SWEEP_MUTANTS = {
-    "right-move-returns-its-input": (signs, "_right_move", lambda real: lambda perm, colors, i: (perm, colors)),
-    "recoloring-right-move": (signs, "_right_move", lambda real: recolor),
-    "component-count-skew": (tableaux_module, "tableau_inversions", skew_label_one),
-    "ascend-returns-its-input": (signs, "_ascend", lambda real: lambda perm, colors: ([], [], (perm, colors))),
+    "right-move-returns-its-input": [(signs, "_right_move", lambda real: lambda perm, colors, i: (perm, colors))],
+    "recoloring-right-move": [(signs, "_right_move", lambda real: recolor)],
+    "component-count-skew": [
+        (signs, "tableau_inversions", skew_label_one),
+        (tableaux_module, "tableau_inversions", skew_label_one),
+    ],
+    "ascend-returns-its-input": [(signs, "_ascend", lambda real: lambda perm, colors: ([], [], (perm, colors)))],
 }
 
 
@@ -1142,8 +1152,8 @@ SWEEP_MUTANTS = {
 def test_block_sweep_counterexamples_equal_the_class_sweep(monkeypatch, mutant, r, p, n):
     """Under each mutant both sweeps fail, with the same counts and the same
     set of counterexamples; only their order differs."""
-    module, name, replace = SWEEP_MUTANTS[mutant]
-    monkeypatch.setattr(module, name, replace(getattr(module, name)))
+    for module, name, replace in SWEEP_MUTANTS[mutant]:
+        monkeypatch.setattr(module, name, replace(getattr(module, name)))
     params = GroupParams(r, p, n)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
     oracle = class_sweep(params, max_counterexamples=10**6)
@@ -1162,20 +1172,22 @@ def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
     """The sweep's shape blocks, the leaf stream's leaves of each kept
     shape (``_blocks``), built by the removal walk, against each member's
     fresh ``rs_map`` pair: every element of G(r,p,n) is in the block of its
-    shape once, with the fillings that are its P and Q, the inversion
-    counts and the defect its tableau objects give (``object_entry``) and
-    its own color sum; a block of f fillings has f**2 members, f distinct
-    P's and f distinct Q's.  The sweep maps with ``rs_map`` exactly the
-    rotating round-trip leaf of each kept shape, in shape order."""
+    shape once, with the fillings whose rows are its P's and Q's, the
+    inversion counts and the defect its tableau objects give
+    (``object_entry``) and its own color sum; a block of f fillings has f**2
+    members, f distinct P's and f distinct Q's.  The sweep maps with
+    ``rs_map`` exactly the rotating round-trip leaf of each kept shape, in
+    shape order, and the rows it compares that leaf's pair with are the
+    pair's."""
     params = GroupParams(r, p, n)
     report = signs.VerificationReport(params, "admissible")
     everything, trips = [], []
-    for (tableaux, invs, _, _), trip, leaves in signs._blocks(params, report):
+    for (fillings, invs, _, _), (trip_a, trip_k, *trip_rows), leaves in signs._blocks(params, report):
         block = {
             (tuple(perm), tuple(colors)): (a, k, color_sum, parity, shift)
             for a, k, perm, colors, color_sum, parity, shift in leaves
         }
-        f = len(tableaux)
+        f = len(fillings)
         assert len(invs) == f
         assert len(block) == f * f
         assert {a for a, *_ in block.values()} == {k for _, k, *_ in block.values()} == set(range(f))
@@ -1183,11 +1195,12 @@ def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
             w = GroupElement(params, *key)
             pair = rs_map(w)
             entry = object_entry(pair)
-            assert (tableaux[a], tableaux[k]) == (pair.P, pair.Q), str(w)
+            assert (as_tuples(fillings[a]), as_tuples(fillings[k])) == (entry[0][0], entry[1][0]), str(w)
             assert (invs[a], invs[k]) == (entry[0][1], entry[1][1]), str(w)
             assert color_sum == w.color_sum(), str(w)
             assert (parity, shift) == object_defect(key, entry, r), str(w)
-            if (a, k) == trip:
+            if (a, k) == (trip_a, trip_k):
+                assert trip_rows == [entry[0][0], entry[1][0]], str(w)
                 trips.append(w)
         everything += block
     assert report.passed
@@ -1267,7 +1280,7 @@ def test_admissible_store_holds_one_color_content(monkeypatch, r, p, n, order):
     """What the sweep holds at each shape: the shape's fillings and its
     block.  Every member of a block has the color content (n_0, ...,
     n_{r-1}) of the shape's component sizes, and so does each filling; each
-    standard multitableau of a kept shape is built once per sweep, and the
+    standard filling of a kept shape is checked once per sweep, and the
     one round trip of a shape maps a member of its block.  With each
     block's leaves in another order in the leaf stream the report is the
     same: each member's checks look its images and its leader up in the
@@ -1279,25 +1292,29 @@ def test_admissible_store_holds_one_color_content(monkeypatch, r, p, n, order):
 
     def reordered(index, leaves, r):
         leaves = BLOCK_ORDERS[order](leaves, index, r)
-        seen.append((built[-1][0][0].shape, built[-1], {(perm, colors) for _, _, perm, colors, *_ in leaves}))
+        seen.append((built[-1], {(perm, colors) for _, _, perm, colors, *_ in leaves}))
         return leaves
 
+    def fillings(shape, rows):
+        built.append((shape, rows))
+        return real_fillings(shape, rows)
+
     patch_leaves(monkeypatch, reordered)
-    monkeypatch.setattr(signs, "_fillings", lambda rows: built.append(real_fillings(rows)) or built[-1])
+    monkeypatch.setattr(signs, "_fillings", fillings)
     monkeypatch.setattr(
         signs, "mapped_pair", lambda perm, colors, r: mapped.append((tuple(perm), tuple(colors))) or real_trip(perm, colors, r)
     )
     assert without_elapsed(signs.verify_admissible(params)) == expected
-    assert [fillings for _, fillings, _ in seen] == built
-    entered = [tuple(t.rows for t in T.components) for tableaux, *_ in built for T in tableaux]
+    assert [checked for checked, _ in seen] == built
+    entered = [as_tuples(filling) for _, rows in built for filling in rows]
     assert len(entered) == len(set(entered))
     assert set(entered) == content_multitableaux(r, p, n)
     assert len(mapped) == len(seen)
-    for (shape, (tableaux, *_), keys), trip in zip(seen, mapped):
+    for ((shape, rows), keys), trip in zip(seen, mapped):
         counts = [sum(lam) for lam in shape]
         assert all([colors.count(k) for k in range(r)] == counts for _, colors in keys), shape
-        assert all([t.size for t in T.components] == counts for T in tableaux), shape
-        assert len(keys) == len(tableaux) ** 2
+        assert all([sum(map(len, comp)) for comp in filling] == counts for filling in rows), shape
+        assert len(keys) == len(rows) ** 2
         assert trip in keys
 
 
@@ -1370,11 +1387,12 @@ def test_admissible_sweep_validates_every_filling(monkeypatch):
 
 def test_admissible_sweep_reports_a_wrong_component_count(monkeypatch):
     """Both sides of a move read their per-component counts off the
-    fillings' component tableaux (``tableaux.tableau_inversions``).  A count
+    fillings' component rows (``tableau_inversions``, as ``signs`` binds
+    it).  A count
     one too high on the component holding label 1 changes exactly where a
     move carries label 1 to another component: R_1 moves it in Q and L_1 in
     P.  Those moves, and nothing else, must be reported."""
-    monkeypatch.setattr(tableaux_module, "tableau_inversions", skew_label_one(tableaux_module.tableau_inversions))
+    monkeypatch.setattr(signs, "tableau_inversions", skew_label_one(signs.tableau_inversions))
     params = GroupParams(2, 1, 4)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
     assert {(i, expected) for _, i, expected, _ in report.counterexamples} == {
@@ -1641,16 +1659,17 @@ def test_admissible_sweep_reports_broken_sign_data(monkeypatch):
     without color 0 has neither.  Only those agreements may be reported.
     e(P) depends on the shape alone and is read once per shape, so the fault
     flips the parity of each leaf in the leaf stream whose P, filling a of
-    the shape's ``_fillings``, holds label 1 in component 0."""
+    the fillings the shape's ``_fillings`` call reads, holds label 1 in
+    component 0."""
     real = signs._fillings
     built = []
-    monkeypatch.setattr(signs, "_fillings", lambda rows: built.append(real(rows)) or built[-1])
+    monkeypatch.setattr(signs, "_fillings", lambda shape, rows: built.append(rows) or real(shape, rows))
 
     def flipped(index, leaves, r):
-        tableaux = built[-1][0]
+        fillings = built[-1]
         out = []
         for a, k, perm, colors, color_sum, parity, shift in leaves:
-            if any(1 in row for row in tableaux[a].components[0].rows):
+            if any(1 in row for row in fillings[a][0]):
                 parity ^= 1
             out.append((a, k, perm, colors, color_sum, parity, shift))
         return out
@@ -1935,3 +1954,195 @@ def test_rs_pair_shapes_match_the_oracle():
             Q = Multitableau([StandardTableau(rows) for rows in bad_q])
             assert outcome(lambda: RSPair(P, Q)) == expected, (p_comps, bad_q)
     assert mismatches > len(pairs)
+
+
+# The block check of a shape's fillings (``check_fillings``) against the
+# fillings built one by one with ``Multitableau.from_rows``.
+
+
+def block_oracle(shape, block):
+    """(class, message) of the first failure of ``block`` as fillings of
+    ``shape``, or None: the first filling ``from_rows`` refuses, then the
+    first standard filling of another shape, then the first filling equal to
+    an earlier one."""
+    built = []
+    for filling in block:
+        failure = outcome(lambda: Multitableau.from_rows(filling))
+        if failure:
+            return failure
+        built.append(Multitableau.from_rows(filling))
+    first = {}
+    for a, T in enumerate(built):
+        if T.shape != shape:
+            return ShapeMismatch, f"filling {a} has shape {T.shape}, expected {shape}"
+        if first.setdefault(T, a) != a:
+            return InvalidTableau, f"filling {a} repeats filling {first[T]}"
+    return None
+
+
+def check_block(shape, block):
+    """``check_fillings`` on ``block`` gives the oracle's outcome, and on a
+    block it passes the fillings' reading words.  Returns the outcome."""
+    expected = block_oracle(shape, block)
+    assert outcome(lambda: check_fillings(shape, block)) == expected, (shape, block)
+    if expected is None:
+        assert check_fillings(shape, block) == [tuple(reading_word(f)) for f in block]
+    return expected
+
+
+def swapped(filling, one, other):
+    """``filling`` with the labels of the boxes ``one`` and ``other``, each
+    (component, row, column), exchanged."""
+    comps = [[list(row) for row in rows] for rows in filling]
+    (k, t, c), (k2, t2, c2) = one, other
+    comps[k][t][c], comps[k2][t2][c2] = comps[k2][t2][c2], comps[k][t][c]
+    return as_tuples(comps)
+
+
+def moved(filling, source, target):
+    """``filling`` with the last box of row ``source``, a (component, row),
+    moved to the end of row ``target``, or to a new last row of ``target``'s
+    component when that row does not exist; an emptied row is dropped."""
+    comps = [[list(row) for row in rows] for rows in filling]
+    (k, t), (k2, t2) = source, target
+    x = comps[k][t].pop()
+    if t2 < len(comps[k2]):
+        comps[k2][t2].append(x)
+    else:
+        comps[k2].append([x])
+    comps[k] = [row for row in comps[k] if row]
+    return as_tuples(comps)
+
+
+def structural_corruptions(filling):
+    """Copies of a standard filling with two labels swapped within a row,
+    down a column or across components, or with a box moved to another row
+    or component."""
+    boxes = [(k, t, c) for k, rows in enumerate(filling) for t, row in enumerate(rows) for c in range(len(row))]
+    for k, t, c in boxes:
+        if c + 1 < len(filling[k][t]):
+            yield swapped(filling, (k, t, c), (k, t, c + 1))
+        if t + 1 < len(filling[k]) and c < len(filling[k][t + 1]):
+            yield swapped(filling, (k, t, c), (k, t + 1, c))
+    for one, other in combinations(boxes, 2):
+        if one[0] != other[0]:
+            yield swapped(filling, one, other)
+    rows = [(k, t) for k, comp in enumerate(filling) for t in range(len(comp))]
+    for source in rows:
+        for k2, comp in enumerate(filling):
+            for t2 in range(len(comp) + 1):
+                bad = moved(filling, source, (k2, t2))
+                if bad != filling:  # a lone last box moved below itself stays
+                    yield bad
+
+
+def test_block_check_refuses_what_from_rows_refuses():
+    """On the validation corpus, each multitableau alone passes and each
+    invalid row list of it (as in the ``from_rows`` test) is refused with
+    ``from_rows``' class and message, alone and after a valid filling.  On
+    every shape of rank <= 4 at r <= 3, each structural corruption of one
+    filling, in its place in the shape's block, and each repeat of one
+    filling in place of another, gives the oracle's outcome: the first
+    filling ``from_rows`` refuses, else the first of another shape, else
+    the first repeat, else the reading words."""
+    for comps in validation_corpus()[1]:
+        assert check_block(shape_of(comps), [comps]) is None
+        for bad in corrupted_label_sets(comps):
+            assert check_block(shape_of(bad), [bad]) is not None
+            assert check_block(shape_of(comps), [comps, bad]) is not None
+    for rows in corpus_tableaux():
+        if rows:
+            for bad in corrupted_tableaux(rows):
+                assert check_block(shape_of((bad,)), [(bad,)]) is not None
+                assert check_block(shape_of((rows,)), [(rows,), (bad,)]) is not None
+    outcomes = set()
+    for r in (1, 2, 3):
+        for n in range(5):
+            for index, shape in enumerate(multipartitions(n, r)):
+                block = [as_tuples(rows) for rows in _corner_steps(shape)[1]]
+                assert check_block(shape, block) is None
+                a = index % len(block)
+                for bad in structural_corruptions(block[a]):
+                    outcomes.add(check_block(shape, block[:a] + [bad] + block[a + 1 :]))
+                for b in range(len(block)):
+                    if b != a:
+                        repeated = block[:b] + [block[a]] + block[b + 1 :]
+                        outcomes.add(check_block(shape, repeated))
+    messages = {o[1].split(":")[0].split(" between")[0] for o in outcomes if o}
+    assert {"row not increasing", "column not increasing", "row lengths must weakly decrease"} <= messages
+    assert any(o and o[0] is ShapeMismatch for o in outcomes)
+    assert any(o and "repeats filling" in o[1] for o in outcomes)
+    assert None not in outcomes
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_block_check_passes_every_shape_with_its_reading_words(r):
+    """Every shape of rank <= 6: the corner search's fillings pass, and
+    the words are ``reading_word``'s."""
+    for n in range(7):
+        for shape in multipartitions(n, r):
+            fillings = _corner_steps(shape)[1]
+            assert check_fillings(shape, fillings) == [tuple(reading_word(f)) for f in fillings], shape
+
+
+def patch_search(monkeypatch, corrupt):
+    """Replace the corner search where the sweeps call it: the fillings of
+    the first shape that ``corrupt`` changes, in place, stay changed.
+    ``corrupt`` returns whether it changed them.  Returns the list that then
+    holds that shape."""
+    real = signs._corner_steps
+    corrupted = []
+
+    def corner_steps(shape):
+        steps, fillings = real(shape)
+        if not corrupted and corrupt(fillings):
+            corrupted.append(shape)
+        return steps, fillings
+
+    monkeypatch.setattr(signs, "_corner_steps", corner_steps)
+    return corrupted
+
+
+def column_descent(fillings):
+    """Swap the labels at the top of the first column of a component in
+    the last filling but the first where the swap keeps every row
+    increasing.  The first filling is left alone: it is also built as a
+    ``Multitableau``, for e and twice_spin."""
+    for rows in reversed(fillings[1:]):
+        for comp in rows:
+            if len(comp) > 1 and (len(comp[0]) == 1 or comp[1][0] < comp[0][1]):
+                comp[0][0], comp[1][0] = comp[1][0], comp[0][0]
+                return True
+    return False
+
+
+@pytest.mark.parametrize("kind", ["theorem", "admissible"])
+def test_sweep_refuses_a_filling_that_is_not_standard_before_any_walk(monkeypatch, kind):
+    """A search that hands the sweep one filling whose rows increase but
+    whose first column does not: the block check raises ``from_rows``'
+    ``InvalidTableau`` before any walk of the shape, since the walk does
+    not check its rows."""
+    corrupted = patch_search(monkeypatch, column_descent)
+    real, walked = signs._removal_walk, []
+    monkeypatch.setattr(signs, "_removal_walk", lambda p_rows, steps: walked.append(steps[0]) or real(p_rows, steps))
+    with pytest.raises(InvalidTableau, match="column not increasing between rows 1 and 2"):
+        getattr(signs, f"verify_{kind}")(GroupParams(2, 1, 4))
+    assert corrupted and corrupted[0] not in walked
+
+
+@pytest.mark.parametrize("kind", ["theorem", "admissible"])
+def test_sweep_refuses_a_repeated_filling(monkeypatch, kind):
+    """A search that yields its first filling twice, in place of its last,
+    keeps the hook-length count; the block check refuses it, so the sweeps'
+    fillings are exactly the shape's standard fillings."""
+
+    def repeat(fillings):
+        if len(fillings) > 1:
+            fillings[-1] = copy.deepcopy(fillings[0])
+            return True
+        return False
+
+    corrupted = patch_search(monkeypatch, repeat)
+    with pytest.raises(InvalidTableau, match=r"filling \d+ repeats filling 0"):
+        getattr(signs, f"verify_{kind}")(GroupParams(2, 1, 4))
+    assert corrupted
