@@ -30,9 +30,9 @@ passes p = 1), runs each kept shape's corner search once
 and checks the filling count against the hook-length formula, since every
 sweep's coverage rests on the walk being a bijection.  For each P a
 prefix-sharing corner-removal walk (``rs._removal_walk``) replays the
-steps in P's own filling rows, laid out in one flat list of row objects,
-undoes each removal by inserting its value back, and so leaves the rows
-as it found them; it reconstructs every element with that P with one
+steps in P's own filling rows, component by component, undoes each
+removal by inserting its value back into its component, and so leaves
+the rows as it found them; it reconstructs every element with that P with one
 reverse bump per step: leaf k has Q = filling k.  So every sweep visits
 its elements once, by shape, then by P, then in walk order.
 
@@ -61,25 +61,24 @@ element's own invariants (``rs._class_leader``).  The sweeps hand the
 report a counterexample's tuples, and the report builds the element only
 if it keeps it.
 
-The three sweeps share one frame, ``_sweep``: it refuses a
-``max_counterexamples`` below 1 and a sweep above its cap, counted on the
-set the sweep covers, before any work (``_require_sweepable``, which the
-CLI also runs first, so that it can tell an error raised after these
-checks, a fault of the program, from bad input), builds the
-``VerificationReport``, times the walk, sets the report's element and
-value-check counts and checks the element count against the covered
-set's order.  Each sweep's own body only walks its elements, records
-counterexamples and returns those counts.
+The three sweeps share one frame, ``_sweep``, which alone owns a sweep's
+argument checks and fault boundary: it refuses a ``max_counterexamples``
+below 1 and a sweep above its cap, counted on the set the sweep covers,
+before any work; it raises a ``GrpnError`` the walk raises after these
+checks, a fault of the program and not bad input, as ``RuntimeError``;
+and it builds the ``VerificationReport``, times the walk, sets the
+report's element and value-check counts and checks the element count
+against the covered set's order.  Each sweep's own body only walks its
+elements, records counterexamples and returns those counts.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from inspect import cleandoc
 
 from ._kernels import get_kernel
-from .errors import CapExceeded, IndexOutOfRange, NotAscending, ShapeMismatch
+from .errors import CapExceeded, GrpnError, IndexOutOfRange, NotAscending, ShapeMismatch
 from .group import (
     DEFAULT_CAP,
     GroupElement,
@@ -105,27 +104,24 @@ from .tableaux import (
 )
 
 
-def _sign_data(e_p: int, inv_sum: int, twice_spin: int) -> tuple[int, int]:
-    """(sign, spin_sum) from e(P), inv(P) + inv(Q) and twice_spin of the
-    pair's shape: all the sign formula reads; just the exponent
-    i * spin_sum depends on i.  P and Q share one shape, so
-    spin(P) + spin(Q) is that shape's twice_spin, sum of k * |lambda_k|.
-    Only the parity of ``inv_sum`` enters, so any integer with that parity
-    will do."""
-    return (-1 if (e_p + inv_sum) & 1 else 1), twice_spin
+def _sign(e_p: int, inv_sum: int) -> int:
+    """(-1)^(e(P) + inv(P) + inv(Q)) from e(P) and inv(P) + inv(Q).  Only
+    the parity of ``inv_sum`` enters, so any integer with that parity will
+    do."""
+    return -1 if (e_p + inv_sum) & 1 else 1
 
 
 def _rows_data(p_rows: ComponentRows, q_rows: ComponentRows) -> tuple[int, int]:
-    """``_sign_data`` of a same-shape pair given as per-component row lists,
-    each labeled by 1..n.  e and twice_spin are read off P's rows, since Q
-    has P's shape.  The parity of inv(P) + inv(Q) suffices, and it is read
-    off the cycle counts of the two reading words (``group.parity`` of
-    ``tableaux.reading_word``) in O(n), with no inversion count."""
-    return _sign_data(
-        rows_even_row_boxes(p_rows),
-        perm_parity(reading_word(p_rows)) + perm_parity(reading_word(q_rows)),
-        rows_twice_spin(p_rows),
-    )
+    """(sign, spin_sum) of a same-shape pair given as per-component row
+    lists, each labeled by 1..n: all the sign formula reads; just the
+    exponent i * spin_sum depends on i.  P and Q share one shape, so e and
+    spin_sum = spin(P) + spin(Q), the shape's twice_spin, sum of
+    k * |lambda_k|, are read off P's rows.  The parity of inv(P) + inv(Q)
+    suffices, and it is read off the cycle counts of the two reading words
+    (``group.parity`` of ``tableaux.reading_word``) in O(n), with no
+    inversion count."""
+    parity = perm_parity(reading_word(p_rows)) + perm_parity(reading_word(q_rows))
+    return _sign(rows_even_row_boxes(p_rows), parity), rows_twice_spin(p_rows)
 
 
 def _disagreeing(parity: int, shift: int, r: int) -> list[int]:
@@ -236,68 +232,56 @@ class VerificationReport:
 SWEEP_R = 8
 
 
-_CAP_DOC = (
-    "Raises ``ValueError`` if ``max_counterexamples`` is below 1.  "
-    "Raises ``CapExceeded`` before any work if the sweep is above its cap (``_sweep``)."
-)
-
-
-def _require_sweepable(kind: str, params: GroupParams, cap: int, max_counterexamples: int = 10) -> GroupParams:
-    """The checks a sweep of ``kind`` makes before any work, and the set it
-    covers: G(r,1,n) for membership, else G(r,p,n).  Raises ``ValueError``
-    for a ``max_counterexamples`` below 1, and ``CapExceeded`` when the
-    covered set is above ``cap``, or, for r above ``SWEEP_R``, above
-    ``cap`` scaled by ``SWEEP_R``/r.  An error a sweep raises after these
-    checks is a fault of the program, not of its arguments."""
-    if max_counterexamples < 1:
-        # a report that keeps no counterexample would read PASS on a failing sweep
-        raise ValueError(f"max_counterexamples={max_counterexamples} is below 1")
-    covered = GroupParams(params.r, 1, params.n) if kind == "membership" else params
-    require_within_cap(covered, cap)
-    r, p, n = covered.r, covered.p, covered.n
-    order, scaled = covered.order, cap * SWEEP_R // r
-    if r > SWEEP_R and order > scaled:
-        raise CapExceeded(
-            f"G({r},{p},{n}) has {order} elements, above cap {scaled} "
-            f"for a sweep at r={r} (cap {cap} times {SWEEP_R}/r)"
-        )
-    return covered
-
-
 def _sweep(walk):
     """The frame of a sweep, written once for all three: ``@_sweep`` on
     ``verify_<kind>(params, report)`` makes the public
     ``verify_<kind>(params, cap=DEFAULT_CAP, max_counterexamples=10)``.
 
     The walk checks every element, records its counterexamples in
-    ``report`` and returns (elements checked, value checks).  The frame
-    refuses a ``max_counterexamples`` below 1, and a sweep above its cap,
-    before any work (``_require_sweepable``); the cap counts the set the
-    sweep covers, G(r,1,n) for membership and G(r,p,n) otherwise.  It
-    builds the report, times the
-    walk and sets the report's counts and elapsed time.  A count of
-    elements checked other than the order of the covered set is a
-    counterexample
-    ``("G(r,p,n)", 0, "<order> elements", "<checked> checked")``.  It is a plain
-    function with its own signature and the walk's docstring, so
+    ``report`` and returns (elements checked, value checks).  Before any
+    work the frame refuses a ``max_counterexamples`` below 1 with
+    ``ValueError``, and a sweep above its cap with ``CapExceeded``: the cap
+    counts the set the sweep covers, G(r,1,n) for membership and G(r,p,n)
+    otherwise, and for r above ``SWEEP_R`` it is scaled by ``SWEEP_R``/r.
+    A ``GrpnError`` the walk raises after these checks is a fault of the
+    program, not of the arguments, and is raised as ``RuntimeError("verify
+    <kind> raised <Class> after its argument checks")``, chained from it.
+    The frame builds the report, times the walk and sets the report's
+    counts and elapsed time.  A count of elements checked other than the
+    order of the covered set is a counterexample ``("G(r,p,n)", 0,
+    "<order> elements", "<checked> checked")``.  It is a plain function
+    with its own signature and the walk's docstring, so
     ``inspect.signature`` and ``help`` show the public call."""
     kind = walk.__name__.removeprefix("verify_")
 
     def sweep(
         params: GroupParams, cap: int = DEFAULT_CAP, max_counterexamples: int = 10
     ) -> VerificationReport:
-        covered = _require_sweepable(kind, params, cap, max_counterexamples)
-        r, p, n, order = covered.r, covered.p, covered.n, covered.order
+        if max_counterexamples < 1:
+            # a report that keeps no counterexample would read PASS on a failing sweep
+            raise ValueError(f"max_counterexamples={max_counterexamples} is below 1")
+        covered = GroupParams(params.r, 1, params.n) if kind == "membership" else params
+        require_within_cap(covered, cap)
+        r, p, n = covered.r, covered.p, covered.n
+        order, scaled = covered.order, cap * SWEEP_R // r
+        if r > SWEEP_R and order > scaled:
+            raise CapExceeded(
+                f"G({r},{p},{n}) has {order} elements, above cap {scaled} "
+                f"for a sweep at r={r} (cap {cap} times {SWEEP_R}/r)"
+            )
         report = VerificationReport(params, kind, max_counterexamples=max_counterexamples)
         start = time.perf_counter()
-        report.elements_checked, report.i_values_checked = walk(params, report)
+        try:
+            report.elements_checked, report.i_values_checked = walk(params, report)
+        except GrpnError as exc:
+            raise RuntimeError(f"verify {kind} raised {type(exc).__name__} after its argument checks") from exc
         if report.elements_checked != order:
             report.record(f"G({r},{p},{n})", 0, f"{order} elements", f"{report.elements_checked} checked")
         report.elapsed = time.perf_counter() - start
         return report
 
     sweep.__name__ = sweep.__qualname__ = walk.__name__
-    sweep.__doc__ = f"{cleandoc(walk.__doc__)}\n\n{_CAP_DOC}"
+    sweep.__doc__ = walk.__doc__
     return sweep
 
 
@@ -411,7 +395,12 @@ def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int
     shape's index, is mapped with the validated ``rs_map``, and its pair's
     rows must be those of (P, filling k) (``_round_trip``).  A ``GroupElement`` is built only for
     that leaf and for a counterexample the report keeps, and
-    counterexamples come by shape, then by P, then in walk order."""
+    counterexamples come by shape, then by P, then in walk order.
+
+    Raises ``ValueError`` if ``max_counterexamples`` is below 1, and
+    ``RuntimeError``, chained from the error, if the walk raises a
+    ``GrpnError`` after the argument checks.
+    Raises ``CapExceeded`` before any work if the sweep is above its cap (``_sweep``)."""
     r = params.r
     checked = 0
     for (_, invs, e, twice_spin), (trip_a, trip_k, *trip_rows), leaves in _blocks(params, report):
@@ -419,11 +408,11 @@ def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int
             checked += 1
             if parity or shift:
                 if not report.full:
-                    sign, spin_sum = _sign_data(e, invs[a] + invs[k], twice_spin)
+                    sign = _sign(e, invs[a] + invs[k])
                     perm_sign = -sign if parity else sign
                     for i in _disagreeing(parity, shift, r):
                         expected = OneDimValue(perm_sign, i * color_sum % r, r)
-                        report.record((perm, colors), i, expected, OneDimValue(sign, i * spin_sum % r, r))
+                        report.record((perm, colors), i, expected, OneDimValue(sign, i * twice_spin % r, r))
             elif color_sum != twice_spin:
                 report.record((perm, colors), 0, f"color sum {twice_spin}", f"color sum {color_sum}")
             if k == trip_k and a == trip_a:
@@ -440,8 +429,8 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     The sweep is one walk over every shape (``_shapes`` at p = 1).  For
     each P of a shape, in search order, it reads the criterion off P's
     rows (``rows_twice_spin``) and walks every Q of P's shape by replaying
-    the step list in those rows (``rs._removal_walk``, on one flat list of
-    P's row objects), which it leaves as it found them, the same row
+    the step list in those rows (``rs._removal_walk``, in P's own
+    component rows), which it leaves as it found them, the same row
     objects: each leaf is ``rs_inverse(RSPair(P, Q))`` at the cost of one
     reverse bump, with no Q built and no row popped.  The correspondence is
     a bijection, so the leaves are G(r,1,n), each once, and each is checked
@@ -457,6 +446,11 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     exactly the values of color k, so twice the spin of P equals the color
     sum.  What the sweep exercises is the walk's reverse bumping, not an
     independent fact about G(r,p,n).
+
+    Raises ``ValueError`` if ``max_counterexamples`` is below 1, and
+    ``RuntimeError``, chained from the error, if the walk raises a
+    ``GrpnError`` after the argument checks.
+    Raises ``CapExceeded`` before any work if the sweep is above its cap (``_sweep``).
     """
     r, p, n = params.r, params.p, params.n
     full = GroupParams(r, 1, n)
@@ -530,6 +524,11 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
     (``_round_trip``).  The sweep holds one block at a time, and builds a
     ``GroupElement`` only for that leaf and for a counterexample the report
     keeps.  Counterexamples come by shape, then by P, then in walk order.
+
+    Raises ``ValueError`` if ``max_counterexamples`` is below 1, and
+    ``RuntimeError``, chained from the error, if the walk raises a
+    ``GrpnError`` after the argument checks.
+    Raises ``CapExceeded`` before any work if the sweep is above its cap (``_sweep``).
     """
     r, n = params.r, params.n
     checked = values = 0

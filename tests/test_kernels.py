@@ -41,6 +41,7 @@ from test_reference import (
     row_insert_image,
     rows_of,
     shape_criterion,
+    sweep_fault,
     theorem_leaves,
 )
 
@@ -297,7 +298,8 @@ def patch_insertion(monkeypatch, fake):
 def test_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
     """Non-standard rows from the insertion pass for a leaf the sweep maps
     are never compared as if valid: ``rs_map`` validates the pair it
-    builds, and its tableau validation raises."""
+    builds, and its tableau validation raises, a fault the sweep frame
+    raises as ``RuntimeError`` (``sweep_fault``)."""
     params = GroupParams(2, 1, 4)
 
     def fake(perm, colors, r, real):
@@ -309,13 +311,14 @@ def test_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
         return rows
 
     patch_insertion(monkeypatch, fake)
-    with pytest.raises(InvalidTableau):
+    with sweep_fault("theorem", InvalidTableau, r"^row not increasing: \(4, 3, 2, 1\)$"):
         signs.verify_theorem(params)
 
 
 def test_sweep_validates_every_filling(monkeypatch):
     """A filling that is not standard, from the corner search, raises when
-    the sweep builds it, before it is used as a P or a Q."""
+    the sweep builds it, before it is used as a P or a Q, and the sweep
+    frame raises it as ``RuntimeError`` (``sweep_fault``)."""
     real = signs._corner_steps
 
     def corner_steps(shape):
@@ -327,13 +330,14 @@ def test_sweep_validates_every_filling(monkeypatch):
         return steps, fillings
 
     monkeypatch.setattr(signs, "_corner_steps", corner_steps)
-    with pytest.raises(InvalidTableau):
+    with sweep_fault("theorem", InvalidTableau, r"^row not increasing: \(3, 2, 1\)$"):
         signs.verify_theorem(GroupParams(2, 1, 3))
 
 
 def test_sweep_checks_the_pair_shape(monkeypatch):
     """A mapped leaf whose insertion gives P rows of another shape than its
-    Q rows is a ``ShapeMismatch``, as ``RSPair`` raises for it."""
+    Q rows is a ``ShapeMismatch``, as ``RSPair`` raises for it, raised by
+    the sweep frame as ``RuntimeError`` (``sweep_fault``)."""
     params = GroupParams(2, 1, 3)
     decoy = GroupElement(params, (1, 2, 3), (0, 0, 0))  # P is one row of three
 
@@ -341,5 +345,5 @@ def test_sweep_checks_the_pair_shape(monkeypatch):
         return real(decoy.perm, decoy.colors, r)[0], real(perm, colors, r)[1]
 
     patch_insertion(monkeypatch, fake)
-    with pytest.raises(ShapeMismatch):
+    with sweep_fault("theorem", ShapeMismatch, r"^\(\(3,\), \(\)\) != \(\(\), \(3,\)\)$"):
         signs.verify_theorem(params)

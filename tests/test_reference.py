@@ -15,7 +15,9 @@ orders) for the admissible classes.
 
 import copy
 import random
+import re
 import sys
+from contextlib import contextmanager
 from functools import cache
 from itertools import chain, combinations, combinations_with_replacement, islice, permutations, product
 from math import factorial, prod
@@ -611,6 +613,33 @@ def test_removal_walk_refuses_a_corrupted_rank_64_p():
     next(rows for rows in p_rows if len(rows) > 1)[1][0] = 0
     with pytest.raises(InvalidTableau, match="^reverse bump fell off the tableau$"):
         list(_removal_walk(p_rows, one_leaf_steps(pair.Q)))
+
+
+def label_fillings(shape):
+    """Every filling of ``shape`` by the labels 1..n, one per box, as row
+    lists, standard or not: n! of them."""
+    for labels in permutations(range(1, sum(map(sum, shape)) + 1)):
+        it = iter(labels)
+        yield [[[next(it) for _ in range(part)] for part in lam] for lam in shape]
+
+
+def test_removal_walk_refuses_every_p_that_is_not_standard():
+    """Each of the 4,456 fillings of rank 1 to 5 at r = 2 that is not a
+    standard filling of its shape makes the walk raise before its last
+    leaf, the one that puts P's rows back, instead of ending as if P were
+    standard: a re-insertion that runs past its component's last row
+    raises rather than dropping its value."""
+    refused = 0
+    for n in range(1, 6):
+        for shape in multipartitions(n, 2):
+            steps, standard = _corner_steps(shape)
+            for p_rows in label_fillings(shape):
+                if p_rows not in standard:
+                    with pytest.raises((InvalidTableau, IndexError)):
+                        for _ in _removal_walk(p_rows, steps):
+                            pass
+                    refused += 1
+    assert refused == 4456
 
 
 def hook_length_count(shape):
@@ -1336,11 +1365,24 @@ def test_admissible_sweep_builds_elements_only_to_map_them(monkeypatch):
     assert len(built) == len(mapped) == MAPPED[2, 1, 4]
 
 
+@contextmanager
+def sweep_fault(kind, cls, match):
+    """``pytest.raises`` for a sweep of ``kind`` whose walk raises ``cls``
+    after the argument checks: the sweep frame raises ``RuntimeError``
+    naming the sweep and the class, chained from the error itself, whose
+    message matches the regular expression ``match``."""
+    with pytest.raises(RuntimeError, match=f"^verify {kind} raised {cls.__name__} after its argument checks$") as info:
+        yield
+    cause = info.value.__cause__
+    assert type(cause) is cls and re.search(match, str(cause)), repr(cause)
+
+
 @pytest.mark.parametrize("side", [0, 1], ids=["P", "Q"])
 def test_admissible_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
     """Non-standard rows from the insertion pass, for a leaf the sweep
     maps, are never compared as if valid: ``rs_map`` validates the pair it
-    builds, and its tableau validation raises."""
+    builds, and its tableau validation raises, a fault the sweep frame
+    raises as ``RuntimeError`` (``sweep_fault``)."""
     real = rs_module._insertion_rows
 
     def fake(perm, colors, r):
@@ -1351,25 +1393,27 @@ def test_admissible_sweep_validates_rows_it_has_not_seen(monkeypatch, side):
         return rows
 
     monkeypatch.setattr(rs_module, "_insertion_rows", fake)
-    with pytest.raises(InvalidTableau):
+    with sweep_fault("admissible", InvalidTableau, r"^row not increasing: \(4, 3, 2, 1\)$"):
         signs.verify_admissible(GroupParams(2, 1, 4))
 
 
 def test_admissible_sweep_checks_the_pair_shape(monkeypatch):
     """A mapped leaf whose insertion gives P rows of another shape than its
-    Q rows is a ``ShapeMismatch``, as ``RSPair`` raises for it."""
+    Q rows is a ``ShapeMismatch``, as ``RSPair`` raises for it, raised by
+    the sweep frame as ``RuntimeError`` (``sweep_fault``)."""
     decoy = (1, 2, 3), (0, 0, 0)  # P is one row of three in component 0
     real = rs_module._insertion_rows
     monkeypatch.setattr(
         rs_module, "_insertion_rows", lambda perm, colors, r: (real(*decoy, r)[0], real(perm, colors, r)[1])
     )
-    with pytest.raises(ShapeMismatch):
+    with sweep_fault("admissible", ShapeMismatch, r"^\(\(3,\), \(\)\) != \(\(\), \(3,\)\)$"):
         signs.verify_admissible(GroupParams(2, 1, 3))
 
 
 def test_admissible_sweep_validates_every_filling(monkeypatch):
     """A filling that is not standard, from the corner search, raises when
-    the sweep builds it, before it is used as a P or a Q."""
+    the sweep builds it, before it is used as a P or a Q, and the sweep
+    frame raises it as ``RuntimeError`` (``sweep_fault``)."""
     real = signs._corner_steps
 
     def corner_steps(shape):
@@ -1381,7 +1425,7 @@ def test_admissible_sweep_validates_every_filling(monkeypatch):
         return steps, fillings
 
     monkeypatch.setattr(signs, "_corner_steps", corner_steps)
-    with pytest.raises(InvalidTableau):
+    with sweep_fault("admissible", InvalidTableau, r"^row not increasing: \(3, 2, 1\)$"):
         signs.verify_admissible(GroupParams(2, 1, 3))
 
 
@@ -2125,7 +2169,7 @@ def test_sweep_refuses_a_filling_that_is_not_standard_before_any_walk(monkeypatc
     corrupted = patch_search(monkeypatch, column_descent)
     real, walked = signs._removal_walk, []
     monkeypatch.setattr(signs, "_removal_walk", lambda p_rows, steps: walked.append(steps[0]) or real(p_rows, steps))
-    with pytest.raises(InvalidTableau, match="column not increasing between rows 1 and 2"):
+    with sweep_fault(kind, InvalidTableau, "column not increasing between rows 1 and 2"):
         getattr(signs, f"verify_{kind}")(GroupParams(2, 1, 4))
     assert corrupted and corrupted[0] not in walked
 
@@ -2143,6 +2187,6 @@ def test_sweep_refuses_a_repeated_filling(monkeypatch, kind):
         return False
 
     corrupted = patch_search(monkeypatch, repeat)
-    with pytest.raises(InvalidTableau, match=r"filling \d+ repeats filling 0"):
+    with sweep_fault(kind, InvalidTableau, r"filling \d+ repeats filling 0"):
         getattr(signs, f"verify_{kind}")(GroupParams(2, 1, 4))
     assert corrupted
