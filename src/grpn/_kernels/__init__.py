@@ -1,5 +1,6 @@
-"""The per-leaf kernel of the sweeps' leaf stream (``signs._blocks``),
-which the theorem and admissible sweeps read.
+"""The per-leaf kernel of the theorem and admissible sweeps, which each
+get it once per sweep and call it on every leaf of the shape blocks they
+walk (``signs._blocks``).
 
 There is one kernel, the pure-Python ``_fallback.theorem_stats``: it gives
 one leaf's (inv(sigma), color sum) and keeps no state, so ``get_kernel()``

@@ -1,11 +1,12 @@
-"""Pure-Python kernel: the group side of one leaf of the sweeps' leaf stream.
+"""Pure-Python kernel: the group side of one leaf of a theorem or
+admissible sweep.
 
-The leaf stream (``signs._blocks``), which ``verify_theorem`` and
-``verify_admissible`` read, checks a shape's fillings as one block, with
-no object per filling (``tableaux.check_fillings``).  It takes each
-filling's inv off its reading word, and e and twice_spin once per shape,
-off the first filling's validated ``Multitableau``, and walks each P's
-leaves with ``rs._removal_walk`` in that filling's own rows, replaying the
+The shape blocks these sweeps read (``signs._blocks``) check a shape's
+fillings as one block, with no object per filling
+(``tableaux.check_fillings``), take each filling's inv off its reading
+word, and e and twice_spin once per shape, off the first filling's
+validated ``Multitableau``, and walk the whole block with one
+``rs._removal_walk``, each P in its own filling's rows, replaying the
 steps of the shape's corner search (run once per shape).  What is left per
 leaf is the group side: inv(sigma) and the color sum, which
 ``theorem_stats`` counts afresh on every call, with no store.

@@ -3,16 +3,17 @@
 For an element w of G(r,1,n) the values with color k are Schensted-inserted
 in position order to build the component P_k, while Q_k records, in the box
 created by the entry at position i, the absolute position i itself.
-``_removal_walk`` runs the inverse for every Q of one P at once, replaying
-the corner search's steps for P's shape (``tableaux._corner_steps``, run
-once per shape) in P's own component rows, with no row popped or put back,
-and undoes a removal by inserting its value back into its component; the
-sweeps walk the group this way, one shape block at a time, and
-``rs_inverse`` is its one-leaf case, with the step list read off Q.  So
-the library has one reverse bump.  It has two Schensted insertion loops,
-the insertion pass's and the walk's undo, written inline in each: one
-shared per-value insertion call measured 1.15x the time of the sweeps and
-1.07x that of ``pi`` (in process, 2-core x86-64, Python 3.11).
+``_removal_walk`` runs the inverse for every pair (P, Q) of one shape
+block at once, P by P, replaying the corner search's steps for the shape
+(``tableaux._corner_steps``, run once per shape) in each P's own component
+rows, with no row popped or put back, and undoes a removal by inserting
+its value back into its component; the sweeps walk the group this way, one
+walk per shape block, and ``rs_inverse`` is its one-filling, one-leaf
+case, with the step list read off Q.  So the library has one reverse
+bump.  It has two Schensted insertion loops, the insertion pass's and the
+walk's undo, written inline in each: one shared per-value insertion call
+measured 1.15x the time of the sweeps and 1.07x that of ``pi`` (in
+process, 2-core x86-64, Python 3.11).
 The admissible operators L_i / R_i and the ascending canonical
 representative of each class live here as well, each written once on
 one-line data ``(perm, colors)`` (``_left_move``, ``_right_move``; the
@@ -70,16 +71,20 @@ def _rs_rows(w: GroupElement) -> tuple[list[list[list[int]]], list[list[list[int
     return _insertion_rows(w.perm, w.colors, w.params.r)
 
 
-def _removal_walk(p_rows: list[list[list[int]]], steps: CornerSteps) -> Iterator[tuple[list[int], list[int]]]:
-    """``rs_inverse(RSPair(P, Q), G(r,1,n))`` for every standard Q of P's
-    shape, each once, as ``(perm, colors)``; P is given as one row list per
-    component, and ``steps`` is the corner search of P's shape
-    (``tableaux._corner_steps``).
+def _removal_walk(fillings: list, steps: CornerSteps) -> Iterator[tuple[int, int, list[int], list[int]]]:
+    """``rs_inverse(RSPair(P, Q), G(r,1,n))`` for every pair (P, Q) of a
+    shape block: P and Q run over ``fillings``, standard fillings of one
+    shape, each given as one row list per component, and ``steps`` is the
+    corner search of that shape (``tableaux._corner_steps``).  Each pair is
+    yielded once, as ``(a, k, perm, colors)`` with P filling a and Q
+    filling k, in a-major order; the sweeps walk the whole block of a shape
+    in one walk, and ``rs_inverse`` is its one-filling, one-leaf case.
 
-    The walk replays the search's leaves on P's rows: leaf k is the element
-    whose Q is the k-th standard filling ``_corner_steps`` gives with the
-    same steps.  The step (k, t) is row t of component k, ``p_rows[k][t]``,
-    and its reverse bump runs through the t rows above it.  Each leaf
+    For each P in turn the walk replays the search's leaves on P's rows:
+    leaf k is the element whose Q is the k-th standard filling
+    ``_corner_steps`` gives with the same steps, which is filling k when
+    ``fillings`` are the search's.  The step (c, t) is row t of component
+    c, and its reverse bump runs through the t rows above it.  Each leaf
     undoes the previous leaf's removals that it does not keep, latest
     first, then makes its further removals, labels n-keep down to 2: each
     pops the last box of its row, leaving an emptied row in place, and
@@ -87,62 +92,72 @@ def _removal_walk(p_rows: list[list[list[int]]], steps: CornerSteps) -> Iterator
     by Schensted-inserting its value back into its component, from the
     component's first row: the insertion inverts the reverse bump, so it
     ends in the row the removal popped, where an emptied row takes the
-    value.  The walk's state is P's rows and the yielded buffers, with no
-    log of the bumps.  So each step costs one reverse bump, not n, with no
-    corner scan and no recording multitableau.  Label 1's box is then the
-    only one left, the first box of the leaf's ``first`` component, and is
-    read off.
+    value.  The walk's state is the rows of the filling being walked and
+    the yielded buffers, with no log of the bumps.  So each step costs one
+    reverse bump, not n, with no corner scan and no recording
+    multitableau.  Label 1's box is then the only one left, the first box
+    of the leaf's ``first`` component, and is read off.  A last leaf that
+    keeps nothing and is not yielded puts P's rows back before the next P.
 
-    P's rows must be standard, as every caller's are, and have the shape
-    the steps were built for, or the walk raises ``ShapeMismatch`` before
-    any removal.  Other rows make it raise before its last leaf, the one
-    that puts P's rows back: a reverse bump that finds no smaller entry in
-    the row above, or a re-insertion that runs past its component's last
-    row, raises ``InvalidTableau``, and a removal from an emptied row, or
-    label 1 read off one, an ``IndexError``.  The yielded lists are live
-    buffers, valid until the next step, which reads them to undo: copy what
-    must outlive it, and change neither.  The walk
-    works in ``p_rows`` itself, which must hold n >= 1 boxes, and leaves it
-    holding P's rows again, the same row objects, when it ends.
+    The block's shape is checked once, before any removal: a filling of
+    another shape than the steps' raises ``ShapeMismatch``, naming the
+    first.  The rows must also be standard, as every caller's are; other
+    rows make the walk raise ``InvalidTableau`` before the last leaf of
+    their filling: a reverse bump that finds no smaller entry in the row
+    above, a re-insertion that runs past its component's last row, and a
+    removal from an emptied row, or label 1 read off one.  The yielded
+    lists are live buffers, valid until the next step, which reads them to
+    undo: copy what must outlive it, and change neither.  The walk works
+    in the fillings' rows themselves, which must hold n >= 1 boxes, and
+    leaves each filling holding its rows again, the same row objects, when
+    it runs to its end.
     """
     shape, leaves = steps
-    got = tuple([tuple(map(len, rows)) for rows in p_rows])
-    if got != shape:
-        raise ShapeMismatch(f"P has shape {got}, the steps are for {shape}")
+    comps, f = list(chain.from_iterable(fillings)), len(fillings)
+    lens = list(map(len, fillings)), list(map(len, comps)), list(map(len, chain.from_iterable(comps)))
+    if lens != ([len(shape)] * f, list(map(len, shape)) * f, list(chain.from_iterable(shape)) * f):
+        for a, p_rows in enumerate(fillings):
+            if (got := tuple([tuple(map(len, rows)) for rows in p_rows])) != shape:
+                raise ShapeMismatch(f"filling {a} has shape {got}, the steps are for {shape}")
     n = sum(map(sum, shape))
     perm, colors = [0] * n, [0] * n
-    # labels low + 1, ..., n have a removal in place
-    low = n
-    # a last leaf that keeps nothing and is not yielded puts P's rows back
-    for keep, moves, first in chain(leaves, [(0, (), None)]):
-        for j in range(low, n - keep):
-            x = perm[j]
-            for row in p_rows[colors[j]]:
-                pos = bisect_right(row, x)
-                if pos == len(row):
-                    row.append(x)
+    try:
+        for a, p_rows in enumerate(fillings):
+            # labels low + 1, ..., n have a removal in place
+            low = n
+            # a last leaf that keeps nothing and is not yielded puts P's rows back
+            for k, (keep, moves, first) in enumerate(chain(leaves, [(0, (), None)])):
+                for j in range(low, n - keep):
+                    x = perm[j]
+                    for row in p_rows[colors[j]]:
+                        pos = bisect_right(row, x)
+                        if pos == len(row):
+                            row.append(x)
+                            break
+                        x, row[pos] = row[pos], x
+                    else:
+                        raise InvalidTableau("re-insertion ran off its component")
+                if first is None:
                     break
-                x, row[pos] = row[pos], x
-            else:
-                raise InvalidTableau("re-insertion ran off its component")
-        if first is None:
-            return
-        j = n - keep
-        for k, t in moves:
-            rows = p_rows[k]
-            x = rows[t].pop()
-            while t:
-                t -= 1
-                above = rows[t]
-                pos = bisect_right(above, x) - 1
-                if pos < 0:
-                    raise InvalidTableau("reverse bump fell off the tableau")
-                x, above[pos] = above[pos], x
-            j -= 1
-            perm[j], colors[j] = x, k
-        low = j
-        perm[0], colors[0] = p_rows[first][0][0], first
-        yield perm, colors
+                j = n - keep
+                for c, t in moves:
+                    rows = p_rows[c]
+                    x = rows[t].pop()
+                    while t:
+                        t -= 1
+                        above = rows[t]
+                        pos = bisect_right(above, x) - 1
+                        if pos < 0:
+                            raise InvalidTableau("reverse bump fell off the tableau")
+                        x, above[pos] = above[pos], x
+                    j -= 1
+                    perm[j], colors[j] = x, c
+                low = j
+                perm[0], colors[0] = p_rows[first][0][0], first
+                yield a, k, perm, colors
+    except IndexError:
+        # only an emptied row has no box where the shape has one
+        raise InvalidTableau("no box left in a row of the shape") from None
 
 
 def rs_map(w: GroupElement) -> RSPair:
@@ -164,16 +179,15 @@ def rs_inverse(pair: RSPair, params: GroupParams) -> GroupElement:
             f"pair has rank {n} with {len(P.components)} components, expected {params}"
         )
     # cells[x]: the (component, row) where Q holds label x, one tuple per row
-    cells, shape = [None] * (n + 1), []
+    cells = [None] * (n + 1)
     for k, comp in enumerate(Q.components):
-        shape.append(tuple(map(len, comp.rows)))
         for t, row in enumerate(comp.rows):
             cell = (k, t)
             for label in row:
                 cells[label] = cell
     p_rows = [[list(row) for row in comp.rows] for comp in P.components]
-    steps = (tuple(shape), ((0, cells[n:1:-1], cells[1][0]),))
-    perm, colors = next(_removal_walk(p_rows, steps))
+    steps = (Q.shape, ((0, cells[n:1:-1], cells[1][0]),))
+    _, _, perm, colors = next(_removal_walk([p_rows], steps))
     w = GroupElement(params, tuple(perm), tuple(colors))
     if params.p != 1:
         require_member(w)

@@ -273,7 +273,7 @@ def test_verify_fault_in_the_walk_exits_with_its_own_code(capsys, monkeypatch, k
     it is a ``GrpnError``.  Bad arguments still exit 2, and a sweep that
     finds counterexamples 1."""
 
-    def broken(p_rows, steps):
+    def broken(fillings, steps):
         raise fault("walk fault")
         yield
 
@@ -287,9 +287,9 @@ def test_verify_fault_in_the_walk_exits_with_its_own_code(capsys, monkeypatch, k
     code, out, err = run(capsys, *argv, "--cap", "5")
     assert (code, out) == (USAGE_ERROR, "") and re.fullmatch(r"error: G\(2,[12],3\) has \d+ elements, above cap 5\n", err)
 
-    def recolored(p_rows, steps):
-        for perm, colors in real(p_rows, steps):
-            yield perm, [1 - colors[0], *colors[1:]]
+    def recolored(fillings, steps):
+        for a, k, perm, colors in real(fillings, steps):
+            yield a, k, perm, [1 - colors[0], *colors[1:]]
 
     monkeypatch.setattr(signs, "_removal_walk", recolored)
     code, out, err = run(capsys, *argv)

@@ -77,17 +77,16 @@ def leaf_stats(params):
     walk order, as the sweep reads them: the kernel's pair on the walk's
     live buffers, then the shape's e, the ``_fillings`` inversion counts of
     filling a as P and of filling k as Q, and the shape's twice_spin as
-    twice_spin(P) and as twice_spin(Q), for leaf k of the walk of filling a
-    in filling a's own rows."""
+    twice_spin(P) and as twice_spin(Q), for each leaf (a, k) of the walk of
+    the shape's block in the fillings' own rows."""
     r, n = params.r, params.n
     kernel = get_kernel()
     for shape in multipartitions(n, r):
         steps, rows = _corner_steps(shape)
         invs, e, ts = signs._fillings(shape, rows)
-        for inv_p, p_rows in zip(invs, rows, strict=True):
-            for (perm, colors), inv_q in zip(_removal_walk(p_rows, steps), invs, strict=True):
-                stats = (*kernel(perm, colors, r), e, inv_p, inv_q, ts, ts)
-                yield GroupElement(params, perm, colors), stats
+        for a, k, perm, colors in _removal_walk(rows, steps):
+            stats = (*kernel(perm, colors, r), e, invs[a], invs[k], ts, ts)
+            yield GroupElement(params, perm, colors), stats
 
 
 def test_python_backend_always_available():
@@ -252,8 +251,9 @@ def test_sweep_maps_each_first_sight_once(monkeypatch, r, p, n):
         assert [(w.perm, w.colors) for w in mapped] == [(w.perm, w.colors) for w in expected]
 
 
-# (step lists built, walks) of one sweep: one step list per shape walked,
-# the theorem sweep's kept shapes only, and one walk per P of those shapes
+# (step lists built, fillings walked) of one sweep: one step list per shape
+# walked, the theorem sweep's kept shapes only, and one walk per shape
+# block, over every P of the shape
 SEARCHES = {
     ("theorem", 2, 1, 5): (36, 312),
     ("theorem", 4, 2, 4): (65, 368),
@@ -266,25 +266,27 @@ SEARCHES = {
 def test_sweep_runs_the_corner_search_once_per_shape(monkeypatch, kind, r, p, n):
     """A sweep builds one step list per shape it walks, in
     ``multipartitions`` order (the theorem sweep only for the shapes it
-    keeps, one per ``rs_map`` call), and hands that same list to every walk
-    of the shape, one walk per P, each in the rows of P's own filling as
-    the search handed it out, in search order."""
+    keeps, one per ``rs_map`` call), and walks each shape's block once,
+    with that same list, over the fillings list the search handed out,
+    whose P's are the rows of each filling, in search order."""
     built, walked = [], []
     real_steps, real_walk = signs._corner_steps, signs._removal_walk
     monkeypatch.setattr(signs, "_corner_steps", lambda shape: built.append(real_steps(shape)) or built[-1])
 
-    def walk(p_rows, steps):
-        walked.append((steps, p_rows))
-        return real_walk(p_rows, steps)
+    def walk(fillings, steps):
+        walked.append((steps, fillings, [id(rows) for rows in fillings]))
+        return real_walk(fillings, steps)
 
     monkeypatch.setattr(signs, "_removal_walk", walk)
     assert getattr(signs, f"verify_{kind}")(GroupParams(r, p, n)).passed
-    assert (len(built), len(walked)) == SEARCHES[kind, r, p, n]
+    assert (len(built), sum(len(fillings) for _, fillings, _ in walked)) == SEARCHES[kind, r, p, n]
     shapes = [s for s in multipartitions(n, r) if kind == "membership" or shape_criterion(s, p)]
     assert [shape for (shape, _), _ in built] == shapes
-    assert len(walked) == sum(map(count_standard_multitableaux, shapes))
-    assert {id(steps) for steps, _ in walked} == {id(steps) for steps, _ in built}
-    assert [id(rows) for _, rows in walked] == [id(rows) for _, fillings in built for rows in fillings]
+    assert len(walked) == len(shapes)
+    assert sum(len(fillings) for _, fillings, _ in walked) == sum(map(count_standard_multitableaux, shapes))
+    assert [id(steps) for steps, _, _ in walked] == [id(steps) for steps, _ in built]
+    assert [id(fillings) for _, fillings, _ in walked] == [id(fillings) for _, fillings in built]
+    assert [ids for _, _, ids in walked] == [[id(rows) for rows in fillings] for _, fillings in built]
 
 
 def patch_insertion(monkeypatch, fake):

@@ -344,14 +344,28 @@ def test_row_route_matches_objects_up_to_rank_64():
         assert list(_rs_rows(w)) == list(row_insert_image(w)), w
 
 
-def removal_leaves(p_rows, steps):
-    """The removal walk's leaves over P's row lists, replaying the step
-    list of P's shape in those rows, as (perm, colors) tuples; the walk
-    must leave the same row objects, holding P's rows, in ``p_rows``."""
-    before = [[(id(row), list(row)) for row in comp] for comp in p_rows]
-    leaves = [(tuple(perm), tuple(colors)) for perm, colors in _removal_walk(p_rows, steps)]
-    assert [[(id(row), list(row)) for row in comp] for comp in p_rows] == before
+def block_rows(fillings):
+    """Each filling's rows, with the id of each row object."""
+    return [[[(id(row), list(row)) for row in comp] for comp in p_rows] for p_rows in fillings]
+
+
+def removal_leaves(fillings, steps):
+    """The removal walk's leaves over a block of P's, given as row lists,
+    replaying the step list of their shape in those rows, as (a, k, perm,
+    colors) with tuples; the walk must leave the same row objects, holding
+    each filling's rows, in ``fillings``."""
+    before = block_rows(fillings)
+    leaves = [(a, k, tuple(perm), tuple(colors)) for a, k, perm, colors in _removal_walk(fillings, steps)]
+    assert block_rows(fillings) == before
     return leaves
+
+
+def one_p_leaves(p_rows, steps):
+    """``removal_leaves`` of the one-filling block of P's row lists, as
+    (perm, colors): every leaf has P = filling 0, and leaf k is (0, k)."""
+    leaves = removal_leaves([p_rows], steps)
+    assert [(a, k) for a, k, _, _ in leaves] == [(0, k) for k in range(len(leaves))]
+    return [(perm, colors) for _, _, perm, colors in leaves]
 
 
 @pytest.mark.parametrize("p_rows", [[[[2], [1]]], [[[1]], [[3, 4], [2]]]])
@@ -359,7 +373,7 @@ def test_removal_walk_refuses_rows_that_are_not_standard(p_rows):
     """A column that decreases makes a reverse bump find no smaller entry in
     the row above: the walk raises instead of yielding a wrong element."""
     with pytest.raises(InvalidTableau, match="^reverse bump fell off the tableau$"):
-        list(_removal_walk(p_rows, _corner_steps(shape_of(p_rows))[0]))
+        list(_removal_walk([p_rows], _corner_steps(shape_of(p_rows))[0]))
 
 
 @pytest.mark.parametrize(
@@ -373,10 +387,29 @@ def test_removal_walk_refuses_rows_of_another_shape(p_rows):
     ``ShapeMismatch`` before any removal, and the rows are left as given."""
     steps = _corner_steps(((2, 1), ()))[0]
     before = [[list(row) for row in comp] for comp in p_rows]
-    walk = _removal_walk(p_rows, steps)
-    with pytest.raises(ShapeMismatch, match="steps are for"):
+    walk = _removal_walk([p_rows], steps)
+    with pytest.raises(ShapeMismatch, match=r"^filling 0 has shape .*, the steps are for \(\(2, 1\), \(\)\)$"):
         next(walk)
     assert p_rows == before
+
+
+@pytest.mark.parametrize("r,n", [(1, 4), (2, 4), (3, 3)])
+def test_block_walk_refuses_a_last_filling_of_another_shape(r, n):
+    """A block whose last filling has another shape, of the same rank,
+    than the one its steps are for: the walk raises ``ShapeMismatch``
+    naming that filling before any removal, so no filling's rows change,
+    and every row object stays in place, also when the first fillings are
+    of the steps' shape."""
+    shapes = list(multipartitions(n, r))
+    for shape, other in zip(shapes, shapes[1:] + shapes[:1]):
+        steps, fillings = _corner_steps(shape)
+        fillings[-1] = _corner_steps(other)[1][-1]
+        before = block_rows(fillings)
+        walk = _removal_walk(fillings, steps)
+        match = f"^filling {len(fillings) - 1} has shape {re.escape(str(other))}, the steps are for "
+        with pytest.raises(ShapeMismatch, match=match):
+            next(walk)
+        assert block_rows(fillings) == before, shape
 
 
 def reverse_bump(P, Q):
@@ -409,16 +442,15 @@ def shape_criterion(shape, p):
 
 def membership_leaves(params, walk=_removal_walk):
     """(w, criterion) for every leaf of the membership sweep, in its order:
-    shapes in ``multipartitions`` order, each P in the order of the fillings
-    ``_corner_steps`` gives, then the removal walk's order in P's own
-    filling rows; the criterion is read off the shape."""
+    shapes in ``multipartitions`` order, then the walk of each shape's
+    block, each P in the order of the fillings ``_corner_steps`` gives, in
+    P's own filling rows; the criterion is read off the shape."""
     r, p, n = params.r, params.p, params.n
     full = GroupParams(r, 1, n)
     for shape in multipartitions(n, r):
         steps, fillings = _corner_steps(shape)
-        for p_rows in fillings:
-            for perm, colors in walk(p_rows, steps):
-                yield GroupElement(full, tuple(perm), tuple(colors)), shape_criterion(shape, p)
+        for _, _, perm, colors in walk(fillings, steps):
+            yield GroupElement(full, tuple(perm), tuple(colors)), shape_criterion(shape, p)
 
 
 def theorem_leaves(params):
@@ -437,17 +469,16 @@ def theorem_leaves(params):
 
 @pytest.mark.parametrize("r,n", [(1, 6), (2, 5), (3, 4), (4, 3), (4, 4)])
 def test_removal_walk_covers_the_group(r, n):
-    """Over every filling of every shape, the removal walk's leaves are
+    """Over the block of every shape, the removal walk's leaves are
     G(r,1,n), each exactly once, each inserting back to the P it came from,
-    and each walk puts P's rows back."""
+    and each walk puts every P's rows back."""
     params = GroupParams(r, 1, n)
     leaves = []
     for shape in multipartitions(n, r):
         steps, fillings = _corner_steps(shape)
-        for p_rows in fillings:
-            for perm, colors in removal_leaves(p_rows, steps):
-                assert _rs_rows(GroupElement(params, perm, colors))[0] == p_rows, (perm, colors)
-                leaves.append((perm, colors))
+        for a, _, perm, colors in removal_leaves(fillings, steps):
+            assert _rs_rows(GroupElement(params, perm, colors))[0] == fillings[a], (perm, colors)
+            leaves.append((perm, colors))
     assert len(leaves) == len(set(leaves)) == params.order
     assert set(leaves) == {(w.perm, w.colors) for w in enumerate_group(params)}
 
@@ -463,13 +494,14 @@ def test_removal_walk_matches_rs_inverse(r, max_n):
         for shape in multipartitions(n, r):
             tableaux = list(standard_multitableaux(shape, cap=n))
             steps, fillings = _corner_steps(shape)
-            for p_rows in fillings:
-                P = Multitableau(StandardTableau(rows) for rows in p_rows)
-                leaves = removal_leaves(p_rows, steps)
+            ps = [Multitableau(StandardTableau(rows) for rows in p_rows) for p_rows in fillings]
+            leaves = removal_leaves(fillings, steps)
+            f = count_standard_multitableaux(shape)
+            assert len(set(leaves)) == len(leaves) == f * f
+            for a, P in enumerate(ps):
                 expected = [reverse_bump(P, Q) for Q in tableaux]
-                assert leaves == expected, str(P)
+                assert [leaf[2:] for leaf in leaves[a * f : (a + 1) * f]] == expected, str(P)
                 assert [rs_inverse(RSPair(P, Q), full) for Q in tableaux] == [GroupElement(full, *e) for e in expected]
-                assert len(set(leaves)) == len(leaves) == count_standard_multitableaux(shape)
 
 
 @pytest.mark.parametrize("r,p,n", [(2, 2, 4), (4, 2, 3), (3, 3, 3), (4, 4, 3), (6, 3, 2)])
@@ -486,7 +518,7 @@ def test_rs_inverse_matches_the_reverse_bump_oracle_over_subgroups(r, p, n):
         for P in tableaux:
             for Q in tableaux:
                 expected = reverse_bump(P, Q)
-                assert removal_leaves(rows_of(P), one_leaf_steps(Q)) == [expected], (str(P), str(Q))
+                assert one_p_leaves(rows_of(P), one_leaf_steps(Q)) == [expected], (str(P), str(Q))
                 if shape_criterion(shape, p):
                     assert rs_inverse(RSPair(P, Q), params) == GroupElement(params, *expected)
                     members += 1
@@ -514,38 +546,40 @@ def test_rs_inverse_matches_the_reverse_bump_oracle_up_to_rank_64():
         pair = rs_map(w)
         assert reverse_bump(pair.P, pair.Q) == (w.perm, w.colors), str(w)
         assert rs_inverse(pair, params) == w, str(w)
-        assert removal_leaves(rows_of(pair.P), one_leaf_steps(pair.Q)) == [(w.perm, w.colors)], str(w)
+        assert one_p_leaves(rows_of(pair.P), one_leaf_steps(pair.Q)) == [(w.perm, w.colors)], str(w)
         ps.add(p)
     assert ps == {1, 2, 4, 8}
 
 
 @pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4)])
 def test_removal_walk_leaf_k_is_filling_k(r, n):
-    """For every P of G(r,1,n), leaf k of P's removal walk is
-    ``reverse_bump(P, filling k)`` and inserts back to P and filling k: the
-    order the theorem sweep pairs each leaf with its Q by."""
+    """Over whole groups, the walk of each shape's block yields every pair
+    (a, k) of its fillings once, in a-major order, and for every P of
+    G(r,1,n), filling a of its shape, leaf (a, k) is ``reverse_bump(P,
+    filling k)`` and inserts back to P and filling k: the pairs the sweeps
+    read each leaf's P and Q by."""
     full = GroupParams(r, 1, n)
     count = 0
     for shape in multipartitions(n, r):
         tableaux = list(standard_multitableaux(shape, cap=n))
         steps, fillings = _corner_steps(shape)
-        for p_rows in fillings:
-            P = Multitableau(StandardTableau(rows) for rows in p_rows)
-            leaves = removal_leaves(p_rows, steps)
-            assert len(leaves) == len(tableaux)
-            for (perm, colors), Q in zip(leaves, tableaux):
-                assert (perm, colors) == reverse_bump(P, Q), (str(P), str(Q))
-                assert rs_module._insertion_rows(perm, colors, r) == (rows_of(P), rows_of(Q))
-                count += 1
+        leaves = removal_leaves(fillings, steps)
+        assert [(a, k) for a, k, _, _ in leaves] == list(product(range(len(tableaux)), repeat=2)), shape
+        for a, k, perm, colors in leaves:
+            P, Q = tableaux[a], tableaux[k]
+            assert (perm, colors) == reverse_bump(P, Q), (str(P), str(Q))
+            assert rs_module._insertion_rows(perm, colors, r) == (rows_of(P), rows_of(Q))
+            count += 1
     assert count == full.order
 
 
 def test_removal_walk_leaf_k_is_filling_k_above_the_exhaustive_ranks():
     """On seeded random shapes of rank 7 to 9 with r <= 4: the search's
     fillings are distinct standard multitableaux, as many as the hook
-    length formula counts, and for sampled P's leaf k of the walk is
-    ``reverse_bump(P, filling k)`` at sampled k, the first and last among
-    them, and the walk puts P's rows back."""
+    length formula counts, and for a block of sampled P's leaf (b, k) of
+    the walk, for the b-th sampled P, is ``reverse_bump(P, filling k)`` at
+    sampled k, the first and last among them, and the walk puts every P's
+    rows back."""
     rng = random.Random(29)
     for _ in range(12):
         n, r = rng.randint(7, 9), rng.randint(1, 4)
@@ -555,26 +589,26 @@ def test_removal_walk_leaf_k_is_filling_k_above_the_exhaustive_ranks():
         count = count_standard_multitableaux(shape)
         assert len(fillings) == len(set(fillings)) == count, shape
         tableaux = [Multitableau(StandardTableau(rows) for rows in f) for f in fillings]
-        for a in rng.sample(range(count), min(3, count)):
-            p_rows = [[list(row) for row in comp] for comp in fillings[a]]
-            leaves = removal_leaves(p_rows, steps)
-            assert len(set(leaves)) == len(leaves) == count
+        sampled = rng.sample(range(count), min(3, count))
+        block = [[[list(row) for row in comp] for comp in fillings[a]] for a in sampled]
+        leaves = removal_leaves(block, steps)
+        assert len(set(leaves)) == len(leaves) == count * len(sampled)
+        for b, a in enumerate(sampled):
             for k in {0, count - 1, *rng.sample(range(count), min(40, count))}:
-                assert leaves[k] == reverse_bump(tableaux[a], tableaux[k]), (shape, a, k)
+                assert leaves[b * count + k] == (b, k, *reverse_bump(tableaux[a], tableaux[k])), (shape, a, k)
 
 
 @pytest.mark.parametrize("r,n", [(2, 5), (3, 4), (4, 4)])
 def test_walks_in_place_leave_the_fillings_as_they_were(r, n):
     """The sweeps walk each P in its own filling's rows, with no copy: after
-    every P of a shape is walked in place, the fillings ``_corner_steps``
-    handed out equal a deep copy taken before the walks, and no two of them
-    share a row object."""
+    the walk of a shape's block, every P of the shape walked in place, the
+    fillings ``_corner_steps`` handed out equal a deep copy taken before
+    the walk, and no two of them share a row object."""
     for shape in multipartitions(n, r):
         steps, fillings = _corner_steps(shape)
         before = copy.deepcopy(fillings)
-        for p_rows in fillings:
-            for _ in _removal_walk(p_rows, steps):
-                pass
+        for _ in _removal_walk(fillings, steps):
+            pass
         assert fillings == before, shape
         rows = [id(row) for filling in fillings for comp in filling for row in comp]
         assert len(rows) == len(set(rows)), shape
@@ -598,7 +632,7 @@ def test_removal_walk_matches_the_insertion_up_to_rank_64():
         w = random_element(rng, rng.randint(1, 64), rng.choice((1, 2, 4, 8)))
         pair = rs_map(w)
         p_rows = rows_of(pair.P)
-        assert removal_leaves(p_rows, one_leaf_steps(pair.Q)) == [(w.perm, w.colors)], str(w)
+        assert one_p_leaves(p_rows, one_leaf_steps(pair.Q)) == [(w.perm, w.colors)], str(w)
         assert p_rows == rows_of(pair.P)
 
 
@@ -612,7 +646,7 @@ def test_removal_walk_refuses_a_corrupted_rank_64_p():
     p_rows = rows_of(pair.P)
     next(rows for rows in p_rows if len(rows) > 1)[1][0] = 0
     with pytest.raises(InvalidTableau, match="^reverse bump fell off the tableau$"):
-        list(_removal_walk(p_rows, one_leaf_steps(pair.Q)))
+        list(_removal_walk([p_rows], one_leaf_steps(pair.Q)))
 
 
 def label_fillings(shape):
@@ -625,21 +659,24 @@ def label_fillings(shape):
 
 def test_removal_walk_refuses_every_p_that_is_not_standard():
     """Each of the 4,456 fillings of rank 1 to 5 at r = 2 that is not a
-    standard filling of its shape makes the walk raise before its last
-    leaf, the one that puts P's rows back, instead of ending as if P were
-    standard: a re-insertion that runs past its component's last row
-    raises rather than dropping its value."""
-    refused = 0
+    standard filling of its shape makes the walk raise ``InvalidTableau``
+    before its last leaf, the one that puts P's rows back, instead of
+    ending as if P were standard: a re-insertion that runs past its
+    component's last row raises rather than dropping its value, and so do
+    a removal from an emptied row and label 1 read off one, which 54 of
+    them reach."""
+    refused, emptied = 0, 0
     for n in range(1, 6):
         for shape in multipartitions(n, 2):
             steps, standard = _corner_steps(shape)
             for p_rows in label_fillings(shape):
                 if p_rows not in standard:
-                    with pytest.raises((InvalidTableau, IndexError)):
-                        for _ in _removal_walk(p_rows, steps):
+                    with pytest.raises(InvalidTableau) as info:
+                        for _ in _removal_walk([p_rows], steps):
                             pass
                     refused += 1
-    assert refused == 4456
+                    emptied += str(info.value) == "no box left in a row of the shape"
+    assert (refused, emptied) == (4456, 54)
 
 
 def hook_length_count(shape):
@@ -753,11 +790,11 @@ def test_membership_backward_pass_reports_a_shifted_color(monkeypatch):
     criterion) counterexample, in shape-then-P-then-walk order, and leave
     the counts alone."""
 
-    def shifted(p_rows, steps):
+    def shifted(fillings, steps):
         # the value 1 at position 1 gets the next color, an element outside
         # its P's membership verdict for p = 2
-        for perm, colors in _removal_walk(p_rows, steps):
-            yield perm, [(colors[0] + 1) % 2] + colors[1:] if perm[0] == 1 else colors
+        for a, k, perm, colors in _removal_walk(fillings, steps):
+            yield a, k, perm, [(colors[0] + 1) % 2] + colors[1:] if perm[0] == 1 else colors
 
     params, full = GroupParams(2, 2, 4), GroupParams(2, 1, 4)
     clean = signs.verify_membership(params)
@@ -1198,36 +1235,34 @@ MAPPED = {(2, 1, 4): 20, (3, 1, 3): 22, (4, 2, 3): 20, (2, 1, 5): 36}
 
 @pytest.mark.parametrize("r,p,n", [(2, 1, 4), (3, 1, 3), (4, 2, 3), (2, 1, 5)])
 def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
-    """The sweep's shape blocks, the leaf stream's leaves of each kept
-    shape (``_blocks``), built by the removal walk, against each member's
-    fresh ``rs_map`` pair: every element of G(r,p,n) is in the block of its
-    shape once, with the fillings whose rows are its P's and Q's, the
-    inversion counts and the defect its tableau objects give
-    (``object_entry``) and its own color sum; a block of f fillings has f**2
-    members, f distinct P's and f distinct Q's.  The sweep maps with
+    """The sweep's shape blocks, the walk of each kept shape's block
+    (``_blocks``), against each member's fresh ``rs_map`` pair: every
+    element of G(r,p,n) is in the block of its shape once, with the
+    fillings whose rows are its P's and Q's and the inversion counts its
+    tableau objects give (``object_entry``), and the defect the sweeps
+    compute from the shape's record and the element's inv(sigma) and color
+    sum is the one its tableau objects give; a block of f fillings has
+    f**2 members, f distinct P's and f distinct Q's.  The sweep maps with
     ``rs_map`` exactly the rotating round-trip leaf of each kept shape, in
     shape order, and the rows it compares that leaf's pair with are the
     pair's."""
     params = GroupParams(r, p, n)
     report = signs.VerificationReport(params, "admissible")
     everything, trips = [], []
-    for (fillings, invs, _, _), (trip_a, trip_k, *trip_rows), leaves in signs._blocks(params, report):
-        block = {
-            (tuple(perm), tuple(colors)): (a, k, color_sum, parity, shift)
-            for a, k, perm, colors, color_sum, parity, shift in leaves
-        }
+    for (fillings, invs, e, ts), (trip_a, trip_k, *trip_rows), walk in signs._blocks(params, report):
+        block = {(tuple(perm), tuple(colors)): (a, k) for a, k, perm, colors in walk}
         f = len(fillings)
         assert len(invs) == f
         assert len(block) == f * f
-        assert {a for a, *_ in block.values()} == {k for _, k, *_ in block.values()} == set(range(f))
-        for key, (a, k, color_sum, parity, shift) in block.items():
+        assert {a for a, _ in block.values()} == {k for _, k in block.values()} == set(range(f))
+        for key, (a, k) in block.items():
             w = GroupElement(params, *key)
             pair = rs_map(w)
             entry = object_entry(pair)
             assert (as_tuples(fillings[a]), as_tuples(fillings[k])) == (entry[0][0], entry[1][0]), str(w)
             assert (invs[a], invs[k]) == (entry[0][1], entry[1][1]), str(w)
-            assert color_sum == w.color_sum(), str(w)
-            assert (parity, shift) == object_defect(key, entry, r), str(w)
+            defect = (pairwise_inversions(w.perm) + e + invs[a] + invs[k]) & 1, (ts - sum(w.colors)) % r
+            assert defect == object_defect(key, entry, r), str(w)
             if (a, k) == (trip_a, trip_k):
                 assert trip_rows == [entry[0][0], entry[1][0]], str(w)
                 trips.append(w)
@@ -1244,40 +1279,110 @@ def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
     assert mapped == trips
 
 
+def patch_kernel(monkeypatch, change):
+    """Patch the kernel the sweeps get (``get_kernel``): each leaf's
+    (inv(sigma), color sum) becomes ``change(perm, colors, r, inv_sigma,
+    color_sum)``."""
+    real = signs.get_kernel
+
+    def get_kernel():
+        kernel = real()
+        return lambda perm, colors, r: change(perm, colors, r, *kernel(perm, colors, r))
+
+    monkeypatch.setattr(signs, "get_kernel", get_kernel)
+
+
+def skewing_kernel(monkeypatch, r):
+    """Patch the kernel the sweeps get with one that adds a skew to each
+    leaf's inv(sigma) and color sum, cycling through every pair of 0 or 1
+    and 0, 1 or r, so that each leaf's defect moves by a known amount;
+    returns ``skew(perm, colors)``, the pair the kernel adds to that
+    element's counts."""
+    skews = list(product((0, 1), (0, 1, r)))
+
+    def skew(perm, colors):
+        return skews[(sum(v * (j + 1) for j, v in enumerate(perm)) + 3 * sum(colors)) % len(skews)]
+
+    def skewed(perm, colors, r, inv_sigma, color_sum):
+        d_inv, d_sum = skew(perm, colors)
+        return inv_sigma + d_inv, color_sum + d_sum
+
+    patch_kernel(monkeypatch, skewed)
+    return skew
+
+
 @pytest.mark.parametrize("r,p,n", [(2, 1, 5), (4, 2, 4), (3, 3, 4)])
-def test_leaf_stream_defect_matches_the_two_sides(r, p, n):
-    """On every leaf of the stream the theorem and admissible sweeps read
-    (``_blocks``), (parity, shift) is the defect of the formula's value at
-    i = 1, ``pi_from_tableaux`` on the leaf's own ``rs_map`` pair, against
-    the character's, ``GroupElement.one_dim``, and the color sum is the
-    element's; the leaves are G(r,p,n), each once."""
+def test_leaf_stream_defect_matches_the_two_sides(monkeypatch, r, p, n):
+    """Each sweep's defect, computed inline on every leaf of its shape
+    blocks, against the two sides: the formula's value at i = 1,
+    ``pi_from_tableaux`` on the leaf's own (P, Q), and the character's,
+    ``GroupElement.one_dim``.  A kernel that skews each leaf's counts by a
+    known amount (``skewing_kernel``) makes the defects nonzero in every
+    combination.  The theorem sweep then reports exactly the counterexamples
+    that the oracle's defect, moved by the skew, gives, in ``theorem_leaves``
+    order: at each ``_disagreeing`` i, or at i = 0 for a color sum skewed by
+    a multiple of r.  Every entry the admissible sweep's move checks read
+    (``_move_kept``) holds the defect of its element, the oracle's moved by
+    the skew, and the entries read are the elements with two colors."""
     params = GroupParams(r, p, n)
-    report = signs.VerificationReport(params, "theorem")
+    skew = skewing_kernel(monkeypatch, r)
+    expected = []
+    for w, P, Q in theorem_leaves(params):
+        d_inv, d_sum = skew(w.perm, w.colors)
+        got = pi_from_tableaux(P, Q, 1, r)
+        parity, shift = value_defect(w.one_dim(1, 1), got)
+        parity, shift = parity ^ d_inv, (shift - d_sum) % r
+        color_sum, twice_spin = w.color_sum() + d_sum, P.twice_spin()
+        if parity or shift:
+            for i in signs._disagreeing(parity, shift, r):
+                character = OneDimValue(-got.sign if parity else got.sign, i * color_sum % r, r)
+                expected.append((w, i, character, pi_from_tableaux(P, Q, i, r)))
+        elif color_sum != twice_spin:
+            expected.append((w, 0, f"color sum {twice_spin}", f"color sum {color_sum}"))
+    report = signs.verify_theorem(params, max_counterexamples=10**6)
+    assert report.elements_checked == params.order
+    assert report.counterexamples == expected
+    assert {c[1] for c in expected} == set(range(r)) and any(isinstance(c[2], str) for c in expected)
+
+    fillings, entries = [], {}
+    real_fillings, real_kept = signs._fillings, signs._move_kept
+    monkeypatch.setattr(
+        signs, "_fillings", lambda shape, rows: fillings.append(copy.deepcopy(rows)) or real_fillings(shape, rows)
+    )
+
+    def move_kept(entry, image, fixed, invs, comps):
+        for e in (entry, image):
+            if e is not None:
+                entries[len(fillings) - 1, *e[:2]] = e[2:]
+        return real_kept(entry, image, fixed, invs, comps)
+
+    monkeypatch.setattr(signs, "_move_kept", move_kept)
+    signs.verify_admissible(params)
     seen = set()
-    for _, _, leaves in signs._blocks(params, report):
-        for _, _, perm, colors, color_sum, parity, shift in leaves:
-            w = GroupElement(params, tuple(perm), tuple(colors))
-            pair = rs_map(w)
-            got = pi_from_tableaux(pair.P, pair.Q, 1, r)
-            assert (parity, shift) == value_defect(w.one_dim(1, 1), got), str(w)
-            assert color_sum == w.color_sum(), str(w)
-            seen.add(w)
-    assert report.passed
-    assert len(seen) == params.order
+    for (shape, a, k), defect in entries.items():
+        P, Q = (Multitableau.from_rows(fillings[shape][b]) for b in (a, k))
+        w = GroupElement(params, *reverse_bump(P, Q))
+        d_inv, d_sum = skew(w.perm, w.colors)
+        parity, shift = value_defect(w.one_dim(1, 1), pi_from_tableaux(P, Q, 1, r))
+        assert defect == (parity ^ d_inv, (shift - d_sum) % r), str(w)
+        seen.add(w)
+    assert seen == {w for w in enumerate_group(params) if len(set(w.colors)) > 1}
 
 
-def patch_leaves(monkeypatch, change):
-    """Patch the leaf stream (``_blocks``): each kept shape's leaves, their
-    one-line data copied to tuples, become ``change(index, leaves, r)``
-    for the shape's index among the kept shapes."""
-    real = signs._blocks
+def patch_leaves(monkeypatch, r, change):
+    """Patch the walk the sweeps read each shape block's leaves from
+    (``_removal_walk``, which ``_blocks`` hands them): each block's leaves
+    ``(a, k, perm, colors)``, their one-line data copied to tuples, become
+    ``change(index, leaves, r)`` for the block's index among the blocks
+    walked."""
+    real, walked = signs._removal_walk, []
 
-    def blocks(params, report):
-        for index, (fillings, trip, leaves) in enumerate(real(params, report)):
-            copied = [(a, k, tuple(perm), tuple(colors), *rest) for a, k, perm, colors, *rest in leaves]
-            yield fillings, trip, change(index, copied, params.r)
+    def walk(fillings, steps):
+        walked.append(steps)
+        leaves = [(a, k, tuple(perm), tuple(colors)) for a, k, perm, colors in real(fillings, steps)]
+        yield from change(len(walked) - 1, leaves, r)
 
-    monkeypatch.setattr(signs, "_blocks", blocks)
+    monkeypatch.setattr(signs, "_removal_walk", walk)
 
 
 def content_multitableaux(r, p, n):
@@ -1311,7 +1416,7 @@ def test_admissible_store_holds_one_color_content(monkeypatch, r, p, n, order):
     n_{r-1}) of the shape's component sizes, and so does each filling; each
     standard filling of a kept shape is checked once per sweep, and the
     one round trip of a shape maps a member of its block.  With each
-    block's leaves in another order in the leaf stream the report is the
+    block's leaves in another order in the walk the report is the
     same: each member's checks look its images and its leader up in the
     block, whatever their place in it."""
     params = GroupParams(r, p, n)
@@ -1328,7 +1433,7 @@ def test_admissible_store_holds_one_color_content(monkeypatch, r, p, n, order):
         built.append((shape, rows))
         return real_fillings(shape, rows)
 
-    patch_leaves(monkeypatch, reordered)
+    patch_leaves(monkeypatch, r, reordered)
     monkeypatch.setattr(signs, "_fillings", fillings)
     monkeypatch.setattr(
         signs, "mapped_pair", lambda perm, colors, r: mapped.append((tuple(perm), tuple(colors))) or real_trip(perm, colors, r)
@@ -1530,7 +1635,7 @@ def test_admissible_sweep_reports_a_leader_missing_from_its_block(monkeypatch):
             leaves.remove(leaders[0])
         return leaves
 
-    patch_leaves(monkeypatch, short)
+    patch_leaves(monkeypatch, params.r, short)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
     leader = GroupElement(params, *dropped[0])
     members = {w for w in enumerate_group(params) if ascending_representative(w) == leader and w != leader}
@@ -1697,28 +1802,14 @@ def test_admissible_sweep_reports_a_wrong_ascending_representative(monkeypatch):
 
 
 def test_admissible_sweep_reports_broken_sign_data(monkeypatch):
-    """e(P) one too high wherever value 1 has color 0 flips the sign on
-    those elements only.  A class with color 0 has such an ascending element
-    and members without, whose agreements then differ for every i; a class
-    without color 0 has neither.  Only those agreements may be reported.
-    e(P) depends on the shape alone and is read once per shape, so the fault
-    flips the parity of each leaf in the leaf stream whose P, filling a of
-    the fillings the shape's ``_fillings`` call reads, holds label 1 in
-    component 0."""
-    real = signs._fillings
-    built = []
-    monkeypatch.setattr(signs, "_fillings", lambda shape, rows: built.append(rows) or real(shape, rows))
-
-    def flipped(index, leaves, r):
-        fillings = built[-1]
-        out = []
-        for a, k, perm, colors, color_sum, parity, shift in leaves:
-            if any(1 in row for row in fillings[a][0]):
-                parity ^= 1
-            out.append((a, k, perm, colors, color_sum, parity, shift))
-        return out
-
-    patch_leaves(monkeypatch, flipped)
+    """inv(sigma) one too high wherever value 1 has color 0 flips the sign
+    on those elements only.  A class with color 0 has such an ascending
+    element and members without, whose agreements then differ for every i;
+    a class without color 0 has neither.  Only those agreements may be
+    reported.  The fault, in the kernel, flips the defect parity of each
+    leaf whose P holds label 1 in component 0, as e(P) one too high on
+    those P would."""
+    patch_kernel(monkeypatch, lambda perm, colors, r, inv, color_sum: (inv + (colors[perm.index(1)] == 0), color_sum))
     params = GroupParams(2, 1, 4)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
     expected = {
@@ -1736,19 +1827,15 @@ def test_admissible_sweep_reports_broken_sign_data(monkeypatch):
 def test_admissible_sweep_compares_the_disagreeing_i_not_the_defects(monkeypatch, member_shift, recorded):
     """At r = 4 the defects (0, 1) and (0, 3) both disagree at i = 1, 2, 3,
     and (0, 2) at i = 1, 3.  Shifts skewed by 1 on each class's ascending
-    element and by ``member_shift`` on its other members, in the leaf
-    stream, give differing defects; a counterexample is each i where
-    exactly one of the two agrees, so none when the disagreeing i are the
-    same."""
+    element and by ``member_shift`` on its other members, through color
+    sums from the kernel that are that much low, give differing defects; a
+    counterexample is each i where exactly one of the two agrees, so none
+    when the disagreeing i are the same."""
 
-    def skewed(index, leaves, r):
-        out = []
-        for a, k, perm, colors, color_sum, parity, shift in leaves:
-            skew = 1 if rs_module._is_ascending(perm, colors, r) else member_shift
-            out.append((a, k, perm, colors, color_sum, parity, (shift + skew) % r))
-        return out
+    def skewed(perm, colors, r, inv_sigma, color_sum):
+        return inv_sigma, color_sum - (1 if rs_module._is_ascending(perm, colors, r) else member_shift)
 
-    patch_leaves(monkeypatch, skewed)
+    patch_kernel(monkeypatch, skewed)
     params = GroupParams(4, 1, 3)
     report = signs.verify_admissible(params, max_counterexamples=10**6)
     assert report.elements_checked == params.order
@@ -2168,7 +2255,7 @@ def test_sweep_refuses_a_filling_that_is_not_standard_before_any_walk(monkeypatc
     not check its rows."""
     corrupted = patch_search(monkeypatch, column_descent)
     real, walked = signs._removal_walk, []
-    monkeypatch.setattr(signs, "_removal_walk", lambda p_rows, steps: walked.append(steps[0]) or real(p_rows, steps))
+    monkeypatch.setattr(signs, "_removal_walk", lambda fillings, steps: walked.append(steps[0]) or real(fillings, steps))
     with sweep_fault(kind, InvalidTableau, "column not increasing between rows 1 and 2"):
         getattr(signs, f"verify_{kind}")(GroupParams(2, 1, 4))
     assert corrupted and corrupted[0] not in walked
