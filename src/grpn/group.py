@@ -172,22 +172,19 @@ def parity(perm: Sequence[int]) -> int:
     return (n - cycles) & 1
 
 
-def _bubble(keys: list, carried: list) -> list[int]:
-    """Stably sort ``keys`` in place by swapping adjacent entries that are
-    strictly out of order, pass after pass, and swap ``carried`` alongside.
-    Returns the 1-based index i of each swap of entries i and i+1, in order.
-    A pass stops where the previous one made its last swap: the keys from
-    there on are already in their final places."""
-    swaps, end = [], len(keys)
-    while end > 1:
-        last = 0
-        for j in range(1, end):
-            if keys[j - 1] > keys[j]:
-                keys[j - 1], keys[j] = keys[j], keys[j - 1]
-                carried[j - 1], carried[j] = carried[j], carried[j - 1]
-                swaps.append(j)
-                last = j
-        end = last
+def _swap_sort(keys: list, carried: list) -> list[int]:
+    """Stably sort ``keys`` in place by straight insertion, swapping
+    adjacent entries only where they are strictly out of order, and swap
+    ``carried`` alongside.  Returns the 1-based index i of each swap of
+    entries i and i+1, in order: inv(keys) swaps, with at most n - 1 more
+    key comparisons than swaps."""
+    swaps = []
+    for j in range(1, len(keys)):
+        while j and keys[j - 1] > keys[j]:
+            keys[j - 1], keys[j] = keys[j], keys[j - 1]
+            carried[j - 1], carried[j] = carried[j], carried[j - 1]
+            swaps.append(j)
+            j -= 1
     return swaps
 
 
@@ -278,14 +275,14 @@ class GroupElement:
     def word(self) -> list[int]:
         """A word in the generators s_0..s_{n-1} whose product is this element.
 
-        Not length-minimal: the permutation part is bubble-sorted with
-        adjacent transpositions (``_bubble``), then each color a_i is
+        Not length-minimal: the permutation part is sorted with adjacent
+        transpositions (``_swap_sort``), then each color a_i is
         produced by the conjugate s_{i-1}...s_1 s_0 s_1...s_{i-1} applied
         a_i times.
         """
         n = self.params.n
         # sort one-line notation to identity by right multiplications
-        word = _bubble(list(self.perm), [None] * n)[::-1]
+        word = _swap_sort(list(self.perm), [None] * n)[::-1]
         for i in range(1, n + 1):
             a = self.colors[i - 1]
             if a:
@@ -381,13 +378,15 @@ def require_within_cap(params: GroupParams, cap: int) -> None:
         raise CapExceeded(f"G({r},{p},{n}) has {total} elements, above cap {cap}")
 
 
-def _element_tuples(params: GroupParams) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The one-line data ``(perm, colors)`` of every element of G(r,p,n),
-    each once, in lexicographic order: permutations lexicographically and,
-    within each, colors lexicographically (the last color changes fastest),
-    so consecutive elements share long prefixes.  For p > 1 the last color
-    runs through the residue class mod p that makes the color sum divisible
-    by p, so no candidate is discarded.  The cap is not checked here."""
+def enumerate_group(params: GroupParams, cap: int = DEFAULT_CAP) -> Iterator[GroupElement]:
+    """Yield every element of G(r,p,n) exactly once, in lexicographic
+    order: permutations lexicographically and, within each, colors
+    lexicographically (the last color changes fastest).  For p > 1 the last
+    color runs through the residue class mod p that makes the color sum
+    divisible by p, so no candidate is discarded.  Raises ``CapExceeded``
+    before the first element if G(r,p,n) is above ``cap``.
+    """
+    require_within_cap(params, cap)
     r, p, n = params.r, params.p, params.n
     for perm in itertools.permutations(range(1, n + 1)):
         if p == 1:
@@ -398,18 +397,8 @@ def _element_tuples(params: GroupParams) -> Iterator[tuple[tuple[int, ...], tupl
                 for head in itertools.product(range(r), repeat=n - 1)
                 for last in range(-sum(head) % p, r, p)
             )
-        yield from zip(itertools.repeat(perm), colorings)
-
-
-def enumerate_group(params: GroupParams, cap: int = DEFAULT_CAP) -> Iterator[GroupElement]:
-    """Yield every element of G(r,p,n) exactly once, in the lexicographic
-    order of ``_element_tuples``: permutations lexicographically, then
-    colors lexicographically within each permutation.  Raises
-    ``CapExceeded`` before the first element if G(r,p,n) is above ``cap``.
-    """
-    require_within_cap(params, cap)
-    for perm, colors in _element_tuples(params):
-        yield GroupElement(params, perm, colors)
+        for colors in colorings:
+            yield GroupElement(params, perm, colors)
 
 
 # one item: whitespace may stand around a number, never inside one

@@ -29,7 +29,7 @@ from itertools import chain
 from typing import Iterator
 
 from .errors import CapExceeded, IndexOutOfRange, InvalidTableau, NotAdmissible, ShapeMismatch
-from .group import GroupElement, GroupParams, _bubble, inversions, require_member
+from .group import GroupElement, GroupParams, _swap_sort, inversions, require_member
 from .tableaux import CornerSteps, Multitableau, ascending_blocks
 
 
@@ -64,11 +64,6 @@ def _insertion_rows(perm, colors, r: int) -> tuple[list[list[list[int]]], list[l
             rows.append([cur])
             q_rows[k].append([i])
     return p_rows, q_rows
-
-
-def _rs_rows(w: GroupElement) -> tuple[list[list[list[int]]], list[list[list[int]]]]:
-    """``_insertion_rows`` of the element w."""
-    return _insertion_rows(w.perm, w.colors, w.params.r)
 
 
 def _removal_walk(fillings: list, steps: CornerSteps) -> Iterator[tuple[int, int, list[int], list[int]]]:
@@ -161,7 +156,7 @@ def _removal_walk(fillings: list, steps: CornerSteps) -> Iterator[tuple[int, int
 
 
 def rs_map(w: GroupElement) -> RSPair:
-    p_rows, q_rows = _rs_rows(w)
+    p_rows, q_rows = _insertion_rows(w.perm, w.colors, w.params.r)
     return RSPair(Multitableau.from_rows(p_rows), Multitableau.from_rows(q_rows))
 
 
@@ -258,32 +253,35 @@ def _ascend(perm, colors) -> tuple[list[int], list[int], tuple[tuple, tuple]]:
     """The swaps of the two phases of ``ascending_moves``, right then left,
     and the one-line data ``(perm, colors)`` of the element they lead to.
 
-    Both phases are one ``_bubble``.  The right moves bubble the
-    position-color word and carry the values; the left moves then bubble
-    the value-color word (the color at each value's position, by value)
-    and carry the positions.  A swap is made only where the two colors it
+    Both phases are one ``_swap_sort``.  The right moves sort the
+    position-color word and carry the values; the left moves then sort the
+    value-color word (the color at each value's position, by value) and
+    carry the positions.  A swap is made only where the two colors it
     exchanges are strictly out of order, so every move is admissible:
     ``apply_moves`` replays them with ``left_admissible`` /
     ``right_admissible`` to the same element.
     """
     perm, colors = list(perm), list(colors)
-    right = _bubble(colors, perm)
+    right = _swap_sort(colors, perm)
     # the 0-based position of value v, and its color, at index v - 1
     position, value_colors = [0] * len(perm), [0] * len(perm)
     for p, v in enumerate(perm):
         position[v - 1], value_colors[v - 1] = p, colors[p]
-    left = _bubble(value_colors, position)
+    left = _swap_sort(value_colors, position)
     for v, p in enumerate(position, start=1):
         perm[p] = v
     return right, left, (tuple(perm), tuple(colors))
 
 
 # The most moves ``ascending_moves`` and ``grpn ascend`` make.  The moves
-# grow as n^2 (a random element of G(2,1,n) has about n^2 / 4), and so does
-# the time: ``grpn ascend`` at r = 2 took 0.27 s for 249,174 moves (n =
-# 1,000) with text output and 0.73 s with JSON (8.5 MB), against 1.15 s and
-# 3.6 s (35 MB) for 1,008,266 moves at n = 2,000 (in process, 2-core x86-64,
-# Python 3.11).  So every move list within the bound takes under about 1 s.
+# grow as n^2 (a random element of G(2,1,n) has about n^2 / 4), and each
+# sort makes at most n - 1 comparisons more than moves.  At r = 2 the
+# command took 0.20 s with text output and 0.66 s with JSON (8.4 MB) for a
+# random element of rank 1,000 (248,316 moves), and 0.58-0.99 s and
+# 1.04-1.73 s (11 MB) for the identity colored (1, ..., 1, 0) at rank
+# 125,001 (250,000 moves; in process, 2-core x86-64, Python 3.11, whose
+# speed drifts).  So a call within the bound takes up to about 1 s with
+# text output and 2 s with JSON.
 MAX_ASCEND_MOVES = 250_000
 
 
@@ -304,10 +302,10 @@ def ascending_moves(w: GroupElement) -> list[tuple[str, int]]:
     """A sequence of admissible moves ("L"|"R", i) taking w to its canonical
     ascending representative.
 
-    Right moves stably bubble positions into weakly increasing color order;
+    Right moves stably sort positions into weakly increasing color order;
     left moves then stably renumber values so each color class occupies a
     contiguous block, preserving within-class order on both sides.  The two
-    phases are one adjacent-swap sort (``_bubble``), run first on the
+    phases are one adjacent-swap sort (``_swap_sort``), run first on the
     position-color word and then on the value-color word.  Raises
     ``CapExceeded`` before any move if there are more than
     ``MAX_ASCEND_MOVES``.

@@ -46,10 +46,10 @@ filling: the fillings are checked together as one block
 (``tableaux.check_fillings``), their inversion counts are those of their
 reading words, and e and twice_spin, which depend on the shape alone, are
 read once, off the first filling built as a validated ``Multitableau``;
-the one leaf per shape mapped with the validated ``rs_map``
-(``mapped_pair``), whose pair's rows are compared with those of (P, Q),
-copied before the walk (``_round_trip``); and the block's walk, whose
-leaves each sweep reads directly.  Each of the two sweeps gets the kernel
+the one leaf per shape mapped with the validated ``rs_map``, whose
+pair's rows are compared with those of (P, Q), copied before the walk
+(``_round_trip``); and the block's walk, whose leaves each sweep reads
+directly.  Each of the two sweeps gets the kernel
 (``_kernels``) once and calls it on every leaf for inv(sigma) and the
 color sum, and computes the leaf's defect inline from those and the
 record's numbers, as they are: a shared per-leaf defect helper measured
@@ -95,7 +95,7 @@ from .group import (
 )
 # renamed: in the sweeps ``parity`` is a leaf's defect parity
 from .group import parity as perm_parity
-from .rs import _ascend, _class_leader, _left_move, _removal_walk, _right_move, _rs_rows, is_ascending_element, rs_map
+from .rs import _ascend, _class_leader, _insertion_rows, _left_move, _removal_walk, _right_move, is_ascending_element, rs_map
 from .tableaux import (
     ComponentRows,
     Multitableau,
@@ -167,7 +167,7 @@ def pi(w: GroupElement, i: int) -> OneDimValue:
         raise IndexOutOfRange(f"i={i} not in [0, {r})")
     last, data = _last_pi
     if last is not w:
-        data = _rows_data(*_rs_rows(w))
+        data = _rows_data(*_insertion_rows(w.perm, w.colors, r))
         _last_pi = (w, data)
     sign, spin_sum = data
     return OneDimValue(sign, (i * spin_sum) % r, r)
@@ -352,19 +352,13 @@ def _blocks(params: GroupParams, report: VerificationReport):
         yield (rows, invs, e, twice_spin), trip, _removal_walk(rows, steps)
 
 
-def mapped_pair(perm, colors, r):
-    """The validated ``rs_map`` pair, an ``RSPair``, of the element of
-    G(r,1,n) with the given one-line data, which may be live buffers."""
-    return rs_map(GroupElement(GroupParams(r, 1, len(perm)), tuple(perm), tuple(colors)))
-
-
 def _round_trip(report: VerificationReport, perm, colors, r: int, p_rows: tuple, q_rows: tuple) -> None:
-    """Map the leaf ``(perm, colors)`` with the validated ``rs_map``
-    (``mapped_pair``) and compare the pair's rows with the walk's (P, Q),
-    given as ``_frozen`` rows: a pair other than the walk's is a
-    counterexample ``(w, 0, walk's pair, rs_map's pair)``, each pair as
-    text, for which alone the walk's pair is built as objects."""
-    pair = mapped_pair(perm, colors, r)
+    """Map the leaf ``(perm, colors)`` of G(r,1,n), which may be live
+    buffers, with the validated ``rs_map`` and compare the pair's rows with
+    the walk's (P, Q), given as ``_frozen`` rows: a pair other than the
+    walk's is a counterexample ``(w, 0, walk's pair, rs_map's pair)``, each
+    pair as text, for which alone the walk's pair is built as objects."""
+    pair = rs_map(GroupElement(GroupParams(r, 1, len(perm)), tuple(perm), tuple(colors)))
     if (tuple(t.rows for t in pair.P.components), tuple(t.rows for t in pair.Q.components)) != (p_rows, q_rows):
         walk_pair = f"{Multitableau.from_rows(p_rows)} {Multitableau.from_rows(q_rows)}"
         report.record((perm, colors), 0, walk_pair, f"{pair.P} {pair.Q}")

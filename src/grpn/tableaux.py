@@ -20,13 +20,11 @@ from math import factorial
 from operator import lt
 from typing import Iterator, Sequence
 
-from .errors import CapExceeded, InvalidTableau, ShapeMismatch
+from .errors import InvalidTableau, ShapeMismatch
 from .group import inversions
 
 Partition = tuple[int, ...]
 MultiPartition = tuple[Partition, ...]
-
-DEFAULT_SHAPE_CAP = 12
 
 
 def check_partition(parts: Sequence[int]) -> Partition:
@@ -469,14 +467,10 @@ def standard_tableaux(shape: Partition) -> Iterator[StandardTableau]:
         yield StandardTableau(filling)
 
 
-def standard_multitableaux(shape: MultiPartition, cap: int = DEFAULT_SHAPE_CAP) -> Iterator[Multitableau]:
+def standard_multitableaux(shape: MultiPartition) -> Iterator[Multitableau]:
     """All standard multitableaux of the given multipartition shape, in the
     corner-search order of ``_corner_search``."""
-    shape = tuple(map(check_partition, shape))
-    n = sum(map(sum, shape))
-    if n > cap:
-        raise CapExceeded(f"rank {n} above cap {cap}")
-    for _, filling in _corner_search(shape):
+    for _, filling in _corner_search(tuple(map(check_partition, shape))):
         yield Multitableau.from_rows(filling)
 
 

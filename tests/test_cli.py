@@ -164,7 +164,7 @@ def test_ascend_matches_replaying_its_moves(capsys):
 
 def test_ascend_sorts_once(capsys, monkeypatch):
     """``grpn ascend`` takes its moves and its representative from one
-    ``_ascend``, which runs both bubble sorts."""
+    ``_ascend``, which runs both adjacent-swap sorts."""
     calls = []
     ascend = rs_module._ascend
     monkeypatch.setattr(rs_module, "_ascend", lambda *args: calls.append(args) or ascend(*args))
@@ -196,10 +196,10 @@ def test_ascend_refuses_above_its_move_bound_before_any_move(capsys, monkeypatch
     count = out_of_order_pairs(colors, 2) + out_of_order_pairs(value_colors, 2)
     assert count > rs_module.MAX_ASCEND_MOVES
 
-    def bubble(keys, carried):
-        raise AssertionError("bubbled above the bound")
+    def swap_sort(keys, carried):
+        raise AssertionError("sorted above the bound")
 
-    monkeypatch.setattr(rs_module, "_bubble", bubble)
+    monkeypatch.setattr(rs_module, "_swap_sort", swap_sort)
     w = GroupElement(GroupParams(2, 1, 2000), tuple(perm), tuple(colors))
     for fmt in ("text", "json"):
         code, out, err = run(capsys, "ascend", "--r", "2", "--format", fmt, str(w))
@@ -216,7 +216,7 @@ def test_ascend_runs_at_its_move_bound(monkeypatch):
     w = GroupElement(GroupParams(2, 1, 750), tuple(range(1, 751)), colors)
     assert len(ascending_moves(w)) == rs_module.MAX_ASCEND_MOVES == 2 * 250 * 500
     monkeypatch.setattr(rs_module, "MAX_ASCEND_MOVES", rs_module.MAX_ASCEND_MOVES - 1)
-    monkeypatch.setattr(rs_module, "_bubble", lambda keys, carried: pytest.fail("bubbled above the bound"))
+    monkeypatch.setattr(rs_module, "_swap_sort", lambda keys, carried: pytest.fail("sorted above the bound"))
     with pytest.raises(CapExceeded, match="takes 250000 moves, above cap 249999"):
         ascending_moves(w)
 

@@ -26,6 +26,7 @@ from grpn.group import (
     OneDimValue,
     _numbers,
     _parse_items,
+    _swap_sort,
     enumerate_group,
     evaluate_word,
     generator,
@@ -281,6 +282,47 @@ class TestOneDimValue:
         assert str(OneDimValue(1, 2, 4)) == "+z^2"
 
 
+def counting_keys(values):
+    """``values`` as keys whose only comparison is ``>``, with the number of
+    ``>`` comparisons made so far in ``count[0]``."""
+    count = [0]
+
+    class Key:
+        def __init__(self, value):
+            self.value = value
+
+        def __gt__(self, other):
+            count[0] += 1
+            return self.value > other.value
+
+    return [Key(v) for v in values], count
+
+
+class TestSwapSort:
+    def test_work_is_inversions_plus_at_most_n_minus_one_comparisons(self):
+        """On the one-displaced word (1, ..., 1, 0) at n = 2000 and on
+        seeded random 3-color words: a stable sort, with ``carried`` swapped
+        alongside, by inv(keys) swaps, each of strictly out-of-order
+        neighbours, and at most n - 1 more comparisons than swaps (a sort
+        that rescans the keys pass after pass makes n(n - 1)/2 on the
+        one-displaced word)."""
+        rng = random.Random(35)
+        words = [[1] * 1999 + [0]] + [[rng.randrange(3) for _ in range(rng.randint(1, 300))] for _ in range(40)]
+        for word in words:
+            keys, count = counting_keys(word)
+            carried = list(range(len(word)))
+            swaps = _swap_sort(keys, carried)
+            assert carried == sorted(range(len(word)), key=word.__getitem__)
+            assert [key.value for key in keys] == sorted(word)
+            assert len(swaps) == inversions(word)
+            assert count[0] <= len(word) - 1 + len(swaps), len(word)
+            replayed = list(word)
+            for i in swaps:
+                assert replayed[i - 1] > replayed[i]
+                replayed[i - 1], replayed[i] = replayed[i], replayed[i - 1]
+            assert replayed == sorted(word)
+
+
 class TestWord:
     def test_identity_empty(self):
         assert identity(GroupParams(3, 1, 4)).word() == []
@@ -291,20 +333,22 @@ class TestWord:
             assert evaluate_word(params, w.word()) == w
 
     def test_words_are_pinned(self):
-        """The bubble sort's swaps, last first, then each color's conjugate."""
+        """The swap sort's swaps, last first, then each color's conjugate."""
         for text, r, word in (
             ("[3,1,2]", 1, [2, 1]),
-            ("[4,3,2,1]", 1, [1, 2, 1, 3, 2, 1]),
+            ("[4,3,2,1]", 1, [1, 2, 3, 1, 2, 1]),
             ("[z1*2,1]", 2, [1, 0]),
             ("[1,z2*2,3]", 3, [1, 0, 0, 1]),
             (
                 "[z1*5,1,z2*3,6,z2*7,z1*4,2,8]",
                 4,
-                [2, 3, 4, 3, 5, 4, 6, 5, 2, 1, 0, 2, 1, 0, 0, 1, 2, 4, 3, 2, 1, 0, 0, 1, 2, 3]
+                [2, 3, 4, 5, 6, 3, 4, 5, 2, 1, 0, 2, 1, 0, 0, 1, 2, 4, 3, 2, 1, 0, 0, 1, 2, 3]
                 + [4, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4, 5],
             ),
         ):
-            assert parse_element(text, r).word() == word, text
+            w = parse_element(text, r)
+            assert w.word() == word, text
+            assert evaluate_word(w.params, word) == w, text
 
     def test_word_evaluates_characters(self):
         # multiplicative evaluation over the word agrees with the closed form

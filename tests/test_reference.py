@@ -42,8 +42,8 @@ from grpn.group import (
 )
 from grpn.rs import (
     RSPair,
+    _insertion_rows,
     _removal_walk,
-    _rs_rows,
     apply_moves,
     ascending_moves,
     ascending_representative,
@@ -136,7 +136,7 @@ def row_insert_image(w):
 def check_row_route(w):
     """The row-list statistics and (sign, spin_sum) of w against rs_map's
     objects, their methods and the component-by-component definitions."""
-    p_rows, q_rows = _rs_rows(w)
+    p_rows, q_rows = _insertion_rows(w.perm, w.colors, w.params.r)
     pair = rs_map(w)
     expected = {}
     for name, rows, T in (("P", p_rows, pair.P), ("Q", q_rows, pair.Q)):
@@ -294,14 +294,14 @@ def test_sweep_reports_a_round_trip_that_disagrees(monkeypatch):
     than (P, filling k) is a counterexample naming both pairs, and it is the
     only one."""
     params = GroupParams(2, 1, 3)
-    mapped, real = [], signs.mapped_pair
+    mapped, real = [], signs.rs_map
 
-    def swapped(perm, colors, r):
-        pair = real(perm, colors, r)
-        mapped.append((GroupElement(params, perm, colors), pair))
+    def swapped(w):
+        pair = real(w)
+        mapped.append((w, pair))
         return RSPair(pair.Q, pair.P)
 
-    monkeypatch.setattr(signs, "mapped_pair", swapped)
+    monkeypatch.setattr(signs, "rs_map", swapped)
     report = signs.verify_theorem(params, max_counterexamples=100)
     assert report.elements_checked == params.order
     assert len(mapped) == len(list(multipartitions(3, 2)))
@@ -341,7 +341,7 @@ def test_row_route_matches_objects_up_to_rank_64():
     for _ in range(500):
         w = random_element(rng, rng.randint(1, 64), rng.randint(1, 8))
         check_row_route(w)
-        assert list(_rs_rows(w)) == list(row_insert_image(w)), w
+        assert list(_insertion_rows(w.perm, w.colors, w.params.r)) == list(row_insert_image(w)), w
 
 
 def block_rows(fillings):
@@ -461,7 +461,7 @@ def theorem_leaves(params):
     r, p, n = params.r, params.p, params.n
     for shape in multipartitions(n, r):
         if shape_criterion(shape, p):
-            tableaux = list(standard_multitableaux(shape, cap=n))
+            tableaux = list(standard_multitableaux(shape))
             for P in tableaux:
                 for Q in tableaux:
                     yield GroupElement(params, *reverse_bump(P, Q)), P, Q
@@ -477,7 +477,7 @@ def test_removal_walk_covers_the_group(r, n):
     for shape in multipartitions(n, r):
         steps, fillings = _corner_steps(shape)
         for a, _, perm, colors in removal_leaves(fillings, steps):
-            assert _rs_rows(GroupElement(params, perm, colors))[0] == fillings[a], (perm, colors)
+            assert _insertion_rows(perm, colors, r)[0] == fillings[a], (perm, colors)
             leaves.append((perm, colors))
     assert len(leaves) == len(set(leaves)) == params.order
     assert set(leaves) == {(w.perm, w.colors) for w in enumerate_group(params)}
@@ -492,7 +492,7 @@ def test_removal_walk_matches_rs_inverse(r, max_n):
     for n in range(1, max_n + 1):
         full = GroupParams(r, 1, n)
         for shape in multipartitions(n, r):
-            tableaux = list(standard_multitableaux(shape, cap=n))
+            tableaux = list(standard_multitableaux(shape))
             steps, fillings = _corner_steps(shape)
             ps = [Multitableau(StandardTableau(rows) for rows in p_rows) for p_rows in fillings]
             leaves = removal_leaves(fillings, steps)
@@ -514,7 +514,7 @@ def test_rs_inverse_matches_the_reverse_bump_oracle_over_subgroups(r, p, n):
     params = GroupParams(r, p, n)
     members = 0
     for shape in multipartitions(n, r):
-        tableaux = list(standard_multitableaux(shape, cap=n))
+        tableaux = list(standard_multitableaux(shape))
         for P in tableaux:
             for Q in tableaux:
                 expected = reverse_bump(P, Q)
@@ -561,7 +561,7 @@ def test_removal_walk_leaf_k_is_filling_k(r, n):
     full = GroupParams(r, 1, n)
     count = 0
     for shape in multipartitions(n, r):
-        tableaux = list(standard_multitableaux(shape, cap=n))
+        tableaux = list(standard_multitableaux(shape))
         steps, fillings = _corner_steps(shape)
         leaves = removal_leaves(fillings, steps)
         assert [(a, k) for a, k, _, _ in leaves] == list(product(range(len(tableaux)), repeat=2)), shape
@@ -822,7 +822,7 @@ def test_disagreeing_matches_value_comparison(r, n):
     with it."""
     outcomes = set()
     for w in enumerate_group(GroupParams(r, 1, n)):
-        sign, spin_sum = signs._rows_data(*_rs_rows(w))
+        sign, spin_sum = signs._rows_data(*_insertion_rows(w.perm, w.colors, r))
         for s, spin in ((sign, spin_sum), (-sign, spin_sum), (sign, spin_sum + 1), (-sign, 0)):
             expected = [i for i in range(r) if OneDimValue(s, (i * spin) % r, r) != w.one_dim(i, 1)]
             defect = value_defect(w.one_dim(1, 1), OneDimValue(s, spin % r, r))
@@ -945,7 +945,7 @@ def object_move_check(fixed, fixed_before, changed, changed_before):
 
 
 def row_move_check(fixed, fixed_before, changed, changed_before):
-    """The same invariants on the row lists of one ``_rs_rows`` pass."""
+    """The same invariants on the row lists of one ``_insertion_rows`` pass."""
     return (
         fixed == fixed_before,
         abs(rows_inversions(changed) - rows_inversions(changed_before)) == 1,
@@ -994,7 +994,7 @@ def test_move_images_on_rows_match_objects(r, n):
             if w.colors[w.perm.index(i)] != w.colors[w.perm.index(i + 1)]
         ]
         for moved in moves:
-            rows = _rs_rows(moved)
+            rows = _insertion_rows(moved.perm, moved.colors, r)
             image = rs_map(moved)
             objs = image.P, image.Q
             assert list(rows) == [rows_of(image.P), rows_of(image.Q)], (str(w), str(moved))
@@ -1271,10 +1271,8 @@ def test_class_table_matches_fresh_entries(monkeypatch, r, p, n):
     assert len(everything) == len(set(everything)) == params.order
     assert {GroupElement(params, *key) for key in everything} == set(enumerate_group(params))
     assert len(trips) == MAPPED[r, p, n]
-    mapped, real = [], signs.mapped_pair
-    monkeypatch.setattr(
-        signs, "mapped_pair", lambda perm, colors, r: mapped.append(GroupElement(params, perm, colors)) or real(perm, colors, r)
-    )
+    mapped, real = [], signs.rs_map
+    monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append(GroupElement(params, w.perm, w.colors)) or real(w))
     assert signs.verify_admissible(params).passed
     assert mapped == trips
 
@@ -1421,7 +1419,7 @@ def test_admissible_store_holds_one_color_content(monkeypatch, r, p, n, order):
     block, whatever their place in it."""
     params = GroupParams(r, p, n)
     expected = without_elapsed(signs.verify_admissible(params))
-    real_fillings, real_trip = signs._fillings, signs.mapped_pair
+    real_fillings, real_trip = signs._fillings, signs.rs_map
     seen, built, mapped = [], [], []
 
     def reordered(index, leaves, r):
@@ -1435,9 +1433,7 @@ def test_admissible_store_holds_one_color_content(monkeypatch, r, p, n, order):
 
     patch_leaves(monkeypatch, r, reordered)
     monkeypatch.setattr(signs, "_fillings", fillings)
-    monkeypatch.setattr(
-        signs, "mapped_pair", lambda perm, colors, r: mapped.append((tuple(perm), tuple(colors))) or real_trip(perm, colors, r)
-    )
+    monkeypatch.setattr(signs, "rs_map", lambda w: mapped.append((w.perm, w.colors)) or real_trip(w))
     assert without_elapsed(signs.verify_admissible(params)) == expected
     assert [checked for checked, _ in seen] == built
     entered = [as_tuples(filling) for _, rows in built for filling in rows]
@@ -1573,14 +1569,14 @@ def test_admissible_sweep_reports_a_round_trip_that_disagrees(monkeypatch):
     other than (P, filling k) is a counterexample naming the walk's pair
     and ``rs_map``'s, and it is the only one."""
     params = GroupParams(2, 1, 3)
-    mapped, real = [], signs.mapped_pair
+    mapped, real = [], signs.rs_map
 
-    def swapped(perm, colors, r):
-        pair = real(perm, colors, r)
-        mapped.append((GroupElement(params, perm, colors), pair))
+    def swapped(w):
+        pair = real(w)
+        mapped.append((w, pair))
         return RSPair(pair.Q, pair.P)
 
-    monkeypatch.setattr(signs, "mapped_pair", swapped)
+    monkeypatch.setattr(signs, "rs_map", swapped)
     report = signs.verify_admissible(params, max_counterexamples=100)
     assert report.elements_checked == params.order
     assert len(mapped) == len(list(multipartitions(3, 2)))
@@ -1919,7 +1915,7 @@ def validation_corpus():
     pairs = []
     for _ in range(200):
         w = random_element(rng, rng.randint(1, 64), rng.choice((1, 2, 3, 4, 8)))
-        p_rows, q_rows = _rs_rows(w)
+        p_rows, q_rows = _insertion_rows(w.perm, w.colors, w.params.r)
         pairs.append((as_tuples(p_rows), as_tuples(q_rows)))
     multis = [comps for pair in pairs for comps in pair]
     for r, n in ((1, 6), (2, 6), (3, 5)):
@@ -2077,7 +2073,8 @@ def test_rs_pair_shapes_match_the_oracle():
         n = sum(len(row) for rows in p_comps for row in rows)
         # a Q of the same rank and r but another element's shape, and Q's
         # components in another order
-        other = _rs_rows(random_element(rng, n, len(q_comps)))[1]
+        v = random_element(rng, n, len(q_comps))
+        other = _insertion_rows(v.perm, v.colors, v.params.r)[1]
         for bad_q in (as_tuples(other), q_comps[1:] + q_comps[:1], q_comps + ((),)):
             expected = oracle_pair(p_comps, bad_q)
             mismatches += expected is not None

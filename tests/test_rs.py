@@ -274,6 +274,15 @@ class TestAscendingRepresentative:
             assert rep == ascending_representative(w)
             assert is_ascending_element(rep)
 
+    def test_one_displaced_element(self):
+        """Identity permutation, colors (1, ..., 1, 0): n - 1 right moves,
+        then n - 1 left moves, which replay to the representative."""
+        n = 2000
+        w = make_element(GroupParams(2, 1, n), range(1, n + 1), [1] * (n - 1) + [0])
+        moves = ascending_moves(w)
+        assert [side for side, _ in moves] == ["R"] * (n - 1) + ["L"] * (n - 1)
+        assert apply_moves(w, moves) == ascending_representative(w)
+
     def test_matches_standardization_oracle(self):
         for w in enumerate_group(GroupParams(3, 1, 3)):
             assert ascending_representative(w) == canonical_ascending(w)

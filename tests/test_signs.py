@@ -110,19 +110,17 @@ def _element(rng, r, n):
 
 def _count_insertions(monkeypatch):
     """Record each element ``signs`` runs the insertion pass on, whether
-    through ``rs_map`` (which ``signs`` reaches through its
-    ``mapped_pair``) or straight through the row-list pass."""
+    through ``rs_map`` or straight through the row-list pass
+    (``_insertion_rows``)."""
     calls = []
+    rows = signs._insertion_rows
 
-    def counting(f):
-        def wrapper(w):
-            calls.append(w)
-            return f(w)
+    def counting_rows(perm, colors, r):
+        calls.append(GroupElement(GroupParams(r, 1, len(perm)), perm, colors))
+        return rows(perm, colors, r)
 
-        return wrapper
-
-    monkeypatch.setattr(signs, "rs_map", counting(rs_map))
-    monkeypatch.setattr(signs, "_rs_rows", counting(signs._rs_rows))
+    monkeypatch.setattr(signs, "rs_map", lambda w: calls.append(w) or rs_map(w))
+    monkeypatch.setattr(signs, "_insertion_rows", counting_rows)
     return calls
 
 

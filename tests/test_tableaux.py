@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grpn.errors import CapExceeded, InvalidTableau
+from grpn.errors import InvalidTableau
 from grpn.tableaux import (
     Multitableau,
     StandardTableau,
@@ -177,9 +177,11 @@ class TestEnumeration:
     def test_single_column_forced(self):
         assert len(list(standard_multitableaux(((1, 1, 1),)))) == 1
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            list(standard_multitableaux(((20,),), cap=10))
+    def test_no_rank_cap(self):
+        """The generator takes no rank cap: a rank-20 shape yields all its
+        fillings."""
+        shape = ((18, 1), (1,))
+        assert len(list(standard_multitableaux(shape))) == count_standard_multitableaux(shape) == 360
 
     def test_no_duplicates(self):
         shape = ((2, 1), (1,), (1,))
