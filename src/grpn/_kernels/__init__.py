@@ -3,9 +3,9 @@ get it once per sweep and call it on every leaf of the shape blocks they
 walk (``signs._blocks``).
 
 There is one kernel, the pure-Python ``_fallback.theorem_stats``: it gives
-one leaf's (inv(sigma), color sum) and keeps no state, so ``get_kernel()``
-returns the same function every time.  The package stays, with
-``BACKEND``, ``BACKENDS`` and ``get_kernel(name)``, because the
+one leaf's (inv(sigma), on a bit mask, and color sum) and keeps no state,
+so ``get_kernel()`` returns the same function every time.  The package
+stays, with ``BACKEND``, ``BACKENDS`` and ``get_kernel(name)``, because the
 ``perfbench`` harness reads them: it records ``BACKEND`` in a run's
 environment, times a kernel of every name in ``BACKENDS``, and counts the
 sweeps' kernel calls by wrapping ``signs.get_kernel``.  They go once the

@@ -138,11 +138,11 @@ def inversions(keys: Sequence) -> int:
     ``list.insert`` still moves O(n) entries, so the time grows as n^2: on
     a random permutation, n = 10^5 takes 1.4 s and n = 2 * 10^5 takes
     4.5 s (2-core x86-64 Xeon, Python 3.11).  Only the exact counts pay
-    it: the sweeps' inv(sigma)
-    (``_kernels``), the tableau and multitableau inversion counts
+    it: the tableau and multitableau inversion counts
     (``tableaux.rows_inversions``, and the sweeps' per-filling counts) and
-    so ``grpn stats``, and the move count of ``grpn ascend``.  A sign needs
-    only the parity, which ``parity`` gives in O(n).
+    so ``grpn stats``, and the move count of ``grpn ascend``; the sweeps'
+    inv(sigma) takes a bit mask (``_kernels``).  A sign needs only the
+    parity, which ``parity`` gives in O(n).
     """
     seen: list = []
     below = 0  # pairs a < b with keys[a] <= keys[b]

@@ -116,13 +116,15 @@ def _removal_walk(fillings: list, steps: CornerSteps) -> Iterator[tuple[int, int
                 raise ShapeMismatch(f"filling {a} has shape {got}, the steps are for {shape}")
     n = sum(map(sum, shape))
     perm, colors = [0] * n, [0] * n
+    # each leaf as (n - keep, moves, first), built once per block, then a
+    # closing leaf that keeps nothing and is not yielded: it puts P's rows back
+    plan = [(n - keep, moves, first) for keep, moves, first in leaves] + [(n, (), None)]
     try:
         for a, p_rows in enumerate(fillings):
             # labels low + 1, ..., n have a removal in place
             low = n
-            # a last leaf that keeps nothing and is not yielded puts P's rows back
-            for k, (keep, moves, first) in enumerate(chain(leaves, [(0, (), None)])):
-                for j in range(low, n - keep):
+            for k, (stop, moves, first) in enumerate(plan):
+                for j in range(low, stop):
                     x = perm[j]
                     for row in p_rows[colors[j]]:
                         pos = bisect_right(row, x)
@@ -134,7 +136,7 @@ def _removal_walk(fillings: list, steps: CornerSteps) -> Iterator[tuple[int, int
                         raise InvalidTableau("re-insertion ran off its component")
                 if first is None:
                     break
-                j = n - keep
+                j = stop
                 for c, t in moves:
                     rows = p_rows[c]
                     x = rows[t].pop()

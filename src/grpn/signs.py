@@ -45,13 +45,13 @@ record ``(invs, e, twice_spin)`` (``_fillings``), with no object per
 filling: the fillings are checked together as one block
 (``tableaux.check_fillings``), their inversion counts are those of their
 reading words, and e and twice_spin, which depend on the shape alone, are
-read once, off the first filling built as a validated ``Multitableau``;
-the one leaf per shape mapped with the validated ``rs_map``, whose
-pair's rows are compared with those of (P, Q), copied before the walk
-(``_round_trip``); and the block's walk, whose leaves each sweep reads
-directly.  Each of the two sweeps gets the kernel
-(``_kernels``) once and calls it on every leaf for inv(sigma) and the
-color sum, and computes the leaf's defect inline from those and the
+read once, off the first filling's checked rows; the one leaf per shape
+mapped with the validated ``rs_map``, whose pair's rows are compared with
+those of (P, Q), copied before the walk, and whose P's e and twice_spin
+are compared with the record's (``_round_trip``); and the block's walk,
+whose leaves each sweep reads directly.  Each of the two sweeps gets the
+kernel (``_kernels``) once and calls it on every leaf for inv(sigma) and
+the color sum, and computes the leaf's defect inline from those and the
 record's numbers, as they are: a shared per-leaf defect helper measured
 0.97x the elements per second of the inline form (``perfbench``
 sweep-theorem, 2-core x86-64, Python 3.11), about a quarter of what
@@ -297,11 +297,10 @@ def _fillings(shape, rows: list) -> tuple[list[int], int, int]:
     fillings are checked together as one block (``tableaux.check_fillings``,
     which also refuses a repeated filling), and ``invs[a]`` is the
     inversion count of filling a's reading word.  e and twice_spin depend on
-    the shape alone, so they are read once, off the first filling built as
-    a validated ``Multitableau``."""
+    the shape alone, so they are read once, off the first filling's checked
+    rows, and checked by ``_round_trip``."""
     invs = list(map(inversions, check_fillings(shape, rows)))
-    first = Multitableau.from_rows(rows[0])
-    return invs, first.even_row_boxes(), first.twice_spin()
+    return invs, rows_even_row_boxes(rows[0]), rows_twice_spin(rows[0])
 
 
 def _shapes(params: GroupParams, report: VerificationReport, p: int):
@@ -352,16 +351,21 @@ def _blocks(params: GroupParams, report: VerificationReport):
         yield (rows, invs, e, twice_spin), trip, _removal_walk(rows, steps)
 
 
-def _round_trip(report: VerificationReport, perm, colors, r: int, p_rows: tuple, q_rows: tuple) -> None:
+def _round_trip(report: VerificationReport, perm, colors, r: int, e: int, twice_spin: int, p_rows, q_rows) -> None:
     """Map the leaf ``(perm, colors)`` of G(r,1,n), which may be live
     buffers, with the validated ``rs_map`` and compare the pair's rows with
     the walk's (P, Q), given as ``_frozen`` rows: a pair other than the
     walk's is a counterexample ``(w, 0, walk's pair, rs_map's pair)``, each
-    pair as text, for which alone the walk's pair is built as objects."""
+    pair as text, for which alone the walk's pair is built as objects.
+    The record's ``e`` and ``twice_spin``, read off rows, must be the
+    validated P's, or the leaf is a counterexample ``(w, 0, "e <e>,
+    twice_spin <t>", the same for P)``."""
     pair = rs_map(GroupElement(GroupParams(r, 1, len(perm)), tuple(perm), tuple(colors)))
     if (tuple(t.rows for t in pair.P.components), tuple(t.rows for t in pair.Q.components)) != (p_rows, q_rows):
         walk_pair = f"{Multitableau.from_rows(p_rows)} {Multitableau.from_rows(q_rows)}"
         report.record((perm, colors), 0, walk_pair, f"{pair.P} {pair.Q}")
+    if (got := (pair.P.even_row_boxes(), pair.P.twice_spin())) != (e, twice_spin):
+        report.record((perm, colors), 0, f"e {e}, twice_spin {twice_spin}", "e {}, twice_spin {}".format(*got))
 
 
 @_sweep
@@ -371,16 +375,19 @@ def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int
     The sweep reads each kept shape's block (``_blocks``): by shape, then
     by P, then in removal-walk order, each leaf with its P and Q fillings,
     and computes its defect from the kernel's counts and the shape's
-    record.  A leaf is a counterexample when its defect is not (0, 0),
-    and is then reported at each i where the character's value (expected)
-    and the formula's (got) differ.  With defect (0, 0) a leaf is still a
-    counterexample, reported once at i = 0, when its color sum is not
-    exactly the shape's twice_spin, which a walk that puts a value in the
-    wrong component would give.  Once per shape one leaf, which rotates with the
-    shape's index, is mapped with the validated ``rs_map``, and its pair's
-    rows must be those of (P, filling k) (``_round_trip``).  A ``GroupElement`` is built only for
-    that leaf and for a counterexample the report keeps, and
-    counterexamples come by shape, then by P, then in walk order.
+    record; the shift only for an odd parity or a color sum other than
+    the shape's twice_spin, since it is 0 otherwise.  A leaf is a
+    counterexample when its defect is not (0, 0), and is then reported at
+    each i where the character's value (expected) and the formula's (got)
+    differ.  With defect (0, 0) a leaf is still a counterexample, reported
+    once at i = 0, when its color sum is not exactly the shape's
+    twice_spin, which a walk that puts a value in the wrong component
+    would give.  Once per shape one leaf, which rotates with the shape's
+    index, is mapped with the validated ``rs_map``: its pair's rows must
+    be those of (P, filling k), and its P's e and twice_spin the record's
+    (``_round_trip``).  A ``GroupElement`` is built only for that leaf and
+    for a counterexample the report keeps, and counterexamples come by
+    shape, then by P, then in walk order.
 
     Raises ``ValueError`` if ``max_counterexamples`` is below 1, and
     ``RuntimeError``, chained from the error, if the walk raises a
@@ -392,18 +399,19 @@ def verify_theorem(params: GroupParams, report: VerificationReport) -> tuple[int
         for a, k, perm, colors in walk:
             checked += 1
             inv_sigma, color_sum = kernel(perm, colors, r)
-            parity, shift = (inv_sigma + e + invs[a] + invs[k]) & 1, (twice_spin - color_sum) % r
-            if parity or shift:
-                if not report.full:
+            parity = (inv_sigma + e + invs[a] + invs[k]) & 1
+            if parity or color_sum != twice_spin:
+                shift = (twice_spin - color_sum) % r
+                if not (parity or shift):
+                    report.record((perm, colors), 0, f"color sum {twice_spin}", f"color sum {color_sum}")
+                elif not report.full:
                     sign = _sign(e, invs[a] + invs[k])
                     perm_sign = -sign if parity else sign
                     for i in _disagreeing(parity, shift, r):
                         expected = OneDimValue(perm_sign, i * color_sum % r, r)
                         report.record((perm, colors), i, expected, OneDimValue(sign, i * twice_spin % r, r))
-            elif color_sum != twice_spin:
-                report.record((perm, colors), 0, f"color sum {twice_spin}", f"color sum {color_sum}")
             if k == trip_k and a == trip_a:
-                _round_trip(report, perm, colors, r, *trip_rows)
+                _round_trip(report, perm, colors, r, e, twice_spin, *trip_rows)
     return checked, checked * r
 
 
@@ -532,7 +540,7 @@ def verify_admissible(params: GroupParams, report: VerificationReport) -> tuple[
         for (perm, colors), entry in block.items():
             a, k, parity, shift = entry
             if k == trip_k and a == trip_a:
-                _round_trip(report, perm, colors, r, *trip_rows)
+                _round_trip(report, perm, colors, r, e, twice_spin, *trip_rows)
             for p, v in enumerate(perm):
                 position[v] = p
             for i in range(1, n):

@@ -4,17 +4,18 @@ statistics of the image built one entry at a time by test_reference's
 ``row_insert``, a Schensted insertion on row lists by linear scan.
 
 The sweep reads each leaf's group side, (inv(sigma), color sum), from the
-kernel, which keeps no state, and its tableaux side from its shape's record
+kernel, which keeps no state and counts inv(sigma) on a bit mask of the
+values seen, and its tableaux side from its shape's record
 (``signs._fillings``: the inversion counts of the fillings' reading words,
-checked as one block, and e and twice_spin off the first filling's
-``Multitableau`` methods): the inversion counts of the filling that is its
-P and the filling that is its Q, and the shape's e and twice_spin.  So the
-whole-group tests check the kernel and the record together, leaf by leaf,
-in the walk's order and in shuffled order, and the random tests up to rank
-64 check the kernel and the same ``Multitableau`` methods on ``rs_map``
-pairs.  The sweep maps one leaf per shape with the validated ``rs_map``;
-the last tests check which leaf, and that a pair it cannot validate stops
-the sweep."""
+checked as one block, and e and twice_spin off the first filling's checked
+rows): the inversion counts of the filling that is its P and the filling
+that is its Q, and the shape's e and twice_spin.  So the whole-group tests
+check the kernel and the record together, leaf by leaf, in the walk's
+order and in shuffled order, and the random tests up to rank 64 check the
+kernel and the ``Multitableau`` methods the round trip compares the record
+with, on ``rs_map`` pairs.  The sweep maps one leaf per shape with the
+validated ``rs_map``; the last tests check which leaf, and that a pair it
+cannot validate stops the sweep."""
 
 import random
 

@@ -13,6 +13,7 @@ fillings, and the two invariants of a move (color content and within-color
 orders) for the admissible classes.
 """
 
+import bisect
 import copy
 import random
 import re
@@ -28,9 +29,8 @@ from grpn import group as group_module
 from grpn import rs as rs_module
 from grpn import signs
 from grpn import tableaux as tableaux_module
-from grpn._kernels import _fallback
 from grpn.cli import main as cli_main
-from grpn.errors import CapExceeded, GrpnError, InvalidTableau, NotAMember, ShapeMismatch
+from grpn.errors import CapExceeded, GrpnError, InvalidTableau, NotAMember, NotAPermutation, ShapeMismatch
 from grpn.group import (
     GroupElement,
     GroupParams,
@@ -309,6 +309,44 @@ def test_sweep_reports_a_round_trip_that_disagrees(monkeypatch):
         (w, 0, f"{pair.P} {pair.Q}", f"{pair.Q} {pair.P}") for w, pair in mapped if pair.P != pair.Q
     ]
     assert report.counterexamples
+
+
+@pytest.mark.parametrize("kind", ["theorem", "admissible"])
+def test_sweep_compares_the_record_with_its_round_trip(monkeypatch, kind):
+    """The shape record's e and twice_spin, which ``_fillings`` reads off
+    the first filling's rows, are compared with the ``Multitableau``
+    methods of the validated ``rs_map`` pair of the round trip.  A clean
+    sweep calls those statistics exactly twice per kept shape.  With e off
+    by one in the record, each kept shape's round-trip leaf, leaf k of P =
+    filling a for (a, k) = divmod(index mod f**2, f), is a counterexample
+    naming both records; the theorem sweep also fails every leaf's parity
+    at every i, and the admissible sweep, whose defects all move alike,
+    reports nothing else."""
+    params = GroupParams(4, 2, 3)
+    sweep = getattr(signs, f"verify_{kind}")
+    calls = []
+    for name in ("inversions", "even_row_boxes", "twice_spin"):
+        method = getattr(Multitableau, name)
+        monkeypatch.setattr(Multitableau, name, lambda T, m=method: calls.append(m) or m(T))
+    assert sweep(params).passed
+    trips = []
+    for index, shape in enumerate(multipartitions(params.n, params.r)):
+        if shape_criterion(shape, params.p):
+            fillings = _corner_steps(shape)[1]
+            a, k = divmod(index % len(fillings) ** 2, len(fillings))
+            P, Q = (Multitableau.from_rows(fillings[b]) for b in (a, k))
+            e, ts = rows_even_row_boxes(fillings[a]), rows_twice_spin(fillings[a])
+            trips.append((rs_inverse(RSPair(P, Q), params), e, ts))
+    assert len(calls) == 2 * len(trips)
+
+    real = signs.rows_even_row_boxes
+    monkeypatch.setattr(signs, "rows_even_row_boxes", lambda rows: real(rows) + 1)
+    report = sweep(params, max_counterexamples=10**6)
+    assert report.elements_checked == params.order
+    expected = [(w, 0, f"e {e + 1}, twice_spin {ts}", f"e {e}, twice_spin {ts}") for w, e, ts in trips]
+    assert [c for c in report.counterexamples if isinstance(c[2], str)] == expected
+    parities = [c for c in report.counterexamples if not isinstance(c[2], str)]
+    assert len(parities) == (params.order * params.r if kind == "theorem" else 0)
 
 
 def test_sweep_reports_only_the_failing_i(monkeypatch):
@@ -614,6 +652,32 @@ def test_walks_in_place_leave_the_fillings_as_they_were(r, n):
         assert len(rows) == len(set(rows)), shape
 
 
+@pytest.mark.parametrize("r,n", [(1, 6), (2, 5), (3, 4), (2, 6)])
+def test_removal_walk_work_follows_from_its_step_list(monkeypatch, r, n):
+    """The walk's work, counted through ``rs``'s module-level
+    ``bisect_right``: a removal at row t reverse-bumps through the t rows
+    above it, one call each, and its undo re-inserts from the component's
+    first row and ends in row t, t + 1 calls.  Every removal is undone
+    once, by a later leaf or by the closing leaf, so each P of a shape costs
+    exactly the sum of 2t + 1 over the removals of the step list, and the
+    walk of the block that many calls per filling."""
+    calls = 0
+
+    def counted(row, x):
+        nonlocal calls
+        calls += 1
+        return bisect.bisect_right(row, x)
+
+    monkeypatch.setattr(rs_module, "bisect_right", counted)
+    for shape in multipartitions(n, r):
+        steps, fillings = _corner_steps(shape)
+        per_p = sum(2 * t + 1 for _, moves, _ in steps[1] for _, t in moves)
+        calls = 0
+        for _ in _removal_walk(fillings, steps):
+            pass
+        assert calls == len(fillings) * per_p, shape
+
+
 def one_leaf_steps(Q):
     """A step list with one leaf, read off the recording multitableau Q:
     the (component, row) of labels n down to 2 as its moves, and label 1's
@@ -901,7 +965,7 @@ def test_signs_are_read_without_inversion_counts(monkeypatch, capsys):
     def refuse(keys):
         raise AssertionError("an inversion count on a sign route")
 
-    for module in (group_module, tableaux_module, _fallback):
+    for module in (group_module, tableaux_module):
         monkeypatch.setattr(module, "inversions", refuse)
     with pytest.raises(AssertionError):
         rs_map(cases[0][0]).P.inversions()
@@ -1640,6 +1704,24 @@ def test_admissible_sweep_reports_a_leader_missing_from_its_block(monkeypatch):
     assert set(missing) == {(w, 0, str(leader)) for w in members}
     assert report.elements_checked == params.order - 1
     assert report.counterexamples[-1] == ("G(2,1,3)", 0, "48 elements", "47 checked")
+
+
+@pytest.mark.parametrize("kind", ["theorem", "admissible"])
+def test_sweep_refuses_a_walk_that_reads_label_one_as_the_value_one(monkeypatch, kind):
+    """A walk that puts the value 1 at position 1 of every leaf, rather
+    than the value in label 1's box, yields one-line data that are not
+    permutations.  The theorem and admissible sweeps build a
+    ``GroupElement`` for their round-trip leaf and for each counterexample,
+    and its validation refuses such data: the sweep frame raises that
+    ``NotAPermutation`` as a fault (``sweep_fault``)."""
+    params = GroupParams(2, 1, 4)
+
+    def label_one(index, leaves, r):
+        return [(a, k, (1, *perm[1:]), colors) for a, k, perm, colors in leaves]
+
+    patch_leaves(monkeypatch, params.r, label_one)
+    with sweep_fault(kind, NotAPermutation, "is not a permutation of 1..4$"):
+        getattr(signs, f"verify_{kind}")(params)
 
 
 # Admissible classes against their definition: one color content and, for
