@@ -411,39 +411,32 @@ _SPACED_ITEM_RE = re.compile(_ITEM)
 _ITEM_COMMA_RE = re.compile(_ITEM.replace(r"(\d+)", r"\d+") + ",")
 
 
-def _numbers(body: str) -> list[int] | None:
-    """Every number of a well-formed body in one conversion, as color,
-    value, color, value, ..., with color 0 written in before a bare value;
-    None if the body is not a comma-separated list of items or a number is
-    above Python's integer-string limit."""
-    if _ITEM_COMMA_RE.sub("", body + ","):
-        return None
-    # the items allow whitespace only around numbers, so it can all go
-    text = ("," + "".join(body.split())).replace(",", ",0*").replace("0*z", "")
-    try:
-        return list(map(int, text[1:].replace(",", "*").split("*")))
-    except ValueError:
-        return None
-
-
-def _parse_items(body: str, r: int) -> tuple[list[int], list[int]]:
-    """The permutation and colors of a body, item by item; raises
-    ``ParseError`` naming the first bad item or the first number above
-    Python's integer-string limit."""
-    perm, colors = [], []
+def _numbers(body: str) -> list[int]:
+    """The one reader of a body: every number, as color, value, color,
+    value, ..., with color 0 written in before a bare value.  One regex
+    pass checks the items and one conversion reads the numbers.  A body
+    that fails either is scanned item by item, and ``ParseError`` names
+    the first item that is not an item or holds a number above Python's
+    integer-string limit; if there is none, the two passes disagree, a
+    fault of the program (``RuntimeError``)."""
+    if not _ITEM_COMMA_RE.sub("", body + ","):
+        # the items allow whitespace only around numbers, so it can all go
+        text = ("," + "".join(body.split())).replace(",", ",0*").replace("0*z", "")
+        try:
+            return list(map(int, text[1:].replace(",", "*").split("*")))
+        except ValueError:  # only a number above Python's integer-string limit
+            pass
     for item in body.split(","):
         m = _SPACED_ITEM_RE.fullmatch(item)
         if not m:
             raise ParseError(f"bad item {item.strip()!r}")
-        exp, val = m.groups()
+        numbers = m.groups("0")  # a bare value's color is read as 0
         try:
-            colors.append(int(exp) % r if exp else 0)
-            perm.append(int(val))
+            list(map(int, numbers))
         except ValueError:  # only a number above Python's integer-string limit
-            digits = max(len(exp or ""), len(val))
-            limit = sys.get_int_max_str_digits()
+            digits, limit = max(map(len, numbers)), sys.get_int_max_str_digits()
             raise ParseError(f"number too long: {digits} digits, above the limit of {limit}") from None
-    return perm, colors
+    raise RuntimeError("the item scan found no fault in a body the one-pass parse refused")
 
 
 def parse_element(text: str, r: int, p: int = 1) -> GroupElement:
@@ -452,9 +445,8 @@ def parse_element(text: str, r: int, p: int = 1) -> GroupElement:
     between two digits.  Raises ``NotAMember`` if the element lies outside
     G(r,p,n).
 
-    One regex pass checks the whole body and one conversion reads every
-    number (``_numbers``); only a body that fails either is parsed item by
-    item (``_parse_items``), to name the offending item or number."""
+    The body is read by ``_numbers`` alone, which names the first bad
+    item or over-long number of a body it refuses."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError(f"element must be bracketed: {''.join(text.split())!r}")
@@ -464,10 +456,7 @@ def parse_element(text: str, r: int, p: int = 1) -> GroupElement:
     # checked first: the colors below are reduced mod r
     params = GroupParams(r, p, body.count(",") + 1)
     numbers = _numbers(body)
-    if numbers is None:
-        perm, colors = _parse_items(body, r)
-    else:
-        perm, colors = numbers[1::2], [c % r for c in numbers[0::2]]
+    perm, colors = numbers[1::2], [c % r for c in numbers[0::2]]
     w = GroupElement(params, tuple(perm), tuple(colors))
     if p != 1:
         require_member(w)

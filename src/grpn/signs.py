@@ -422,15 +422,16 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     spin of its insertion multitableau P.
 
     The sweep is one walk per shape block, over every shape (``_shapes``
-    at p = 1).  Before the walk it reads the criterion off each P's rows
-    (``rows_twice_spin``); the walk then takes each P of the shape, in
+    at p = 1).  Before the walk it reads the criterion off the first P's
+    rows (``rows_twice_spin``), as every P of the block has the shape's
+    twice spin; the walk then takes each P of the shape, in
     search order, and walks every Q of P's shape by replaying the step list
     in P's rows (``rs._removal_walk``, in P's own component rows), which
     it leaves as it found them, the same row objects: each leaf is
     ``rs_inverse(RSPair(P, Q))`` at the cost of one reverse bump, with no
     Q built and no row popped.  The correspondence is
     a bijection, so the leaves are G(r,1,n), each once, and each is checked
-    against its own P's criterion: a member whose P fails it, or a
+    against its shape's criterion: a member whose P fails it, or a
     non-member whose P passes it, is a counterexample ``(w, 0, member,
     criterion)``.  A ``GroupElement`` is built only for a counterexample, so
     counterexamples come by shape, then by P, then in removal-walk order.
@@ -451,9 +452,9 @@ def verify_membership(params: GroupParams, report: VerificationReport) -> tuple[
     p, full = params.p, GroupParams(params.r, 1, params.n)
     checked = values = 0
     for _, steps, fillings in _shapes(params, report, 1):
-        criteria = [rows_twice_spin(p_rows) % p == 0 for p_rows in fillings]
-        for a, _, perm, colors in _removal_walk(fillings, steps):
-            member, criterion = sum(colors) % p == 0, criteria[a]
+        criterion = rows_twice_spin(fillings[0]) % p == 0
+        for _, _, perm, colors in _removal_walk(fillings, steps):
+            member = sum(colors) % p == 0
             checked += 1
             values += 1 + criterion
             if member != criterion and not report.full:

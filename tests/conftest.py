@@ -1,4 +1,5 @@
 import cmath
+import sys
 
 import pytest
 
@@ -30,3 +31,15 @@ def running_example():
     """The G(4,1,8) element used throughout the worked examples."""
     params = GroupParams(4, 1, 8)
     return GroupElement(params, (5, 1, 3, 6, 7, 4, 2, 8), (1, 0, 2, 0, 2, 1, 0, 0))
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default integer-string limit, whatever the interpreter or
+    ``PYTHONINTMAXSTRDIGITS`` set; interpreters without one are skipped."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no integer-string limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)

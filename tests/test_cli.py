@@ -417,18 +417,6 @@ def test_non_integer_labels_are_usage_errors(capsys, argv):
 LONG = "1" * 5000  # above Python's default limit of 4300 digits for int(str)
 
 
-@pytest.fixture
-def int_digit_limit():
-    """Python's default integer-string limit, whatever the interpreter or
-    ``PYTHONINTMAXSTRDIGITS`` set; interpreters without one are skipped."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no integer-string limit")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
 @pytest.mark.parametrize(
     "argv",
     [

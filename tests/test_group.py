@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grpn import group as group_module
 from grpn.errors import (
     CapExceeded,
     ColorOutOfRange,
@@ -25,7 +26,6 @@ from grpn.group import (
     GroupParams,
     OneDimValue,
     _numbers,
-    _parse_items,
     _swap_sort,
     enumerate_group,
     evaluate_word,
@@ -449,11 +449,12 @@ class TestParse:
         with pytest.raises(ParseError, match=re.escape(f"bad item {item!r}")):
             parse_element(text, 4)
 
-    def test_one_pass_matches_item_by_item(self):
-        """The one-pass, one-conversion parse (``_numbers``) against the
-        item-by-item parse (``_parse_items``) on random elements up to rank
-        64: colors below, at and above r, color 0 written out or left
-        bare, and whitespace around brackets, commas, ``z`` and ``*``."""
+    def test_one_pass_parse_gives_back_the_generating_data(self):
+        """The one-pass, one-conversion parse (``_numbers``) on random
+        elements up to rank 64 gives back the permutation and colors each
+        body was written from: colors below, at and above r, color 0
+        written out or left bare, and whitespace around brackets, commas,
+        ``z`` and ``*``."""
         rng = random.Random(17)
         for _ in range(500):
             n, r = rng.randint(1, 64), rng.choice((1, 2, 4, 8))
@@ -462,10 +463,45 @@ class TestParse:
             items = [f"z{c}*{v}" if c or rng.random() < 0.2 else str(v) for v, c in zip(perm, colors)]
             items = [f" {item}\t".replace("z", "z ").replace("*", "\n* ") if rng.random() < 0.3 else item for item in items]
             body = ",".join(items)
-            assert _numbers(body) is not None, body
+            assert _numbers(body) == [x for c, v in zip(colors, perm) for x in (c, v)], body
             w = parse_element(f" [{body}] ", r)
-            assert (list(w.perm), list(w.colors)) == _parse_items(body, r), body
             assert w.perm == tuple(perm) and w.colors == tuple(c % r for c in colors), body
+
+    def test_numbers_at_the_integer_string_limit(self, int_digit_limit):
+        """A number of 4,300 digits, leading zeros included, is read; one
+        of 4,301 is refused with its digit count, as a value or as a
+        color."""
+        one = "0" * 4299 + "1"  # 1, in 4,300 digits
+        assert parse_element(f"[2,{one}]", 4) == parse_element("[2,1]", 4)
+        assert parse_element(f"[z{one}*1, z {one} * 2]", 4) == parse_element("[z1*1,z1*2]", 4)
+        too_long = "number too long: 4301 digits, above the limit of 4300"
+        for text in (f"[0{one}]", f"[1,z0{one}*2]", f"[1,z2*0{one}]"):
+            with pytest.raises(ParseError, match=f"^{too_long}$"):
+                parse_element(text, 4)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[1,x,2,z0{long}*3]", "bad item 'x'"),
+            ("[1,z0{long}*3,x]", "number too long: 4301 digits"),
+            ("[{long}0,2 3]", "number too long: 4301 digits"),
+            ("[1,2 3,{long}0]", "bad item '2 3'"),
+        ],
+        ids=["bad-then-long", "long-then-bad", "long-value-then-spaced", "spaced-then-long-value"],
+    )
+    def test_first_fault_of_a_refused_body_is_named(self, int_digit_limit, text, message):
+        """A body holding both a bad item and an over-long number names
+        whichever comes first."""
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}"):
+            parse_element(text.format(long="1" * 4300), 4)
+
+    def test_a_scan_that_finds_no_fault_is_a_program_fault(self, monkeypatch):
+        """A body the one-pass check refuses but whose items all read is a
+        disagreement of the two passes: ``RuntimeError``, not a usage
+        error and not an element."""
+        monkeypatch.setattr(group_module, "_ITEM_COMMA_RE", re.compile("(?!)"))
+        with pytest.raises(RuntimeError, match="found no fault"):
+            parse_element("[z1*2,1]", 4)
 
     def test_inversions_helper(self):
         assert inversions((1, 2, 3)) == 0

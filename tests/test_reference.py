@@ -678,6 +678,40 @@ def test_removal_walk_work_follows_from_its_step_list(monkeypatch, r, n):
         assert calls == len(fillings) * per_p, shape
 
 
+def insertion_row_visits(w):
+    """The rows the values of w visit in an independent linear-scan
+    insertion (``row_insert``), summed over the values: one that lands in
+    row t visits t rows, counted from 1, and one that falls off the m rows
+    of its component visits m."""
+    P = [[] for _ in range(w.params.r)]
+    visits = 0
+    for x, k in zip(w.perm, w.colors):
+        rows = len(P[k])
+        visits += min(row_insert(P[k], x), rows)
+    return visits
+
+
+def test_insertion_pass_work_is_one_bisect_per_row_visited(monkeypatch):
+    """The insertion pass's work, counted through ``rs``'s module-level
+    ``bisect_right``: one call per row a value visits, as many as the
+    linear-scan insertion visits, on all of G(2,1,5) and G(3,1,4) and on
+    seeded rank-64 elements with r in 1, 2, 4 and 8."""
+    calls = 0
+
+    def counted(row, x):
+        nonlocal calls
+        calls += 1
+        return bisect.bisect_right(row, x)
+
+    rng = random.Random(43)
+    seeded = [random_element(rng, 64, rng.choice((1, 2, 4, 8))) for _ in range(200)]
+    monkeypatch.setattr(rs_module, "bisect_right", counted)
+    for w in chain(enumerate_group(GroupParams(2, 1, 5)), enumerate_group(GroupParams(3, 1, 4)), seeded):
+        calls = 0
+        _insertion_rows(w.perm, w.colors, w.params.r)
+        assert calls == insertion_row_visits(w), str(w)
+
+
 def one_leaf_steps(Q):
     """A step list with one leaf, read off the recording multitableau Q:
     the (component, row) of labels n down to 2 as its moves, and label 1's
@@ -801,8 +835,8 @@ def test_standard_fillings_match_brute_force(r):
 
 
 def test_membership_sweep_reports_a_wrong_twice_spin(monkeypatch):
-    """The sweep reads twice_spin(P) off each filling's row lists; a wrong
-    value there must show up as counterexamples."""
+    """The sweep reads twice_spin(P) off the row lists of each shape's
+    first filling; a wrong value there must show up as counterexamples."""
     monkeypatch.setattr(signs, "rows_twice_spin", lambda comps: rows_twice_spin(comps) + 1)
     full = GroupParams(2, 1, 3)
     report = signs.verify_membership(GroupParams(2, 2, 3), max_counterexamples=1000)
