@@ -34,17 +34,16 @@ def _read(text: str) -> str:
 
 
 def _emit(args, text_lines, payload, w=None):
-    """Print ``text_lines``, or ``payload`` as JSON for ``--format json``.  A
-    command on one element w leads with it: the ``w = ...`` line and the
-    ``"element"`` key."""
-    if w is not None:
-        text_lines = [f"w = {w}", *text_lines]
-        payload = {"element": str(w), **payload}
+    """Print the lines ``text_lines()`` builds, or for ``--format json`` the
+    dict ``payload()`` builds, as JSON; only the chosen callable runs.  A
+    command on one element w leads with it, turned into text in that
+    branch: the ``w = ...`` line or the ``"element"`` key."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        head = {} if w is None else {"element": str(w)}
+        print(json.dumps({**head, **payload()}, indent=2))
     else:
-        for line in text_lines:
-            print(line)
+        head = [] if w is None else [f"w = {w}"]
+        print(*head, *text_lines(), sep="\n")
 
 
 def _load_json(text: str):
@@ -69,7 +68,7 @@ def _element(args):
 def cmd_rs(args):
     w = _element(args)
     pair = rs_map(w)
-    _emit(args, [f"P = {pair.P}", f"Q = {pair.Q}"], {"P": pair.P.to_json(), "Q": pair.Q.to_json()}, w)
+    _emit(args, lambda: [f"P = {pair.P}", f"Q = {pair.Q}"], lambda: {"P": pair.P.to_json(), "Q": pair.Q.to_json()}, w)
     return 0
 
 
@@ -78,12 +77,9 @@ def cmd_inverse_rs(args):
     data = _load_json(text)
     if not (isinstance(data, list) and len(data) == 2):
         raise ParseError(f"pair must be a JSON list [P, Q] of two multitableaux: {text!r}")
-    P = Multitableau.from_json(data[0])
-    Q = Multitableau.from_json(data[1])
-    r = args.r if args.r is not None else P.r
-    params = GroupParams(r, args.p, P.size)
-    w = rs_inverse(RSPair(P, Q), params)
-    _emit(args, [str(w)], {"element": str(w), **w.to_json()})
+    P, Q = map(Multitableau.from_json, data)
+    w = rs_inverse(RSPair(P, Q), GroupParams(P.r if args.r is None else args.r, args.p, P.size))
+    _emit(args, lambda: [str(w)], lambda: {"element": str(w), **w.to_json()})
     return 0
 
 
@@ -113,8 +109,8 @@ def cmd_stats(args):
         stats = _tableau_stats(T)
         _emit(
             args,
-            [f"T = {T}"] + [f"{k} = {v}" for k, v in stats.items()],
-            {"tableau": T.to_json(), **stats},
+            lambda: [f"T = {T}"] + [f"{k} = {v}" for k, v in stats.items()],
+            lambda: {"tableau": T.to_json(), **stats},
         )
         return 0
     if args.r is None:
@@ -122,9 +118,12 @@ def cmd_stats(args):
     w = parse_element(raw, args.r, args.p)
     pair = rs_map(w)
     stats = {"P": _tableau_stats(pair.P), "Q": _tableau_stats(pair.Q)}
-    lines = [f"P = {pair.P}", f"Q = {pair.Q}"]
-    lines += [f"{name}.{k} = {v}" for name, part in stats.items() for k, v in part.items()]
-    _emit(args, lines, stats, w)
+
+    def text_lines():
+        parts = [f"{name}.{k} = {v}" for name, part in stats.items() for k, v in part.items()]
+        return [f"P = {pair.P}", f"Q = {pair.Q}", *parts]
+
+    _emit(args, text_lines, lambda: stats, w)
     return 0
 
 
@@ -133,9 +132,9 @@ def cmd_sgn(args):
     values = {eps: [str(w.one_dim(i, eps)) for i in range(args.r)] for eps in (0, 1)}
     _emit(
         args,
-        [f"sigma_{i}(w) = {v}" for i, v in enumerate(values[0])]
+        lambda: [f"sigma_{i}(w) = {v}" for i, v in enumerate(values[0])]
         + [f"sgn_{i}(w) = {v}" for i, v in enumerate(values[1])],
-        {"values": {f"tau_{i}^{eps}": v for eps in (0, 1) for i, v in enumerate(values[eps])}},
+        lambda: {"values": {f"tau_{i}^{eps}": v for eps in (0, 1) for i, v in enumerate(values[eps])}},
         w,
     )
     return 0
@@ -146,8 +145,8 @@ def cmd_pi(args):
     values = [str(pi(w, i)) for i in range(args.r)]
     _emit(
         args,
-        [f"pi_{i}(w) = {v}" for i, v in enumerate(values)],
-        {"values": {str(i): v for i, v in enumerate(values)}},
+        lambda: [f"pi_{i}(w) = {v}" for i, v in enumerate(values)],
+        lambda: {"values": {str(i): v for i, v in enumerate(values)}},
         w,
     )
     return 0
@@ -156,11 +155,10 @@ def cmd_pi(args):
 def cmd_ascend(args):
     w = _element(args)
     moves, rep = _ascend_element(w)
-    move_text = " ".join(f"{side}{i}" for side, i in moves) or "(none)"
     _emit(
         args,
-        [f"ascending = {rep}", f"moves = {move_text}"],
-        {"ascending": str(rep), "moves": [[s, i] for s, i in moves]},
+        lambda: [f"ascending = {rep}", "moves = " + (" ".join(f"{s}{i}" for s, i in moves) or "(none)")],
+        lambda: {"ascending": str(rep), "moves": moves},  # each (s, i) dumped as [s, i]
         w,
     )
     return 0
@@ -175,7 +173,7 @@ VERIFIERS = {
 
 def cmd_verify(args):
     report = VERIFIERS[args.which](GroupParams(args.r, args.p, args.n), cap=args.cap)
-    _emit(args, [report.summary()], report.to_json())
+    _emit(args, lambda: [report.summary()], report.to_json)
     return 0 if report.passed else VERIFY_FAILURE
 
 

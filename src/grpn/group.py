@@ -248,9 +248,9 @@ class GroupElement:
 
     def is_member(self, p: int) -> bool:
         """Membership in the index-p subgroup G(r,p,n): the (r/p)-th power of
-        the product of the nonzero entries is 1, i.e. p divides the color sum."""
-        if self.params.r % p != 0:
-            raise InvalidP(f"p={p} does not divide r={self.params.r}")
+        the product of the nonzero entries is 1, i.e. p divides the color sum.
+        ``GroupParams`` checks p."""
+        GroupParams(self.params.r, p, self.params.n)
         return self.color_sum() % p == 0
 
     def one_dim(self, i: int, epsilon: int) -> OneDimValue:

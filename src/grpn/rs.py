@@ -278,22 +278,21 @@ def _ascend(perm, colors) -> tuple[list[int], list[int], tuple[tuple, tuple]]:
 # The most moves ``ascending_moves`` and ``grpn ascend`` make.  The moves
 # grow as n^2 (a random element of G(2,1,n) has about n^2 / 4), and each
 # sort makes at most n - 1 comparisons more than moves.  At r = 2 the
-# command took 0.20 s with text output and 0.66 s with JSON (8.4 MB) for a
-# random element of rank 1,000 (248,316 moves), and 0.58-0.99 s and
-# 1.04-1.73 s (11 MB) for the identity colored (1, ..., 1, 0) at rank
-# 125,001 (250,000 moves; in process, 2-core x86-64, Python 3.11, whose
-# speed drifts).  So a call within the bound takes up to about 1 s with
-# text output and 2 s with JSON.
+# command took 0.10-0.12 s with text output and 0.44-0.56 s with JSON for
+# a random element of rank 900 (203,644 moves), and 0.38-0.45 s and
+# 0.81-1.14 s for the identity colored (1, ..., 1, 0) at rank 125,001
+# (250,000 moves; in process, 2-core x86-64, Python 3.11).
 MAX_ASCEND_MOVES = 250_000
 
 
 def _move_count(perm, colors) -> int:
     """The number of moves ``_ascend`` makes, counted in O(n log n)
-    comparisons without making them.  A stable adjacent-swap sort swaps
-    each strictly out-of-order pair once, so the right moves are the
-    inversions of the position-color word and the left moves those of the
-    value-color word, which the right moves leave as it was, since each
-    value keeps its color."""
+    comparisons without making them, in O(n^2) time all the same
+    (``list.insert`` in ``inversions``, ROADMAP item 4).  A stable
+    adjacent-swap sort swaps each strictly out-of-order pair once, so the
+    right moves are the inversions of the position-color word and the left
+    moves those of the value-color word, which the right moves leave as it
+    was, since each value keeps its color."""
     value_colors = [0] * len(perm)
     for p, v in enumerate(perm):
         value_colors[v - 1] = colors[p]

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,9 @@ from grpn import signs
 from grpn.cli import INTERNAL_ERROR, USAGE_ERROR, VERIFY_FAILURE, build_parser, main
 from grpn.errors import CapExceeded, InvalidTableau
 from grpn.group import MAX_R, GroupElement, GroupParams, parse_element
-from grpn.rs import apply_moves, ascending_moves
+from grpn.rs import apply_moves, ascending_moves, rs_map
+from grpn.signs import VerificationReport
+from grpn.tableaux import Multitableau
 
 RUNNING = "[z1*5,1,z2*3,6,z2*7,z1*4,2,8]"
 SRC = os.path.dirname(os.path.dirname(grpn.__file__))
@@ -59,12 +62,79 @@ def test_rs_text(capsys):
     assert "Q = (2,4,8/7 | 1/6 | 3,5 | -)" in out
 
 
-def test_rs_json_matches_text(capsys):
-    code, out, _ = run(capsys, "rs", "--r", "4", "--format", "json", RUNNING)
+def _element_command_cases():
+    """argv without ``--format``, and known JSON values, of every element
+    command on seeded elements of rank 8-64, r in 2, 4 and 8, led by ``rs``
+    on the running example, whose image is known."""
+    known = {"P": [[[1, 2, 8], [6]], [[4], [5]], [[3, 7]], []], "Q": [[[2, 4, 8], [7]], [[1], [6]], [[3, 5]], []]}
+    cases = [pytest.param(["rs", "--r", "4", RUNNING], known, id="rs-running-example")]
+    rng = random.Random(39)
+    for r in (2, 4, 8, 2, 4, 8):
+        n = rng.randrange(8, 65)
+        perm = rng.sample(range(1, n + 1), n)
+        w = GroupElement(GroupParams(r, 1, n), tuple(perm), tuple(rng.randrange(r) for _ in perm))
+        pair = rs_map(w)
+        P, Q = json.dumps(pair.P.to_json()), json.dumps(pair.Q.to_json())
+        R = ["--r", str(r)]
+        for name, argv in [
+            ("rs", ["rs", *R, str(w)]),
+            ("inverse-rs", ["inverse-rs", *R, f"[{P}, {Q}]"]),
+            ("stats-element", ["stats", *R, str(w)]),
+            ("stats-tableau", ["stats", P]),
+            ("sgn", ["sgn", *R, str(w)]),
+            ("pi", ["pi", *R, str(w)]),
+            ("ascend", ["ascend", *R, str(w)]),
+        ]:
+            cases.append(pytest.param(argv, {}, id=f"{name}-r{r}-n{n}"))
+    return cases
+
+
+def _text_from_json(argv, data):
+    """The text output of ``argv``, rebuilt from its JSON output ``data``
+    with no ``grpn.cli`` code: the lines of each command's text format."""
+    command = argv[0]
+    if command == "inverse-rs":
+        w = parse_element(data["element"], int(argv[2]))
+        assert w.to_json() == {k: v for k, v in data.items() if k != "element"}
+        return [data["element"]]
+    if "tableau" in data:
+        stats = {k: v for k, v in data.items() if k != "tableau"}
+        return [f"T = {Multitableau.from_json(data['tableau'])}", *(f"{k} = {v}" for k, v in stats.items())]
+    r = int(argv[2])
+    lines = [f"w = {data['element']}"]
+    if command in ("rs", "stats"):
+        pair = rs_map(parse_element(data["element"], r))
+        if command == "rs":
+            assert (data["P"], data["Q"]) == (pair.P.to_json(), pair.Q.to_json())
+        lines += [f"P = {pair.P}", f"Q = {pair.Q}"]
+        if command == "stats":
+            lines += [f"{name}.{k} = {v}" for name in ("P", "Q") for k, v in data[name].items()]
+    elif command == "sgn":
+        values = data["values"]
+        assert len(values) == 2 * r
+        lines += [f"sigma_{i}(w) = {values[f'tau_{i}^0']}" for i in range(r)]
+        lines += [f"sgn_{i}(w) = {values[f'tau_{i}^1']}" for i in range(r)]
+    elif command == "pi":
+        assert len(data["values"]) == r
+        lines += [f"pi_{i}(w) = {data['values'][str(i)]}" for i in range(r)]
+    else:
+        moves = " ".join(f"{side}{i}" for side, i in data["moves"]) or "(none)"
+        lines += [f"ascending = {data['ascending']}", f"moves = {moves}"]
+    return lines
+
+
+@pytest.mark.parametrize("argv,known", _element_command_cases())
+def test_rs_json_matches_text(capsys, argv, known):
+    """Each element command's text and JSON outputs carry the same answer.
+    Only one format is built per call, so only this check ties the text
+    builder of a command to its JSON builder."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
     data = json.loads(out)
     assert code == 0
-    assert data["P"] == [[[1, 2, 8], [6]], [[4], [5]], [[3, 7]], []]
-    assert data["Q"] == [[[2, 4, 8], [7]], [[1], [6]], [[3, 5]], []]
+    assert {key: data[key] for key in known} == known
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == _text_from_json(argv, data)
 
 
 def test_inverse_rs_round_trip(capsys):
@@ -172,6 +242,59 @@ def test_ascend_sorts_once(capsys, monkeypatch):
         calls.clear()
         assert run(capsys, "ascend", "--r", "4", "--format", fmt, RUNNING)[0] == 0
         assert len(calls) == 1, fmt
+
+
+# argv without --format, and the counted calls it makes in text and in
+# JSON; calls that are not listed must not be made.  Each element is turned
+# into text once: the input w (the result of inverse-rs), and the
+# representative of ascend.  Text makes no to_json call, JSON no
+# Multitableau.__str__ call, and verify builds only its summary or its dict.
+RUNNING_PAIR = "[[[[1, 2, 8], [6]], [[4], [5]], [[3, 7]], []], [[[2, 4, 8], [7]], [[1], [6]], [[3, 5]], []]]"
+W_STR, T_STR, T_JSON = "GroupElement.__str__", "Multitableau.__str__", "Multitableau.to_json"
+BUILT = [
+    pytest.param(["rs", "--r", "4", RUNNING], {W_STR: 1, T_STR: 2}, {W_STR: 1, T_JSON: 2}, id="rs"),
+    pytest.param(["inverse-rs", "--r", "4", RUNNING_PAIR], {W_STR: 1}, {W_STR: 1}, id="inverse-rs"),
+    pytest.param(["stats", "--r", "4", RUNNING], {W_STR: 1, T_STR: 2}, {W_STR: 1}, id="stats-element"),
+    pytest.param(["stats", "[[[1, 3], [2]], [[4], [5]]]"], {T_STR: 1}, {T_JSON: 1}, id="stats-tableau"),
+    pytest.param(["sgn", "--r", "4", RUNNING], {W_STR: 1}, {W_STR: 1}, id="sgn"),
+    pytest.param(["pi", "--r", "4", RUNNING], {W_STR: 1}, {W_STR: 1}, id="pi"),
+    pytest.param(["ascend", "--r", "4", RUNNING], {W_STR: 2}, {W_STR: 2}, id="ascend"),
+    pytest.param(
+        ["verify", "theorem", "--r", "2", "--n", "3"],
+        {"VerificationReport.summary": 1},
+        {"VerificationReport.to_json": 1},
+        id="verify",
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv,text_calls,json_calls", BUILT)
+def test_only_the_printed_format_is_built(capsys, monkeypatch, fmt, argv, text_calls, json_calls):
+    """Each command builds the output of its ``--format`` only, counted
+    through the formatting methods of the element, multitableau and report
+    classes."""
+    calls = Counter()
+
+    def count(cls, name):
+        method = getattr(cls, name)
+
+        def counted(self):
+            calls[f"{cls.__name__}.{name}"] += 1
+            return method(self)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, name in [
+        (GroupElement, "__str__"),
+        (Multitableau, "__str__"),
+        (Multitableau, "to_json"),
+        (VerificationReport, "summary"),
+        (VerificationReport, "to_json"),
+    ]:
+        count(cls, name)
+    assert run(capsys, *argv, "--format", fmt)[0] == 0
+    assert calls == (text_calls if fmt == "text" else json_calls)
 
 
 def out_of_order_pairs(word, r):

@@ -197,6 +197,19 @@ class TestMembership:
         with pytest.raises(InvalidP):
             running_example.is_member(3)
 
+    @pytest.mark.parametrize(
+        "p,error,message",
+        [(p, InvalidParams, "^parameters must be positive") for p in (0, -1, -2)]
+        + [(3, InvalidP, "^p=3 does not divide r=4$")],
+        ids=["0", "-1", "-2", "3"],
+    )
+    def test_p_is_checked_as_a_group_parameter(self, p, error, message):
+        """p is refused as ``GroupParams`` refuses it: a p below 1 is not
+        divided by (0) or read as a divisor of r (-1, -2)."""
+        w = GroupElement(GroupParams(4, 1, 2), (2, 1), (1, 1))
+        with pytest.raises(error, match=message):
+            w.is_member(p)
+
     def test_matrix_oracle(self):
         # p | color sum iff the (r/p)-th power of the entry product is 1
         for w in elements(4, 3):
