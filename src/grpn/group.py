@@ -14,9 +14,8 @@ import itertools
 import re
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from math import factorial, lgamma, log, log10
-from typing import Iterator, Sequence
 
 from .errors import (
     CapExceeded,
@@ -41,21 +40,56 @@ DEFAULT_CAP = 10**7
 MAX_R = 10**5
 
 
-@dataclass(frozen=True)
-class GroupParams:
-    """Parameters (r, p, n) with p dividing r and r at most ``MAX_R``."""
+class _Value:
+    """A value object named by its ``_fields``, which ``__init__`` sets
+    once through ``__dict__``.  Two objects of one class are equal, and
+    hash alike, when their fields' values are; an object of another class,
+    or a plain tuple, is never equal.  The repr is ``Name(field=value,
+    ...)``, and assigning or deleting an attribute raises
+    ``AttributeError``.  A ``functools.cached_property`` writes
+    ``__dict__`` directly, so it still caches, outside the fields."""
 
-    r: int
-    p: int = 1
-    n: int = 1
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.r < 1 or self.n < 1 or self.p < 1:
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[name] for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        d = self.__dict__
+        return f"{type(self).__qualname__}({', '.join(f'{name}={d[name]!r}' for name in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GroupParams(_Value):
+    """Parameters (r, p, n): integers, not bools, with p dividing r and r
+    at most ``MAX_R``."""
+
+    _fields = ("r", "p", "n")
+
+    def __init__(self, r: int, p: int = 1, n: int = 1):
+        self.__dict__.update(r=r, p=p, n=n)
+        if not (type(r) is type(p) is type(n) is int):
+            raise InvalidParams(f"parameters must be integers: {self}")
+        if r < 1 or n < 1 or p < 1:
             raise InvalidParams(f"parameters must be positive: {self}")
-        if self.r > MAX_R:
-            raise InvalidParams(f"r={self.r} is above the limit of {MAX_R}")
-        if self.r % self.p != 0:
-            raise InvalidP(f"p={self.p} does not divide r={self.r}")
+        if r > MAX_R:
+            raise InvalidParams(f"r={r} is above the limit of {MAX_R}")
+        if r % p != 0:
+            raise InvalidP(f"p={p} does not divide r={r}")
 
     @property
     def order(self) -> int:
@@ -63,8 +97,7 @@ class GroupParams:
         return self.r**self.n * factorial(self.n) // self.p
 
 
-@dataclass(frozen=True, eq=False)
-class OneDimValue:
+class OneDimValue(_Value):
     """A value +-z^k of a one-dimensional representation, z a primitive
     r-th root of unity.
 
@@ -74,15 +107,14 @@ class OneDimValue:
     collapse it.
     """
 
-    sign: int
-    exponent: int
-    modulus: int
+    _fields = ("sign", "exponent", "modulus")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
-        if not 0 <= self.exponent < self.modulus:
-            raise ValueError(f"exponent {self.exponent} out of range mod {self.modulus}")
+    def __init__(self, sign: int, exponent: int, modulus: int):
+        self.__dict__.update(sign=sign, exponent=exponent, modulus=modulus)
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +-1, got {sign}")
+        if not 0 <= exponent < modulus:
+            raise ValueError(f"exponent {exponent} out of range mod {modulus}")
 
     def canonical(self) -> tuple[int, int, int]:
         if self.sign == -1 and self.modulus % 2 == 0:
@@ -188,25 +220,20 @@ def _swap_sort(keys: list, carried: list) -> list[int]:
     return swaps
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Value):
     """An element of G(r,1,n): a permutation together with color exponents."""
 
-    params: GroupParams
-    perm: tuple[int, ...]
-    colors: tuple[int, ...]
+    _fields = ("params", "perm", "colors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(self.perm))
-        object.__setattr__(self, "colors", tuple(self.colors))
-        n, r = self.params.n, self.params.r
-        if len(self.perm) != n or len(self.colors) != n:
-            raise LengthMismatch(
-                f"expected {n} entries, got perm of {len(self.perm)} and colors of {len(self.colors)}"
-            )
-        if sorted(self.perm) != list(range(1, n + 1)):
-            raise NotAPermutation(f"{self.perm} is not a permutation of 1..{n}")
-        for a in self.colors:
+    def __init__(self, params: GroupParams, perm: Sequence[int], colors: Sequence[int]):
+        perm, colors = tuple(perm), tuple(colors)
+        self.__dict__.update(params=params, perm=perm, colors=colors)
+        n, r = params.n, params.r
+        if len(perm) != n or len(colors) != n:
+            raise LengthMismatch(f"expected {n} entries, got perm of {len(perm)} and colors of {len(colors)}")
+        if sorted(perm) != list(range(1, n + 1)):
+            raise NotAPermutation(f"{perm} is not a permutation of 1..{n}")
+        for a in colors:
             if not 0 <= a < r:
                 raise ColorOutOfRange(f"color {a} not in [0, {r})")
 

@@ -24,25 +24,23 @@ stable sorts, ``_class_leader``) and wrapped for ``GroupElement``s.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import chain
-from typing import Iterator
 
 from .errors import CapExceeded, IndexOutOfRange, InvalidTableau, NotAdmissible, ShapeMismatch
-from .group import GroupElement, GroupParams, _swap_sort, inversions, require_member
+from .group import GroupElement, GroupParams, _swap_sort, _Value, inversions, require_member
 from .tableaux import CornerSteps, Multitableau, ascending_blocks
 
 
-@dataclass(frozen=True)
-class RSPair:
+class RSPair(_Value):
     """Insertion and recording multitableaux of equal shape."""
 
-    P: Multitableau
-    Q: Multitableau
+    _fields = ("P", "Q")
 
-    def __post_init__(self):
-        if self.P.shape != self.Q.shape:
-            raise ShapeMismatch(f"{self.P.shape} != {self.Q.shape}")
+    def __init__(self, P: Multitableau, Q: Multitableau):
+        self.__dict__.update(P=P, Q=Q)
+        if P.shape != Q.shape:
+            raise ShapeMismatch(f"{P.shape} != {Q.shape}")
 
 
 def _insertion_rows(perm, colors, r: int) -> tuple[list[list[list[int]]], list[list[list[int]]]]:

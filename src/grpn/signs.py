@@ -81,7 +81,6 @@ elements, records counterexamples and returns those counts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from ._kernels import get_kernel
 from .errors import CapExceeded, GrpnError, IndexOutOfRange, NotAscending, ShapeMismatch
@@ -173,15 +172,21 @@ def pi(w: GroupElement, i: int) -> OneDimValue:
     return OneDimValue(sign, (i * spin_sum) % r, r)
 
 
-@dataclass
 class VerificationReport:
-    params: GroupParams
-    kind: str
-    elements_checked: int = 0
-    i_values_checked: int = 0
-    counterexamples: list = field(default_factory=list)
-    elapsed: float = 0.0
-    max_counterexamples: int = 10
+    """What one sweep checked and the counterexamples it kept.  A plain
+    mutable record: it compares by identity and has the default repr."""
+
+    def __init__(
+        self, params: GroupParams, kind: str, elements_checked: int = 0, i_values_checked: int = 0,
+        counterexamples: list | None = None, elapsed: float = 0.0, max_counterexamples: int = 10,
+    ):
+        self.params = params
+        self.kind = kind
+        self.elements_checked = elements_checked
+        self.i_values_checked = i_values_checked
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.elapsed = elapsed
+        self.max_counterexamples = max_counterexamples
 
     @property
     def passed(self) -> bool:

@@ -14,14 +14,13 @@ wrap the search's fillings in validated objects, one leaf at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from itertools import chain, repeat
 from math import factorial
 from operator import lt
-from typing import Iterator, Sequence
 
 from .errors import InvalidTableau, ShapeMismatch
-from .group import inversions
+from .group import _Value, inversions
 
 Partition = tuple[int, ...]
 MultiPartition = tuple[Partition, ...]
@@ -102,8 +101,7 @@ def _check_rows(rows: tuple[tuple[int, ...], ...]) -> None:
             raise InvalidTableau(f"column not increasing between rows {i + 1} and {i + 2}")
 
 
-@dataclass(frozen=True, init=False)
-class StandardTableau:
+class StandardTableau(_Value):
     """A Young tableau with distinct labels increasing along rows and down
     columns.  Labels need not be 1..m; any distinct positive integers work,
     so component tableaux of a multitableau share one label pool.
@@ -115,11 +113,11 @@ class StandardTableau:
     ``InvalidTableau`` with the message of the first check it fails, in
     that order."""
 
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("rows",)
 
     def __init__(self, rows):
         rows = tuple(map(tuple, rows))
-        object.__setattr__(self, "rows", rows)
+        self.__dict__["rows"] = rows
         if rows:
             try:
                 if _is_standard(rows):
@@ -212,8 +210,7 @@ def is_component_list(data) -> bool:
     )
 
 
-@dataclass(frozen=True, init=False)
-class Multitableau:
+class Multitableau(_Value):
     """Standard tableaux, one per color, jointly labeled by exactly 1..n.
 
     Construction checks the labels in one pass: it sorts the labels of all
@@ -221,11 +218,11 @@ class Multitableau:
     ``InvalidTableau`` with the sorted labels when they differ.  Each
     component checked its own rows when it was built."""
 
-    components: tuple[StandardTableau, ...]
+    _fields = ("components",)
 
     def __init__(self, components):
         components = tuple(components)
-        object.__setattr__(self, "components", components)
+        self.__dict__["components"] = components
         labels = [x for t in components for row in t.rows for x in row]
         labels.sort()
         if labels != list(range(1, len(labels) + 1)):

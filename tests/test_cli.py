@@ -676,6 +676,20 @@ def _fresh_process(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_import_generates_no_code():
+    """``import grpn, grpn.cli`` in a fresh interpreter without ``site``
+    newly loads none of ``dataclasses``, ``inspect`` and ``typing``: the
+    value classes write their own methods, so no class is generated at
+    import, and the type names come from ``collections.abc``."""
+    script = "import sys; before = set(sys.modules); import grpn, grpn.cli; print(*set(sys.modules) - before)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}
+    )
+    loaded = set(proc.stdout.split())
+    assert proc.returncode == 0 and "grpn.cli" in loaded, proc.stderr
+    assert loaded.isdisjoint({"dataclasses", "inspect", "typing"}), sorted(loaded)
+
+
 def test_repeated_main_calls_match_fresh_processes(capsys):
     # one shared parser must not carry anything from one call to the next
     calls = [

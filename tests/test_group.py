@@ -36,6 +36,8 @@ from grpn.group import (
     parse_element,
     subgroup_generators,
 )
+from grpn.rs import RSPair
+from grpn.tableaux import Multitableau, StandardTableau
 
 from conftest import to_matrix
 
@@ -85,6 +87,17 @@ class TestConstruction:
     def test_p_must_divide_r(self):
         with pytest.raises(InvalidP):
             GroupParams(4, 3, 2)
+
+    @pytest.mark.parametrize("position", ["r", "p", "n"])
+    @pytest.mark.parametrize("bad", [2.0, True, "2", None], ids=repr)
+    def test_parameters_must_be_integers(self, position, bad):
+        """r, p and n must be ints, and a bool is not one: a float used to
+        pass and fail later in the sweep with ``TypeError``, and True ran as
+        1, as in ``verify theorem G(True,1,2): PASS``."""
+        args = {"r": 2, "p": 1, "n": 2, position: bad}
+        message = f"parameters must be integers: GroupParams(r={args['r']!r}, p={args['p']!r}, n={args['n']!r})"
+        with pytest.raises(InvalidParams, match=f"^{re.escape(message)}$"):
+            GroupParams(**args)
 
     def test_r_is_bounded(self):
         """r = 2000 stays inside the bound; any r above it is refused."""
@@ -293,6 +306,70 @@ class TestOneDimValue:
         assert str(OneDimValue(1, 0, 4)) == "+1"
         assert str(OneDimValue(-1, 0, 3)) == "-1"
         assert str(OneDimValue(1, 2, 4)) == "+z^2"
+
+
+_P = Multitableau.from_rows([[[1], [2]], [[3]]])
+_Q = Multitableau.from_rows([[[1], [3]], [[2]]])
+_MT = "Multitableau(components=(StandardTableau(rows=((1,), ({}))), StandardTableau(rows=(({},),))))"
+
+# each value class: its fields, another value for each field, and the repr
+VALUE_CASES = {
+    GroupParams: ({"r": 4, "p": 2, "n": 3}, {"r": 6, "p": 1, "n": 2}, "GroupParams(r=4, p=2, n=3)"),
+    OneDimValue: (
+        {"sign": 1, "exponent": 1, "modulus": 3},
+        {"sign": -1, "exponent": 2, "modulus": 5},
+        "OneDimValue(sign=1, exponent=1, modulus=3)",
+    ),
+    GroupElement: (
+        {"params": GroupParams(3, 1, 2), "perm": (2, 1), "colors": (1, 0)},
+        {"params": GroupParams(3, 3, 2), "perm": (1, 2), "colors": (2, 0)},
+        "GroupElement(params=GroupParams(r=3, p=1, n=2), perm=(2, 1), colors=(1, 0))",
+    ),
+    StandardTableau: ({"rows": ((1, 3), (2,))}, {"rows": ((1, 2), (3,))}, "StandardTableau(rows=((1, 3), (2,)))"),
+    Multitableau: ({"components": _P.components}, {"components": _Q.components}, _MT.format("2,", 3)),
+    RSPair: ({"P": _P, "Q": _Q}, {"P": _Q, "Q": _P}, f"RSPair(P={_MT.format('2,', 3)}, Q={_MT.format('3,', 2)})"),
+}
+
+
+@pytest.mark.parametrize("cls", list(VALUE_CASES), ids=lambda cls: cls.__name__)
+def test_value_objects_compare_hash_print_and_refuse_assignment(cls):
+    """Every value class, built from its fields by keyword: equal fields
+    give equal objects with equal hashes, and a change to any one field
+    gives an unequal object; an object of another class or the tuple of
+    the fields is never equal; the repr is ``Name(field=value, ...)``; and
+    no attribute can be assigned or deleted."""
+    fields, others, text = VALUE_CASES[cls]
+    w, twin = cls(**fields), cls(**fields)
+    assert w == twin and not w != twin and hash(w) == hash(twin)
+    for name, other in others.items():
+        assert w != cls(**{**fields, name: other}), name
+    for other_cls, (other_fields, _, _) in VALUE_CASES.items():
+        assert (w == other_cls(**other_fields)) == (other_cls is cls)
+    assert w != tuple(fields.values()) and w != list(fields.values())
+    assert repr(w) == text and repr(twin) == text
+    for name, other in [*others.items(), ("extra", 1)]:
+        with pytest.raises(AttributeError):
+            setattr(w, name, other)
+        with pytest.raises(AttributeError):
+            delattr(w, name)
+    assert w == twin and repr(w) == text and not hasattr(w, "extra")
+
+
+def test_one_dim_values_compare_by_code():
+    """``OneDimValue`` keeps its own comparison: -1 and z^1 are one value
+    mod 2, with one hash, and stay apart from another modulus."""
+    assert OneDimValue(-1, 0, 2) == OneDimValue(1, 1, 2)
+    assert hash(OneDimValue(-1, 0, 2)) == hash(OneDimValue(1, 1, 2))
+    assert OneDimValue(1, 0, 2) != OneDimValue(1, 0, 4)
+
+
+def test_perm_sign_is_computed_once_per_element(monkeypatch):
+    calls = []
+    monkeypatch.setattr(group_module, "parity", lambda perm: calls.append(perm) or inversions(perm) % 2)
+    for w in elements(3, 3):
+        before = len(calls)
+        got = [w.perm_sign, w.one_dim(1, 1).sign, w.one_dim(2, 1).sign, w.perm_sign]
+        assert len(calls) == before + 1 and got == [(-1) ** inversions(w.perm)] * 4, str(w)
 
 
 def counting_keys(values):
